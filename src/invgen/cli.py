@@ -147,10 +147,13 @@ def _format_label(label) -> str:
 
 # ------------------------------------------------------- config resolution
 
-def _load_config(path: str | None) -> dict[str, str]:
-    """key=value lines, # comments; keys mirror the long flag names."""
+def _load_config(args) -> dict[str, str]:
+    """key=value lines, # comments; keys mirror the subcommand's long flag
+    names, and any other key is an error rather than silently ignored."""
+    path = args.config
     if path is None:
         return {}
+    allowed = set(vars(args)) - {"command", "func", "config"}
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -160,7 +163,13 @@ def _load_config(path: str | None) -> dict[str, str]:
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in allowed:
+                raise ValidationError(
+                    f"{path}:{lineno}: unknown key {key!r} for {args.command}; "
+                    f"expected one of {', '.join(sorted(allowed))}"
+                )
+            out[key] = value.strip()
     return out
 
 
@@ -227,7 +236,7 @@ def _meta(command: str, **fields) -> dict:
 # ------------------------------------------------------------ commands
 
 def cmd_sample(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     n = _require(_resolve(args, config, "n", _as_int, None), "--n")
     family = WeylFamily.parse(_require(_resolve(args, config, "family", str, None), "--family"))
     count = _resolve(args, config, "count", _as_int, 1)
@@ -247,7 +256,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fixedsets(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     signed = _resolve(args, config, "signed", _as_bool, False)
     cycles = _require(_resolve(args, config, "cycles", str, None), "--cycles")
     label = _parse_cycles(cycles, signed)
@@ -279,7 +288,7 @@ def _mc_common(args, config, sweep_mode: bool):
 
 
 def cmd_estimate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     gap, family, l, trials, event, seed, threads, confidence, fmt, out = _mc_common(
         args, config, sweep_mode=False
     )
@@ -296,7 +305,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     _, family, l, trials, event, seed, threads, confidence, fmt, out = _mc_common(
         args, config, sweep_mode=True
     )
@@ -313,7 +322,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     n = _require(_resolve(args, config, "n", _as_int, None), "--n")
     l = _resolve(args, config, "l", _as_int, 4)
     family = WeylFamily.parse(_require(_resolve(args, config, "family", str, None), "--family"))
@@ -323,7 +332,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     token = _require(_resolve(args, config, "family", str, None), "--family")
     b = _parse_bj4(_resolve(args, config, "b_j4", str, "1/3"))
     solve = _resolve(args, config, "solve_k", _as_bool, False)

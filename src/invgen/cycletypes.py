@@ -138,47 +138,45 @@ def project(s: SignedCycleType) -> Partition:
     return Partition(n=s.n, parts=tuple(l for l, _ in s.cycles))
 
 
-def subset_sum_mask(lengths, n: int) -> int:
-    """Bitmask of proper subset sums of `lengths` (bits 1..n-1).
+def subset_sum_mask(lengths, proper: int) -> int:
+    """Bitmask of proper subset sums of `lengths`, where `proper` is
+    (1 << n) - 2 (bits 1..n-1).
 
-    Shift-or DP; ascending order keeps intermediate masks short, which
-    matters at n around 10^6.
+    Shift-or DP.  Pass lengths ascending: short intermediate masks matter
+    at n around 10^6, and so does building `proper` once per caller rather
+    than once per profile.
     """
     mask = 1
-    for length in sorted(lengths):
+    for length in lengths:
         mask |= mask << length
-    return mask & ((1 << n) - 2)
+    return mask & proper
 
 
-def signed_subset_masks(lengths, signs, n: int) -> tuple[int, int]:
-    """(plus, minus) bitmasks of proper subset sums split by subset sign.
+def signed_subset_masks(cycles, proper: int) -> tuple[int, int]:
+    """(plus, minus) bitmasks of proper subset sums of (length, sign)
+    pairs, split by subset sign; lengths ascending, as for subset_sum_mask.
 
     Two-track DP: a positive cycle extends both tracks in place, a negative
     cycle swaps the contributions between tracks.
     """
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
     plus, minus = 1, 0
-    for i in order:
-        length = lengths[i]
-        if signs[i] > 0:
+    for length, sign in cycles:
+        if sign > 0:
             plus |= plus << length
             minus |= minus << length
         else:
             plus, minus = plus | (minus << length), minus | (plus << length)
-    proper = (1 << n) - 2
     return plus & proper, minus & proper
 
 
 def fixed_sizes(p: Partition) -> SizeProfile:
     """Achievable proper fixed-subset sizes of one element of class p."""
-    return SizeProfile(n=p.n, achievable=subset_sum_mask(p.parts, p.n))
+    return SizeProfile(n=p.n, achievable=subset_sum_mask(reversed(p.parts), (1 << p.n) - 2))
 
 
 def signed_fixed_sets(s: SignedCycleType) -> SignedSizeProfile:
     """Achievable proper (size, sign) pairs of one signed element."""
-    lengths = [l for l, _ in s.cycles]
-    signs = [sg for _, sg in s.cycles]
-    plus, minus = signed_subset_masks(lengths, signs, s.n)
+    plus, minus = signed_subset_masks(reversed(s.cycles), (1 << s.n) - 2)
     return SignedSizeProfile(n=s.n, plus=plus, minus=minus, total_sign=s.total_sign)
 
 

@@ -15,3 +15,10 @@ class CapacityError(InvgenError):
 
 class NoSolutionError(InvgenError):
     """Threshold solver could not find a finite answer."""
+
+
+def check_positive_int(name: str, value) -> None:
+    """Raise ValidationError unless `value` is an int >= 1.  bool is an int
+    subclass, but True is not a count, so it is rejected too."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")

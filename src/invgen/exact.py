@@ -27,7 +27,7 @@ from .cycletypes import (
     project,
     signed_fixed_sets,
 )
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_positive_int
 
 # The zeta transform is dense over 2^(n-1) (unsigned) or 2^(2(n-1)) (signed)
 # lattice points, so these caps keep the state space below ~2^24.  The top of
@@ -47,8 +47,7 @@ class ClassTable:
 
 
 def _check_capacity(n: int, family: WeylFamily) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    check_positive_int("n", n)
     limit = SIGNED_LIMIT if family.signed_profiles else UNSIGNED_LIMIT
     if n > limit:
         raise CapacityError(
@@ -183,8 +182,7 @@ def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
     """Exact Prob(J^l): l independent uniform elements share no achievable
     proper size (families A, C) or (size, sign) pair (families B, D)."""
     _check_capacity(n, family)
-    if not isinstance(l, int) or l < 1:
-        raise ValidationError(f"l must be a positive integer, got {l!r}")
+    check_positive_int("l", l)
     masses, univ = _masses(n, family)
     return _inclusion_exclusion(masses, univ, l)
 
@@ -196,8 +194,7 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
     the signed table and projects, so it is capped at the signed limit.
     Exponential in l; meant for n <= 6, l <= 3 cross-checks.
     """
-    if not isinstance(l, int) or l < 1:
-        raise ValidationError(f"l must be a positive integer, got {l!r}")
+    check_positive_int("l", l)
     if family is WeylFamily.C:
         if n > SIGNED_LIMIT:
             raise CapacityError(
@@ -268,8 +265,7 @@ def exact_prob_predicate(
     if predicate == "same_sign":
         if not family.signed_labels:
             raise ValidationError("same_sign needs a signed family (B, C, D+, D-)")
-        if not isinstance(l, int) or l < 1:
-            raise ValidationError(f"same_sign needs l >= 1, got {l!r}")
+        check_positive_int("l", l)
         table = enumerate_classes(n, family)
         mass_plus = sum(
             (p for label, p in table.entries if label.total_sign == 1), Fraction(0)
@@ -291,8 +287,7 @@ def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
     """
     if not family.signed_labels:
         raise ValidationError("J_and_not_N needs a signed family (B, C, D+, D-)")
-    if not isinstance(l, int) or l < 1:
-        raise ValidationError(f"l must be a positive integer, got {l!r}")
+    check_positive_int("l", l)
     if n > SIGNED_LIMIT:
         raise CapacityError(
             f"exact J_and_not_N enumerates signed classes, n <= {SIGNED_LIMIT} (got {n})"

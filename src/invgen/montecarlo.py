@@ -18,9 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
-from .cycletypes import WeylFamily
-from .errors import InvgenError, ValidationError
-from .sampling import GOLDEN, M64, RngState, _sample_lengths, _sample_lengths_signs, mix64
+from .cycletypes import WeylFamily, signed_subset_masks, subset_sum_mask
+from .errors import InvgenError, ValidationError, check_positive_int
+from .sampling import GOLDEN, M64, RngState, _sample_cycles, mix64
 
 EVENTS = ("J", "J_and_not_N", "N", "all_even", "all_positive")
 _UNSIGNED_EVENTS = ("J", "all_even")  # family A has no signs to speak of
@@ -37,14 +37,12 @@ class ExperimentSpec:
     master_seed: int
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.l, int) or self.l < 1:
-            raise ValidationError(f"l must be a positive integer, got {self.l!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= M64:
-            raise ValidationError(f"master_seed must be a 64-bit integer, got {self.master_seed!r}")
+        check_positive_int("n", self.n)
+        check_positive_int("l", self.l)
+        check_positive_int("trials", self.trials)
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= M64:
+            raise ValidationError(f"master_seed must be a 64-bit integer, got {seed!r}")
         if not isinstance(self.family, WeylFamily):
             raise ValidationError(f"family must be a WeylFamily, got {self.family!r}")
         if self.event not in EVENTS:
@@ -82,162 +80,62 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
     return wilson_interval_z(successes, trials, z)
 
 
-def _signed_masks_from_pairs(pairs, proper: int) -> tuple[int, int]:
-    """Two-track subset-sum DP over (length, sign) pairs sorted ascending."""
-    plus, minus = 1, 0
-    for length, sign in pairs:
-        if sign > 0:
-            plus |= plus << length
-            minus |= minus << length
-        else:
-            plus, minus = plus | (minus << length), minus | (plus << length)
-    return plus & proper, minus & proper
+def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
+    """Successes over trials start..stop-1; one loop serves every event.
 
-
-def _count_J(spec: ExperimentSpec, start: int, stop: int, not_n: bool) -> int:
-    """Successes of J (or J-and-not-N) over trials start..stop-1."""
-    n, l, seed = spec.n, spec.l, spec.master_seed
+    A trial stops sampling once its outcome is settled.  J and J_and_not_N
+    settle as successes: the running intersection of profiles is empty
+    (and, for J_and_not_N, two total signs differ).  N, all_even and
+    all_positive settle as failures: two total signs differ, a cycle is
+    odd, a cycle is negative.
+    """
+    n, l, seed, event = spec.n, spec.l, spec.master_seed, spec.event
     family = spec.family
-    want = family.sector_sign
-    signed_sampling = family.signed_labels
+    signed, want = family.signed_labels, family.sector_sign
     signed_profiles = family.signed_profiles
+    j_event = event in ("J", "J_and_not_N")
+    needs_mixed = event in ("J_and_not_N", "N")
     use_cache = n <= _CACHE_LIMIT
     cache: dict = {}
     proper = (1 << n) - 2
     successes = 0
     for t in range(start, stop):
         rng = RngState(seed, t)
-        inter_p = inter_m = inter = proper
-        empty = n == 1
+        inter_p = inter_m = proper
         first_sign = 0
-        sign_diff = False
+        mixed = settled = False
         for _ in range(l):
-            if signed_sampling:
-                lengths, signs = _sample_lengths_signs(rng, n)
-                if want is not None:
-                    minus_count = sum(1 for s in signs if s < 0)
-                    if (-1 if minus_count & 1 else 1) != want:
-                        signs[-1] = -signs[-1]
-                if not_n:
-                    minus_count = sum(1 for s in signs if s < 0)
-                    total = -1 if minus_count & 1 else 1
-                    if first_sign == 0:
-                        first_sign = total
-                    elif total != first_sign:
-                        sign_diff = True
-            else:
-                lengths = _sample_lengths(rng, n)
-            if signed_profiles:
-                key = tuple(sorted(zip(lengths, signs)))
-                if use_cache:
-                    masks = cache.get(key)
-                    if masks is None:
-                        masks = _signed_masks_from_pairs(key, proper)
-                        cache[key] = masks
+            lengths, signs, total = _sample_cycles(rng, n, signed, want)
+            if needs_mixed:
+                first_sign = first_sign or total
+                mixed = mixed or total != first_sign
+            if j_event:
+                if signed_profiles:
+                    key = tuple(sorted(zip(lengths, signs)))
                 else:
-                    masks = _signed_masks_from_pairs(key, proper)
+                    lengths.sort()
+                    key = tuple(lengths)
+                masks = cache.get(key)
+                if masks is None:
+                    if signed_profiles:
+                        masks = signed_subset_masks(key, proper)
+                    else:
+                        masks = subset_sum_mask(key, proper), 0
+                    if use_cache:
+                        cache[key] = masks
                 inter_p &= masks[0]
                 inter_m &= masks[1]
-                empty = not (inter_p | inter_m)
+                settled = not (inter_p or inter_m) and (mixed or not needs_mixed)
+            elif event == "N":
+                settled = mixed
+            elif event == "all_even":
+                settled = any(length & 1 for length in lengths)
             else:
-                lengths.sort()
-                key = tuple(lengths)
-                if use_cache:
-                    mask = cache.get(key)
-                    if mask is None:
-                        acc = 1
-                        for length in key:
-                            acc |= acc << length
-                        mask = acc & proper
-                        cache[key] = mask
-                else:
-                    acc = 1
-                    for length in key:
-                        acc |= acc << length
-                    mask = acc & proper
-                inter &= mask
-                empty = inter == 0
-            if empty and (sign_diff or not not_n):
+                settled = -1 in signs
+            if settled:
                 break
-        if not_n:
-            successes += 1 if empty and sign_diff else 0
-        else:
-            successes += 1 if empty else 0
+        successes += settled == j_event
     return successes
-
-
-def _count_N(spec: ExperimentSpec, start: int, stop: int) -> int:
-    n, l, seed = spec.n, spec.l, spec.master_seed
-    want = spec.family.sector_sign
-    successes = 0
-    for t in range(start, stop):
-        rng = RngState(seed, t)
-        first_sign = 0
-        same = True
-        for _ in range(l):
-            _, signs = _sample_lengths_signs(rng, n)
-            minus_count = sum(1 for s in signs if s < 0)
-            total = -1 if minus_count & 1 else 1
-            if want is not None and total != want:
-                total = want  # conditioned flip changes only the last sign's parity
-            if first_sign == 0:
-                first_sign = total
-            elif total != first_sign:
-                same = False
-                break
-        successes += 1 if same else 0
-    return successes
-
-
-def _count_all_even(spec: ExperimentSpec, start: int, stop: int) -> int:
-    n, l, seed = spec.n, spec.l, spec.master_seed
-    signed_sampling = spec.family.signed_labels
-    successes = 0
-    for t in range(start, stop):
-        rng = RngState(seed, t)
-        ok = True
-        for _ in range(l):
-            if signed_sampling:
-                lengths, _ = _sample_lengths_signs(rng, n)
-            else:
-                lengths = _sample_lengths(rng, n)
-            if any(length & 1 for length in lengths):
-                ok = False
-                break
-        successes += 1 if ok else 0
-    return successes
-
-
-def _count_all_positive(spec: ExperimentSpec, start: int, stop: int) -> int:
-    n, l, seed = spec.n, spec.l, spec.master_seed
-    want = spec.family.sector_sign
-    successes = 0
-    for t in range(start, stop):
-        rng = RngState(seed, t)
-        ok = True
-        for _ in range(l):
-            _, signs = _sample_lengths_signs(rng, n)
-            if want is not None:
-                minus_count = sum(1 for s in signs if s < 0)
-                if (-1 if minus_count & 1 else 1) != want:
-                    signs[-1] = -signs[-1]
-            if any(s < 0 for s in signs):
-                ok = False
-                break
-        successes += 1 if ok else 0
-    return successes
-
-
-def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
-    if spec.event == "J":
-        return _count_J(spec, start, stop, not_n=False)
-    if spec.event == "J_and_not_N":
-        return _count_J(spec, start, stop, not_n=True)
-    if spec.event == "N":
-        return _count_N(spec, start, stop)
-    if spec.event == "all_even":
-        return _count_all_even(spec, start, stop)
-    return _count_all_positive(spec, start, stop)
 
 
 def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99) -> Estimate:
@@ -245,8 +143,7 @@ def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99) -> Est
     interval.  Identical output for every thread count: trials are chunked
     deterministically and success counts add associatively."""
     spec.validate()
-    if not isinstance(threads, int) or threads < 1:
-        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
+    check_positive_int("threads", threads)
     trials = spec.trials
     if threads == 1:
         successes = _count_range(spec, 0, trials)

@@ -15,7 +15,7 @@ permutation of S_n; signs are independent fair coins per cycle.
 from __future__ import annotations
 
 from .cycletypes import Partition, SignedCycleType
-from .errors import ValidationError
+from .errors import ValidationError, check_positive_int
 
 M64 = (1 << 64) - 1
 TWO64 = 1 << 64
@@ -53,64 +53,52 @@ class RngState:
                 return u % m
 
 
-def _check_n(n) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+def _sample_cycles(
+    rng: RngState, n: int, signed: bool, want_sign: int | None = None
+) -> tuple[list[int], list[int], int]:
+    """Stick-breaking cycle lengths in emission order, one fair sign per
+    cycle when `signed` (else no signs), and the total sign.
 
+    With `want_sign`, the last-emitted cycle's sign is flipped when the
+    total comes out wrong: the sector rule of sample_signed_conditioned.
 
-def _sample_lengths(rng: RngState, n: int) -> list[int]:
-    """Stick-breaking cycle lengths in emission order.  Hot path: the mix is
-    inlined and the stream state lives in a local until the end."""
-    s = rng.state
-    out = []
-    rem = n
-    while rem:
-        lim = (TWO64 // rem) * rem
-        while True:
-            s = (s + GOLDEN) & M64
-            z = ((s ^ (s >> 30)) * _MIX1) & M64
-            z = ((z ^ (z >> 27)) * _MIX2) & M64
-            u = z ^ (z >> 31)
-            if u < lim:
-                break
-        length = 1 + u % rem
-        out.append(length)
-        rem -= length
-    rng.state = s
-    return out
-
-
-def _sample_lengths_signs(rng: RngState, n: int) -> tuple[list[int], list[int]]:
-    """Stick-breaking lengths plus one fair sign per cycle, emission order."""
+    Hot path: the mix is inlined and the stream state lives in a local
+    until the end.  A cycle's sign is the top bit of the draw right after
+    its accepted length draw.
+    """
     s = rng.state
     lengths = []
     signs = []
     rem = n
     while rem:
         lim = (TWO64 // rem) * rem
+        length = 0
         while True:
             s = (s + GOLDEN) & M64
             z = ((s ^ (s >> 30)) * _MIX1) & M64
             z = ((z ^ (z >> 27)) * _MIX2) & M64
             u = z ^ (z >> 31)
-            if u < lim:
+            if length:
+                signs.append(-1 if u >> 63 else 1)
                 break
-        length = 1 + u % rem
+            if u < lim:
+                length = 1 + u % rem
+                if not signed:
+                    break
         lengths.append(length)
         rem -= length
-        s = (s + GOLDEN) & M64
-        z = ((s ^ (s >> 30)) * _MIX1) & M64
-        z = ((z ^ (z >> 27)) * _MIX2) & M64
-        u = z ^ (z >> 31)
-        signs.append(-1 if u >> 63 else 1)
     rng.state = s
-    return lengths, signs
+    total = -1 if signs.count(-1) & 1 else 1
+    if want_sign is not None and total != want_sign:
+        signs[-1] = -signs[-1]
+        total = want_sign
+    return lengths, signs, total
 
 
 def sample_partition(n: int, rng: RngState) -> Partition:
     """Cycle type of a uniform random element of S_n."""
-    _check_n(n)
-    lengths = _sample_lengths(rng, n)
+    check_positive_int("n", n)
+    lengths, _, _ = _sample_cycles(rng, n, signed=False)
     lengths.sort(reverse=True)
     return Partition(n=n, parts=tuple(lengths))
 
@@ -122,35 +110,20 @@ def _canonical_signed(n: int, lengths: list[int], signs: list[int]) -> SignedCyc
 
 def sample_signed(n: int, rng: RngState) -> SignedCycleType:
     """Class label of a uniform random element of C2 wr S_n."""
-    _check_n(n)
-    lengths, signs = _sample_lengths_signs(rng, n)
+    check_positive_int("n", n)
+    lengths, signs, _ = _sample_cycles(rng, n, signed=True)
     return _canonical_signed(n, lengths, signs)
 
 
-def sample_signed_conditioned(
-    n: int, want_sign: int, rng: RngState, method: str = "flip"
-) -> SignedCycleType:
+def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCycleType:
     """Class label of a uniform element conditioned on total sign.
 
-    The default flips the sign of the last-emitted cycle when the total
-    comes out wrong; given the shape, that map is a bijection between the
-    two sign sectors, so conditioning is exact at O(1) extra cost.  The
-    rejection method resamples instead and is retained as a cross-check.
+    The sign of the last-emitted cycle is flipped when the total comes out
+    wrong; given the shape, that map is a bijection between the two sign
+    sectors, so conditioning is exact at O(1) extra cost.
     """
-    _check_n(n)
+    check_positive_int("n", n)
     if want_sign not in (1, -1):
         raise ValidationError(f"want_sign must be +1 or -1, got {want_sign!r}")
-    if method == "flip":
-        lengths, signs = _sample_lengths_signs(rng, n)
-        minus = sum(1 for s in signs if s < 0)
-        total = -1 if minus & 1 else 1
-        if total != want_sign:
-            signs[-1] = -signs[-1]
-        return _canonical_signed(n, lengths, signs)
-    if method == "reject":
-        while True:
-            lengths, signs = _sample_lengths_signs(rng, n)
-            minus = sum(1 for s in signs if s < 0)
-            if (-1 if minus & 1 else 1) == want_sign:
-                return _canonical_signed(n, lengths, signs)
-    raise ValidationError(f"unknown conditioning method {method!r}")
+    lengths, signs, _ = _sample_cycles(rng, n, signed=True, want_sign=want_sign)
+    return _canonical_signed(n, lengths, signs)

@@ -272,6 +272,26 @@ class TestConfigFile:
         code, _, _ = cli(capsys, "estimate", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,bad_key",
+        [
+            (["sample", "--n", "3", "--family", "A"], "trials"),
+            (["fixedsets", "--cycles", "3,1"], "trails"),
+            (["estimate", "--n", "4", "--family", "A"], "trails"),
+            (["sweep", "--ns", "2,3", "--family", "A"], "gap_compat"),
+            (["exact", "--n", "2", "--family", "A"], "trails"),
+            (["bounds", "--family", "SL", "--solve-k"], "trails"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else v,
+    )
+    def test_unknown_key_rejected(self, capsys, tmp_path, argv, bad_key):
+        # a key the subcommand has no flag for is a typo, not a silent default
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\n{bad_key.replace('_', '-')}=5\n")
+        code, out, err = cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"{cfg}:2" in err and repr(bad_key) in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = cli(capsys, "estimate", "--config", str(tmp_path / "absent.cfg"))
         assert code == 1 and "error:" in err

@@ -7,12 +7,14 @@ import pytest
 from invgen import (
     Estimate,
     ExperimentSpec,
+    RngState,
     ValidationError,
     WeylFamily,
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_predicate,
     run,
+    sample_partition,
     sweep,
     sweep_seed,
     wilson_interval,
@@ -125,6 +127,25 @@ class TestValidation:
     def test_family_string_rejected(self):
         with pytest.raises(ValidationError):
             run(spec(4, 2, "A"))
+
+    @pytest.mark.parametrize("value", [True, False, -1, 1.0, "1"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda v: run(spec(v, 2, A, trials=10)), id="spec.n"),
+            pytest.param(lambda v: run(spec(4, v, A, trials=10)), id="spec.l"),
+            pytest.param(lambda v: run(spec(4, 2, A, trials=v)), id="spec.trials"),
+            pytest.param(lambda v: run(spec(4, 2, A, trials=10, seed=v)), id="spec.master_seed"),
+            pytest.param(lambda v: run(spec(4, 2, A, trials=10), threads=v), id="threads"),
+            pytest.param(lambda v: exact_prob_J(v, 2, A), id="exact_prob_J.n"),
+            pytest.param(lambda v: exact_prob_J(3, v, A), id="exact_prob_J.l"),
+            pytest.param(lambda v: sample_partition(v, RngState(0, 0)), id="sample_partition.n"),
+        ],
+    )
+    def test_integer_fields_reject_bools_and_non_ints(self, call, value):
+        # bool is an int subclass: True must not run as 1, nor False as seed 0
+        with pytest.raises(ValidationError):
+            call(value)
 
 
 class TestDeterminism:
