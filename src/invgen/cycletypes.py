@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive_int
 
 
 class WeylFamily(Enum):
@@ -113,8 +113,7 @@ def make_partition(parts) -> Partition:
     if not parts:
         raise ValidationError("partition needs at least one part")
     for p in parts:
-        if not isinstance(p, int) or p < 1:
-            raise ValidationError(f"parts must be positive integers, got {p!r}")
+        check_positive_int("each part", p)
     parts.sort(reverse=True)
     return Partition(n=sum(parts), parts=tuple(parts))
 
@@ -125,8 +124,7 @@ def make_signed(cycles) -> SignedCycleType:
     if not cycles:
         raise ValidationError("signed cycle type needs at least one cycle")
     for length, sign in cycles:
-        if not isinstance(length, int) or length < 1:
-            raise ValidationError(f"cycle lengths must be positive integers, got {length!r}")
+        check_positive_int("each cycle length", length)
         if sign not in (1, -1):
             raise ValidationError(f"cycle signs must be +1 or -1, got {sign!r}")
     cycles.sort(key=lambda c: (-c[0], -c[1]))

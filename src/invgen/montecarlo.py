@@ -64,13 +64,18 @@ class Estimate:
 
 
 def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, float]:
-    """Wilson score interval at a given z; stays sane at p near 0 or 1."""
+    """Wilson score interval at a given z; stays sane at p near 0 or 1.
+
+    The bounds always bracket p_hat exactly: float rounding would otherwise
+    put the upper bound at 0.9999999999999998 when every trial succeeds,
+    or the lower bound a hair above 0 when none does.
+    """
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return max(0.0, min(phat, center - half)), min(1.0, max(phat, center + half))
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:

@@ -107,14 +107,9 @@ FIXTURES = {
 }
 
 
-def render(name: str) -> str:
-    """The current program's bytes for fixture `name`."""
-    return FIXTURES[name]()
-
-
 def main() -> int:
-    for name in FIXTURES:
-        (HERE / name).write_text(render(name))
+    for name, render in FIXTURES.items():
+        (HERE / name).write_text(render())
     return 0
 
 

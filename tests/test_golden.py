@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from golden.make_goldens import FIXTURES, render
+from golden.make_goldens import FIXTURES
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -16,7 +16,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_golden_bytes(name):
     expected = (GOLDEN_DIR / name).read_text()
-    got = render(name)
+    got = FIXTURES[name]()
     if got == expected:
         return
     want_lines, got_lines = expected.splitlines(), got.splitlines()

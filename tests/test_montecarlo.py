@@ -13,6 +13,8 @@ from invgen import (
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_predicate,
+    make_partition,
+    make_signed,
     run,
     sample_partition,
     sweep,
@@ -79,6 +81,14 @@ class TestWilson:
         low, high = wilson_interval(50, 50)
         assert low > 0.7 and high == 1.0
 
+    def test_bounds_bracket_p_hat_exactly_at_the_edges(self):
+        for trials in range(1, 2001):
+            for successes in (0, trials):
+                low, high = wilson_interval(successes, trials)
+                p_hat = successes / trials
+                # at the edges this forces low == 0.0 or high == 1.0
+                assert 0.0 <= low <= p_hat <= high <= 1.0, (successes, trials)
+
     def test_narrows_with_trials(self):
         w1 = wilson_interval_z(500, 1_000, 3.0)
         w2 = wilson_interval_z(5_000, 10_000, 3.0)
@@ -140,6 +150,8 @@ class TestValidation:
             pytest.param(lambda v: exact_prob_J(v, 2, A), id="exact_prob_J.n"),
             pytest.param(lambda v: exact_prob_J(3, v, A), id="exact_prob_J.l"),
             pytest.param(lambda v: sample_partition(v, RngState(0, 0)), id="sample_partition.n"),
+            pytest.param(lambda v: make_partition([2, v]), id="make_partition.part"),
+            pytest.param(lambda v: make_signed([(2, 1), (v, -1)]), id="make_signed.length"),
         ],
     )
     def test_integer_fields_reject_bools_and_non_ints(self, call, value):
