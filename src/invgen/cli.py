@@ -67,10 +67,20 @@ def _parse_bj4(text: str) -> Fraction:
     return value
 
 
+def _split_list(text, what: str) -> list[str]:
+    """Comma-separated items, stripped.  An empty item (as in `4,,5` or a
+    trailing comma) is an error, not silently dropped."""
+    text = str(text)
+    tokens = [t.strip() for t in text.split(",")]
+    if tokens == [""]:
+        raise ValidationError(f"empty {what} list")
+    if "" in tokens:
+        raise ValidationError(f"empty item {tokens.index('') + 1} in {what} list {text!r}")
+    return tokens
+
+
 def _parse_cycles(text: str, signed: bool):
-    tokens = [t.strip() for t in str(text).split(",") if t.strip()]
-    if not tokens:
-        raise ValidationError("empty cycle list")
+    tokens = _split_list(text, "cycle")
     if signed:
         pairs = []
         for tok in tokens:
@@ -133,10 +143,7 @@ def _as_bool(text) -> bool:
 
 
 def _parse_ns(text: str) -> list[int]:
-    values = [_as_int(t) for t in str(text).split(",") if t.strip()]
-    if not values:
-        raise ValidationError("empty n list")
-    return values
+    return [_as_int(t) for t in _split_list(text, "n")]
 
 
 def _format_label(label) -> str:

@@ -6,6 +6,10 @@ execution order cannot change it.  Trials may stop sampling as soon as the
 event outcome is determined (say, the running intersection went empty);
 that is safe for the same reason — no other trial reads this stream.
 
+With threads > 1, `run` splits the trials into deterministic chunks and
+maps them onto a process pool.  A `sweep` opens one pool, shares it across
+all its rows and shuts it down when it returns; a lone `run` opens its own.
+
 Per-trial cost at n = 10^6 is dominated by the subset-sum bitmask DP over
 the sampled cycle lengths, about a millisecond; at small n the profile
 masks repeat heavily and are memoized per cycle type.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -97,6 +102,9 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     n, l, seed, event = spec.n, spec.l, spec.master_seed, spec.event
     family = spec.family
     signed, want = family.signed_labels, family.sector_sign
+    # Within a D sector every total sign is equal: J_and_not_N never holds, N always does.
+    if want is not None and event in ("J_and_not_N", "N"):
+        return 0 if event == "J_and_not_N" else stop - start
     signed_profiles = family.signed_profiles
     j_event = event in ("J", "J_and_not_N")
     needs_mixed = event in ("J_and_not_N", "N")
@@ -143,10 +151,16 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     return successes
 
 
-def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99) -> Estimate:
+def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99, *,
+        pool: ProcessPoolExecutor | None = None) -> Estimate:
     """Run all trials of a spec and return the estimate with its Wilson
     interval.  Identical output for every thread count: trials are chunked
-    deterministically and success counts add associatively."""
+    deterministically and success counts add associatively.
+
+    With threads > 1 the chunks run on `pool` if one is given (the caller
+    owns it and shuts it down), else on a pool of `threads` workers opened
+    and closed by this call.  The pool only executes; it cannot change the
+    result."""
     spec.validate()
     check_positive_int("threads", threads)
     trials = spec.trials
@@ -154,9 +168,9 @@ def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99) -> Est
         successes = _count_range(spec, 0, trials)
     else:
         chunks = min(threads * 4, trials)
-        bounds = [(i * trials // chunks, (i + 1) * trials // chunks) for i in range(chunks)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            successes = sum(pool.map(_count_chunk, [(spec, a, b) for a, b in bounds]))
+        jobs = [(spec, i * trials // chunks, (i + 1) * trials // chunks) for i in range(chunks)]
+        with ProcessPoolExecutor(max_workers=threads) if pool is None else nullcontext(pool) as executor:
+            successes = sum(executor.map(_count_chunk, jobs))
     ci_low, ci_high = wilson_interval(successes, trials, confidence)
     return Estimate(
         spec=spec,
@@ -183,18 +197,22 @@ def sweep(specs, threads: int = 1, confidence: float = 0.99) -> list[Estimate]:
     """Run several specs with per-index derived master seeds, in order.
 
     Each returned Estimate carries the spec with its effective seed filled
-    in, so any row can be reproduced on its own with `run`.
+    in, so any row can be reproduced on its own with `run`.  With
+    threads > 1 every row runs on one shared pool of `threads` workers,
+    which is shut down before this returns or raises.
     """
     specs = list(specs)
     if not specs:
         raise ValidationError("sweep needs at least one spec")
+    check_positive_int("threads", threads)
     out = []
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, ExperimentSpec):
-            raise ValidationError(f"spec {i}: expected an ExperimentSpec, got {spec!r}")
-        effective = replace(spec, master_seed=sweep_seed(spec.master_seed, i))
-        try:
-            out.append(run(effective, threads=threads, confidence=confidence))
-        except InvgenError as exc:
-            raise type(exc)(f"spec {i}: {exc}") from exc
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for i, spec in enumerate(specs):
+            if not isinstance(spec, ExperimentSpec):
+                raise ValidationError(f"spec {i}: expected an ExperimentSpec, got {spec!r}")
+            effective = replace(spec, master_seed=sweep_seed(spec.master_seed, i))
+            try:
+                out.append(run(effective, threads=threads, confidence=confidence, pool=pool))
+            except InvgenError as exc:
+                raise type(exc)(f"spec {i}: {exc}") from exc
     return out

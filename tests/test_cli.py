@@ -67,6 +67,12 @@ class TestFixedsets:
         code, _, _ = cli(capsys, "fixedsets", "--cycles", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("cycles", ["1,,2", "1,2,"])
+    def test_empty_item(self, capsys, cycles):
+        code, out, err = cli(capsys, "fixedsets", "--cycles", cycles)
+        assert (code, out) == (2, "")
+        assert "empty item" in err and repr(cycles) in err
+
 
 class TestEstimate:
     def test_csv_shape(self, capsys):
@@ -171,6 +177,12 @@ class TestSweep:
     def test_bad_ns(self, capsys):
         code, _, _ = cli(capsys, "sweep", "--ns", "2,x", "--family", "A", "--trials", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("ns", ["4,,5", "4,5,"])
+    def test_empty_item(self, capsys, ns):
+        code, out, err = cli(capsys, "sweep", "--ns", ns, "--family", "A", "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "empty item" in err and repr(ns) in err
 
     def test_missing_ns(self, capsys):
         code, _, err = cli(capsys, "sweep", "--family", "A", "--trials", "10")

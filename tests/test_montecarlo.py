@@ -1,9 +1,12 @@
 """Monte Carlo estimates checked against the exact oracle and for determinism."""
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import invgen.montecarlo as montecarlo
 from invgen import (
     Estimate,
     ExperimentSpec,
@@ -57,6 +60,17 @@ class TestAgainstOracle:
     def test_N_in_sector_is_certain(self):
         est = run(spec(5, 3, DP, event="N", trials=2_000))
         assert est.successes == est.spec.trials
+
+    @pytest.mark.parametrize("family", [DP, DM])
+    @pytest.mark.parametrize("event, all_succeed", [("J_and_not_N", False), ("N", True)])
+    def test_sector_settles_without_sampling(self, monkeypatch, family, event, all_succeed):
+        # one total sign per D sector decides both events before any draw
+        def no_sampling(*args):
+            raise AssertionError("sampled an element of a settled trial")
+
+        monkeypatch.setattr(montecarlo, "_sample_cycles", no_sampling)
+        est = run(spec(8, 4, family, event=event, trials=500))
+        assert est.successes == (500 if all_succeed else 0)
 
     def test_all_even(self):
         est = run(spec(4, 2, A, event="all_even"))
@@ -214,6 +228,48 @@ class TestSweep:
         specs = [spec(4, 2, A, trials=100), spec(0, 2, A, trials=100)]
         with pytest.raises(ValidationError, match="spec 1:"):
             sweep(specs)
+
+
+class TestPoolLifetime:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every process pool montecarlo builds, in order."""
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        return built
+
+    def test_sweep_shares_one_pool(self, pools):
+        specs = [spec(n, 2, B, trials=300, seed=5) for n in (3, 5, 8, 13, 21)]
+        pooled = sweep(specs, threads=2)
+        assert len(pools) == 1
+        assert sweep(specs, threads=1) == pooled
+        assert len(pools) == 1
+
+    def test_failed_row_shuts_pool_down(self):
+        specs = [spec(6, 2, A, trials=200)] * 3 + [spec(0, 2, A, trials=200), spec(6, 2, A, trials=200)]
+        with pytest.raises(ValidationError, match="spec 3:"):
+            sweep(specs, threads=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [0, True])
+    def test_bad_threads_rejected_before_pool(self, pools, threads):
+        with pytest.raises(ValidationError, match="threads"):
+            sweep([spec(4, 2, A, trials=100)], threads=threads)
+        assert pools == []
+
+    def test_run_on_given_pool(self):
+        s = spec(40, 4, B, trials=1_000)
+        serial = run(s, threads=1)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            # run leaves a pool it was given open for the next call
+            assert run(s, threads=2, pool=pool) == serial
+            assert run(s, threads=2, pool=pool) == serial
 
 
 class TestLargeN:
