@@ -30,9 +30,9 @@ from .cycletypes import (
     make_signed,
     signed_fixed_sets,
 )
-from .errors import CapacityError, NoSolutionError, ValidationError
-from .exact import exact_prob_J
-from .montecarlo import EVENTS, ExperimentSpec, run, sweep
+from .errors import CapacityError, NoSolutionError, ValidationError, check_positive_int
+from .exact import exact_prob_J, exact_prob_J_and_not_N, exact_prob_predicate
+from .montecarlo import EVENTS, ExperimentSpec, check_event, run, sweep
 from .sampling import (
     RngState,
     sample_partition,
@@ -333,7 +333,17 @@ def cmd_exact(args) -> int:
     n = _require(_resolve(args, config, "n", _as_int, None), "--n")
     l = _resolve(args, config, "l", _as_int, 4)
     family = WeylFamily.parse(_require(_resolve(args, config, "family", str, None), "--family"))
-    value = exact_prob_J(n, l, family)
+    event = _resolve(args, config, "event", str, "J")
+    check_event(event, family)
+    if event == "J":
+        value = exact_prob_J(n, l, family)
+    elif event == "J_and_not_N":
+        value = exact_prob_J_and_not_N(n, l, family)
+    elif event == "N":
+        value = exact_prob_predicate(n, family, "same_sign", l)
+    else:  # all_even, all_positive: single-element masses, elements independent
+        check_positive_int("l", l)
+        value = exact_prob_predicate(n, family, event) ** l
     print(f"{value} = {float(value)!r}")
     return 0
 
@@ -431,10 +441,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mc_flags(p, sweep_mode=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("exact", help="exact small-n probability of the J event")
+    p = sub.add_parser("exact", help="exact small-n probability of an event (default J)")
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--family", help="Weyl family: A, B, C, D+, D-")
+    p.add_argument("--event", choices=EVENTS)
     _add_config_flag(p)
     p.set_defaults(func=cmd_exact)
 

@@ -1,10 +1,15 @@
 """Exact small-n ground truth in rational arithmetic.
 
 Enumerates conjugacy classes with their exact probabilities and computes
-Prob(J^l) two independent ways: inclusion-exclusion over the lattice of
-achievable (signed) sizes via a dense superset-sum zeta transform, and a
-direct sum over all l-tuples of class profiles.  Everything is a Fraction;
-no floating point enters this module.
+Prob(J^l) two independent ways: the law of the running AND of l profile
+masks (J holds iff that AND is empty), kept as a sparse map from the
+states that occur to integer weights, and a direct sum over all l-tuples
+of class profiles.  Everything is a Fraction or an integer; no floating
+point enters this module.
+
+Capacity: n <= 28 for the unsigned profiles of A and C, n <= 11 wherever
+the signed class table is enumerated (B, D+, D-, and the sign-reading
+events of C).
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ from .cycletypes import (
 )
 from .errors import CapacityError, ValidationError, check_positive_int
 
-# The zeta transform is dense over 2^(n-1) (unsigned) or 2^(2(n-1)) (signed)
-# lattice points, so these caps keep the state space below ~2^24.  The top of
-# the unsigned range still costs minutes and a few hundred MB; the oracle
-# exists for testing, not production.
-UNSIGNED_LIMIT = 24
-SIGNED_LIMIT = 10
+# The oracle keeps only the running-AND states that occur, a few thousand
+# at these caps, but their number and the class table still grow
+# exponentially in n.  The caps keep the top of each range (A n = 28,
+# B n = 11, l = 4) to about 1.5 s; the oracle exists for testing, not
+# production.
+UNSIGNED_LIMIT = 28
+SIGNED_LIMIT = 11
 
 
 @dataclass(frozen=True)
@@ -46,9 +52,10 @@ class ClassTable:
     entries: tuple[tuple[object, Fraction], ...]
 
 
-def _check_capacity(n: int, family: WeylFamily) -> None:
+def _check_capacity(n: int, family: WeylFamily, signed: bool) -> None:
+    """`signed`: the work enumerates the signed class table or signed profiles."""
     check_positive_int("n", n)
-    limit = SIGNED_LIMIT if family.signed_profiles else UNSIGNED_LIMIT
+    limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
     if n > limit:
         raise CapacityError(
             f"exact mode for family {family.value} is limited to n <= {limit} (got {n})"
@@ -105,7 +112,7 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     probabilities doubled; each sector carrying exactly half the mass is a
     theorem (flip the sign of any one designated cycle), asserted here.
     """
-    _check_capacity(n, family)
+    _check_capacity(n, family, family.signed_labels)
     if family is WeylFamily.A:
         entries = [
             (Partition(n=n, parts=parts), _partition_prob(parts)) for parts in _partitions(n)
@@ -153,38 +160,48 @@ def _masses(n: int, family: WeylFamily) -> tuple[dict[int, Fraction], int]:
     return masses, n - 1
 
 
-def _inclusion_exclusion(masses: dict[int, Fraction], univ: int, l: int) -> Fraction:
-    """Prob(no common lattice point among l independent draws)
-    = sum_K (-1)^|K| q_K^l with q_K = Prob(one profile covers K),
-    computed by a dense superset-sum zeta transform in integer arithmetic."""
+def _prob_empty_and(masses: dict[int, Fraction], univ: int, l: int) -> Fraction:
+    """Prob(the AND of l independent profile masks is empty), for masks
+    drawn from `masses` (whose total may be below 1: a sign sector).
+
+    Tracks the law of the running AND as a sparse dict state -> weight, in
+    integers over the lcm denominator.  A state that reaches 0 stays 0, so
+    its weight leaves the dict and only gains a factor W (the total weight)
+    per later draw; the last draw just sums the weights of masks disjoint
+    from each surviving state.  Only states that occur are kept, never the
+    2^univ lattice.
+    """
     den = 1
     for f in masses.values():
         den = lcm(den, f.denominator)
-    size = 1 << univ
-    acc = [0] * size
-    for mask, f in masses.items():
-        acc[mask] += f.numerator * (den // f.denominator)
-    for b in range(univ):
-        bit = 1 << b
-        step = bit << 1
-        for base in range(0, size, step):
-            for k in range(base, base + bit):
-                acc[k] += acc[k + bit]
-    total = 0
-    for k in range(size):
-        v = acc[k]
-        if v:
-            total += -(v**l) if k.bit_count() & 1 else v**l
-    return Fraction(total, den**l)
+    weights = [(mask, f.numerator * (den // f.denominator)) for mask, f in masses.items()]
+    total_weight = sum(w for _, w in weights)
+    state = {(1 << univ) - 1: 1}
+    empty = 0
+    for _ in range(l - 1):
+        empty *= total_weight
+        nxt: dict[int, int] = {}
+        for a, c in state.items():
+            for mask, w in weights:
+                b = a & mask
+                if b:
+                    nxt[b] = nxt.get(b, 0) + c * w
+                else:
+                    empty += c * w
+        state = nxt
+    empty *= total_weight
+    for a, c in state.items():
+        empty += c * sum(w for mask, w in weights if not a & mask)
+    return Fraction(empty, den**l)
 
 
 def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
     """Exact Prob(J^l): l independent uniform elements share no achievable
     proper size (families A, C) or (size, sign) pair (families B, D)."""
-    _check_capacity(n, family)
+    _check_capacity(n, family, family.signed_profiles)
     check_positive_int("l", l)
     masses, univ = _masses(n, family)
-    return _inclusion_exclusion(masses, univ, l)
+    return _prob_empty_and(masses, univ, l)
 
 
 def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
@@ -203,7 +220,7 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
         table = enumerate_classes(n, WeylFamily.B)
         profiles = [(fixed_sizes(project(label)), p) for label, p in table.entries]
     else:
-        _check_capacity(n, family)
+        _check_capacity(n, family, family.signed_profiles)
         table = enumerate_classes(n, family)
         if family.signed_profiles:
             profiles = [(signed_fixed_sets(label), p) for label, p in table.entries]
@@ -240,21 +257,20 @@ def exact_prob_predicate(
     which gives 2^(1-l) for B and C and 1 for the D sectors (vacuously
     same-signed).  l is required for same_sign and rejected otherwise.
     """
-    _check_capacity(n, family)
+    _check_capacity(n, family, family.signed_profiles)
     if predicate in ("all_even", "all_positive") and l is not None:
         raise ValidationError(
             f"{predicate} is a single-element mass; l applies only to same_sign"
         )
     if predicate == "all_even":
-        table = enumerate_classes(n, family)
-        if family.signed_labels:
-            return sum(
-                (p for label, p in table.entries if all_cycles_even(project(label))),
-                Fraction(0),
-            )
-        return sum(
-            (p for label, p in table.entries if all_cycles_even(label)), Fraction(0)
-        )
+        # Only cycle lengths matter, and the uniform signed law of B and C
+        # projects to the uniform S_n law (as in `_masses`), so only the D
+        # sectors need their signed table.
+        if family.sector_sign is None:
+            entries = enumerate_classes(n, WeylFamily.A).entries
+        else:
+            entries = [(project(s), p) for s, p in enumerate_classes(n, family).entries]
+        return sum((p for label, p in entries if all_cycles_even(label)), Fraction(0))
     if predicate == "all_positive":
         if not family.signed_labels:
             raise ValidationError("all_positive needs a signed family (B, C, D+, D-)")
@@ -280,19 +296,15 @@ def exact_prob_predicate(
 def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
     """Exact Prob(J and not N) for signed-label families.
 
-    Prob(J and all signs equal to e) is the same inclusion-exclusion with
-    the single-element masses restricted to the sign-e sector, so
+    Prob(J and all signs equal to e) is the same running-AND law with the
+    single-element masses restricted to the sign-e sector, so
     Prob(J and not N) = Prob(J) - sum_e Prob(J and all signs e).  Needs the
     signed table even for family C, hence the signed capacity applies.
     """
     if not family.signed_labels:
         raise ValidationError("J_and_not_N needs a signed family (B, C, D+, D-)")
     check_positive_int("l", l)
-    if n > SIGNED_LIMIT:
-        raise CapacityError(
-            f"exact J_and_not_N enumerates signed classes, n <= {SIGNED_LIMIT} (got {n})"
-        )
-    _check_capacity(n, WeylFamily.B)
+    _check_capacity(n, family, True)
     if family.sector_sign is not None:
         return Fraction(0)  # within a sector all signs agree, N always holds
     table = enumerate_classes(n, family)
@@ -306,8 +318,8 @@ def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
         total_masses[mask] = total_masses.get(mask, Fraction(0)) + p
         sec = sector_masses[label.total_sign]
         sec[mask] = sec.get(mask, Fraction(0)) + p
-    p_j = _inclusion_exclusion(total_masses, univ, l)
+    p_j = _prob_empty_and(total_masses, univ, l)
     p_j_and_n = sum(
-        (_inclusion_exclusion(sector_masses[e], univ, l) for e in (1, -1)), Fraction(0)
+        (_prob_empty_and(sector_masses[e], univ, l) for e in (1, -1)), Fraction(0)
     )
     return p_j - p_j_and_n

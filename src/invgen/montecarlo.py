@@ -32,6 +32,16 @@ _UNSIGNED_EVENTS = ("J", "all_even")  # family A has no signs to speak of
 _CACHE_LIMIT = 16  # above this, cycle types almost never repeat
 
 
+def check_event(event: str, family: WeylFamily) -> None:
+    """Reject an unknown event, or one that reads signs on family A."""
+    if event not in EVENTS:
+        raise ValidationError(f"unknown event {event!r}; expected one of {EVENTS}")
+    if not family.signed_labels and event not in _UNSIGNED_EVENTS:
+        raise ValidationError(
+            f"event {event} needs a signed family (B, C, D+, D-); family A supports {_UNSIGNED_EVENTS}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     n: int
@@ -50,12 +60,7 @@ class ExperimentSpec:
             raise ValidationError(f"master_seed must be a 64-bit integer, got {seed!r}")
         if not isinstance(self.family, WeylFamily):
             raise ValidationError(f"family must be a WeylFamily, got {self.family!r}")
-        if self.event not in EVENTS:
-            raise ValidationError(f"unknown event {self.event!r}; expected one of {EVENTS}")
-        if not self.family.signed_labels and self.event not in _UNSIGNED_EVENTS:
-            raise ValidationError(
-                f"event {self.event} needs a signed family (B, C, D+, D-); family A supports {_UNSIGNED_EVENTS}"
-            )
+        check_event(self.event, self.family)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from invgen import ExperimentSpec, WeylFamily, run, sweep_seed
+from invgen import (
+    ExperimentSpec,
+    WeylFamily,
+    exact_prob_J,
+    exact_prob_J_and_not_N,
+    exact_prob_predicate,
+    run,
+    sweep_seed,
+)
 from invgen.cli import main
 
 CSV_HEADER = "n,l,family,event,trials,successes,p_hat,ci_low,ci_high,seed"
@@ -200,10 +208,56 @@ class TestExact:
         assert code == 0
         assert out.startswith("1 = 1.0")
 
-    def test_capacity_named(self, capsys):
-        code, _, err = cli(capsys, "exact", "--n", "30", "--l", "2", "--family", "B")
+    @pytest.mark.parametrize("family,limit", [("A", 28), ("B", 11)])
+    def test_capacity_named(self, capsys, family, limit):
+        code, _, err = cli(capsys, "exact", "--n", str(limit + 1), "--l", "2", "--family", family)
         assert code == 2
-        assert "10" in err
+        assert str(limit) in err
+
+    @pytest.mark.parametrize(
+        "family,event,expected",
+        [
+            ("B", "J", exact_prob_J(5, 3, WeylFamily.B)),
+            ("B", "J_and_not_N", exact_prob_J_and_not_N(5, 3, WeylFamily.B)),
+            ("C", "J_and_not_N", exact_prob_J_and_not_N(5, 3, WeylFamily.C)),
+            ("B", "N", exact_prob_predicate(5, WeylFamily.B, "same_sign", 3)),
+            ("D+", "N", exact_prob_predicate(5, WeylFamily.D_PLUS, "same_sign", 3)),
+            ("A", "all_even", exact_prob_predicate(5, WeylFamily.A, "all_even") ** 3),
+            ("D-", "all_even", exact_prob_predicate(5, WeylFamily.D_MINUS, "all_even") ** 3),
+            ("C", "all_positive", exact_prob_predicate(5, WeylFamily.C, "all_positive") ** 3),
+        ],
+    )
+    def test_event_matches_library(self, capsys, family, event, expected):
+        code, out, _ = cli(capsys, "exact", "--n", "5", "--l", "3", "--family", family, "--event", event)
+        assert code == 0
+        assert out == f"{expected} = {float(expected)!r}\n"
+
+    def test_event_defaults_to_J(self, capsys):
+        assert cli(capsys, "exact", "--n", "5", "--l", "3", "--family", "B") == cli(
+            capsys, "exact", "--n", "5", "--l", "3", "--family", "B", "--event", "J"
+        )
+
+    @pytest.mark.parametrize("event", ["J_and_not_N", "N", "all_positive"])
+    def test_signed_event_rejects_a(self, capsys, event):
+        code, out, err = cli(capsys, "exact", "--n", "4", "--family", "A", "--event", event)
+        assert (code, out) == (2, "")
+        assert f"event {event} needs a signed family" in err
+
+    @pytest.mark.parametrize("event", ["J", "J_and_not_N", "N", "all_even", "all_positive"])
+    def test_bad_l(self, capsys, event):
+        code, out, err = cli(capsys, "exact", "--n", "4", "--l", "0", "--family", "B", "--event", event)
+        assert (code, out) == (2, "")
+        assert "l must be a positive integer" in err
+
+    def test_unknown_event(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--n", "4", "--family", "B", "--event", "sorted"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("event=sorted\n")
+        code, out, err = cli(capsys, "exact", "--n", "4", "--family", "B", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "unknown event 'sorted'" in err
 
 
 class TestBounds:

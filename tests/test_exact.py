@@ -1,10 +1,12 @@
-"""Tests for the exact class tables and inclusion-exclusion oracle."""
+"""Tests for the exact class tables and the running-AND oracle."""
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from invgen import exact
 from invgen import (
     CapacityError,
     ValidationError,
@@ -16,8 +18,10 @@ from invgen import (
     exact_prob_J_and_not_N,
     exact_prob_J_bruteforce,
     exact_prob_predicate,
+    fixed_sizes,
     make_partition,
     make_signed,
+    project,
     signed_fixed_sets,
 )
 
@@ -25,6 +29,44 @@ A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
 DP, DM = WeylFamily.D_PLUS, WeylFamily.D_MINUS
 
 F = Fraction
+
+
+def dense_inclusion_exclusion(masses, univ, l):
+    """Reference for `exact._prob_empty_and`: Prob(no common lattice point
+    among l draws) = sum_K (-1)^|K| q_K^l with q_K = Prob(one profile
+    covers K), by a dense superset-sum zeta transform over all 2^univ
+    lattice points in integer arithmetic."""
+    den = 1
+    for f in masses.values():
+        den = lcm(den, f.denominator)
+    size = 1 << univ
+    acc = [0] * size
+    for mask, f in masses.items():
+        acc[mask] += f.numerator * (den // f.denominator)
+    for b in range(univ):
+        bit = 1 << b
+        step = bit << 1
+        for base in range(0, size, step):
+            for k in range(base, base + bit):
+                acc[k] += acc[k + bit]
+    total = 0
+    for k in range(size):
+        v = acc[k]
+        if v:
+            total += -(v**l) if k.bit_count() & 1 else v**l
+    return Fraction(total, den**l)
+
+
+def sector_masses(n, family, sign):
+    """Masks of the sign-`sign` half of the B/C table, unscaled (total 1/2):
+    the input `exact_prob_J_and_not_N` hands the oracle."""
+    out = {}
+    for label, p in enumerate_classes(n, B).entries:
+        if label.total_sign == sign:
+            prof = signed_fixed_sets(label) if family is B else fixed_sizes(project(label))
+            mask = exact._combined_mask(prof)
+            out[mask] = out.get(mask, F(0)) + p
+    return out
 
 
 class TestClassTables:
@@ -61,10 +103,13 @@ class TestClassTables:
             assert hasattr(label, "total_sign")
 
     def test_capacity(self):
-        with pytest.raises(CapacityError, match="24"):
-            enumerate_classes(25, A)
-        with pytest.raises(CapacityError, match="10"):
-            enumerate_classes(11, B)
+        with pytest.raises(CapacityError, match="28"):
+            enumerate_classes(29, A)
+        with pytest.raises(CapacityError, match="11"):
+            enumerate_classes(12, B)
+        # C's labels are the signed table, so its table has the signed cap
+        with pytest.raises(CapacityError, match="11"):
+            enumerate_classes(12, C)
 
 
 class TestExactJ:
@@ -103,17 +148,45 @@ class TestExactJ:
             exact_prob_J(4, 0, A)
 
     def test_capacity(self):
-        with pytest.raises(CapacityError, match="24"):
-            exact_prob_J(25, 2, A)
-        with pytest.raises(CapacityError, match="10"):
-            exact_prob_J(11, 2, B)
+        with pytest.raises(CapacityError, match="28"):
+            exact_prob_J(29, 2, A)
+        with pytest.raises(CapacityError, match="11"):
+            exact_prob_J(12, 2, B)
         with pytest.raises(CapacityError):
-            exact_prob_J_bruteforce(11, 2, C)
+            exact_prob_J_bruteforce(12, 2, C)
 
     def test_a_allows_large_n(self):
         # unsigned capacity is wider than the signed one
         value = exact_prob_J(16, 2, A)
         assert 0 < value < 1
+
+
+class TestSparseMatchesDense:
+    """The running-AND law equals the dense zeta transform it replaced."""
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [(A, n) for n in range(1, 15)] + [(f, n) for f in (B, DP, DM) for n in range(1, 8)],
+    )
+    def test_full_masses(self, family, n):
+        masses, univ = exact._masses(n, family)
+        for l in (1, 2, 3, 4):
+            assert exact._prob_empty_and(masses, univ, l) == dense_inclusion_exclusion(
+                masses, univ, l
+            ), l
+
+    @pytest.mark.parametrize("family", [B, C])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sector_masses(self, family, n):
+        # total weight 1/2: draws after the AND went empty still stay in the sector
+        univ = 2 * (n - 1) if family is B else n - 1
+        for sign in (1, -1):
+            masses = sector_masses(n, family, sign)
+            assert sum(masses.values()) == F(1, 2)
+            for l in (1, 2, 3, 4):
+                assert exact._prob_empty_and(masses, univ, l) == dense_inclusion_exclusion(
+                    masses, univ, l
+                ), (sign, l)
 
 
 class TestPredicates:
@@ -143,6 +216,22 @@ class TestPredicates:
         vals = [exact_prob_predicate(n, B, "all_positive") for n in range(1, 8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("family", [B, C, DP, DM])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_all_even_matches_signed_table(self, n, family):
+        # B and C read the partition table: their uniform law projects to S_n's
+        entries = enumerate_classes(n, family).entries
+        direct = sum((p for s, p in entries if all(length % 2 == 0 for length, _ in s.cycles)), F(0))
+        assert exact_prob_predicate(n, family, "all_even") == direct
+
+    def test_c_capacity_follows_table(self):
+        # all_even needs only cycle lengths; the sign-reading predicates need C's signed table
+        assert exact_prob_predicate(28, C, "all_even") == exact_prob_predicate(28, A, "all_even")
+        with pytest.raises(CapacityError, match="11"):
+            exact_prob_predicate(12, C, "same_sign", 2)
+        with pytest.raises(CapacityError, match="11"):
+            exact_prob_predicate(12, C, "all_positive")
+
     def test_signed_predicate_rejects_a(self):
         with pytest.raises(ValidationError):
             exact_prob_predicate(4, A, "all_positive")
@@ -153,22 +242,27 @@ class TestPredicates:
 
 
 class TestJAndNotN:
-    def brute(self, n, l):
-        table = enumerate_classes(n, B).entries
+    def brute(self, n, l, family):
+        table = enumerate_classes(n, family).entries
         total = F(0)
         for combo in itertools.product(table, repeat=l):
             labels = [lab for lab, _ in combo]
             prob = F(1)
             for _, p in combo:
                 prob *= p
-            profiles = [signed_fixed_sets(lab) for lab in labels]
-            if event_J(profiles, B) and not event_N(labels):
+            if family is C:  # signed labels, projected profiles
+                profiles = [fixed_sizes(project(lab)) for lab in labels]
+            else:
+                profiles = [signed_fixed_sets(lab) for lab in labels]
+            if event_J(profiles, family) and not event_N(labels):
                 total += prob
         return total
 
+    @pytest.mark.parametrize("family", [B, C])
+    @pytest.mark.parametrize("l", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_definition(self, n):
-        assert exact_prob_J_and_not_N(n, 2, B) == self.brute(n, 2)
+    def test_matches_definition(self, n, l, family):
+        assert exact_prob_J_and_not_N(n, l, family) == self.brute(n, l, family)
 
     def test_known_value(self):
         assert exact_prob_J_and_not_N(4, 2, B) == F(25, 96)
@@ -190,3 +284,9 @@ class TestJAndNotN:
     def test_rejects_unsigned(self):
         with pytest.raises(ValidationError):
             exact_prob_J_and_not_N(4, 2, A)
+
+    @pytest.mark.parametrize("family", [B, C])
+    def test_capacity(self, family):
+        # even C enumerates the signed table here
+        with pytest.raises(CapacityError, match="11"):
+            exact_prob_J_and_not_N(12, 2, family)
