@@ -136,35 +136,46 @@ def project(s: SignedCycleType) -> Partition:
     return Partition(n=s.n, parts=tuple(l for l, _ in s.cycles))
 
 
-def subset_sum_mask(lengths, proper: int) -> int:
-    """Bitmask of proper subset sums of `lengths`, where `proper` is
-    (1 << n) - 2 (bits 1..n-1).
+def subset_sum_mask(lengths, keep: int) -> int:
+    """Bitmask of the subset sums of `lengths` that lie in `keep`.
+
+    `keep` is (1 << n) - 2 for every proper size (bits 1..n-1), or any
+    narrower mask of the bits the caller still needs.  A length at or above
+    keep's top bit cannot reach a kept bit, so it is skipped; the result
+    is the full DP's mask restricted to `keep`, whatever the input order.
 
     Shift-or DP.  Pass lengths ascending: short intermediate masks matter
-    at n around 10^6, and so does building `proper` once per caller rather
+    at n around 10^6, and so does building `keep` once per caller rather
     than once per profile.
     """
+    top = keep.bit_length()
     mask = 1
     for length in lengths:
-        mask |= mask << length
-    return mask & proper
+        if length < top:
+            mask |= mask << length
+    return mask & keep
 
 
-def signed_subset_masks(cycles, proper: int) -> tuple[int, int]:
-    """(plus, minus) bitmasks of proper subset sums of (length, sign)
-    pairs, split by subset sign; lengths ascending, as for subset_sum_mask.
+def signed_subset_masks(cycles, keep: int) -> tuple[int, int]:
+    """(plus, minus) bitmasks of the subset sums of (length, sign) pairs
+    that lie in `keep`, split by subset sign; `keep` and the skipping of
+    long cycles as for subset_sum_mask, lengths ascending.
 
     Two-track DP: a positive cycle extends both tracks in place, a negative
-    cycle swaps the contributions between tracks.
+    cycle swaps the contributions between tracks.  A skipped cycle only
+    ever contributes above keep's top bit, whatever its sign.
     """
+    top = keep.bit_length()
     plus, minus = 1, 0
     for length, sign in cycles:
+        if length >= top:
+            continue
         if sign > 0:
             plus |= plus << length
             minus |= minus << length
         else:
             plus, minus = plus | (minus << length), minus | (plus << length)
-    return plus & proper, minus & proper
+    return plus & keep, minus & keep
 
 
 def fixed_sizes(p: Partition) -> SizeProfile:

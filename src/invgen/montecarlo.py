@@ -10,9 +10,18 @@ With threads > 1, `run` splits the trials into deterministic chunks and
 maps them onto a process pool.  A `sweep` opens one pool, shares it across
 all its rows and shuts it down when it returns; a lone `run` opens its own.
 
-Per-trial cost at n = 10^6 is dominated by the subset-sum bitmask DP over
-the sampled cycle lengths, about a millisecond; at small n the profile
-masks repeat heavily and are memoized per cycle type.
+Profiles are complement-symmetric: a subset of size k leaves one of size
+n-k, with sign sigma*e for a subset of sign e when the element's total sign
+is sigma.  So a trial keeps only sizes 1..n//2 of its running intersection,
+plus, for family B, a second (plus, minus) pair whose tracks are swapped
+for every element with sigma = -1; J holds iff every intersection is
+empty.  Above n = 16 each profile DP computes only the bits still alive in
+those intersections and skips every cycle longer than the top one.
+
+At n = 10^6 and l = 4 a trial costs about 0.2 ms for A and 0.5 ms for B,
+most of it in the profile DP (one core of a shared 2-vCPU VM, Python
+3.11).  At n <= 16 the profile masks repeat heavily and are memoized per
+cycle type.
 """
 
 from __future__ import annotations
@@ -80,6 +89,9 @@ def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, flo
     put the upper bound at 0.9999999999999998 when every trial succeeds,
     or the lower bound a hair above 0 when none does.
     """
+    check_positive_int("trials", trials)
+    if isinstance(successes, bool) or not isinstance(successes, int) or not 0 <= successes <= trials:
+        raise ValidationError(f"successes must be an integer in 0..{trials}, got {successes!r}")
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials
@@ -99,10 +111,10 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     """Successes over trials start..stop-1; one loop serves every event.
 
     A trial stops sampling once its outcome is settled.  J and J_and_not_N
-    settle as successes: the running intersection of profiles is empty
-    (and, for J_and_not_N, two total signs differ).  N, all_even and
-    all_positive settle as failures: two total signs differ, a cycle is
-    odd, a cycle is negative.
+    settle as successes: the running intersections of the half-lattice
+    profiles are empty (and, for J_and_not_N, two total signs differ).
+    N, all_even and all_positive settle as failures: two total signs
+    differ, a cycle is odd, a cycle is negative.
     """
     n, l, seed, event = spec.n, spec.l, spec.master_seed, spec.event
     family = spec.family
@@ -115,11 +127,15 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     needs_mixed = event in ("J_and_not_N", "N")
     use_cache = n <= _CACHE_LIMIT
     cache: dict = {}
-    proper = (1 << n) - 2
+    low = (1 << (n // 2 + 1)) - 2
+    # The swapped pair is needed only where total signs mix (B): A and C
+    # keep one track, and within a D sector it is the plain pair or its mirror.
+    swap_start = low if signed_profiles and want is None else 0
     successes = 0
     for t in range(start, stop):
         rng = RngState(seed, t)
-        inter_p = inter_m = proper
+        inter_p = inter_m = low
+        swap_p = swap_m = swap_start
         first_sign = 0
         mixed = settled = False
         for _ in range(l):
@@ -135,15 +151,22 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
                     key = tuple(lengths)
                 masks = cache.get(key)
                 if masks is None:
+                    # a cached mask must serve any trial; a fresh one needs only the live bits
+                    keep = low if use_cache else inter_p | inter_m | swap_p | swap_m
                     if signed_profiles:
-                        masks = signed_subset_masks(key, proper)
+                        masks = signed_subset_masks(key, keep)
                     else:
-                        masks = subset_sum_mask(key, proper), 0
+                        masks = subset_sum_mask(key, keep), 0
                     if use_cache:
                         cache[key] = masks
-                inter_p &= masks[0]
-                inter_m &= masks[1]
-                settled = not (inter_p or inter_m) and (mixed or not needs_mixed)
+                plus, minus = masks
+                inter_p &= plus
+                inter_m &= minus
+                if total < 0:
+                    plus, minus = minus, plus
+                swap_p &= plus
+                swap_m &= minus
+                settled = not (inter_p or inter_m or swap_p or swap_m) and (mixed or not needs_mixed)
             elif event == "N":
                 settled = mixed
             elif event == "all_even":

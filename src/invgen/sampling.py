@@ -45,7 +45,11 @@ class RngState:
         return mix64(s)
 
     def randbelow(self, m: int) -> int:
-        """Uniform on {0..m-1}; rejection keeps it exactly uniform."""
+        """Uniform on {0..m-1} for 1 <= m <= 2^64; rejection keeps it
+        exactly uniform."""
+        check_positive_int("m", m)
+        if m > TWO64:
+            raise ValidationError(f"m must be at most 2^64, got {m!r}")
         lim = (TWO64 // m) * m
         while True:
             u = self.next64()

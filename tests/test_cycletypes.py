@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from invgen import (
     Partition,
@@ -14,6 +16,7 @@ from invgen import (
     project,
     signed_fixed_sets,
 )
+from invgen.cycletypes import signed_subset_masks, subset_sum_mask
 
 A = WeylFamily.A
 B = WeylFamily.B
@@ -195,3 +198,50 @@ class TestComplementSymmetry:
         # (k, eps) achievable iff (n-k, total*eps) achievable; total is -1 here
         for k in range(1, 6):
             assert bool(prof.plus >> k & 1) == bool(prof.minus >> (6 - k) & 1)
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    def test_unsigned_profiles(self, parts):
+        p = make_partition(parts)
+        mask = fixed_sizes(p).achievable
+        for k in range(1, p.n):
+            assert mask >> k & 1 == mask >> (p.n - k) & 1
+
+    @given(st.lists(st.tuples(st.integers(1, 12), st.sampled_from([1, -1])), min_size=1, max_size=10))
+    def test_signed_profiles(self, cycles):
+        # (k, e) achievable iff (n-k, total*e) achievable
+        s = make_signed(cycles)
+        prof = signed_fixed_sets(s)
+        track = {1: prof.plus, -1: prof.minus}
+        for k in range(1, s.n):
+            for e in (1, -1):
+                assert track[e] >> k & 1 == track[s.total_sign * e] >> (s.n - k) & 1
+
+
+def proper_keep(data, n):
+    """A random keep mask within bits 1..n-1."""
+    return data.draw(st.integers(0, (1 << n) - 1)) & ((1 << n) - 2)
+
+
+class TestRestrictedDP:
+    """A keep mask restricts the DP's result and nothing else, whatever the
+    input order; a long cycle skipped against keep's top bit changes no
+    kept bit."""
+
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=12), st.data())
+    def test_unsigned(self, lengths, data):
+        n = sum(lengths)
+        keep = proper_keep(data, n)
+        assert subset_sum_mask(lengths, keep) == subset_sum_mask(lengths, (1 << n) - 2) & keep
+
+    @given(st.lists(st.tuples(st.integers(1, 20), st.sampled_from([1, -1])), min_size=1, max_size=12), st.data())
+    def test_signed(self, cycles, data):
+        n = sum(length for length, _ in cycles)
+        keep = proper_keep(data, n)
+        plus, minus = signed_subset_masks(cycles, (1 << n) - 2)
+        assert signed_subset_masks(cycles, keep) == (plus & keep, minus & keep)
+
+    def test_order_does_not_matter(self):
+        # a break at the first long cycle would drop the 1 that follows it
+        keep = (1 << 4) - 2
+        assert subset_sum_mask([2, 7, 1], keep) == subset_sum_mask([1, 2, 7], keep) == 0b1110
+        assert signed_subset_masks([(7, -1), (1, -1)], keep) == signed_subset_masks([(1, -1), (7, -1)], keep)

@@ -13,20 +13,27 @@ from invgen import (
     RngState,
     ValidationError,
     WeylFamily,
+    event_J,
+    event_N,
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_predicate,
+    fixed_sizes,
     make_partition,
     make_signed,
+    project,
     run,
     sample_partition,
+    sample_signed,
+    sample_signed_conditioned,
+    signed_fixed_sets,
     sweep,
     sweep_seed,
     wilson_interval,
     wilson_interval_z,
 )
 
-A, B = WeylFamily.A, WeylFamily.B
+A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
 DP, DM = WeylFamily.D_PLUS, WeylFamily.D_MINUS
 
 
@@ -83,6 +90,44 @@ class TestAgainstOracle:
         assert_within_3_sigma(est, single**2)
 
 
+class TestEngineMatchesDefinition:
+    """The engine's half-lattice intersections, alive-bits DP and early exit
+    decide every trial as event_J/event_N do on the public samplers' full
+    profiles.  n = 17, 33 and 1000 take the uncached path; both parities
+    of n are covered, and B mixes total signs across a tuple."""
+
+    @staticmethod
+    def definition(s, t):
+        rng = RngState(s.master_seed, t)
+        family, n = s.family, s.n
+        if family is A:
+            types = [sample_partition(n, rng) for _ in range(s.l)]
+            return event_J([fixed_sizes(p) for p in types], family)
+        if family.sector_sign is None:
+            types = [sample_signed(n, rng) for _ in range(s.l)]
+        else:
+            types = [sample_signed_conditioned(n, family.sector_sign, rng) for _ in range(s.l)]
+        if family.signed_profiles:
+            profiles = [signed_fixed_sets(x) for x in types]
+        else:
+            profiles = [fixed_sizes(project(x)) for x in types]
+        hit = event_J(profiles, family)
+        if s.event == "J_and_not_N":
+            hit = hit and not event_N(types)
+        return hit
+
+    @pytest.mark.parametrize(
+        "family, event",
+        [(A, "J"), (B, "J"), (C, "J"), (DP, "J"), (DM, "J"), (B, "J_and_not_N"), (C, "J_and_not_N")],
+    )
+    @pytest.mark.parametrize("n", [3, 4, 17, 33, 1000])
+    def test_trial_for_trial(self, family, event, n):
+        for l in (1, 2, 3, 4):
+            s = spec(n, l, family, event=event, trials=200, seed=n * 31 + l)
+            got = [montecarlo._count_range(s, t, t + 1) for t in range(200)]
+            assert got == [int(self.definition(s, t)) for t in range(200)], (n, l)
+
+
 class TestWilson:
     def test_contains_p_hat(self):
         low, high = wilson_interval(57, 100)
@@ -102,6 +147,17 @@ class TestWilson:
                 p_hat = successes / trials
                 # at the edges this forces low == 0.0 or high == 1.0
                 assert 0.0 <= low <= p_hat <= high <= 1.0, (successes, trials)
+
+    @pytest.mark.parametrize(
+        "successes, trials",
+        [(5, 3), (-1, 5), (0, 0), (1, -2), (True, 5), (1.0, 5), (1, 5.0), (1, True)],
+    )
+    def test_counts_validated(self, successes, trials):
+        # (5, 3) used to raise a math domain error, (-1, 5) returned an
+        # interval, (0, 0) divided by zero
+        for call in (lambda: wilson_interval(successes, trials), lambda: wilson_interval_z(successes, trials, 3.0)):
+            with pytest.raises(ValidationError):
+                call()
 
     def test_narrows_with_trials(self):
         w1 = wilson_interval_z(500, 1_000, 3.0)

@@ -64,6 +64,23 @@ class TestDeterminism:
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
 
+    @pytest.mark.parametrize("m", [-3, 0, 1.5, True, "7"])
+    def test_randbelow_rejects_non_positive_ints(self, m):
+        # -3 used to return -1, 1.5 returned 1.0, 0 raised ZeroDivisionError
+        with pytest.raises(ValidationError, match="m must be a positive integer"):
+            RngState(1, 0).randbelow(m)
+
+    def test_randbelow_rejects_above_two_to_64(self):
+        # the rejection limit was 0 here, so the draw loop never ended
+        with pytest.raises(ValidationError, match="at most 2\\^64"):
+            RngState(1, 0).randbelow(2**65)
+
+    def test_randbelow_edges(self):
+        rng, raw = RngState(1, 0), RngState(1, 0)
+        # m = 2^64 accepts every draw, so it returns the raw output
+        assert rng.randbelow(2**64) == raw.next64()
+        assert rng.randbelow(1) == 0
+
 
 class TestPartitionDistribution:
     def test_exact_at_top_size(self):
