@@ -7,7 +7,8 @@ Each fixture is a text file of blocks.  A block starts with a `$ ` line
 naming what produced it (a CLI call, or a run of `next64` draws) and
 holds that call's exact stdout.  The cases cover every sampler, both
 Monte Carlo paths (profiles memoized at n <= 16, recomputed above), every
-event each family accepts, and CSV and JSON-lines rendering.
+event each family accepts, CSV and JSON-lines rendering, the exact
+oracles at small n, and the classical bound reports and threshold solver.
 
 Regenerate only when a change is meant to alter output bytes; such a
 change also bumps the version and says so in CHANGES.md.
@@ -38,6 +39,7 @@ FAMILY_EVENTS = {
 }
 # trials per estimate row by n: the memoized path is cheap, n = 1000 is not
 ESTIMATE_TRIALS = {1: 200, 8: 2000, 1000: 200}
+CLASSICAL_TOKENS = ("SL", "SU", "Sp", "SO", "SO+", "SO-")
 
 
 def _sample_calls():
@@ -79,6 +81,27 @@ def _sweep_calls():
     yield ["estimate", "--n", "1", "--family", "A", "--event", "all_even", "--trials", "7"]
 
 
+def _exact_calls():
+    for family in ("A", "B", "C", "D+"):
+        for n in range(1, 7):
+            for event in FAMILY_EVENTS[family]:
+                yield ["exact", "--n", str(n), "--l", "3", "--family", family, "--event", event]
+        yield ["exact", "--n", "6", "--family", family]
+
+
+def _bounds_calls():
+    for token in CLASSICAL_TOKENS:
+        for q in ("13", "16"):
+            yield ["bounds", "--family", token, "--q", q]
+            yield ["bounds", "--family", token, "--q", q, "--json"]
+        yield ["bounds", "--family", token, "--solve-k"]
+        yield ["bounds", "--family", token, "--solve-k", "--json"]
+    yield ["bounds", "--family", "SL", "--q", "13", "--sharp-a", "--b-j4", "1/2"]
+    yield ["bounds", "--family", "Sp", "--q", "9", "--json", "--b-j4", "0.4"]
+    yield ["bounds", "--family", "SO", "--solve-k", "--b-j4", "1/2"]
+    yield ["bounds", "--family", "Sp", "--solve-k", "--json", "--b-j4", "2/3"]
+
+
 def _run_cli(argv) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -104,6 +127,8 @@ FIXTURES = {
     "estimate.txt": lambda: "".join(map(_run_cli, _estimate_calls())),
     "estimate_large_n.txt": lambda: "".join(map(_run_cli, _estimate_large_calls())),
     "sweep.txt": lambda: "".join(map(_run_cli, _sweep_calls())),
+    "exact.txt": lambda: "".join(map(_run_cli, _exact_calls())),
+    "bounds.txt": lambda: "".join(map(_run_cli, _bounds_calls())),
 }
 
 
