@@ -85,11 +85,15 @@ class BoundReport:
         }
 
 
+def _check_q(q) -> None:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
+        raise ValidationError(f"q must be an integer >= 2, got {q!r}")
+
+
 def _validate(f: ClassicalFamily) -> None:
     if not isinstance(f.tag, ClassicalTag):
         raise ValidationError(f"unknown classical family {f.tag!r}")
-    if not isinstance(f.q, int) or f.q < 2:
-        raise ValidationError(f"q must be an integer >= 2, got {f.q!r}")
+    _check_q(f.q)
     if f.tag is ClassicalTag.SP_ODD_Q and f.q % 2 == 0:
         raise ValidationError(f"{f.tag.value} needs odd q, got {f.q}")
     if f.tag is ClassicalTag.SP_EVEN_Q and f.q % 2 == 1:
@@ -106,53 +110,47 @@ def weyl_family_of(f) -> WeylFamily:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value; deterministic
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"cannot parse {x!r} as a fraction") from None
-    raise ValidationError(f"expected a number, got {x!r}")
+    if isinstance(x, bool) or not isinstance(x, (Fraction, int, float, str)):
+        raise ValidationError(f"expected a number, got {x!r}")
+    try:
+        return Fraction(x)  # a float's exact binary value; deterministic
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ValidationError(f"cannot parse {x!r} as a fraction") from None
+
+
+# tag -> (first-order term a, 1/q^2 rescue term c): s = 1 - a/q + c/q^2.
+# The SO rows hold for even q; at odd q SO has an explicit lower bound,
+# which is never truncated.
+_PROPORTION = {
+    ClassicalTag.SL: (1, 0),
+    ClassicalTag.SU: (1, 0),
+    ClassicalTag.SP_ODD_Q: (3, 5),
+    ClassicalTag.SP_EVEN_Q: (2, 2),
+    ClassicalTag.SO_ODD_DIM: (2, 2),
+    ClassicalTag.SO_EVEN_DIM_PLUS: (2, 2),
+    ClassicalTag.SO_EVEN_DIM_MINUS: (2, 2),
+}
+
+
+def _proportion(tag: ClassicalTag, q: int, conservative: bool, so_odd_row: bool) -> Fraction:
+    if tag in _SO_TAGS and so_odd_row:
+        return 1 - Fraction(2, q - 1) - Fraction(1, (q - 1) ** 2)
+    first, rescue = _PROPORTION[tag]
+    return 1 - Fraction(first, q) + (0 if conservative else Fraction(rescue, q * q))
 
 
 def separable_proportion(f: ClassicalFamily, conservative: bool = False) -> Fraction:
     """Limiting lower bound on the proportion of separable elements.
 
     With conservative=True the positive 1/q^2 rescue terms are dropped
-    (sign-safe truncation); that variant is what the threshold solver uses.
-    The SO odd-q row is already an explicit lower bound and is never
-    truncated.
+    (sign-safe truncation).  The SO odd-q row is already an explicit lower
+    bound and is never truncated.
     """
     _validate(f)
-    q = f.q
-    tag = f.tag
-    if tag in (ClassicalTag.SL, ClassicalTag.SU):
-        s = 1 - Fraction(1, q)
-    elif tag is ClassicalTag.SP_ODD_Q:
-        s = 1 - Fraction(3, q)
-        if not conservative:
-            s += Fraction(5, q * q)
-    elif tag is ClassicalTag.SP_EVEN_Q:
-        s = 1 - Fraction(2, q)
-        if not conservative:
-            s += Fraction(2, q * q)
-    elif tag in _SO_TAGS:
-        if q % 2:
-            s = 1 - Fraction(2, q - 1) - Fraction(1, (q - 1) ** 2)
-        else:
-            s = 1 - Fraction(2, q)
-            if not conservative:
-                s += Fraction(2, q * q)
-    else:
-        raise ValidationError(f"unknown classical family {tag!r}")
+    s = _proportion(f.tag, f.q, conservative, so_odd_row=f.q % 2 == 1)
     if s < 0:
         warnings.warn(
-            f"separable proportion for {tag.value} at q={q} is negative; clamped to 0",
+            f"separable proportion for {f.tag.value} at q={f.q} is negative; clamped to 0",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -161,21 +159,14 @@ def separable_proportion(f: ClassicalFamily, conservative: bool = False) -> Frac
 
 
 def solver_proportion(tag: ClassicalTag, q: int) -> Fraction:
-    """Conservative proportion used when solving for the threshold, one
-    monotone formula per tag.  SO tags uniformly use the odd-q bound (the
-    weaker of the two parities), matching the single table row they share;
-    Sp tags keep their own first-order terms."""
-    if tag in (ClassicalTag.SL, ClassicalTag.SU):
-        s = 1 - Fraction(1, q)
-    elif tag is ClassicalTag.SP_ODD_Q:
-        s = 1 - Fraction(3, q)
-    elif tag is ClassicalTag.SP_EVEN_Q:
-        s = 1 - Fraction(2, q)
-    elif tag in _SO_TAGS:
-        s = 1 - Fraction(2, q - 1) - Fraction(1, (q - 1) ** 2)
-    else:
+    """Conservative proportion used when solving for the threshold, clamped
+    at 0.  The solver scans every integer q, so SO tags use the odd-q bound
+    (the weaker of the two parities, matching the single table row they
+    share) at every q, and Sp tags skip their parity check."""
+    if not isinstance(tag, ClassicalTag):
         raise ValidationError(f"unknown classical family {tag!r}")
-    return max(s, Fraction(0))
+    _check_q(q)
+    return max(_proportion(tag, q, conservative=True, so_odd_row=True), Fraction(0))
 
 
 def i4_lower_bound(

@@ -1,6 +1,12 @@
 """Command-line surface: sampling, profile inspection, Monte Carlo
 estimation, exact oracles, and classical bound reports.
 
+Each option is declared once, in `_OPTIONS`, and each subcommand lists
+its options with their defaults in `_COMMANDS`.  Every flag is also a
+key of the `--config` file; a flag wins over the file, which wins over
+the default, and both texts go through the same converter, so a bad
+value fails the same way (exit 2, one `error:` line) from either place.
+
 Output artifacts (CSV or JSON lines) embed the tool version and the
 resolved run configuration including the master seed, enough to re-run
 bit-identically.  Execution-only knobs (--threads, --out) are not part of
@@ -19,6 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .bounds import ClassicalFamily, ClassicalTag, i4_lower_bound, solve_K4
@@ -33,21 +40,16 @@ from .cycletypes import (
 from .errors import CapacityError, NoSolutionError, ValidationError, check_positive_int
 from .exact import exact_prob_J, exact_prob_J_and_not_N, exact_prob_predicate
 from .montecarlo import EVENTS, ExperimentSpec, check_event, run, sweep
-from .sampling import (
-    RngState,
-    sample_partition,
-    sample_signed,
-    sample_signed_conditioned,
-)
+from .sampling import RngState, sample_partition, sample_signed, sample_signed_conditioned
 
-_CSV_COLUMNS = ("n", "l", "family", "event", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
+_COLUMNS = ("n", "l", "family", "event", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
 _SIGNED_TOKEN = re.compile(r"^(\d+)([+-])$")
 
 
 # ---------------------------------------------------------------- parsing
 
 def _parse_seed(text: str) -> int:
-    text = str(text).strip()
+    text = text.strip()
     try:
         value = int(text, 16) if text.lower().startswith("0x") else int(text)
     except ValueError:
@@ -59,7 +61,7 @@ def _parse_seed(text: str) -> int:
 
 def _parse_bj4(text: str) -> Fraction:
     try:
-        value = Fraction(str(text).strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"bad b-j4 value {text!r}; expected a fraction like 1/3 or a decimal") from None
     if not 0 < value <= 1:
@@ -67,10 +69,9 @@ def _parse_bj4(text: str) -> Fraction:
     return value
 
 
-def _split_list(text, what: str) -> list[str]:
+def _split_list(text: str, what: str) -> list[str]:
     """Comma-separated items, stripped.  An empty item (as in `4,,5` or a
     trailing comma) is an error, not silently dropped."""
-    text = str(text)
     tokens = [t.strip() for t in text.split(",")]
     if tokens == [""]:
         raise ValidationError(f"empty {what} list")
@@ -97,49 +98,51 @@ def _parse_cycles(text: str, signed: bool):
     return make_partition(parts)
 
 
+# token -> (tag at odd q, tag at even q); the threshold solver has no q and
+# reads the odd-q row, the table's single (weaker) Sp row
+_CLASSICAL = {
+    "SL": (ClassicalTag.SL, ClassicalTag.SL),
+    "SU": (ClassicalTag.SU, ClassicalTag.SU),
+    "Sp": (ClassicalTag.SP_ODD_Q, ClassicalTag.SP_EVEN_Q),
+    "SO": (ClassicalTag.SO_ODD_DIM, ClassicalTag.SO_ODD_DIM),
+    "SO+": (ClassicalTag.SO_EVEN_DIM_PLUS, ClassicalTag.SO_EVEN_DIM_PLUS),
+    "SO-": (ClassicalTag.SO_EVEN_DIM_MINUS, ClassicalTag.SO_EVEN_DIM_MINUS),
+}
+
+
 def _classical_tag(token: str, q: int | None) -> ClassicalTag:
-    if token == "SL":
-        return ClassicalTag.SL
-    if token == "SU":
-        return ClassicalTag.SU
-    if token == "Sp":
-        # no q means the threshold solver; that uses the table's single
-        # (odd-q, weaker) Sp row
-        if q is None or q % 2 == 1:
-            return ClassicalTag.SP_ODD_Q
-        return ClassicalTag.SP_EVEN_Q
-    if token == "SO":
-        return ClassicalTag.SO_ODD_DIM
-    if token == "SO+":
-        return ClassicalTag.SO_EVEN_DIM_PLUS
-    if token == "SO-":
-        return ClassicalTag.SO_EVEN_DIM_MINUS
-    raise ValidationError(
-        f"unknown classical family {token!r}; expected SL, SU, Sp, SO, SO+, SO-"
-    )
+    if token not in _CLASSICAL:
+        raise ValidationError(f"unknown classical family {token!r}; expected {', '.join(_CLASSICAL)}")
+    return _CLASSICAL[token][q is not None and q % 2 == 0]
 
 
-def _as_int(text) -> int:
+def _as_int(text: str) -> int:
     try:
-        return int(str(text).strip())
+        return int(text.strip())
     except ValueError:
         raise ValidationError(f"bad integer {text!r}") from None
 
 
-def _as_float(text) -> float:
+def _as_float(text: str) -> float:
     try:
-        return float(str(text).strip())
+        return float(text.strip())
     except ValueError:
         raise ValidationError(f"bad number {text!r}") from None
 
 
-def _as_bool(text) -> bool:
-    t = str(text).strip().lower()
+def _as_bool(text: str) -> bool:
+    t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
     raise ValidationError(f"bad boolean {text!r}")
+
+
+def _as_format(text: str) -> str:
+    if text not in ("csv", "jsonl"):
+        raise ValidationError(f"unknown format {text!r}; expected csv or jsonl")
+    return text
 
 
 def _parse_ns(text: str) -> list[int]:
@@ -152,15 +155,49 @@ def _format_label(label) -> str:
     return ",".join(f"{length}{'+' if sign > 0 else '-'}" for length, sign in label.cycles)
 
 
-# ------------------------------------------------------- config resolution
+# ---------------------------------------------------------------- options
 
-def _load_config(args) -> dict[str, str]:
+REQUIRED = object()  # the default of an option that has none
+
+# dest -> (converter, help), one entry per option.  The flag is --dest with
+# dashes for underscores, and the config key is dest.  A (command, dest)
+# key overrides dest for the one command that gives the flag another
+# meaning.  Flags hold raw text, so a flag and a config value pass through
+# the same converter; _as_bool options are bare flags.
+_OPTIONS = {
+    "n": (_as_int, "n of S_n, B_n, C_n or D_n"),
+    "ns": (_parse_ns, "comma-separated n values"),
+    "l": (_as_int, "number of elements l"),
+    "family": (WeylFamily.parse, "Weyl family: A, B, C, D+, D-"),
+    ("bounds", "family"): (str, f"classical family: {', '.join(_CLASSICAL)}"),
+    "event": (str, f"event: {', '.join(EVENTS)}"),
+    "trials": (_as_int, "Monte Carlo trials"),
+    "count": (_as_int, "labels to draw"),
+    "seed": (_parse_seed, "64-bit master seed, decimal or 0x-hex"),
+    "threads": (_as_int, "worker processes; the output does not depend on it"),
+    "confidence": (_as_float, "Wilson interval confidence"),
+    "format": (_as_format, "csv or jsonl"),
+    "out": (str, "output path (default stdout)"),
+    "gap_compat": (_as_bool, "l=4, trials=100 defaults; print the bare proportion"),
+    "cycles": (str, "cycle type, like 3,1 or 3+,1-"),
+    "signed": (_as_bool, "the cycles carry signs"),
+    "q": (_as_int, "field size q"),
+    "b_j4": (_parse_bj4, "Weyl-level bound b, fraction or decimal (default 1/3)"),
+    "solve_k": (_as_bool, "solve for the threshold K4 instead of reporting at --q"),
+    "sharp_a": (_as_bool, "factor 1 instead of 7/8 where the family allows it"),
+    "json": (_as_bool, "print JSON"),
+}
+
+
+def _option(command: str, dest: str):
+    return _OPTIONS.get((command, dest)) or _OPTIONS[dest]
+
+
+def _load_config(path, command: str, allowed) -> dict[str, str]:
     """key=value lines, # comments; keys mirror the subcommand's long flag
     names, and any other key is an error rather than silently ignored."""
-    path = args.config
     if path is None:
         return {}
-    allowed = set(vars(args)) - {"command", "func", "config"}
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -173,57 +210,50 @@ def _load_config(args) -> dict[str, str]:
             key = key.strip().replace("-", "_")
             if key not in allowed:
                 raise ValidationError(
-                    f"{path}:{lineno}: unknown key {key!r} for {args.command}; "
+                    f"{path}:{lineno}: unknown key {key!r} for {command}; "
                     f"expected one of {', '.join(sorted(allowed))}"
                 )
             out[key] = value.strip()
     return out
 
 
-def _resolve(args, config: dict, key: str, cast, default):
-    """Flags win over the config file, which wins over the default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return cast(config[key])
-    return default
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise ValidationError(f"missing required flag {flag}")
-    return value
+def _options(args, defaults: dict) -> SimpleNamespace:
+    """Resolve each option in `defaults` order: the flag if given, else the
+    config key, else the default.  Either text goes through the option's
+    converter, so the first bad value is reported the same way."""
+    config = _load_config(args.config, args.command, defaults)
+    resolved = {}
+    for dest, default in defaults.items():
+        text = getattr(args, dest)
+        if text is None:
+            text = config.get(dest)
+        if text is not None:
+            resolved[dest] = _option(args.command, dest)[0](text)
+        elif default is REQUIRED:
+            raise ValidationError(f"missing required flag --{dest.replace('_', '-')}")
+        else:
+            resolved[dest] = default
+    return SimpleNamespace(**resolved)
 
 
 # ------------------------------------------------------------ output
 
 def _render(estimates, meta: dict, fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# invgen {__version__}\n")
-        buf.write("# config " + json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for est in estimates:
-            s = est.spec
-            writer.writerow(
-                [s.n, s.l, s.family.value, s.event, s.trials, est.successes,
-                 repr(est.p_hat), repr(est.ci_low), repr(est.ci_high), s.master_seed]
-            )
-        return buf.getvalue()
+    rows = [
+        (e.spec.n, e.spec.l, e.spec.family.value, e.spec.event, e.spec.trials, e.successes,
+         e.p_hat, e.ci_low, e.ci_high, e.spec.master_seed)
+        for e in estimates
+    ]
     if fmt == "jsonl":
-        lines = [json.dumps({"meta": meta}, sort_keys=True)]
-        for est in estimates:
-            s = est.spec
-            lines.append(json.dumps(
-                {"n": s.n, "l": s.l, "family": s.family.value, "event": s.event,
-                 "trials": s.trials, "successes": est.successes, "p_hat": est.p_hat,
-                 "ci_low": est.ci_low, "ci_high": est.ci_high, "seed": s.master_seed},
-                sort_keys=True,
-            ))
-        return "\n".join(lines) + "\n"
-    raise ValidationError(f"unknown format {fmt!r}; expected csv or jsonl")
+        lines = [{"meta": meta}] + [dict(zip(_COLUMNS, row)) for row in rows]
+        return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    buf = io.StringIO()
+    buf.write(f"# invgen {__version__}\n")
+    buf.write("# config " + json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_COLUMNS)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -234,106 +264,69 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _meta(command: str, **fields) -> dict:
-    meta = {"command": command, "version": __version__}
-    meta.update(fields)
+def _meta(command: str, o) -> dict:
+    """The run configuration: every resolved option but the execution-only
+    knobs, so files are byte-identical across --threads and --out."""
+    meta = {k: v for k, v in vars(o).items() if k not in ("threads", "out", "gap_compat")}
+    meta.update(command=command, version=__version__, family=o.family.value)
     return meta
 
 
 # ------------------------------------------------------------ commands
 
-def cmd_sample(args) -> int:
-    config = _load_config(args)
-    n = _require(_resolve(args, config, "n", _as_int, None), "--n")
-    family = WeylFamily.parse(_require(_resolve(args, config, "family", str, None), "--family"))
-    count = _resolve(args, config, "count", _as_int, 1)
-    seed = _parse_seed(_resolve(args, config, "seed", str, "0"))
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    for i in range(count):
-        rng = RngState(seed, i)  # one stream per label, like trial streams
-        if family is WeylFamily.A:
-            label = sample_partition(n, rng)
-        elif family.sector_sign is None:
-            label = sample_signed(n, rng)
+def cmd_sample(o) -> int:
+    if o.count < 1:
+        raise ValidationError(f"count must be >= 1, got {o.count}")
+    for i in range(o.count):
+        rng = RngState(o.seed, i)  # one stream per label, like trial streams
+        if o.family is WeylFamily.A:
+            label = sample_partition(o.n, rng)
+        elif o.family.sector_sign is None:
+            label = sample_signed(o.n, rng)
         else:
-            label = sample_signed_conditioned(n, family.sector_sign, rng)
+            label = sample_signed_conditioned(o.n, o.family.sector_sign, rng)
         print(_format_label(label))
     return 0
 
 
-def cmd_fixedsets(args) -> int:
-    config = _load_config(args)
-    signed = _resolve(args, config, "signed", _as_bool, False)
-    cycles = _require(_resolve(args, config, "cycles", str, None), "--cycles")
-    label = _parse_cycles(cycles, signed)
-    if signed:
-        prof = signed_fixed_sets(label)
-        pieces = [f"({k},+)" for k in range(1, prof.n) if prof.plus >> k & 1]
-        pieces += [f"({k},-)" for k in range(1, prof.n) if prof.minus >> k & 1]
-        print(" ".join(pieces))
+def cmd_fixedsets(o) -> int:
+    label = _parse_cycles(o.cycles, o.signed)
+    if o.signed:
+        pieces = [f"({k},{'+' if sign > 0 else '-'})" for k, sign in signed_fixed_sets(label).pairs()]
     else:
-        prof = fixed_sizes(label)
-        print(" ".join(str(k) for k in prof.sizes()))
+        pieces = fixed_sizes(label).sizes()
+    print(" ".join(map(str, pieces)))
     return 0
 
 
-def _mc_common(args, config, sweep_mode: bool):
-    gap = False if sweep_mode else _resolve(args, config, "gap_compat", _as_bool, False)
-    family = WeylFamily.parse(_require(_resolve(args, config, "family", str, None), "--family"))
-    l = _resolve(args, config, "l", _as_int, 4)
-    trials = _resolve(args, config, "trials", _as_int, 100 if gap else 10000)
-    event = _resolve(args, config, "event", str, "J")
-    seed = _parse_seed(_resolve(args, config, "seed", str, "0"))
-    threads = _resolve(args, config, "threads", _as_int, 1)
-    confidence = _resolve(args, config, "confidence", _as_float, 0.99)
-    fmt = _resolve(args, config, "format", str, "csv")
-    out = _resolve(args, config, "out", str, None)
-    if fmt not in ("csv", "jsonl"):
-        raise ValidationError(f"unknown format {fmt!r}; expected csv or jsonl")
-    return gap, family, l, trials, event, seed, threads, confidence, fmt, out
-
-
-def cmd_estimate(args) -> int:
-    config = _load_config(args)
-    gap, family, l, trials, event, seed, threads, confidence, fmt, out = _mc_common(
-        args, config, sweep_mode=False
-    )
-    n = _require(_resolve(args, config, "n", _as_int, None), "--n")
-    spec = ExperimentSpec(n=n, l=l, family=family, event=event, trials=trials, master_seed=seed)
-    est = run(spec, threads=threads, confidence=confidence)
-    if gap:
-        print(f"{est.p_hat:.2f}")
+def cmd_estimate(o) -> int:
+    if o.gap_compat and o.format is not None:
+        raise ValidationError("--format does not apply with --gap-compat, which prints a bare proportion")
+    if o.trials is None:
+        o.trials = 100 if o.gap_compat else 10000
+    spec = ExperimentSpec(n=o.n, l=o.l, family=o.family, event=o.event, trials=o.trials,
+                          master_seed=o.seed)
+    est = run(spec, threads=o.threads, confidence=o.confidence)
+    if o.gap_compat:
+        _emit(f"{est.p_hat:.2f}\n", o.out)
         return 0
-    meta = _meta("estimate", n=n, l=l, family=family.value, event=event, trials=trials,
-                 seed=seed, confidence=confidence, format=fmt)
-    _emit(_render([est], meta, fmt), out)
+    o.format = o.format or "csv"
+    _emit(_render([est], _meta("estimate", o), o.format), o.out)
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args)
-    _, family, l, trials, event, seed, threads, confidence, fmt, out = _mc_common(
-        args, config, sweep_mode=True
-    )
-    ns = _parse_ns(_require(_resolve(args, config, "ns", str, None), "--ns"))
+def cmd_sweep(o) -> int:
     specs = [
-        ExperimentSpec(n=n, l=l, family=family, event=event, trials=trials, master_seed=seed)
-        for n in ns
+        ExperimentSpec(n=n, l=o.l, family=o.family, event=o.event, trials=o.trials, master_seed=o.seed)
+        for n in o.ns
     ]
-    estimates = sweep(specs, threads=threads, confidence=confidence)
-    meta = _meta("sweep", ns=ns, l=l, family=family.value, event=event, trials=trials,
-                 seed=seed, confidence=confidence, format=fmt)
-    _emit(_render(estimates, meta, fmt), out)
+    estimates = sweep(specs, threads=o.threads, confidence=o.confidence)
+    _emit(_render(estimates, _meta("sweep", o), o.format), o.out)
     return 0
 
 
-def cmd_exact(args) -> int:
-    config = _load_config(args)
-    n = _require(_resolve(args, config, "n", _as_int, None), "--n")
-    l = _resolve(args, config, "l", _as_int, 4)
-    family = WeylFamily.parse(_require(_resolve(args, config, "family", str, None), "--family"))
-    event = _resolve(args, config, "event", str, "J")
+def cmd_exact(o) -> int:
+    n, l, family, event = o.n, o.l, o.family, o.event
     check_event(event, family)
     if event == "J":
         value = exact_prob_J(n, l, family)
@@ -348,34 +341,30 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    config = _load_config(args)
-    token = _require(_resolve(args, config, "family", str, None), "--family")
-    b = _parse_bj4(_resolve(args, config, "b_j4", str, "1/3"))
-    solve = _resolve(args, config, "solve_k", _as_bool, False)
-    sharp = _resolve(args, config, "sharp_a", _as_bool, False)
-    as_json = _resolve(args, config, "json", _as_bool, False)
-    q = _resolve(args, config, "q", _as_int, None)
-    if solve:
-        tag = _classical_tag(token, None)
-        k = solve_K4(tag, b)
-        if as_json:
+def cmd_bounds(o) -> int:
+    if o.solve_k:
+        tag = _classical_tag(o.family, None)
+        for flag, given in (("--q", o.q is not None), ("--sharp-a", o.sharp_a)):
+            if given:
+                raise ValidationError(f"{flag} does not apply with --solve-k")
+        k = solve_K4(tag, o.b_j4)
+        if o.json:
             print(json.dumps(
-                {"family": token, "tag": tag.value, "b_j4": float(b),
-                 "b_j4_exact": str(b), "K4": k},
+                {"family": o.family, "tag": tag.value, "b_j4": float(o.b_j4),
+                 "b_j4_exact": str(o.b_j4), "K4": k},
                 sort_keys=True,
             ))
         else:
-            print(f"K4({token}) = {k}")
+            print(f"K4({o.family}) = {k}")
         return 0
-    if q is None:
+    if o.q is None:
         raise ValidationError("bounds needs --q or --solve-k")
-    tag = _classical_tag(token, q)
-    report = i4_lower_bound(ClassicalFamily(tag=tag, q=q), b, sharp_a=sharp)
-    if as_json:
+    tag = _classical_tag(o.family, o.q)
+    report = i4_lower_bound(ClassicalFamily(tag=tag, q=o.q), o.b_j4, sharp_a=o.sharp_a)
+    if o.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
-        print(f"family {tag.value} (q={q}), weyl family {report.weyl_family.value}")
+        print(f"family {tag.value} (q={o.q}), weyl family {report.weyl_family.value}")
         print(f"s        = {float(report.s)!r} ({report.s})")
         print(f"b_J4     = {float(report.b_J4)!r} ({report.b_J4})")
         print(f"i4_lower = {float(report.i4_lower)!r} ({report.i4_lower})")
@@ -386,28 +375,25 @@ def cmd_bounds(args) -> int:
 
 # ------------------------------------------------------------ wiring
 
-def _add_config_flag(p) -> None:
-    p.add_argument("--config", help="key=value file whose keys mirror the flags; flags win")
+_MC = {"family": REQUIRED, "l": 4, "trials": 10000, "event": "J", "seed": 0, "threads": 1,
+       "confidence": 0.99, "format": "csv", "out": None}
 
-
-def _add_mc_flags(p, sweep_mode: bool) -> None:
-    if sweep_mode:
-        p.add_argument("--ns", help="comma-separated n values")
-    else:
-        p.add_argument("--n", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--family", help="Weyl family: A, B, C, D+, D-")
-    p.add_argument("--event", choices=EVENTS)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", help="64-bit master seed, decimal or 0x-hex")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--format", choices=("csv", "jsonl"))
-    p.add_argument("--out", help="output path (default stdout)")
-    if not sweep_mode:
-        p.add_argument("--gap-compat", dest="gap_compat", action="store_const", const=True,
-                       help="l=4, trials=100 defaults; print the bare proportion")
-    _add_config_flag(p)
+# name -> (command, help, {dest: default}); the dict order is the order
+# the options are resolved in, so it fixes which bad value is reported
+_COMMANDS = {
+    "sample": (cmd_sample, "draw cycle-type class labels",
+               {"n": REQUIRED, "family": REQUIRED, "count": 1, "seed": 0}),
+    "fixedsets": (cmd_fixedsets, "achievable proper fixed-set sizes of one cycle type",
+                  {"signed": False, "cycles": REQUIRED}),
+    "estimate": (cmd_estimate, "Monte Carlo estimate of one experiment",
+                 {"gap_compat": False, **_MC, "trials": None, "format": None, "n": REQUIRED}),
+    "sweep": (cmd_sweep, "Monte Carlo estimates over a list of n", {**_MC, "ns": REQUIRED}),
+    "exact": (cmd_exact, "exact small-n probability of an event (default J)",
+              {"n": REQUIRED, "l": 4, "family": REQUIRED, "event": "J"}),
+    "bounds": (cmd_bounds, "classical-group bound report / threshold solver",
+               {"family": REQUIRED, "b_j4": Fraction(1, 3), "solve_k": False, "sharp_a": False,
+                "json": False, "q": None}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -418,61 +404,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"invgen {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="draw cycle-type class labels")
-    p.add_argument("--n", type=int)
-    p.add_argument("--family", help="Weyl family: A, B, C, D+, D-")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", help="64-bit master seed, decimal or 0x-hex")
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("fixedsets", help="achievable proper fixed-set sizes of one cycle type")
-    p.add_argument("--cycles", help="cycle type, like 3,1 or 3+,1-")
-    p.add_argument("--signed", action="store_const", const=True)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_fixedsets)
-
-    p = sub.add_parser("estimate", help="Monte Carlo estimate of one experiment")
-    _add_mc_flags(p, sweep_mode=False)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("sweep", help="Monte Carlo estimates over a list of n")
-    _add_mc_flags(p, sweep_mode=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("exact", help="exact small-n probability of an event (default J)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--family", help="Weyl family: A, B, C, D+, D-")
-    p.add_argument("--event", choices=EVENTS)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("bounds", help="classical-group bound report / threshold solver")
-    p.add_argument("--family", help="classical family: SL, SU, Sp, SO, SO+, SO-")
-    p.add_argument("--q", type=int)
-    p.add_argument("--b-j4", dest="b_j4", help="Weyl-level bound b, fraction or decimal (default 1/3)")
-    p.add_argument("--solve-k", dest="solve_k", action="store_const", const=True)
-    p.add_argument("--sharp-a", dest="sharp_a", action="store_const", const=True)
-    p.add_argument("--json", action="store_const", const=True)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_bounds)
-
+    for name, (_, help_text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in defaults:
+            convert, help_text = _option(name, dest)
+            bare = {"action": "store_const", "const": "true"} if convert is _as_bool else {}
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text, **bare)
+        p.add_argument("--config", help="key=value file whose keys mirror the flags; flags win")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    func, _, defaults = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except (ValidationError, CapacityError) as exc:
+        return func(_options(args, defaults))
+    except (ValidationError, CapacityError, NoSolutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoSolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (NoSolutionError, OSError)) else 2

@@ -1,0 +1,42 @@
+"""Bad input to the bound layer raises ValidationError instead of an
+arithmetic error or a silent answer."""
+
+import pytest
+
+from invgen import ValidationError, solve_K4, solver_proportion
+from invgen.bounds import ClassicalTag as T
+
+
+@pytest.mark.parametrize(
+    "tag,q",
+    [
+        (T.SO_ODD_DIM, 1),  # was ZeroDivisionError
+        (T.SL, 0),  # was ZeroDivisionError
+        (T.SL, 2.5),  # was TypeError
+        (T.SL, True),  # was 0, as if q = 1
+        (T.SL, False),
+        (T.SL, -3),
+        (T.SL, "13"),
+    ],
+)
+def test_solver_proportion_rejects_q(tag, q):
+    with pytest.raises(ValidationError, match="q must be an integer >= 2"):
+        solver_proportion(tag, q)
+
+
+def test_solver_proportion_rejects_tag():
+    with pytest.raises(ValidationError, match="unknown classical family"):
+        solver_proportion("SL", 13)
+
+
+@pytest.mark.parametrize("b", [True, False])
+def test_solve_k4_rejects_bool_b(b):
+    # True was read as b = 1 and gave a threshold of 2
+    with pytest.raises(ValidationError, match="expected a number"):
+        solve_K4(T.SL, b)
+
+
+@pytest.mark.parametrize("b", [float("nan"), float("inf")])
+def test_solve_k4_rejects_non_finite_b(b):
+    with pytest.raises(ValidationError, match="cannot parse"):
+        solve_K4(T.SL, b)

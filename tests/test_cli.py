@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface (in-process, plus one subprocess smoke)."""
 
+import importlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import invgen
 from invgen import (
     ExperimentSpec,
     WeylFamily,
@@ -15,7 +19,7 @@ from invgen import (
     run,
     sweep_seed,
 )
-from invgen.cli import main
+from invgen.cli import _build_parser, main
 
 CSV_HEADER = "n,l,family,event,trials,successes,p_hat,ci_low,ci_high,seed"
 
@@ -162,6 +166,27 @@ class TestEstimate:
         expected = run(ExperimentSpec(100, 4, WeylFamily.B, "J", 100, 3))
         assert out == f"{expected.p_hat:.2f}\n"
 
+    def test_gap_compat_out(self, capsys, tmp_path):
+        path = tmp_path / "gap.txt"
+        code, out, _ = cli(
+            capsys, "estimate", "--n", "100", "--family", "B", "--gap-compat", "--seed", "3",
+            "--out", str(path),
+        )
+        assert (code, out) == (0, "")
+        expected = run(ExperimentSpec(100, 4, WeylFamily.B, "J", 100, 3))
+        assert path.read_text() == f"{expected.p_hat:.2f}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_gap_compat_rejects_format(self, capsys, tmp_path, fmt):
+        path = tmp_path / "gap.txt"
+        code, out, err = cli(
+            capsys, "estimate", "--n", "100", "--family", "B", "--gap-compat",
+            "--out", str(path), "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert "--format does not apply with --gap-compat" in err
+        assert not path.exists()
+
     def test_bad_trials(self, capsys):
         code, _, _ = cli(capsys, "estimate", "--n", "4", "--family", "A", "--trials", "-5")
         assert code == 2
@@ -250,9 +275,9 @@ class TestExact:
         assert "l must be a positive integer" in err
 
     def test_unknown_event(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["exact", "--n", "4", "--family", "B", "--event", "sorted"])
-        assert exc.value.code == 2
+        code, out, err = cli(capsys, "exact", "--n", "4", "--family", "B", "--event", "sorted")
+        assert (code, out) == (2, "")
+        assert "unknown event 'sorted'" in err
         cfg = tmp_path / "run.cfg"
         cfg.write_text("event=sorted\n")
         code, out, err = cli(capsys, "exact", "--n", "4", "--family", "B", "--config", str(cfg))
@@ -301,6 +326,15 @@ class TestBounds:
     def test_bad_b(self, capsys):
         code, _, _ = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "junk")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra,flag",
+        [(["--q", "13"], "--q"), (["--sharp-a"], "--sharp-a"), (["--sharp-a", "--q", "13"], "--q")],
+    )
+    def test_solve_k_rejects_report_flags(self, capsys, extra, flag):
+        code, out, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", *extra)
+        assert (code, out) == (2, "")
+        assert f"error: {flag} does not apply with --solve-k" in err
 
     def test_no_solution_exit_1(self, capsys):
         code, _, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "1e-30")
@@ -363,6 +397,79 @@ class TestConfigFile:
         assert code == 1 and "error:" in err
 
 
+# each subcommand's option dests; each is a --flag (dashes for
+# underscores) and a config key of the same name
+DESTS = {
+    "sample": {"n", "family", "count", "seed"},
+    "fixedsets": {"cycles", "signed"},
+    "estimate": {"n", "l", "family", "event", "trials", "seed", "threads", "confidence",
+                 "format", "out", "gap_compat"},
+    "sweep": {"ns", "l", "family", "event", "trials", "seed", "threads", "confidence",
+              "format", "out"},
+    "exact": {"n", "l", "family", "event"},
+    "bounds": {"family", "q", "b_j4", "solve_k", "sharp_a", "json"},
+}
+BOOL_DESTS = {"signed", "gap_compat", "solve_k", "sharp_a", "json"}
+# a valid, quick call of each subcommand
+BASE_OPTIONS = {
+    "sample": {"n": "3", "family": "A"},
+    "fixedsets": {"cycles": "3,1"},
+    "estimate": {"n": "3", "family": "A", "trials": "10"},
+    "sweep": {"ns": "2,3", "family": "A", "trials": "10"},
+    "exact": {"n": "3", "family": "B"},
+    "bounds": {"family": "SL", "q": "13"},
+}
+MALFORMED = {
+    "n": "x", "ns": "2,x", "l": "x", "family": "Z", "event": "sorted", "trials": "x",
+    "count": "x", "seed": "zz", "threads": "x", "confidence": "x", "format": "xml",
+    "cycles": "3,x", "q": "x", "b_j4": "junk",
+}
+
+
+def flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def base_argv(command, skip):
+    argv = [command]
+    for dest, value in BASE_OPTIONS[command].items():
+        if dest != skip:
+            argv += [flag(dest), value]
+    return argv
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(DESTS))
+    def test_dests(self, command):
+        args = _build_parser().parse_args([command])
+        assert set(vars(args)) - {"command", "config"} == DESTS[command]
+
+    @pytest.mark.parametrize(
+        "command,dest",
+        [(c, d) for c in sorted(DESTS) for d in sorted(DESTS[c] - BOOL_DESTS - {"out"})],
+    )
+    def test_malformed_flag_and_config_fail_alike(self, capsys, tmp_path, command, dest):
+        argv = base_argv(command, skip=dest)
+        via_flag = cli(capsys, *argv, flag(dest), MALFORMED[dest])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}={MALFORMED[dest]}\n")
+        via_config = cli(capsys, *argv, "--config", str(cfg))
+        assert via_flag == via_config
+        code, out, err = via_flag
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,dest", [(c, d) for c in sorted(DESTS) for d in sorted(DESTS[c] & BOOL_DESTS)]
+    )
+    def test_bool_config(self, capsys, tmp_path, command, dest):
+        # bool flags are bare; their config keys take yes/no words
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}=maybe\n")
+        code, out, err = cli(capsys, *base_argv(command, skip=dest), "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: bad boolean 'maybe'\n")
+
+
 class TestTopLevel:
     def test_no_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -373,6 +480,19 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("invgen ")
+
+    def test_console_script(self, capsys):
+        # the `invgen` command that pip installs; no tomllib before 3.11
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        match = re.search(r'^\[project\.scripts\]\n(?:[^\[].*\n)*?invgen = "([\w.]+):(\w+)"$',
+                          text, re.M)
+        assert match, "pyproject.toml declares no invgen console script"
+        target = getattr(importlib.import_module(match.group(1)), match.group(2))
+        assert callable(target)
+        with pytest.raises(SystemExit) as exc:
+            target(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"invgen {invgen.__version__}\n"
 
     def test_module_entrypoint(self):
         proc = subprocess.run(
