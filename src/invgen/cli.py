@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -174,7 +175,7 @@ _OPTIONS = {
     "trials": (_as_int, "Monte Carlo trials"),
     "count": (_as_int, "labels to draw"),
     "seed": (_parse_seed, "64-bit master seed, decimal or 0x-hex"),
-    "threads": (_as_int, "worker processes; the output does not depend on it"),
+    "threads": (_as_int, "worker processes, at most one per CPU; the output does not depend on it"),
     "confidence": (_as_float, "Wilson interval confidence"),
     "format": (_as_format, "csv or jsonl"),
     "out": (str, "output path (default stdout)"),
@@ -396,6 +397,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invgen",

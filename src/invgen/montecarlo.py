@@ -6,39 +6,38 @@ execution order cannot change it.  Trials may stop sampling as soon as the
 event outcome is determined (say, the running intersection went empty);
 that is safe for the same reason — no other trial reads this stream.
 
-With threads > 1, `run` splits the trials into deterministic chunks and
-maps them onto a process pool.  A `sweep` opens one pool, shares it across
-all its rows and shuts it down when it returns; a lone `run` opens its own.
+With threads > 1 each spec's trials are split into deterministic chunks,
+and the chunks of every row of a `sweep` (or of a lone `run`) go to one
+process pool at once, which is shut down before the call returns.
 
 Profiles are complement-symmetric: a subset of size k leaves one of size
 n-k, with sign sigma*e for a subset of sign e when the element's total sign
 is sigma.  So a trial keeps only sizes 1..n//2 of its running intersection,
 plus, for family B, a second (plus, minus) pair whose tracks are swapped
 for every element with sigma = -1; J holds iff every intersection is
-empty.  Above n = 16 each profile DP computes only the bits still alive in
-those intersections and skips every cycle longer than the top one.
+empty.  Each profile DP computes only the bits still alive in those
+intersections and skips every cycle longer than the top one.
 
 At n = 10^6 and l = 4 a trial costs about 0.2 ms for A and 0.5 ms for B,
 most of it in the profile DP (one core of a shared 2-vCPU VM, Python
-3.11).  At n <= 16 the profile masks repeat heavily and are memoized per
-cycle type.
+3.11).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import islice
 from statistics import NormalDist
 
 from .cycletypes import WeylFamily, signed_subset_masks, subset_sum_mask
-from .errors import InvgenError, ValidationError, check_positive_int
+from .errors import ValidationError, check_positive_int
 from .sampling import GOLDEN, M64, RngState, _sample_cycles, mix64
 
 EVENTS = ("J", "J_and_not_N", "N", "all_even", "all_positive")
 _UNSIGNED_EVENTS = ("J", "all_even")  # family A has no signs to speak of
-_CACHE_LIMIT = 16  # above this, cycle types almost never repeat
 
 
 def check_event(event: str, family: WeylFamily) -> None:
@@ -100,11 +99,14 @@ def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, flo
     return max(0.0, min(phat, center - half)), min(1.0, max(phat, center + half))
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
+def _z(confidence: float) -> float:
     if not 0 < confidence < 1:
         raise ValidationError(f"confidence must be in (0,1), got {confidence!r}")
-    z = NormalDist().inv_cdf((1 + confidence) / 2)
-    return wilson_interval_z(successes, trials, z)
+    return NormalDist().inv_cdf((1 + confidence) / 2)
+
+
+def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
+    return wilson_interval_z(successes, trials, _z(confidence))
 
 
 def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
@@ -125,8 +127,6 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     signed_profiles = family.signed_profiles
     j_event = event in ("J", "J_and_not_N")
     needs_mixed = event in ("J_and_not_N", "N")
-    use_cache = n <= _CACHE_LIMIT
-    cache: dict = {}
     low = (1 << (n // 2 + 1)) - 2
     # The swapped pair is needed only where total signs mix (B): A and C
     # keep one track, and within a D sector it is the plain pair or its mirror.
@@ -144,22 +144,12 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
                 first_sign = first_sign or total
                 mixed = mixed or total != first_sign
             if j_event:
+                keep = inter_p | inter_m | swap_p | swap_m
                 if signed_profiles:
-                    key = tuple(sorted(zip(lengths, signs)))
+                    plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
                 else:
                     lengths.sort()
-                    key = tuple(lengths)
-                masks = cache.get(key)
-                if masks is None:
-                    # a cached mask must serve any trial; a fresh one needs only the live bits
-                    keep = low if use_cache else inter_p | inter_m | swap_p | swap_m
-                    if signed_profiles:
-                        masks = signed_subset_masks(key, keep)
-                    else:
-                        masks = subset_sum_mask(key, keep), 0
-                    if use_cache:
-                        cache[key] = masks
-                plus, minus = masks
+                    plus, minus = subset_sum_mask(lengths, keep), 0
                 inter_p &= plus
                 inter_m &= minus
                 if total < 0:
@@ -179,40 +169,35 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     return successes
 
 
-def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99, *,
-        pool: ProcessPoolExecutor | None = None) -> Estimate:
+def _estimate(specs: list[ExperimentSpec], threads: int, confidence: float) -> list[Estimate]:
+    """Estimates of validated specs, in order.  With threads > 1 each spec
+    is cut into min(4 * threads, trials) chunks, every chunk of every spec
+    goes to one pool, and each spec sums its own chunks; the worker count
+    is capped by the CPUs and the chunks, and cannot change a count."""
+    z = _z(confidence)
+    if threads == 1:
+        counts = [_count_range(spec, 0, spec.trials) for spec in specs]
+    else:
+        sizes = [min(threads * 4, spec.trials) for spec in specs]
+        jobs = [(spec, i * spec.trials // k, (i + 1) * spec.trials // k)
+                for spec, k in zip(specs, sizes) for i in range(k)]
+        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1, len(jobs))) as pool:
+            done = pool.map(_count_range, *zip(*jobs))
+            counts = [sum(islice(done, k)) for k in sizes]
+    out = []
+    for spec, successes in zip(specs, counts):
+        ci_low, ci_high = wilson_interval_z(successes, spec.trials, z)
+        out.append(Estimate(spec, successes, successes / spec.trials, ci_low, ci_high, confidence))
+    return out
+
+
+def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99) -> Estimate:
     """Run all trials of a spec and return the estimate with its Wilson
     interval.  Identical output for every thread count: trials are chunked
-    deterministically and success counts add associatively.
-
-    With threads > 1 the chunks run on `pool` if one is given (the caller
-    owns it and shuts it down), else on a pool of `threads` workers opened
-    and closed by this call.  The pool only executes; it cannot change the
-    result."""
+    deterministically and success counts add associatively."""
     spec.validate()
     check_positive_int("threads", threads)
-    trials = spec.trials
-    if threads == 1:
-        successes = _count_range(spec, 0, trials)
-    else:
-        chunks = min(threads * 4, trials)
-        jobs = [(spec, i * trials // chunks, (i + 1) * trials // chunks) for i in range(chunks)]
-        with ProcessPoolExecutor(max_workers=threads) if pool is None else nullcontext(pool) as executor:
-            successes = sum(executor.map(_count_chunk, jobs))
-    ci_low, ci_high = wilson_interval(successes, trials, confidence)
-    return Estimate(
-        spec=spec,
-        successes=successes,
-        p_hat=successes / trials,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        confidence=confidence,
-    )
-
-
-def _count_chunk(job) -> int:
-    spec, start, stop = job
-    return _count_range(spec, start, stop)
+    return _estimate([spec], threads, confidence)[0]
 
 
 def sweep_seed(master_seed: int, index: int) -> int:
@@ -225,22 +210,21 @@ def sweep(specs, threads: int = 1, confidence: float = 0.99) -> list[Estimate]:
     """Run several specs with per-index derived master seeds, in order.
 
     Each returned Estimate carries the spec with its effective seed filled
-    in, so any row can be reproduced on its own with `run`.  With
-    threads > 1 every row runs on one shared pool of `threads` workers,
-    which is shut down before this returns or raises.
+    in, so any row can be reproduced on its own with `run`.  Every row is
+    validated before any trial runs; with threads > 1 all rows share one
+    pool, which is shut down before this returns or raises.
     """
     specs = list(specs)
     if not specs:
         raise ValidationError("sweep needs at least one spec")
     check_positive_int("threads", threads)
-    out = []
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for i, spec in enumerate(specs):
+    effective = []
+    for i, spec in enumerate(specs):
+        try:
             if not isinstance(spec, ExperimentSpec):
-                raise ValidationError(f"spec {i}: expected an ExperimentSpec, got {spec!r}")
-            effective = replace(spec, master_seed=sweep_seed(spec.master_seed, i))
-            try:
-                out.append(run(effective, threads=threads, confidence=confidence, pool=pool))
-            except InvgenError as exc:
-                raise type(exc)(f"spec {i}: {exc}") from exc
-    return out
+                raise ValidationError(f"expected an ExperimentSpec, got {spec!r}")
+            spec.validate()
+        except ValidationError as exc:
+            raise ValidationError(f"spec {i}: {exc}") from exc
+        effective.append(replace(spec, master_seed=sweep_seed(spec.master_seed, i)))
+    return _estimate(effective, threads, confidence)

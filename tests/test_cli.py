@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import invgen
+import invgen.montecarlo as montecarlo
 from invgen import (
     ExperimentSpec,
     WeylFamily,
@@ -143,6 +144,21 @@ class TestEstimate:
         one = cli(capsys, "estimate", "--n", "50", "--family", "B", "--trials", "400", "--threads", "1")
         two = cli(capsys, "estimate", "--n", "50", "--family", "B", "--trials", "400", "--threads", "2")
         assert one == two
+
+    def test_threads_beyond_cpus(self, capsys, in_process_pool):
+        # at most one worker per CPU and per chunk: 10 trials make 10 chunks
+        argv = ("estimate", "--n", "50", "--family", "B", "--trials", "10")
+        assert cli(capsys, *argv, "--threads", "100000") == cli(capsys, *argv, "--threads", "1")
+        assert len(in_process_pool) == 1 and 1 <= in_process_pool[0] <= 10
+
+    def test_bad_confidence_fails_before_any_row(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_count_range", never)
+        code, out, err = cli(capsys, "sweep", "--ns", "8,9", "--family", "A", "--confidence", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: confidence must be in (0,1), got 2.0\n"
 
     def test_event_flag(self, capsys):
         code, out, _ = cli(

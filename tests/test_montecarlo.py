@@ -120,7 +120,7 @@ class TestEngineMatchesDefinition:
         "family, event",
         [(A, "J"), (B, "J"), (C, "J"), (DP, "J"), (DM, "J"), (B, "J_and_not_N"), (C, "J_and_not_N")],
     )
-    @pytest.mark.parametrize("n", [3, 4, 17, 33, 1000])
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 17, 33, 1000])
     def test_trial_for_trial(self, family, event, n):
         for l in (1, 2, 3, 4):
             s = spec(n, l, family, event=event, trials=200, seed=n * 31 + l)
@@ -216,6 +216,7 @@ class TestValidation:
             pytest.param(lambda v: run(spec(4, v, A, trials=10)), id="spec.l"),
             pytest.param(lambda v: run(spec(4, 2, A, trials=v)), id="spec.trials"),
             pytest.param(lambda v: run(spec(4, 2, A, trials=10, seed=v)), id="spec.master_seed"),
+            pytest.param(lambda v: sweep([spec(4, 2, A, trials=10, seed=v)]), id="sweep.master_seed"),
             pytest.param(lambda v: run(spec(4, 2, A, trials=10), threads=v), id="threads"),
             pytest.param(lambda v: exact_prob_J(v, 2, A), id="exact_prob_J.n"),
             pytest.param(lambda v: exact_prob_J(3, v, A), id="exact_prob_J.l"),
@@ -228,6 +229,19 @@ class TestValidation:
         # bool is an int subclass: True must not run as 1, nor False as seed 0
         with pytest.raises(ValidationError):
             call(value)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("confidence", [0, 1])
+    def test_bad_confidence_rejected_before_any_trial(self, monkeypatch, confidence, threads):
+        def never(*args, **kwargs):
+            raise AssertionError("a trial or a pool started")
+
+        monkeypatch.setattr(montecarlo, "_count_range", never)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", never)
+        s = spec(4, 2, A, trials=10)
+        for call in (lambda: run(s, threads, confidence), lambda: sweep([s, s], threads, confidence)):
+            with pytest.raises(ValidationError, match=r"^confidence must be in \(0,1\)"):
+                call()
 
 
 class TestDeterminism:
@@ -307,10 +321,12 @@ class TestPoolLifetime:
         assert sweep(specs, threads=1) == pooled
         assert len(pools) == 1
 
-    def test_failed_row_shuts_pool_down(self):
+    def test_failed_row_shuts_pool_down(self, pools):
+        # every row is validated before a pool exists
         specs = [spec(6, 2, A, trials=200)] * 3 + [spec(0, 2, A, trials=200), spec(6, 2, A, trials=200)]
         with pytest.raises(ValidationError, match="spec 3:"):
             sweep(specs, threads=2)
+        assert pools == []
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", [0, True])
@@ -319,13 +335,16 @@ class TestPoolLifetime:
             sweep([spec(4, 2, A, trials=100)], threads=threads)
         assert pools == []
 
-    def test_run_on_given_pool(self):
-        s = spec(40, 4, B, trials=1_000)
-        serial = run(s, threads=1)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            # run leaves a pool it was given open for the next call
-            assert run(s, threads=2, pool=pool) == serial
-            assert run(s, threads=2, pool=pool) == serial
+    @pytest.mark.parametrize(
+        "cpus, threads, workers",
+        [(64, 100_000, [10, 30]), (3, 100_000, [3, 3]), (None, 8, [1, 1]), (64, 2, [2, 2])],
+    )
+    def test_workers_capped_by_cpus_and_chunks(self, in_process_pool, monkeypatch, cpus, threads, workers):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        s = spec(40, 4, B, trials=10)
+        assert run(s, threads=threads) == run(s)
+        assert sweep([s] * 3, threads=threads) == sweep([s] * 3)
+        assert in_process_pool == workers
 
 
 class TestLargeN:
