@@ -6,9 +6,10 @@ tests/test_golden.py pins.
 Each fixture is a text file of blocks.  A block starts with a `$ ` line
 naming what produced it (a CLI call, or a run of `next64` draws) and
 holds that call's exact stdout.  The cases cover every sampler, both
-Monte Carlo paths (profiles memoized at n <= 16, recomputed above), every
-event each family accepts, CSV and JSON-lines rendering, the exact
-oracles at small n, and the classical bound reports and threshold solver.
+Monte Carlo regimes (small n, where sampling dominates, and large n, where
+the profile DP does), every event each family accepts, CSV and JSON-lines
+rendering, the exact oracles at small n, and the classical bound reports
+and threshold solver.
 
 Regenerate only when a change is meant to alter output bytes; such a
 change also bumps the version and says so in CHANGES.md.
@@ -37,7 +38,7 @@ FAMILY_EVENTS = {
     "D+": ("J", "J_and_not_N", "N", "all_even", "all_positive"),
     "D-": ("J", "J_and_not_N", "N", "all_even", "all_positive"),
 }
-# trials per estimate row by n: the memoized path is cheap, n = 1000 is not
+# trials per estimate row by n: n <= 8 is cheap, n = 1000 is not
 ESTIMATE_TRIALS = {1: 200, 8: 2000, 1000: 200}
 CLASSICAL_TOKENS = ("SL", "SU", "Sp", "SO", "SO+", "SO-")
 
@@ -67,6 +68,17 @@ def _estimate_large_calls():
     for family in ("A", "B"):
         yield ["estimate", "--n", "100000", "--l", "4", "--family", family,
                "--trials", "20", "--seed", "0x5eed"]
+
+
+def _estimate_window_calls():
+    # n = 2*10^5 for every J / J_and_not_N family and l in {1, 2, 8}:
+    # large n, where the profile DP is most of a trial
+    rows = [(family, "J", 4) for family in ("C", "D+", "D-")]
+    rows += [(family, "J_and_not_N", 4) for family in ("B", "C")]
+    rows += [(family, "J", l) for family in ("A", "B") for l in (1, 2, 8)]
+    for family, event, l in rows:
+        yield ["estimate", "--n", "200000", "--l", str(l), "--family", family,
+               "--event", event, "--trials", "20", "--seed", "0x5eed2"]
 
 
 def _sweep_calls():
@@ -126,6 +138,7 @@ FIXTURES = {
     "fixedsets.txt": lambda: "".join(map(_run_cli, _fixedsets_calls())),
     "estimate.txt": lambda: "".join(map(_run_cli, _estimate_calls())),
     "estimate_large_n.txt": lambda: "".join(map(_run_cli, _estimate_large_calls())),
+    "estimate_window.txt": lambda: "".join(map(_run_cli, _estimate_window_calls())),
     "sweep.txt": lambda: "".join(map(_run_cli, _sweep_calls())),
     "exact.txt": lambda: "".join(map(_run_cli, _exact_calls())),
     "bounds.txt": lambda: "".join(map(_run_cli, _bounds_calls())),
