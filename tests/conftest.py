@@ -1,15 +1,16 @@
 """Fixtures shared by the test modules."""
 
-import pytest
+import concurrent.futures
 
-import invgen.montecarlo as montecarlo
+import pytest
 
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Replace montecarlo's process pool with one that runs `map` in this
-    process; returns the `max_workers` of every pool opened, in order.
-    Lets a test ask for any worker count without forking a single process."""
+    """Replace the process pool montecarlo opens with one that runs `map`
+    in this process; returns the `max_workers` of every pool opened, in
+    order.  Lets a test ask for any worker count without forking a single
+    process."""
     sizes = []
 
     class InProcessPool:
@@ -25,5 +26,5 @@ def in_process_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes

@@ -1,8 +1,10 @@
 """Monte Carlo estimates checked against the exact oracle and for determinism."""
 
+import concurrent.futures
 import math
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
 
 import pytest
 
@@ -93,8 +95,13 @@ class TestAgainstOracle:
 class TestEngineMatchesDefinition:
     """The engine's half-lattice intersections, alive-bits DP and early exit
     decide every trial as event_J/event_N do on the public samplers' full
-    profiles.  n = 17, 33 and 1000 take the uncached path; both parities
-    of n are covered, and B mixes total signs across a tuple."""
+    profiles.  Both parities of n are covered, and B mixes total signs
+    across a tuple.  The grid runs three ways: the one-pass loop every n
+    here takes by default; the window pass forced on by a cut-off of 1,
+    where only n = 1000 has sizes above the window; and a window of sizes
+    1..2, where every n >= 5 does."""
+
+    PAIRS = [(A, "J"), (B, "J"), (C, "J"), (DP, "J"), (DM, "J"), (B, "J_and_not_N"), (C, "J_and_not_N")]
 
     @staticmethod
     def definition(s, t):
@@ -116,16 +123,31 @@ class TestEngineMatchesDefinition:
             hit = hit and not event_N(types)
         return hit
 
+    def check(self, n, ls, family, event, trials):
+        for l in ls:
+            s = spec(n, l, family, event=event, trials=trials, seed=n * 31 + l)
+            got = [montecarlo._count_range(s, t, t + 1) for t in range(trials)]
+            assert got == [int(self.definition(s, t)) for t in range(trials)], (n, l)
+
     @pytest.mark.parametrize(
-        "family, event",
-        [(A, "J"), (B, "J"), (C, "J"), (DP, "J"), (DM, "J"), (B, "J_and_not_N"), (C, "J_and_not_N")],
+        "cutoff, window",
+        [
+            pytest.param(montecarlo._WINDOW_CUTOFF, montecarlo._WINDOW, id="one-pass"),
+            pytest.param(1, montecarlo._WINDOW, id="window"),
+            pytest.param(1, 2, id="narrow-window"),
+        ],
     )
+    @pytest.mark.parametrize("family, event", PAIRS)
     @pytest.mark.parametrize("n", [3, 4, 8, 16, 17, 33, 1000])
-    def test_trial_for_trial(self, family, event, n):
-        for l in (1, 2, 3, 4):
-            s = spec(n, l, family, event=event, trials=200, seed=n * 31 + l)
-            got = [montecarlo._count_range(s, t, t + 1) for t in range(200)]
-            assert got == [int(self.definition(s, t)) for t in range(200)], (n, l)
+    def test_trial_for_trial(self, monkeypatch, cutoff, window, family, event, n):
+        monkeypatch.setattr(montecarlo, "_WINDOW_CUTOFF", cutoff)
+        monkeypatch.setattr(montecarlo, "_WINDOW", window)
+        self.check(n, (1, 2, 3, 4, 8), family, event, 200)
+
+    @pytest.mark.parametrize("family, event", PAIRS)
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_at_the_cutoff(self, family, event, offset):
+        self.check(montecarlo._WINDOW_CUTOFF + offset, (1, 2, 4), family, event, 4)
 
 
 class TestWilson:
@@ -237,7 +259,7 @@ class TestValidation:
             raise AssertionError("a trial or a pool started")
 
         monkeypatch.setattr(montecarlo, "_count_range", never)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         s = spec(4, 2, A, trials=10)
         for call in (lambda: run(s, threads, confidence), lambda: sweep([s, s], threads, confidence)):
             with pytest.raises(ValidationError, match=r"^confidence must be in \(0,1\)"):
@@ -306,12 +328,12 @@ class TestPoolLifetime:
         """Every process pool montecarlo builds, in order."""
         built = []
 
-        class CountingPool(ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         return built
 
     def test_sweep_shares_one_pool(self, pools):
@@ -345,6 +367,12 @@ class TestPoolLifetime:
         assert run(s, threads=threads) == run(s)
         assert sweep([s] * 3, threads=threads) == sweep([s] * 3)
         assert in_process_pool == workers
+
+    def test_import_leaves_multiprocessing_out(self):
+        # the pool module is imported only when a run asks for threads > 1
+        code = "import sys, invgen.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestLargeN:
