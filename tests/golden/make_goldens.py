@@ -94,11 +94,17 @@ def _sweep_calls():
 
 
 def _exact_calls():
-    for family in ("A", "B", "C", "D+"):
+    for family in ("A", "B", "C", "D+", "D-"):
         for n in range(1, 7):
             for event in FAMILY_EVENTS[family]:
                 yield ["exact", "--n", str(n), "--l", "3", "--family", family, "--event", event]
         yield ["exact", "--n", "6", "--family", family]
+    # near the top of each table
+    rows = [("A", 20, "J"), ("C", 20, "J")]
+    rows += [(family, 9, "J") for family in ("B", "D+", "D-")]
+    rows += [(family, 9, "J_and_not_N") for family in ("B", "C")]
+    for family, n, event in rows:
+        yield ["exact", "--n", str(n), "--l", "4", "--family", family, "--event", event]
 
 
 def _bounds_calls():
