@@ -2,10 +2,13 @@
 
 Enumerates conjugacy classes with their exact probabilities and computes
 Prob(J^l) two independent ways: the law of the running AND of l profile
-masks (J holds iff that AND is empty), kept as a sparse map from the
-states that occur to integer weights, and a direct sum over all l-tuples
-of class profiles.  Everything is a Fraction or an integer; no floating
-point enters this module.
+masks (J holds iff that AND is empty), and a direct sum over all l-tuples
+of class profiles.  One mask law serves every oracle call: class
+probabilities summed by profile mask, where a mask is the achievable
+sizes, or plus | minus << n for (size, sign) pairs.  The running AND
+starts from the all-ones state -1 and keeps only the states that occur,
+with integer weights; no lattice of all masks is ever built.  Everything
+is a Fraction or an integer; no floating point enters this module.
 
 Capacity: n <= 28 for the unsigned profiles of A and C, n <= 11 wherever
 the signed class table is enumerated (B, D+, D-, and the sign-reading
@@ -23,7 +26,6 @@ from math import factorial, lcm
 from .cycletypes import (
     Partition,
     SignedCycleType,
-    SizeProfile,
     WeylFamily,
     all_cycles_even,
     all_cycles_positive,
@@ -52,9 +54,14 @@ class ClassTable:
     entries: tuple[tuple[object, Fraction], ...]
 
 
-def _check_capacity(n: int, family: WeylFamily, signed: bool) -> None:
-    """`signed`: the work enumerates the signed class table or signed profiles."""
+def _check_capacity(n: int, family: WeylFamily, labels: bool = False) -> None:
+    """Validate family and n.  The signed cap applies when the work
+    enumerates the family's signed class table (`labels`) or its J reads
+    signed profiles."""
+    if not isinstance(family, WeylFamily):
+        raise ValidationError(f"family must be a WeylFamily, got {family!r}")
     check_positive_int("n", n)
+    signed = family.signed_labels if labels else family.signed_profiles
     limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
     if n > limit:
         raise CapacityError(
@@ -112,7 +119,7 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     probabilities doubled; each sector carrying exactly half the mass is a
     theorem (flip the sign of any one designated cycle), asserted here.
     """
-    _check_capacity(n, family, family.signed_labels)
+    _check_capacity(n, family, labels=True)
     if family is WeylFamily.A:
         entries = [
             (Partition(n=n, parts=parts), _partition_prob(parts)) for parts in _partitions(n)
@@ -130,53 +137,39 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     return ClassTable(n=n, family=family, entries=tuple(entries))
 
 
-def _combined_mask(profile) -> int:
-    """Pack a profile into one lattice point: unsigned sizes use bits
-    0..n-2; signed profiles put plus sizes there and minus sizes above."""
-    if isinstance(profile, SizeProfile):
-        return profile.achievable >> 1
-    return (profile.plus >> 1) | ((profile.minus >> 1) << (profile.n - 1))
+def _law(entries, signed_profiles: bool) -> dict[int, Fraction]:
+    """Class probabilities summed by profile mask: the achievable sizes
+    (of the projection, for signed labels), or plus | minus << n when the
+    event reads (size, sign) pairs, so that one AND intersects both."""
+    law: dict[int, Fraction] = {}
+    for label, p in entries:
+        if signed_profiles:
+            prof = signed_fixed_sets(label)
+            mask = prof.plus | prof.minus << label.n
+        else:
+            mask = fixed_sizes(label if isinstance(label, Partition) else project(label)).achievable
+        law[mask] = law.get(mask, 0) + p
+    return law
 
 
-def _masses(n: int, family: WeylFamily) -> tuple[dict[int, Fraction], int]:
-    """Aggregate class probabilities by distinct profile mask.
-    Returns (mask -> probability, lattice bit count)."""
-    if family.signed_profiles:
-        table = enumerate_classes(n, family)
-        univ = 2 * (n - 1)
-        masses: dict[int, Fraction] = {}
-        for label, p in table.entries:
-            mask = _combined_mask(signed_fixed_sets(label))
-            masses[mask] = masses.get(mask, Fraction(0)) + p
-        return masses, univ
-    # Families A and C: the J event only reads plain sizes, and the uniform
-    # signed measure projects to the uniform S_n class measure, so both use
-    # the partition table (this keeps C at the unsigned capacity).
-    table = enumerate_classes(n, WeylFamily.A)
-    masses = {}
-    for label, p in table.entries:
-        mask = _combined_mask(fixed_sizes(label))
-        masses[mask] = masses.get(mask, Fraction(0)) + p
-    return masses, n - 1
-
-
-def _prob_empty_and(masses: dict[int, Fraction], univ: int, l: int) -> Fraction:
+def _prob_empty_and(masses: dict[int, Fraction], l: int) -> Fraction:
     """Prob(the AND of l independent profile masks is empty), for masks
     drawn from `masses` (whose total may be below 1: a sign sector).
 
     Tracks the law of the running AND as a sparse dict state -> weight, in
-    integers over the lcm denominator.  A state that reaches 0 stays 0, so
+    integers over the lcm denominator, starting from the all-ones state -1
+    (which ANDs to each mask itself).  A state that reaches 0 stays 0, so
     its weight leaves the dict and only gains a factor W (the total weight)
     per later draw; the last draw just sums the weights of masks disjoint
-    from each surviving state.  Only states that occur are kept, never the
-    2^univ lattice.
+    from each surviving state.  Only states that occur are kept, so no
+    mask width enters.
     """
     den = 1
     for f in masses.values():
         den = lcm(den, f.denominator)
     weights = [(mask, f.numerator * (den // f.denominator)) for mask, f in masses.items()]
     total_weight = sum(w for _, w in weights)
-    state = {(1 << univ) - 1: 1}
+    state = {-1: 1}
     empty = 0
     for _ in range(l - 1):
         empty *= total_weight
@@ -198,10 +191,13 @@ def _prob_empty_and(masses: dict[int, Fraction], univ: int, l: int) -> Fraction:
 def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
     """Exact Prob(J^l): l independent uniform elements share no achievable
     proper size (families A, C) or (size, sign) pair (families B, D)."""
-    _check_capacity(n, family, family.signed_profiles)
+    _check_capacity(n, family)
     check_positive_int("l", l)
-    masses, univ = _masses(n, family)
-    return _prob_empty_and(masses, univ, l)
+    # A and C's J reads only plain sizes, and the uniform signed law projects
+    # to the uniform S_n class law, so both use the partition table (this
+    # keeps C at the unsigned capacity).
+    table = enumerate_classes(n, family if family.signed_profiles else WeylFamily.A)
+    return _prob_empty_and(_law(table.entries, family.signed_profiles), l)
 
 
 def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
@@ -220,16 +216,16 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
         table = enumerate_classes(n, WeylFamily.B)
         profiles = [(fixed_sizes(project(label)), p) for label, p in table.entries]
     else:
-        _check_capacity(n, family, family.signed_profiles)
+        _check_capacity(n, family)
         table = enumerate_classes(n, family)
         if family.signed_profiles:
             profiles = [(signed_fixed_sets(label), p) for label, p in table.entries]
         else:
             profiles = [(fixed_sizes(label), p) for label, p in table.entries]
     # group identical profiles, keeping one representative object
-    grouped: dict[int, list] = {}
+    grouped: dict[object, list] = {}
     for prof, p in profiles:
-        key = _combined_mask(prof)
+        key = (prof.plus, prof.minus) if family.signed_profiles else prof.achievable
         if key in grouped:
             grouped[key][1] += p
         else:
@@ -257,14 +253,14 @@ def exact_prob_predicate(
     which gives 2^(1-l) for B and C and 1 for the D sectors (vacuously
     same-signed).  l is required for same_sign and rejected otherwise.
     """
-    _check_capacity(n, family, family.signed_profiles)
+    _check_capacity(n, family)
     if predicate in ("all_even", "all_positive") and l is not None:
         raise ValidationError(
             f"{predicate} is a single-element mass; l applies only to same_sign"
         )
     if predicate == "all_even":
         # Only cycle lengths matter, and the uniform signed law of B and C
-        # projects to the uniform S_n law (as in `_masses`), so only the D
+        # projects to the uniform S_n law (as in `exact_prob_J`), so only the D
         # sectors need their signed table.
         if family.sector_sign is None:
             entries = enumerate_classes(n, WeylFamily.A).entries
@@ -301,25 +297,15 @@ def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
     Prob(J and not N) = Prob(J) - sum_e Prob(J and all signs e).  Needs the
     signed table even for family C, hence the signed capacity applies.
     """
+    _check_capacity(n, family, labels=True)
     if not family.signed_labels:
         raise ValidationError("J_and_not_N needs a signed family (B, C, D+, D-)")
     check_positive_int("l", l)
-    _check_capacity(n, family, True)
     if family.sector_sign is not None:
         return Fraction(0)  # within a sector all signs agree, N always holds
-    table = enumerate_classes(n, family)
+    entries = enumerate_classes(n, family).entries
     signed = family.signed_profiles
-    univ = 2 * (n - 1) if signed else n - 1
-    total_masses: dict[int, Fraction] = {}
-    sector_masses = {1: {}, -1: {}}
-    for label, p in table.entries:
-        prof = signed_fixed_sets(label) if signed else fixed_sizes(project(label))
-        mask = _combined_mask(prof)
-        total_masses[mask] = total_masses.get(mask, Fraction(0)) + p
-        sec = sector_masses[label.total_sign]
-        sec[mask] = sec.get(mask, Fraction(0)) + p
-    p_j = _prob_empty_and(total_masses, univ, l)
-    p_j_and_n = sum(
-        (_prob_empty_and(sector_masses[e], univ, l) for e in (1, -1)), Fraction(0)
-    )
-    return p_j - p_j_and_n
+    # the table's law is the sum of its sector laws: each label is profiled once
+    plus, minus = (_law([(s, p) for s, p in entries if s.total_sign == e], signed) for e in (1, -1))
+    total = {mask: plus.get(mask, 0) + minus.get(mask, 0) for mask in plus.keys() | minus.keys()}
+    return _prob_empty_and(total, l) - _prob_empty_and(plus, l) - _prob_empty_and(minus, l)

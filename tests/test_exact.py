@@ -31,11 +31,12 @@ DP, DM = WeylFamily.D_PLUS, WeylFamily.D_MINUS
 F = Fraction
 
 
-def dense_inclusion_exclusion(masses, univ, l):
+def dense_inclusion_exclusion(masses, l):
     """Reference for `exact._prob_empty_and`: Prob(no common lattice point
     among l draws) = sum_K (-1)^|K| q_K^l with q_K = Prob(one profile
     covers K), by a dense superset-sum zeta transform over all 2^univ
-    lattice points in integer arithmetic."""
+    lattice points in integer arithmetic; univ is the widest mask's width."""
+    univ = max(mask.bit_length() for mask in masses)
     den = 1
     for f in masses.values():
         den = lcm(den, f.denominator)
@@ -60,13 +61,8 @@ def dense_inclusion_exclusion(masses, univ, l):
 def sector_masses(n, family, sign):
     """Masks of the sign-`sign` half of the B/C table, unscaled (total 1/2):
     the input `exact_prob_J_and_not_N` hands the oracle."""
-    out = {}
-    for label, p in enumerate_classes(n, B).entries:
-        if label.total_sign == sign:
-            prof = signed_fixed_sets(label) if family is B else fixed_sizes(project(label))
-            mask = exact._combined_mask(prof)
-            out[mask] = out.get(mask, F(0)) + p
-    return out
+    half = [(label, p) for label, p in enumerate_classes(n, B).entries if label.total_sign == sign]
+    return exact._law(half, family is B)
 
 
 class TestClassTables:
@@ -161,6 +157,23 @@ class TestExactJ:
         assert 0 < value < 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_prob_J(4, 2, "A"),
+        lambda: enumerate_classes(4, "B"),
+        lambda: exact_prob_predicate(4, "A", "all_even"),
+        lambda: exact_prob_J_and_not_N(4, 2, "B"),
+        lambda: exact_prob_J_bruteforce(4, 2, "C"),
+    ],
+    ids=["J", "classes", "predicate", "J_and_not_N", "bruteforce"],
+)
+def test_family_must_be_a_weyl_family(call):
+    # a family token used to fail with AttributeError on a str
+    with pytest.raises(ValidationError, match="family must be a WeylFamily, got '[ABC]'"):
+        call()
+
+
 class TestSparseMatchesDense:
     """The running-AND law equals the dense zeta transform it replaced."""
 
@@ -169,23 +182,20 @@ class TestSparseMatchesDense:
         [(A, n) for n in range(1, 15)] + [(f, n) for f in (B, DP, DM) for n in range(1, 8)],
     )
     def test_full_masses(self, family, n):
-        masses, univ = exact._masses(n, family)
+        masses = exact._law(enumerate_classes(n, family).entries, family.signed_profiles)
         for l in (1, 2, 3, 4):
-            assert exact._prob_empty_and(masses, univ, l) == dense_inclusion_exclusion(
-                masses, univ, l
-            ), l
+            assert exact._prob_empty_and(masses, l) == dense_inclusion_exclusion(masses, l), l
 
     @pytest.mark.parametrize("family", [B, C])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sector_masses(self, family, n):
         # total weight 1/2: draws after the AND went empty still stay in the sector
-        univ = 2 * (n - 1) if family is B else n - 1
         for sign in (1, -1):
             masses = sector_masses(n, family, sign)
             assert sum(masses.values()) == F(1, 2)
             for l in (1, 2, 3, 4):
-                assert exact._prob_empty_and(masses, univ, l) == dense_inclusion_exclusion(
-                    masses, univ, l
+                assert exact._prob_empty_and(masses, l) == dense_inclusion_exclusion(
+                    masses, l
                 ), (sign, l)
 
 

@@ -181,6 +181,12 @@ class TestWilson:
             with pytest.raises(ValidationError):
                 call()
 
+    @pytest.mark.parametrize("z", [-1.0, 0, 0.0, float("nan"), float("inf"), True, "2"])
+    def test_z_validated(self, z):
+        # -1.0 and nan used to return the zero-width "interval" (0.3, 0.3)
+        with pytest.raises(ValidationError, match="z must be"):
+            wilson_interval_z(3, 10, z)
+
     def test_narrows_with_trials(self):
         w1 = wilson_interval_z(500, 1_000, 3.0)
         w2 = wilson_interval_z(5_000, 10_000, 3.0)
