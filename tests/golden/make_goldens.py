@@ -118,6 +118,8 @@ def _bounds_calls():
     yield ["bounds", "--family", "Sp", "--q", "9", "--json", "--b-j4", "0.4"]
     yield ["bounds", "--family", "SO", "--solve-k", "--b-j4", "1/2"]
     yield ["bounds", "--family", "Sp", "--solve-k", "--json", "--b-j4", "2/3"]
+    for token in ("SU", "Sp", "SO+", "SO-"):
+        yield ["bounds", "--family", token, "--q", "13", "--sharp-a"]
 
 
 def _run_cli(argv) -> str:

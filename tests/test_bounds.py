@@ -44,9 +44,10 @@ class TestWeylFamilyOf:
         assert weyl_family_of(tag) is expected
         assert weyl_family_of(fam(tag, 9 if tag is not T.SP_EVEN_Q else 8)) is expected
 
-    def test_unknown(self):
-        with pytest.raises(ValidationError):
-            weyl_family_of("SL")
+    @pytest.mark.parametrize("tag", ["SL", None])
+    def test_unknown(self, tag):
+        with pytest.raises(ValidationError, match="unknown classical family"):
+            weyl_family_of(tag)
 
 
 class TestSeparableProportion:
@@ -136,10 +137,25 @@ class TestI4:
         sharp = i4_lower_bound(fam(T.SL, 13), F(1, 3), sharp_a=True).i4_lower
         assert sharp - plain == F(1, 3) / 8
 
-    @pytest.mark.parametrize("tag,q", [(T.SP_EVEN_Q, 8), (T.SO_ODD_DIM, 9)])
-    def test_sharp_a_unavailable(self, tag, q):
-        with pytest.raises(ValidationError):
-            i4_lower_bound(fam(tag, q), F(1, 3), sharp_a=True)
+    @pytest.mark.parametrize(
+        "tag,q,available",
+        [
+            (T.SL, 13, True),
+            (T.SU, 13, True),
+            (T.SP_ODD_Q, 13, True),
+            (T.SP_EVEN_Q, 8, False),
+            (T.SO_ODD_DIM, 9, False),
+            (T.SO_EVEN_DIM_PLUS, 13, True),
+            (T.SO_EVEN_DIM_MINUS, 13, True),
+        ],
+    )
+    def test_sharp_a_unavailable(self, tag, q, available):
+        if not available:
+            with pytest.raises(ValidationError):
+                i4_lower_bound(fam(tag, q), F(1, 3), sharp_a=True)
+            return
+        rep = i4_lower_bound(fam(tag, q), F(1, 3), sharp_a=True)
+        assert rep.i4_lower == F(1, 3) - (1 - rep.s**4)
 
     def test_b_validated(self):
         with pytest.raises(ValidationError):
