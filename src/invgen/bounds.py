@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cycletypes import WeylFamily
 from .errors import NoSolutionError, ValidationError
@@ -33,25 +34,30 @@ class ClassicalTag(Enum):
     SO_EVEN_DIM_MINUS = "SO_even_dim_minus"
 
 
-_SO_TAGS = (ClassicalTag.SO_ODD_DIM, ClassicalTag.SO_EVEN_DIM_PLUS, ClassicalTag.SO_EVEN_DIM_MINUS)
-# The sharp variant (factor 1 instead of 7/8, no same-sign correction) is
-# only available where the underlying inequality holds without the N event.
-_SHARP_A_TAGS = (
-    ClassicalTag.SL,
-    ClassicalTag.SU,
-    ClassicalTag.SP_ODD_Q,
-    ClassicalTag.SO_EVEN_DIM_PLUS,
-    ClassicalTag.SO_EVEN_DIM_MINUS,
-)
+class _Row(NamedTuple):
+    """What a classical tag means to the bound chain.  The separable
+    proportion is s = 1 - first/q + rescue/q^2; for the orthogonal groups
+    (Weyl family B, D+ or D-) that row holds for even q, and at odd q they
+    share an explicit lower bound, which is never truncated.  `sharp` says
+    whether the sharp variant (factor 1 instead of 7/8, no same-sign
+    correction) is available: the underlying inequality must hold without
+    the N event."""
 
-_WEYL_OF = {
-    ClassicalTag.SL: WeylFamily.A,
-    ClassicalTag.SU: WeylFamily.A,
-    ClassicalTag.SP_ODD_Q: WeylFamily.C,
-    ClassicalTag.SP_EVEN_Q: WeylFamily.C,
-    ClassicalTag.SO_ODD_DIM: WeylFamily.B,
-    ClassicalTag.SO_EVEN_DIM_PLUS: WeylFamily.D_PLUS,
-    ClassicalTag.SO_EVEN_DIM_MINUS: WeylFamily.D_MINUS,
+    weyl: WeylFamily
+    parity: int | None  # the q % 2 the tag requires, if any
+    first: int
+    rescue: int
+    sharp: bool
+
+
+_ROWS = {
+    ClassicalTag.SL: _Row(WeylFamily.A, None, 1, 0, True),
+    ClassicalTag.SU: _Row(WeylFamily.A, None, 1, 0, True),
+    ClassicalTag.SP_ODD_Q: _Row(WeylFamily.C, 1, 3, 5, True),
+    ClassicalTag.SP_EVEN_Q: _Row(WeylFamily.C, 0, 2, 2, False),
+    ClassicalTag.SO_ODD_DIM: _Row(WeylFamily.B, None, 2, 2, False),
+    ClassicalTag.SO_EVEN_DIM_PLUS: _Row(WeylFamily.D_PLUS, None, 2, 2, True),
+    ClassicalTag.SO_EVEN_DIM_MINUS: _Row(WeylFamily.D_MINUS, None, 2, 2, True),
 }
 
 
@@ -90,23 +96,23 @@ def _check_q(q) -> None:
         raise ValidationError(f"q must be an integer >= 2, got {q!r}")
 
 
-def _validate(f: ClassicalFamily) -> None:
-    if not isinstance(f.tag, ClassicalTag):
-        raise ValidationError(f"unknown classical family {f.tag!r}")
+def _row(tag) -> _Row:
+    if not isinstance(tag, ClassicalTag):
+        raise ValidationError(f"unknown classical family {tag!r}")
+    return _ROWS[tag]
+
+
+def _validate(f: ClassicalFamily) -> _Row:
+    row = _row(f.tag)
     _check_q(f.q)
-    if f.tag is ClassicalTag.SP_ODD_Q and f.q % 2 == 0:
-        raise ValidationError(f"{f.tag.value} needs odd q, got {f.q}")
-    if f.tag is ClassicalTag.SP_EVEN_Q and f.q % 2 == 1:
-        raise ValidationError(f"{f.tag.value} needs even q, got {f.q}")
+    if row.parity is not None and f.q % 2 != row.parity:
+        raise ValidationError(f"{f.tag.value} needs {('even', 'odd')[row.parity]} q, got {f.q}")
+    return row
 
 
 def weyl_family_of(f) -> WeylFamily:
     """The Weyl family whose class statistics govern a classical family."""
-    tag = f.tag if isinstance(f, ClassicalFamily) else f
-    try:
-        return _WEYL_OF[tag]
-    except KeyError:
-        raise ValidationError(f"unknown classical family {tag!r}") from None
+    return _row(f.tag if isinstance(f, ClassicalFamily) else f).weyl
 
 
 def _as_fraction(x) -> Fraction:
@@ -118,25 +124,10 @@ def _as_fraction(x) -> Fraction:
         raise ValidationError(f"cannot parse {x!r} as a fraction") from None
 
 
-# tag -> (first-order term a, 1/q^2 rescue term c): s = 1 - a/q + c/q^2.
-# The SO rows hold for even q; at odd q SO has an explicit lower bound,
-# which is never truncated.
-_PROPORTION = {
-    ClassicalTag.SL: (1, 0),
-    ClassicalTag.SU: (1, 0),
-    ClassicalTag.SP_ODD_Q: (3, 5),
-    ClassicalTag.SP_EVEN_Q: (2, 2),
-    ClassicalTag.SO_ODD_DIM: (2, 2),
-    ClassicalTag.SO_EVEN_DIM_PLUS: (2, 2),
-    ClassicalTag.SO_EVEN_DIM_MINUS: (2, 2),
-}
-
-
-def _proportion(tag: ClassicalTag, q: int, conservative: bool, so_odd_row: bool) -> Fraction:
-    if tag in _SO_TAGS and so_odd_row:
+def _proportion(row: _Row, q: int, conservative: bool, odd_q: bool) -> Fraction:
+    if odd_q and row.weyl in (WeylFamily.B, WeylFamily.D_PLUS, WeylFamily.D_MINUS):
         return 1 - Fraction(2, q - 1) - Fraction(1, (q - 1) ** 2)
-    first, rescue = _PROPORTION[tag]
-    return 1 - Fraction(first, q) + (0 if conservative else Fraction(rescue, q * q))
+    return 1 - Fraction(row.first, q) + (0 if conservative else Fraction(row.rescue, q * q))
 
 
 def separable_proportion(f: ClassicalFamily, conservative: bool = False) -> Fraction:
@@ -146,8 +137,7 @@ def separable_proportion(f: ClassicalFamily, conservative: bool = False) -> Frac
     (sign-safe truncation).  The SO odd-q row is already an explicit lower
     bound and is never truncated.
     """
-    _validate(f)
-    s = _proportion(f.tag, f.q, conservative, so_odd_row=f.q % 2 == 1)
+    s = _proportion(_validate(f), f.q, conservative, odd_q=f.q % 2 == 1)
     if s < 0:
         warnings.warn(
             f"separable proportion for {f.tag.value} at q={f.q} is negative; clamped to 0",
@@ -163,10 +153,9 @@ def solver_proportion(tag: ClassicalTag, q: int) -> Fraction:
     at 0.  The solver scans every integer q, so SO tags use the odd-q bound
     (the weaker of the two parities, matching the single table row they
     share) at every q, and Sp tags skip their parity check."""
-    if not isinstance(tag, ClassicalTag):
-        raise ValidationError(f"unknown classical family {tag!r}")
+    row = _row(tag)
     _check_q(q)
-    return max(_proportion(tag, q, conservative=True, so_odd_row=True), Fraction(0))
+    return max(_proportion(row, q, conservative=True, odd_q=True), Fraction(0))
 
 
 def i4_lower_bound(
@@ -175,11 +164,11 @@ def i4_lower_bound(
     """Lower bound on the probability that four random elements invariably
     generate: factor * b - (1 - s^4), factor 7/8 by default.  Not clamped;
     a non-positive value means no conclusion at this q."""
-    _validate(f)
+    row = _validate(f)
     b = _as_fraction(b_J4)
     if not 0 <= b <= 1:
         raise ValidationError(f"b_J4 must be in [0,1], got {b}")
-    if sharp_a and f.tag not in _SHARP_A_TAGS:
+    if sharp_a and not row.sharp:
         raise ValidationError(
             f"the sharp variant is unavailable for {f.tag.value}; "
             "it needs the same-sign correction"
@@ -187,9 +176,7 @@ def i4_lower_bound(
     s = separable_proportion(f, conservative=conservative)
     factor = Fraction(1) if sharp_a else Fraction(7, 8)
     i4 = factor * b - (1 - s**4)
-    return BoundReport(
-        family=f, s=s, b_J4=b, l=4, i4_lower=i4, weyl_family=weyl_family_of(f)
-    )
+    return BoundReport(family=f, s=s, b_J4=b, l=4, i4_lower=i4, weyl_family=row.weyl)
 
 
 def i3_upper_bound(f: ClassicalFamily, j3) -> Fraction:

@@ -57,6 +57,11 @@ class WeylFamily(Enum):
 _FAMILY_TOKENS = {f.value: f for f in WeylFamily}
 
 
+def _check_family(family) -> None:
+    if not isinstance(family, WeylFamily):
+        raise ValidationError(f"family must be a WeylFamily, got {family!r}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Multiset of positive cycle lengths summing to n, stored non-increasing."""
@@ -192,6 +197,7 @@ def signed_fixed_sets(s: SignedCycleType) -> SignedSizeProfile:
 def event_J(profiles, family: WeylFamily) -> bool:
     """True iff the sampled elements admit no common achievable proper
     fixed-set size (families A, C) or (size, sign) pair (families B, D)."""
+    _check_family(family)
     if not profiles:
         raise ValidationError("event_J needs at least one profile")
     n = profiles[0].n

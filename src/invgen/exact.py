@@ -27,6 +27,7 @@ from .cycletypes import (
     Partition,
     SignedCycleType,
     WeylFamily,
+    _check_family,
     all_cycles_even,
     all_cycles_positive,
     event_J,
@@ -58,8 +59,7 @@ def _check_capacity(n: int, family: WeylFamily, labels: bool = False) -> None:
     """Validate family and n.  The signed cap applies when the work
     enumerates the family's signed class table (`labels`) or its J reads
     signed profiles."""
-    if not isinstance(family, WeylFamily):
-        raise ValidationError(f"family must be a WeylFamily, got {family!r}")
+    _check_family(family)
     check_positive_int("n", n)
     signed = family.signed_labels if labels else family.signed_profiles
     limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
@@ -208,15 +208,11 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
     Exponential in l; meant for n <= 6, l <= 3 cross-checks.
     """
     check_positive_int("l", l)
+    _check_capacity(n, family, labels=True)
     if family is WeylFamily.C:
-        if n > SIGNED_LIMIT:
-            raise CapacityError(
-                f"brute force for family C projects the signed table, n <= {SIGNED_LIMIT} (got {n})"
-            )
         table = enumerate_classes(n, WeylFamily.B)
         profiles = [(fixed_sizes(project(label)), p) for label, p in table.entries]
     else:
-        _check_capacity(n, family)
         table = enumerate_classes(n, family)
         if family.signed_profiles:
             profiles = [(signed_fixed_sets(label), p) for label, p in table.entries]

@@ -39,9 +39,10 @@ import math
 import os
 from dataclasses import dataclass, replace
 from itertools import islice
+from numbers import Real
 from statistics import NormalDist
 
-from .cycletypes import WeylFamily, signed_subset_masks, subset_sum_mask
+from .cycletypes import WeylFamily, _check_family, signed_subset_masks, subset_sum_mask
 from .errors import ValidationError, check_positive_int
 from .sampling import GOLDEN, M64, RngState, _sample_cycles, mix64
 
@@ -54,7 +55,9 @@ _WINDOW_CUTOFF = 1 << 16
 
 
 def check_event(event: str, family: WeylFamily) -> None:
-    """Reject an unknown event, or one that reads signs on family A."""
+    """Reject a family that is not a WeylFamily, an unknown event, or one
+    that reads signs on family A."""
+    _check_family(family)
     if event not in EVENTS:
         raise ValidationError(f"unknown event {event!r}; expected one of {EVENTS}")
     if not family.signed_labels and event not in _UNSIGNED_EVENTS:
@@ -79,8 +82,6 @@ class ExperimentSpec:
         seed = self.master_seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= M64:
             raise ValidationError(f"master_seed must be a 64-bit integer, got {seed!r}")
-        if not isinstance(self.family, WeylFamily):
-            raise ValidationError(f"family must be a WeylFamily, got {self.family!r}")
         check_event(self.event, self.family)
 
 
@@ -115,7 +116,7 @@ def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, flo
 
 
 def _z(confidence: float) -> float:
-    if not 0 < confidence < 1:
+    if isinstance(confidence, bool) or not isinstance(confidence, Real) or not 0 < confidence < 1:
         raise ValidationError(f"confidence must be in (0,1), got {confidence!r}")
     return NormalDist().inv_cdf((1 + confidence) / 2)
 

@@ -44,7 +44,7 @@ class TestWeylFamilyOf:
         assert weyl_family_of(tag) is expected
         assert weyl_family_of(fam(tag, 9 if tag is not T.SP_EVEN_Q else 8)) is expected
 
-    @pytest.mark.parametrize("tag", ["SL", None])
+    @pytest.mark.parametrize("tag", ["SL", ["SL"], None])
     def test_unknown(self, tag):
         with pytest.raises(ValidationError, match="unknown classical family"):
             weyl_family_of(tag)

@@ -517,3 +517,20 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("3/4 = 0.75")
+
+
+# README lines of the form `invgen <args>  # -> <expected stdout>`
+README_EXAMPLES = re.findall(
+    r"^invgen (.+?)\s+# -> (.+)$",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.M,
+)
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize("args,expected", README_EXAMPLES, ids=[a for a, _ in README_EXAMPLES])
+def test_readme_example(capsys, args, expected):
+    assert cli(capsys, *args.split()) == (0, expected + "\n", "")

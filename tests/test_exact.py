@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 
 from invgen import exact
+from invgen.montecarlo import check_event
 from invgen import (
     CapacityError,
     ValidationError,
@@ -148,8 +149,14 @@ class TestExactJ:
             exact_prob_J(29, 2, A)
         with pytest.raises(CapacityError, match="11"):
             exact_prob_J(12, 2, B)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="family C is limited to n <= 11"):
             exact_prob_J_bruteforce(12, 2, C)
+
+    @pytest.mark.parametrize("n", ["5", 0, True])
+    def test_bruteforce_c_validates_n(self, n):
+        # the family-C path used to compare n with its cap unchecked: TypeError on "5"
+        with pytest.raises(ValidationError, match="n must be a positive integer"):
+            exact_prob_J_bruteforce(n, 2, C)
 
     def test_a_allows_large_n(self):
         # unsigned capacity is wider than the signed one
@@ -165,8 +172,10 @@ class TestExactJ:
         lambda: exact_prob_predicate(4, "A", "all_even"),
         lambda: exact_prob_J_and_not_N(4, 2, "B"),
         lambda: exact_prob_J_bruteforce(4, 2, "C"),
+        lambda: event_J([fixed_sizes(make_partition([2, 1]))], "A"),
+        lambda: check_event("J", "A"),
     ],
-    ids=["J", "classes", "predicate", "J_and_not_N", "bruteforce"],
+    ids=["J", "classes", "predicate", "J_and_not_N", "bruteforce", "event_J", "check_event"],
 )
 def test_family_must_be_a_weyl_family(call):
     # a family token used to fail with AttributeError on a str

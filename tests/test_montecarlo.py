@@ -198,10 +198,10 @@ class TestWilson:
         assert narrow[0] > wide[0] and narrow[1] < wide[1]
 
     def test_confidence_validated(self):
-        with pytest.raises(ValidationError):
-            wilson_interval(5, 10, confidence=1.0)
-        with pytest.raises(ValidationError):
-            wilson_interval(5, 10, confidence=0.0)
+        # "0.9" and None used to raise TypeError from the range check
+        for confidence in (1.0, 0.0, float("nan"), True, "0.9", None):
+            with pytest.raises(ValidationError, match=r"^confidence must be in \(0,1\)"):
+                wilson_interval(3, 10, confidence=confidence)
 
     def test_coverage(self):
         # 200 independent 99% intervals; expect ~2 misses, allow 6
@@ -259,7 +259,7 @@ class TestValidation:
             call(value)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("confidence", [0, 1])
+    @pytest.mark.parametrize("confidence", [0, 1, "0.99", None])
     def test_bad_confidence_rejected_before_any_trial(self, monkeypatch, confidence, threads):
         def never(*args, **kwargs):
             raise AssertionError("a trial or a pool started")
