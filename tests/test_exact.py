@@ -143,6 +143,9 @@ class TestExactJ:
             exact_prob_J(0, 2, A)
         with pytest.raises(ValidationError):
             exact_prob_J(4, 0, A)
+        # the family-C brute force used to compare a str n with its cap: TypeError
+        with pytest.raises(ValidationError, match="n must be a positive integer"):
+            exact_prob_J_bruteforce("5", 2, C)
 
     def test_capacity(self):
         with pytest.raises(CapacityError, match="28"):
@@ -151,12 +154,6 @@ class TestExactJ:
             exact_prob_J(12, 2, B)
         with pytest.raises(CapacityError, match="family C is limited to n <= 11"):
             exact_prob_J_bruteforce(12, 2, C)
-
-    @pytest.mark.parametrize("n", ["5", 0, True])
-    def test_bruteforce_c_validates_n(self, n):
-        # the family-C path used to compare n with its cap unchecked: TypeError on "5"
-        with pytest.raises(ValidationError, match="n must be a positive integer"):
-            exact_prob_J_bruteforce(n, 2, C)
 
     def test_a_allows_large_n(self):
         # unsigned capacity is wider than the signed one
