@@ -9,26 +9,22 @@ import sys
 import pytest
 
 import invgen.montecarlo as montecarlo
+import test_events
 from invgen import (
     Estimate,
     ExperimentSpec,
     RngState,
     ValidationError,
     WeylFamily,
-    event_J,
-    event_N,
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_predicate,
-    fixed_sizes,
     make_partition,
     make_signed,
-    project,
     run,
     sample_partition,
     sample_signed,
     sample_signed_conditioned,
-    signed_fixed_sets,
     sweep,
     sweep_seed,
     wilson_interval,
@@ -93,35 +89,28 @@ class TestAgainstOracle:
 
 
 class TestEngineMatchesDefinition:
-    """The engine's half-lattice intersections, alive-bits DP and early exit
-    decide every trial as event_J/event_N do on the public samplers' full
-    profiles.  Both parities of n are covered, and B mixes total signs
-    across a tuple.  The grid runs three ways: the one-pass loop every n
-    here takes by default; the window pass forced on by a cut-off of 1,
+    """The engine's half-lattice intersections, alive-bits DP, early exit
+    and settle rules decide every trial of every (family, event) pair the
+    CLI accepts as the definitions of test_events do on the public
+    samplers' labels.  Both parities of n are covered, and B mixes total
+    signs across a tuple.  The grid runs three ways: the one-pass loop every
+    n here takes by default; the window pass forced on by a cut-off of 1,
     where only n = 1000 has sizes above the window; and a window of sizes
     1..2, where every n >= 5 does."""
 
-    PAIRS = [(A, "J"), (B, "J"), (C, "J"), (DP, "J"), (DM, "J"), (B, "J_and_not_N"), (C, "J_and_not_N")]
+    PAIRS = [(family, event) for event, family in test_events.PAIRS]
 
     @staticmethod
     def definition(s, t):
         rng = RngState(s.master_seed, t)
         family, n = s.family, s.n
         if family is A:
-            types = [sample_partition(n, rng) for _ in range(s.l)]
-            return event_J([fixed_sizes(p) for p in types], family)
-        if family.sector_sign is None:
-            types = [sample_signed(n, rng) for _ in range(s.l)]
+            labels = [sample_partition(n, rng) for _ in range(s.l)]
+        elif family.sector_sign is None:
+            labels = [sample_signed(n, rng) for _ in range(s.l)]
         else:
-            types = [sample_signed_conditioned(n, family.sector_sign, rng) for _ in range(s.l)]
-        if family.signed_profiles:
-            profiles = [signed_fixed_sets(x) for x in types]
-        else:
-            profiles = [fixed_sizes(project(x)) for x in types]
-        hit = event_J(profiles, family)
-        if s.event == "J_and_not_N":
-            hit = hit and not event_N(types)
-        return hit
+            labels = [sample_signed_conditioned(n, family.sector_sign, rng) for _ in range(s.l)]
+        return test_events.holds(s.event, labels, family)
 
     def check(self, n, ls, family, event, trials):
         for l in ls:
