@@ -41,6 +41,7 @@ from .errors import (
 from .exact import (
     ClassTable,
     enumerate_classes,
+    exact_prob,
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_J_bruteforce,

@@ -38,9 +38,9 @@ from .cycletypes import (
     make_signed,
     signed_fixed_sets,
 )
-from .errors import CapacityError, NoSolutionError, ValidationError, check_positive_int
-from .exact import exact_prob_J, exact_prob_J_and_not_N, exact_prob_predicate
-from .montecarlo import EVENTS, ExperimentSpec, check_event, run, sweep
+from .errors import CapacityError, NoSolutionError, ValidationError
+from .exact import exact_prob
+from .montecarlo import EVENTS, ExperimentSpec, run, sweep
 from .sampling import RngState, sample_partition, sample_signed, sample_signed_conditioned
 
 _COLUMNS = ("n", "l", "family", "event", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
@@ -327,17 +327,7 @@ def cmd_sweep(o) -> int:
 
 
 def cmd_exact(o) -> int:
-    n, l, family, event = o.n, o.l, o.family, o.event
-    check_event(event, family)
-    if event == "J":
-        value = exact_prob_J(n, l, family)
-    elif event == "J_and_not_N":
-        value = exact_prob_J_and_not_N(n, l, family)
-    elif event == "N":
-        value = exact_prob_predicate(n, family, "same_sign", l)
-    else:  # all_even, all_positive: single-element masses, elements independent
-        check_positive_int("l", l)
-        value = exact_prob_predicate(n, family, event) ** l
+    value = exact_prob(o.n, o.l, o.family, o.event)
     print(f"{value} = {float(value)!r}")
     return 0
 

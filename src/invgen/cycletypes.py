@@ -128,6 +128,8 @@ def make_signed(cycles) -> SignedCycleType:
     cycles = list(cycles)
     if not cycles:
         raise ValidationError("signed cycle type needs at least one cycle")
+    if not all(isinstance(c, tuple) and len(c) == 2 for c in cycles):
+        raise ValidationError(f"each cycle must be a (length, sign) pair, got {cycles!r}")
     for length, sign in cycles:
         check_positive_int("each cycle length", length)
         if sign not in (1, -1):
@@ -138,6 +140,8 @@ def make_signed(cycles) -> SignedCycleType:
 
 def project(s: SignedCycleType) -> Partition:
     """Forget the signs: the underlying partition of cycle lengths."""
+    if not isinstance(s, SignedCycleType):
+        raise ValidationError(f"expected a SignedCycleType, got {s!r}")
     return Partition(n=s.n, parts=tuple(l for l, _ in s.cycles))
 
 
@@ -185,6 +189,8 @@ def signed_subset_masks(cycles, keep: int) -> tuple[int, int]:
 
 def fixed_sizes(p: Partition) -> SizeProfile:
     """Achievable proper fixed-subset sizes of one element of class p."""
+    if not isinstance(p, Partition):
+        raise ValidationError(f"expected a Partition, got {p!r}")
     return SizeProfile(n=p.n, achievable=subset_sum_mask(reversed(p.parts), (1 << p.n) - 2))
 
 
@@ -198,21 +204,19 @@ def event_J(profiles, family: WeylFamily) -> bool:
     """True iff the sampled elements admit no common achievable proper
     fixed-set size (families A, C) or (size, sign) pair (families B, D)."""
     _check_family(family)
-    if not profiles:
-        raise ValidationError("event_J needs at least one profile")
+    signed = family.signed_profiles
+    kind = SignedSizeProfile if signed else SizeProfile
+    if not profiles or not all(isinstance(p, kind) for p in profiles):
+        raise ValidationError(f"event_J on family {family.value} needs one or more {kind.__name__}s")
     n = profiles[0].n
     if any(p.n != n for p in profiles):
         raise ValidationError("profiles must share the same n")
-    if family.signed_profiles:
-        if not all(isinstance(p, SignedSizeProfile) for p in profiles):
-            raise ValidationError(f"family {family.value} takes signed profiles")
+    if signed:
         plus = minus = (1 << n) - 2
         for p in profiles:
             plus &= p.plus
             minus &= p.minus
         return plus == 0 and minus == 0
-    if not all(isinstance(p, SizeProfile) for p in profiles):
-        raise ValidationError(f"family {family.value} takes unsigned profiles")
     inter = (1 << n) - 2
     for p in profiles:
         inter &= p.achievable
@@ -229,8 +233,8 @@ def all_cycles_positive(s: SignedCycleType) -> bool:
 
 def event_N(types) -> bool:
     """True iff all signed elements share the same total sign."""
-    if not types:
-        raise ValidationError("event_N needs at least one element")
+    if not types or not all(isinstance(t, SignedCycleType) for t in types):
+        raise ValidationError("event_N needs one or more SignedCycleTypes")
     n = types[0].n
     if any(t.n != n for t in types):
         raise ValidationError("elements must share the same n")

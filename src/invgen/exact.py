@@ -9,27 +9,29 @@ sizes, or plus | minus << n for (size, sign) pairs.  The running AND
 starts from the all-ones state -1 and keeps only the states that occur,
 with integer weights; no lattice of all masks is ever built.  Everything
 is a Fraction or an integer; no floating point enters this module.
+`_EVENTS` holds one row per event; validation, the Monte Carlo trial
+loop and `exact_prob` read it.
 
 Capacity: n <= 28 for the unsigned profiles of A and C, n <= 11 wherever
 the signed class table is enumerated (B, D+, D-, and the sign-reading
-events of C).
+events of C).  Event N needs no table and has no cap.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .cycletypes import (
     Partition,
     SignedCycleType,
     WeylFamily,
     _check_family,
-    all_cycles_even,
-    all_cycles_positive,
     event_J,
     fixed_sizes,
     project,
@@ -237,54 +239,6 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
     return total
 
 
-def exact_prob_predicate(
-    n: int, family: WeylFamily, predicate: str, l: int | None = None
-) -> Fraction:
-    """Exact probability of a per-element predicate (all_even, all_positive)
-    or of the l-element same-sign event.
-
-    all_even and all_positive are single-element masses; raise to the l-th
-    power for the all-l event (elements are independent).  same_sign is
-    computed from the family's table as (sum of + mass)^l + (sum of - mass)^l,
-    which gives 2^(1-l) for B and C and 1 for the D sectors (vacuously
-    same-signed).  l is required for same_sign and rejected otherwise.
-    """
-    _check_capacity(n, family)
-    if predicate in ("all_even", "all_positive") and l is not None:
-        raise ValidationError(
-            f"{predicate} is a single-element mass; l applies only to same_sign"
-        )
-    if predicate == "all_even":
-        # Only cycle lengths matter, and the uniform signed law of B and C
-        # projects to the uniform S_n law (as in `exact_prob_J`), so only the D
-        # sectors need their signed table.
-        if family.sector_sign is None:
-            entries = enumerate_classes(n, WeylFamily.A).entries
-        else:
-            entries = [(project(s), p) for s, p in enumerate_classes(n, family).entries]
-        return sum((p for label, p in entries if all_cycles_even(label)), Fraction(0))
-    if predicate == "all_positive":
-        if not family.signed_labels:
-            raise ValidationError("all_positive needs a signed family (B, C, D+, D-)")
-        table = enumerate_classes(n, family)
-        return sum(
-            (p for label, p in table.entries if all_cycles_positive(label)), Fraction(0)
-        )
-    if predicate == "same_sign":
-        if not family.signed_labels:
-            raise ValidationError("same_sign needs a signed family (B, C, D+, D-)")
-        check_positive_int("l", l)
-        table = enumerate_classes(n, family)
-        mass_plus = sum(
-            (p for label, p in table.entries if label.total_sign == 1), Fraction(0)
-        )
-        mass_minus = 1 - mass_plus
-        return mass_plus**l + mass_minus**l
-    raise ValidationError(
-        f"unknown predicate {predicate!r}; expected all_even, all_positive or same_sign"
-    )
-
-
 def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
     """Exact Prob(J and not N) for signed-label families.
 
@@ -293,15 +247,83 @@ def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
     Prob(J and not N) = Prob(J) - sum_e Prob(J and all signs e).  Needs the
     signed table even for family C, hence the signed capacity applies.
     """
-    _check_capacity(n, family, labels=True)
-    if not family.signed_labels:
-        raise ValidationError("J_and_not_N needs a signed family (B, C, D+, D-)")
-    check_positive_int("l", l)
-    if family.sector_sign is not None:
-        return Fraction(0)  # within a sector all signs agree, N always holds
+    check_event("J_and_not_N", family)
     entries = enumerate_classes(n, family).entries
     signed = family.signed_profiles
-    # the table's law is the sum of its sector laws: each label is profiled once
     plus, minus = (_law([(s, p) for s, p in entries if s.total_sign == e], signed) for e in (1, -1))
-    total = {mask: plus.get(mask, 0) + minus.get(mask, 0) for mask in plus.keys() | minus.keys()}
-    return _prob_empty_and(total, l) - _prob_empty_and(plus, l) - _prob_empty_and(minus, l)
+    return exact_prob_J(n, l, family) - _prob_empty_and(plus, l) - _prob_empty_and(minus, l)
+
+
+def _prob_N(n: int, l: int, family: WeylFamily) -> Fraction:
+    """Exact Prob(N^l): 2^(1-l) in B and C, whose total sign is a fair coin
+    (the sector-mass theorem `enumerate_classes` asserts), 1 in a D sector."""
+    return Fraction(1) if family.sector_sign is not None else Fraction(2, 2**l)
+
+
+class _Event(NamedTuple):
+    """What one event means; `_count_range` says how a trial settles it."""
+
+    signed: bool  # reads cycle signs, so family A cannot take it
+    intersects: bool  # J-type: holds when the profile intersections end empty
+    mixed: bool  # reads whether two total signs differ
+    fails: Callable[[Sequence[int], Sequence[int]], bool] | None  # per element, on (lengths, signs)
+    exact: Callable[[int, int, WeylFamily], Fraction] | None  # None: (passing mass) ** l
+
+
+# One row per event, in the order the CLI lists them.
+_EVENTS = {
+    "J": _Event(False, True, False, None, exact_prob_J),
+    "J_and_not_N": _Event(True, True, True, None, exact_prob_J_and_not_N),
+    "N": _Event(True, False, True, None, _prob_N),
+    "all_even": _Event(False, False, False, lambda lengths, signs: any(k & 1 for k in lengths), None),
+    "all_positive": _Event(True, False, False, lambda lengths, signs: -1 in signs, None),
+}
+EVENTS = tuple(_EVENTS)
+
+
+def check_event(event: str, family: WeylFamily) -> None:
+    """Reject a family that is not a WeylFamily, an unknown event, or one
+    that reads signs on family A."""
+    _check_family(family)
+    if event not in EVENTS:
+        raise ValidationError(f"unknown event {event!r}; expected one of {EVENTS}")
+    if _EVENTS[event].signed and not family.signed_labels:
+        unsigned = tuple(name for name, row in _EVENTS.items() if not row.signed)
+        raise ValidationError(
+            f"event {event} needs a signed family (B, C, D+, D-); family A supports {unsigned}"
+        )
+
+
+def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
+    """Exact probability of an event of l uniform elements, by its row."""
+    check_event(event, family)
+    check_positive_int("n", n)
+    check_positive_int("l", l)
+    row = _EVENTS[event]
+    if row.exact is not None:
+        return row.exact(n, l, family)
+    # Given the cycle lengths, signs are fair coins and a D sector fixes only
+    # their product, so a rule on lengths alone sees S_n's class law.
+    _check_capacity(n, family, labels=row.signed)
+    mass = Fraction(0)
+    for label, p in enumerate_classes(n, family if row.signed else WeylFamily.A).entries:
+        lengths, signs = (label.parts, ()) if isinstance(label, Partition) else zip(*label.cycles)
+        if not row.fails(lengths, signs):
+            mass += p
+    return mass**l
+
+
+def exact_prob_predicate(
+    n: int, family: WeylFamily, predicate: str, l: int | None = None
+) -> Fraction:
+    """One element's mass for all_even or all_positive (l must be omitted),
+    or Prob(N^l) for same_sign, the l-element same-sign event."""
+    if predicate == "same_sign":
+        return exact_prob(n, l, family, "N")
+    if predicate not in ("all_even", "all_positive"):
+        raise ValidationError(
+            f"unknown predicate {predicate!r}; expected all_even, all_positive or same_sign"
+        )
+    if l is not None:
+        raise ValidationError(f"{predicate} is a single-element mass; l applies only to same_sign")
+    return exact_prob(n, 1, family, predicate)

@@ -5,6 +5,7 @@ is a pure function of the ExperimentSpec: thread count, chunking and
 execution order cannot change it.  Trials may stop sampling as soon as the
 event outcome is determined (say, the running intersection went empty);
 that is safe for the same reason — no other trial reads this stream.
+What settles a trial of each event is that event's row of `exact._EVENTS`.
 
 With threads > 1 each spec's trials are split into deterministic chunks,
 and the chunks of every row of a `sweep` (or of a lone `run`) go to one
@@ -42,28 +43,15 @@ from itertools import islice
 from numbers import Real
 from statistics import NormalDist
 
-from .cycletypes import WeylFamily, _check_family, signed_subset_masks, subset_sum_mask
+from .cycletypes import WeylFamily, signed_subset_masks, subset_sum_mask
 from .errors import ValidationError, check_positive_int
+from .exact import _EVENTS, EVENTS, check_event  # noqa: F401 (public names here too)
 from .sampling import GOLDEN, M64, RngState, _sample_cycles, mix64
 
-EVENTS = ("J", "J_and_not_N", "N", "all_even", "all_positive")
-_UNSIGNED_EVENTS = ("J", "all_even")  # family A has no signs to speak of
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
 # rest; below 2^16 the window pass measured no faster than one pass
 _WINDOW = 64
 _WINDOW_CUTOFF = 1 << 16
-
-
-def check_event(event: str, family: WeylFamily) -> None:
-    """Reject a family that is not a WeylFamily, an unknown event, or one
-    that reads signs on family A."""
-    _check_family(family)
-    if event not in EVENTS:
-        raise ValidationError(f"unknown event {event!r}; expected one of {EVENTS}")
-    if not family.signed_labels and event not in _UNSIGNED_EVENTS:
-        raise ValidationError(
-            f"event {event} needs a signed family (B, C, D+, D-); family A supports {_UNSIGNED_EVENTS}"
-        )
 
 
 @dataclass(frozen=True)
@@ -128,11 +116,11 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
 def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     """Successes over trials start..stop-1; one loop serves every event.
 
-    A trial stops sampling once its outcome is settled.  J and J_and_not_N
+    A trial stops sampling once its outcome is settled.  J-type events
     settle as successes: the running intersections of the half-lattice
-    profiles are empty (and, for J_and_not_N, two total signs differ).
-    N, all_even and all_positive settle as failures: two total signs
-    differ, a cycle is odd, a cycle is negative.
+    profiles are empty (and, if the row reads mixed signs, two total signs
+    differ).  The others settle as failures: two total signs differ, or an
+    element breaks the row's per-element rule.
 
     At n >= _WINDOW_CUTOFF a J trial intersects sizes 1.._WINDOW first
     and fails if they stay alive after l elements; once they are empty,
@@ -141,17 +129,15 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     i is still draw i of the trial's stream and the AND does not depend
     on order, so the outcome is the one-pass outcome.
     """
-    n, l, seed, event = spec.n, spec.l, spec.master_seed, spec.event
-    family = spec.family
+    n, l, seed, family = spec.n, spec.l, spec.master_seed, spec.family
+    _, intersects, reads_mixed, fails, _ = _EVENTS[spec.event]
     signed, want = family.signed_labels, family.sector_sign
     # Within a D sector every total sign is equal: J_and_not_N never holds, N always does.
-    if want is not None and event in ("J_and_not_N", "N"):
-        return 0 if event == "J_and_not_N" else stop - start
+    if want is not None and reads_mixed and fails is None:
+        return 0 if intersects else stop - start
     signed_profiles = family.signed_profiles
-    j_event = event in ("J", "J_and_not_N")
-    needs_mixed = event in ("J_and_not_N", "N")
     low = (1 << (n // 2 + 1)) - 2
-    window = low & ((2 << _WINDOW) - 2) if j_event and n >= _WINDOW_CUTOFF else low
+    window = low & ((2 << _WINDOW) - 2) if intersects and n >= _WINDOW_CUTOFF else low
     rest = low & ~window
     # The swapped pair is needed only where total signs mix (B): A and C
     # keep one track, and within a D sector it is the plain pair or its mirror.
@@ -172,12 +158,12 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
             else:
                 drawn += 1
                 element = lengths, signs, total = _sample_cycles(rng, n, signed, want)
-                if needs_mixed:
+                if reads_mixed:
                     first_sign = first_sign or total
                     mixed = mixed or total != first_sign
                 if kept is not None:
                     kept.append(element)
-            if j_event:
+            if intersects:
                 keep = inter_p | inter_m | swap_p | swap_m
                 if signed_profiles:
                     plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
@@ -198,16 +184,12 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
                     queue = sorted(kept, key=lambda e: len(e[0]), reverse=True)
                     kept = None
                     continue
-                settled = mixed or not needs_mixed
-            elif event == "N":
-                settled = mixed
-            elif event == "all_even":
-                settled = any(length & 1 for length in lengths)
+                settled = mixed or not reads_mixed
             else:
-                settled = -1 in signs
+                settled = mixed or fails is not None and fails(lengths, signs)
             if settled:
                 break
-        successes += settled == j_event
+        successes += settled == intersects
     return successes
 
 

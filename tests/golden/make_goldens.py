@@ -25,19 +25,27 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from invgen import RngState  # noqa: E402
+from invgen import EVENTS, RngState, ValidationError, WeylFamily  # noqa: E402
 from invgen.cli import main as cli_main  # noqa: E402
+from invgen.montecarlo import check_event  # noqa: E402
 
 NEXT64_STREAMS = ((0, 0), (5, 3), ((1 << 64) - 1, 7))
 NEXT64_DRAWS = 20
 
+
+def _accepts(event: str, family: WeylFamily) -> bool:
+    try:
+        check_event(event, family)
+    except ValidationError:
+        return False
+    return True
+
+
+# family token -> every event it accepts, in EVENTS order
 FAMILY_EVENTS = {
-    "A": ("J", "all_even"),
-    "B": ("J", "J_and_not_N", "N", "all_even", "all_positive"),
-    "C": ("J", "J_and_not_N", "N", "all_even", "all_positive"),
-    "D+": ("J", "J_and_not_N", "N", "all_even", "all_positive"),
-    "D-": ("J", "J_and_not_N", "N", "all_even", "all_positive"),
+    family.value: tuple(e for e in EVENTS if _accepts(e, family)) for family in WeylFamily
 }
+
 # trials per estimate row by n: n <= 8 is cheap, n = 1000 is not
 ESTIMATE_TRIALS = {1: 200, 8: 2000, 1000: 200}
 CLASSICAL_TOKENS = ("SL", "SU", "Sp", "SO", "SO+", "SO-")

@@ -133,6 +133,12 @@ class TestEventJ:
         with pytest.raises(ValidationError):
             event_J([], A)
 
+    @pytest.mark.parametrize("family", [A, B])
+    def test_non_profile_items(self, family):
+        # used to read `.n` of an int: AttributeError
+        with pytest.raises(ValidationError, match="needs one or more"):
+            event_J([1], family)
+
     def test_family_c_takes_projections(self):
         signed = [make_signed([(2, 1), (1, -1)]), make_signed([(2, -1), (1, 1)])]
         profs = [fixed_sizes(project(s)) for s in signed]
@@ -160,9 +166,25 @@ class TestPredicates:
         with pytest.raises(ValidationError):
             event_N([])
 
+    def test_event_N_non_label_items(self):
+        # used to read `.n` of an int: AttributeError
+        with pytest.raises(ValidationError, match="SignedCycleTypes"):
+            event_N([1])
+
     def test_event_N_mismatched_n(self):
         with pytest.raises(ValidationError):
             event_N([make_signed([(2, 1)]), make_signed([(3, 1)])])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: fixed_sizes("31"), lambda: project("x"), lambda: make_signed("x")],
+    ids=["fixed_sizes", "project", "make_signed"],
+)
+def test_label_helpers_reject_malformed_input(call):
+    # used to raise AttributeError (no `.n`) or ValueError (unpacking "x")
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestWeylFamily:

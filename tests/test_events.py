@@ -24,9 +24,7 @@ from invgen import (
     enumerate_classes,
     event_J,
     event_N,
-    exact_prob_J,
-    exact_prob_J_and_not_N,
-    exact_prob_predicate,
+    exact_prob,
     fixed_sizes,
     project,
     signed_fixed_sets,
@@ -84,17 +82,6 @@ def accepts(event, family) -> bool:
 PAIRS = [(event, family) for event in EVENTS for family in WeylFamily if accepts(event, family)]
 
 
-def exact_value(n, l, family, event):
-    """The value `invgen exact` prints for this event."""
-    if event == "J":
-        return exact_prob_J(n, l, family)
-    if event == "J_and_not_N":
-        return exact_prob_J_and_not_N(n, l, family)
-    if event == "N":
-        return exact_prob_predicate(n, family, "same_sign", l)
-    return exact_prob_predicate(n, family, event) ** l
-
-
 def brute(n, l, family, event):
     reads, tuple_holds = DEFINITIONS[event]
     groups = {}
@@ -121,4 +108,4 @@ def test_every_family_takes_some_event():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exact_matches_definition(event, family, n):
     for l in (1, 2, 3):
-        assert exact_value(n, l, family, event) == brute(n, l, family, event), l
+        assert exact_prob(n, l, family, event) == brute(n, l, family, event), l

@@ -1,6 +1,5 @@
 """Tests for the exact class tables and the running-AND oracle."""
 
-import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -14,7 +13,6 @@ from invgen import (
     WeylFamily,
     enumerate_classes,
     event_J,
-    event_N,
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_J_bruteforce,
@@ -22,8 +20,6 @@ from invgen import (
     fixed_sizes,
     make_partition,
     make_signed,
-    project,
-    signed_fixed_sets,
 )
 
 A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
@@ -241,12 +237,16 @@ class TestPredicates:
         assert exact_prob_predicate(n, family, "all_even") == direct
 
     def test_c_capacity_follows_table(self):
-        # all_even needs only cycle lengths; the sign-reading predicates need C's signed table
+        # all_even needs only cycle lengths and same_sign no table at all;
+        # all_positive needs C's signed table
         assert exact_prob_predicate(28, C, "all_even") == exact_prob_predicate(28, A, "all_even")
-        with pytest.raises(CapacityError, match="11"):
-            exact_prob_predicate(12, C, "same_sign", 2)
+        assert exact_prob_predicate(12, C, "same_sign", 2) == F(1, 2)
         with pytest.raises(CapacityError, match="11"):
             exact_prob_predicate(12, C, "all_positive")
+
+    @pytest.mark.parametrize("family, expected", [(B, F(1, 4)), (C, F(1, 4)), (DP, 1), (DM, 1)])
+    def test_same_sign_has_no_cap(self, family, expected):
+        assert exact_prob_predicate(100, family, "same_sign", 3) == expected
 
     def test_signed_predicate_rejects_a(self):
         with pytest.raises(ValidationError):
@@ -258,28 +258,6 @@ class TestPredicates:
 
 
 class TestJAndNotN:
-    def brute(self, n, l, family):
-        table = enumerate_classes(n, family).entries
-        total = F(0)
-        for combo in itertools.product(table, repeat=l):
-            labels = [lab for lab, _ in combo]
-            prob = F(1)
-            for _, p in combo:
-                prob *= p
-            if family is C:  # signed labels, projected profiles
-                profiles = [fixed_sizes(project(lab)) for lab in labels]
-            else:
-                profiles = [signed_fixed_sets(lab) for lab in labels]
-            if event_J(profiles, family) and not event_N(labels):
-                total += prob
-        return total
-
-    @pytest.mark.parametrize("family", [B, C])
-    @pytest.mark.parametrize("l", [2, 3])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_definition(self, n, l, family):
-        assert exact_prob_J_and_not_N(n, l, family) == self.brute(n, l, family)
-
     def test_known_value(self):
         assert exact_prob_J_and_not_N(4, 2, B) == F(25, 96)
 
