@@ -204,14 +204,13 @@ def event_J(profiles, family: WeylFamily) -> bool:
     """True iff the sampled elements admit no common achievable proper
     fixed-set size (families A, C) or (size, sign) pair (families B, D)."""
     _check_family(family)
-    signed = family.signed_profiles
-    kind = SignedSizeProfile if signed else SizeProfile
+    kind = SignedSizeProfile if family.signed_profiles else SizeProfile
     if not profiles or not all(isinstance(p, kind) for p in profiles):
         raise ValidationError(f"event_J on family {family.value} needs one or more {kind.__name__}s")
     n = profiles[0].n
     if any(p.n != n for p in profiles):
         raise ValidationError("profiles must share the same n")
-    if signed:
+    if family.signed_profiles:
         plus = minus = (1 << n) - 2
         for p in profiles:
             plus &= p.plus

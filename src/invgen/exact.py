@@ -9,8 +9,8 @@ sizes, or plus | minus << n for (size, sign) pairs.  The running AND
 starts from the all-ones state -1 and keeps only the states that occur,
 with integer weights; no lattice of all masks is ever built.  Everything
 is a Fraction or an integer; no floating point enters this module.
-`_EVENTS` holds one row per event; validation, the Monte Carlo trial
-loop and `exact_prob` read it.
+`_EVENTS` holds one row per event, read by validation, Monte Carlo and
+`exact_prob`.
 
 Capacity: n <= 28 for the unsigned profiles of A and C, n <= 11 wherever
 the signed class table is enumerated (B, D+, D-, and the sign-reading
@@ -248,10 +248,13 @@ def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
     signed table even for family C, hence the signed capacity applies.
     """
     check_event("J_and_not_N", family)
+    check_positive_int("l", l)
     entries = enumerate_classes(n, family).entries
     signed = family.signed_profiles
+    # the table's law is the sum of its sector laws: each label is profiled once
     plus, minus = (_law([(s, p) for s, p in entries if s.total_sign == e], signed) for e in (1, -1))
-    return exact_prob_J(n, l, family) - _prob_empty_and(plus, l) - _prob_empty_and(minus, l)
+    total = {mask: plus.get(mask, 0) + minus.get(mask, 0) for mask in plus.keys() | minus.keys()}
+    return _prob_empty_and(total, l) - _prob_empty_and(plus, l) - _prob_empty_and(minus, l)
 
 
 def _prob_N(n: int, l: int, family: WeylFamily) -> Fraction:
@@ -313,9 +316,7 @@ def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
     return mass**l
 
 
-def exact_prob_predicate(
-    n: int, family: WeylFamily, predicate: str, l: int | None = None
-) -> Fraction:
+def exact_prob_predicate(n: int, family: WeylFamily, predicate: str, l: int | None = None) -> Fraction:
     """One element's mass for all_even or all_positive (l must be omitted),
     or Prob(N^l) for same_sign, the l-element same-sign event."""
     if predicate == "same_sign":

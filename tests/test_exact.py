@@ -13,6 +13,7 @@ from invgen import (
     WeylFamily,
     enumerate_classes,
     event_J,
+    exact_prob,
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_J_bruteforce,
@@ -167,8 +168,9 @@ class TestExactJ:
         lambda: exact_prob_J_bruteforce(4, 2, "C"),
         lambda: event_J([fixed_sizes(make_partition([2, 1]))], "A"),
         lambda: check_event("J", "A"),
+        lambda: exact_prob(4, 2, "A", "J"),
     ],
-    ids=["J", "classes", "predicate", "J_and_not_N", "bruteforce", "event_J", "check_event"],
+    ids=["J", "classes", "predicate", "J_and_not_N", "bruteforce", "event_J", "check_event", "exact_prob"],
 )
 def test_family_must_be_a_weyl_family(call):
     # a family token used to fail with AttributeError on a str
@@ -210,16 +212,20 @@ class TestPredicates:
         with pytest.raises(ValidationError):
             exact_prob_predicate(4, A, "all_even", 3)
 
+    @pytest.mark.parametrize("n", [6, 100])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
-    def test_same_sign(self, l):
-        assert exact_prob_predicate(6, B, "same_sign", l) == F(1, 2 ** (l - 1))
+    def test_same_sign(self, l, n):
+        # a closed form, with no class table and so no cap
+        assert exact_prob_predicate(n, B, "same_sign", l) == F(1, 2 ** (l - 1))
 
     def test_same_sign_needs_l(self):
         with pytest.raises(ValidationError):
             exact_prob_predicate(6, B, "same_sign")
 
-    def test_same_sign_in_sector(self):
-        assert exact_prob_predicate(6, DP, "same_sign", 4) == 1
+    @pytest.mark.parametrize("family", [DP, DM])
+    @pytest.mark.parametrize("n", [6, 100])
+    def test_same_sign_in_sector(self, n, family):
+        assert exact_prob_predicate(n, family, "same_sign", 4) == 1
 
     def test_all_positive(self):
         assert exact_prob_predicate(1, B, "all_positive") == F(1, 2)
@@ -243,10 +249,6 @@ class TestPredicates:
         assert exact_prob_predicate(12, C, "same_sign", 2) == F(1, 2)
         with pytest.raises(CapacityError, match="11"):
             exact_prob_predicate(12, C, "all_positive")
-
-    @pytest.mark.parametrize("family, expected", [(B, F(1, 4)), (C, F(1, 4)), (DP, 1), (DM, 1)])
-    def test_same_sign_has_no_cap(self, family, expected):
-        assert exact_prob_predicate(100, family, "same_sign", 3) == expected
 
     def test_signed_predicate_rejects_a(self):
         with pytest.raises(ValidationError):
