@@ -103,6 +103,8 @@ def _row(tag) -> _Row:
 
 
 def _validate(f: ClassicalFamily) -> _Row:
+    if not isinstance(f, ClassicalFamily):
+        raise ValidationError(f"expected a ClassicalFamily, got {f!r}")
     row = _row(f.tag)
     _check_q(f.q)
     if row.parity is not None and f.q % 2 != row.parity:

@@ -48,7 +48,7 @@ class WeylFamily(Enum):
     def parse(cls, token: str) -> "WeylFamily":
         try:
             return _FAMILY_TOKENS[token]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable token
             raise ValidationError(
                 f"unknown family {token!r}; expected one of A, B, C, D+, D-"
             ) from None

@@ -12,9 +12,10 @@ is a Fraction or an integer; no floating point enters this module.
 `_EVENTS` holds one row per event, read by validation, Monte Carlo and
 `exact_prob`.
 
-Capacity: n <= 28 for the unsigned profiles of A and C, n <= 11 wherever
-the signed class table is enumerated (B, D+, D-, and the sign-reading
-events of C).  Event N needs no table and has no cap.
+Capacity follows the table a route reads, chosen in `_entries`: n <= 28
+for S_n's partition table (J in A and C, all_even in every family), n <= 11
+wherever the signed class table is read (J in B, D+, D-, J_and_not_N and
+all_positive).  Event N needs no table and has no cap.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from .cycletypes import (
@@ -57,13 +58,9 @@ class ClassTable:
     entries: tuple[tuple[object, Fraction], ...]
 
 
-def _check_capacity(n: int, family: WeylFamily, labels: bool = False) -> None:
-    """Validate family and n.  The signed cap applies when the work
-    enumerates the family's signed class table (`labels`) or its J reads
-    signed profiles."""
-    _check_family(family)
-    check_positive_int("n", n)
-    signed = family.signed_labels if labels else family.signed_profiles
+def _check_capacity(n: int, family: WeylFamily, signed: bool) -> None:
+    """Hold a valid n to the cap of the table the work reads: the signed
+    class table (`signed`) or S_n's partition table."""
     limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
     if n > limit:
         raise CapacityError(
@@ -96,22 +93,17 @@ def _signed_classes(n: int):
     """All signed cycle types of n with probabilities
     1 / prod_j (2j)^{m_j} m_j^+! m_j^-!  in canonical label order."""
     for parts in _partitions(n):
-        counts = Counter(parts)
-        js = sorted(counts, reverse=True)
-
-        def rec(i: int, cycles: list, den: int):
-            if i == len(js):
-                yield SignedCycleType(n=n, cycles=tuple(cycles)), Fraction(1, den)
-                return
-            j = js[i]
-            m = counts[j]
-            for mp in range(m, -1, -1):
-                ext = [(j, 1)] * mp + [(j, -1)] * (m - mp)
-                yield from rec(
-                    i + 1, cycles + ext, den * (2 * j) ** m * factorial(mp) * factorial(m - mp)
-                )
-
-        yield from rec(0, [], 1)
+        # per part size j, descending: its m_j cycles split m+ positive, m- negative.
+        # Labels join exact-size tuples: tuples built from a generator are
+        # over-allocated, which cost 0.5 MB of peak memory on the exact benchmark.
+        splits = [
+            [(((j, 1),) * mp + ((j, -1),) * (m - mp), (2 * j) ** m * factorial(mp) * factorial(m - mp))
+             for mp in range(m, -1, -1)]
+            for j, m in Counter(parts).items()
+        ]
+        for choice in itertools.product(*splits):
+            chunks, dens = zip(*choice)
+            yield SignedCycleType(n=n, cycles=sum(chunks, ())), Fraction(1, prod(dens))
 
 
 def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
@@ -121,7 +113,9 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     probabilities doubled; each sector carrying exactly half the mass is a
     theorem (flip the sign of any one designated cycle), asserted here.
     """
-    _check_capacity(n, family, labels=True)
+    _check_family(family)
+    check_positive_int("n", n)
+    _check_capacity(n, family, family.signed_labels)
     if family is WeylFamily.A:
         entries = [
             (Partition(n=n, parts=parts), _partition_prob(parts)) for parts in _partitions(n)
@@ -137,6 +131,15 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     total = sum(p for _, p in entries)
     assert total == 1, f"class probabilities sum to {total}"
     return ClassTable(n=n, family=family, entries=tuple(entries))
+
+
+def _entries(n: int, family: WeylFamily, signed: bool):
+    """The family's signed class table when `signed`, else S_n's partition
+    table (A's own, and the projection of every other family's uniform law).
+    Every exact route reads its table here; n above that table's cap raises
+    a CapacityError naming `family`."""
+    _check_capacity(n, family, signed)
+    return enumerate_classes(n, family if signed else WeylFamily.A).entries
 
 
 def _law(entries, signed_profiles: bool) -> dict[int, Fraction]:
@@ -190,66 +193,20 @@ def _prob_empty_and(masses: dict[int, Fraction], l: int) -> Fraction:
     return Fraction(empty, den**l)
 
 
-def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
-    """Exact Prob(J^l): l independent uniform elements share no achievable
-    proper size (families A, C) or (size, sign) pair (families B, D)."""
-    _check_capacity(n, family)
-    check_positive_int("l", l)
+def _prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
     # A and C's J reads only plain sizes, and the uniform signed law projects
     # to the uniform S_n class law, so both use the partition table (this
     # keeps C at the unsigned capacity).
-    table = enumerate_classes(n, family if family.signed_profiles else WeylFamily.A)
-    return _prob_empty_and(_law(table.entries, family.signed_profiles), l)
+    signed = family.signed_profiles
+    return _prob_empty_and(_law(_entries(n, family, signed), signed), l)
 
 
-def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
-    """Independent route to Prob(J^l): enumerate all l-tuples of distinct
-    profiles (with aggregated probabilities) and evaluate the event per
-    tuple with the runtime event evaluator.  For family C this enumerates
-    the signed table and projects, so it is capped at the signed limit.
-    Exponential in l; meant for n <= 6, l <= 3 cross-checks.
-    """
-    check_positive_int("l", l)
-    _check_capacity(n, family, labels=True)
-    if family is WeylFamily.C:
-        table = enumerate_classes(n, WeylFamily.B)
-        profiles = [(fixed_sizes(project(label)), p) for label, p in table.entries]
-    else:
-        table = enumerate_classes(n, family)
-        if family.signed_profiles:
-            profiles = [(signed_fixed_sets(label), p) for label, p in table.entries]
-        else:
-            profiles = [(fixed_sizes(label), p) for label, p in table.entries]
-    # group identical profiles, keeping one representative object
-    grouped: dict[object, list] = {}
-    for prof, p in profiles:
-        key = (prof.plus, prof.minus) if family.signed_profiles else prof.achievable
-        if key in grouped:
-            grouped[key][1] += p
-        else:
-            grouped[key] = [prof, p]
-    reps = list(grouped.values())
-    total = Fraction(0)
-    for combo in itertools.product(reps, repeat=l):
-        if event_J([prof for prof, _ in combo], family):
-            prob = Fraction(1)
-            for _, p in combo:
-                prob *= p
-            total += prob
-    return total
-
-
-def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
-    """Exact Prob(J and not N) for signed-label families.
-
-    Prob(J and all signs equal to e) is the same running-AND law with the
-    single-element masses restricted to the sign-e sector, so
-    Prob(J and not N) = Prob(J) - sum_e Prob(J and all signs e).  Needs the
-    signed table even for family C, hence the signed capacity applies.
-    """
-    check_event("J_and_not_N", family)
-    check_positive_int("l", l)
-    entries = enumerate_classes(n, family).entries
+def _prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
+    # Prob(J and all signs equal to e) is the same running-AND law with the
+    # single-element masses restricted to the sign-e sector, so
+    # Prob(J and not N) = Prob(J) - sum_e Prob(J and all signs e).  Even C
+    # needs its signed table here.
+    entries = _entries(n, family, True)
     signed = family.signed_profiles
     # the table's law is the sum of its sector laws: each label is profiled once
     plus, minus = (_law([(s, p) for s, p in entries if s.total_sign == e], signed) for e in (1, -1))
@@ -258,8 +215,8 @@ def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
 
 
 def _prob_N(n: int, l: int, family: WeylFamily) -> Fraction:
-    """Exact Prob(N^l): 2^(1-l) in B and C, whose total sign is a fair coin
-    (the sector-mass theorem `enumerate_classes` asserts), 1 in a D sector."""
+    # 2^(1-l) in B and C, whose total sign is a fair coin (the sector-mass
+    # theorem `enumerate_classes` asserts), 1 in a D sector
     return Fraction(1) if family.sector_sign is not None else Fraction(2, 2**l)
 
 
@@ -275,8 +232,8 @@ class _Event(NamedTuple):
 
 # One row per event, in the order the CLI lists them.
 _EVENTS = {
-    "J": _Event(False, True, False, None, exact_prob_J),
-    "J_and_not_N": _Event(True, True, True, None, exact_prob_J_and_not_N),
+    "J": _Event(False, True, False, None, _prob_J),
+    "J_and_not_N": _Event(True, True, True, None, _prob_J_and_not_N),
     "N": _Event(True, False, True, None, _prob_N),
     "all_even": _Event(False, False, False, lambda lengths, signs: any(k & 1 for k in lengths), None),
     "all_positive": _Event(True, False, False, lambda lengths, signs: -1 in signs, None),
@@ -298,7 +255,8 @@ def check_event(event: str, family: WeylFamily) -> None:
 
 
 def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
-    """Exact probability of an event of l uniform elements, by its row."""
+    """Exact probability of an event of l uniform elements, by its row.
+    The one place the event routes validate their input."""
     check_event(event, family)
     check_positive_int("n", n)
     check_positive_int("l", l)
@@ -307,13 +265,52 @@ def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
         return row.exact(n, l, family)
     # Given the cycle lengths, signs are fair coins and a D sector fixes only
     # their product, so a rule on lengths alone sees S_n's class law.
-    _check_capacity(n, family, labels=row.signed)
     mass = Fraction(0)
-    for label, p in enumerate_classes(n, family if row.signed else WeylFamily.A).entries:
+    for label, p in _entries(n, family, row.signed):
         lengths, signs = (label.parts, ()) if isinstance(label, Partition) else zip(*label.cycles)
         if not row.fails(lengths, signs):
             mass += p
     return mass**l
+
+
+def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
+    """Exact Prob(J^l): l independent uniform elements share no achievable
+    proper size (families A, C) or (size, sign) pair (families B, D)."""
+    return exact_prob(n, l, family, "J")
+
+
+def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
+    """Exact Prob(J and not N) for signed-label families, by the running-AND
+    law of each sign sector; 0 in a D sector."""
+    return exact_prob(n, l, family, "J_and_not_N")
+
+
+def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
+    """Independent route to Prob(J^l): enumerate all l-tuples of distinct
+    profiles (with aggregated probabilities) and evaluate the event per
+    tuple with the runtime event evaluator.  For family C this enumerates
+    the signed table and projects, so it is capped at the signed limit.
+    Exponential in l; meant for n <= 6, l <= 3 cross-checks.
+    """
+    check_positive_int("l", l)
+    _check_family(family)
+    check_positive_int("n", n)
+    entries = _entries(n, family, family.signed_labels)
+    # group identical profiles, keeping one representative object
+    grouped: dict[object, list] = {}
+    for label, p in entries:
+        if family.signed_profiles:
+            prof = signed_fixed_sets(label)
+            key = prof.plus, prof.minus
+        else:
+            prof = fixed_sizes(project(label) if family is WeylFamily.C else label)
+            key = prof.achievable
+        grouped.setdefault(key, [prof, 0])[1] += p
+    total = Fraction(0)
+    for combo in itertools.product(grouped.values(), repeat=l):
+        if event_J([prof for prof, _ in combo], family):
+            total += prod(p for _, p in combo)
+    return total
 
 
 def exact_prob_predicate(n: int, family: WeylFamily, predicate: str, l: int | None = None) -> Fraction:

@@ -218,11 +218,17 @@ def _estimate(specs: list[ExperimentSpec], threads: int, confidence: float) -> l
     return out
 
 
+def _validate(spec: ExperimentSpec) -> None:
+    if not isinstance(spec, ExperimentSpec):
+        raise ValidationError(f"expected an ExperimentSpec, got {spec!r}")
+    spec.validate()
+
+
 def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99) -> Estimate:
     """Run all trials of a spec and return the estimate with its Wilson
     interval.  Identical output for every thread count: trials are chunked
     deterministically and success counts add associatively."""
-    spec.validate()
+    _validate(spec)
     check_positive_int("threads", threads)
     return _estimate([spec], threads, confidence)[0]
 
@@ -230,6 +236,9 @@ def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99) -> Est
 def sweep_seed(master_seed: int, index: int) -> int:
     """Effective master seed for sweep position `index`; distinct positions
     get unrelated streams even for otherwise identical specs."""
+    for name, value in (("master_seed", master_seed), ("index", index)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     return mix64(master_seed ^ ((index + 1) * GOLDEN & M64))
 
 
@@ -248,9 +257,7 @@ def sweep(specs, threads: int = 1, confidence: float = 0.99) -> list[Estimate]:
     effective = []
     for i, spec in enumerate(specs):
         try:
-            if not isinstance(spec, ExperimentSpec):
-                raise ValidationError(f"expected an ExperimentSpec, got {spec!r}")
-            spec.validate()
+            _validate(spec)
         except ValidationError as exc:
             raise ValidationError(f"spec {i}: {exc}") from exc
         effective.append(replace(spec, master_seed=sweep_seed(spec.master_seed, i)))

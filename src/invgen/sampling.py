@@ -33,12 +33,22 @@ def mix64(x: int) -> int:
 
 
 class RngState:
-    """One SplitMix64 stream, identified by (master seed, stream index)."""
+    """One SplitMix64 stream, identified by (master seed, stream index).
+
+    Both are integers; one outside 0..2^64-1 is reduced mod 2^64, so
+    seed -1 is seed 2^64 - 1.  The Monte Carlo loop builds one stream per
+    trial, so a non-integer is caught by the arithmetic, not a type check.
+    """
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int, stream: int = 0):
-        self.state = mix64((seed + (stream + 1) * GOLDEN) & M64)
+        try:
+            self.state = mix64((seed + (stream + 1) * GOLDEN) & M64)
+        except TypeError:
+            raise ValidationError(
+                f"seed and stream must be integers, got {seed!r} and {stream!r}"
+            ) from None
 
     def next64(self) -> int:
         self.state = s = (self.state + GOLDEN) & M64

@@ -3,7 +3,14 @@ arithmetic error or a silent answer."""
 
 import pytest
 
-from invgen import ValidationError, solve_K4, solver_proportion
+from invgen import (
+    ValidationError,
+    i3_upper_bound,
+    i4_lower_bound,
+    separable_proportion,
+    solve_K4,
+    solver_proportion,
+)
 from invgen.bounds import ClassicalTag as T
 
 
@@ -40,3 +47,19 @@ def test_solve_k4_rejects_bool_b(b):
 def test_solve_k4_rejects_non_finite_b(b):
     with pytest.raises(ValidationError, match="cannot parse"):
         solve_K4(T.SL, b)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: separable_proportion(f),
+        lambda f: i4_lower_bound(f, 0.3),
+        lambda f: i3_upper_bound(f, 0.3),
+    ],
+    ids=["separable_proportion", "i4_lower_bound", "i3_upper_bound"],
+)
+@pytest.mark.parametrize("f", [None, "SL", T.SL, (T.SL, 13)])
+def test_bounds_reject_non_family(call, f):
+    # None used to raise AttributeError: 'NoneType' object has no attribute 'tag'
+    with pytest.raises(ValidationError, match="expected a ClassicalFamily"):
+        call(f)

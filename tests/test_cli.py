@@ -255,6 +255,12 @@ class TestExact:
         assert code == 2
         assert str(limit) in err
 
+    def test_all_even_reads_the_partition_table(self, capsys):
+        # used to exit 2 with "limited to n <= 11", though family C answered
+        code, out, _ = cli(capsys, "exact", "--n", "12", "--l", "2", "--family", "B", "--event", "all_even")
+        assert code == 0
+        assert out.startswith("53361/1048576 = ")
+
     @pytest.mark.parametrize(
         "family,event,expected",
         [

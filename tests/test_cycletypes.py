@@ -193,9 +193,11 @@ class TestWeylFamily:
         assert WeylFamily.parse("D+") is WeylFamily.D_PLUS
         assert WeylFamily.parse("D-") is WeylFamily.D_MINUS
 
-    def test_parse_unknown(self):
-        with pytest.raises(ValidationError):
-            WeylFamily.parse("E")
+    @pytest.mark.parametrize("token", ["E", ["A"], None])
+    def test_parse_unknown(self, token):
+        # an unhashable token used to raise TypeError
+        with pytest.raises(ValidationError, match="unknown family"):
+            WeylFamily.parse(token)
 
     def test_flags(self):
         assert not WeylFamily.A.signed_labels

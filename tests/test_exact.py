@@ -1,5 +1,6 @@
 """Tests for the exact class tables and the running-AND oracle."""
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -144,13 +145,22 @@ class TestExactJ:
         with pytest.raises(ValidationError, match="n must be a positive integer"):
             exact_prob_J_bruteforce("5", 2, C)
 
-    def test_capacity(self):
-        with pytest.raises(CapacityError, match="28"):
-            exact_prob_J(29, 2, A)
-        with pytest.raises(CapacityError, match="11"):
-            exact_prob_J(12, 2, B)
+    @pytest.mark.parametrize("family,cap", [(A, 28), (C, 28), (B, 11), (DP, 11), (DM, 11)])
+    def test_capacity(self, family, cap):
+        assert 0 < exact_prob_J(cap, 1, family) <= 1
+        message = re.escape(f"family {family.value} is limited to n <= {cap}")
+        with pytest.raises(CapacityError, match=message):
+            exact_prob_J(cap + 1, 2, family)
+
+    def test_bruteforce_capacity(self):
+        # brute force reads C's signed table and projects it
         with pytest.raises(CapacityError, match="family C is limited to n <= 11"):
             exact_prob_J_bruteforce(12, 2, C)
+
+    def test_l_checked_before_capacity(self):
+        # the order exact_prob uses for every event
+        with pytest.raises(ValidationError, match="l must be a positive integer"):
+            exact_prob_J(29, 0, A)
 
     def test_a_allows_large_n(self):
         # unsigned capacity is wider than the signed one
@@ -242,13 +252,19 @@ class TestPredicates:
         direct = sum((p for s, p in entries if all(length % 2 == 0 for length, _ in s.cycles)), F(0))
         assert exact_prob_predicate(n, family, "all_even") == direct
 
-    def test_c_capacity_follows_table(self):
-        # all_even needs only cycle lengths and same_sign no table at all;
-        # all_positive needs C's signed table
-        assert exact_prob_predicate(28, C, "all_even") == exact_prob_predicate(28, A, "all_even")
-        assert exact_prob_predicate(12, C, "same_sign", 2) == F(1, 2)
-        with pytest.raises(CapacityError, match="11"):
-            exact_prob_predicate(12, C, "all_positive")
+    @pytest.mark.parametrize("family", [B, C, DP, DM])
+    def test_capacity_follows_table(self, family):
+        # all_even needs only cycle lengths, so every family reads S_n's
+        # partition table up to its cap; same_sign needs no table at all
+        for n in (12, 28):
+            assert exact_prob(n, 2, family, "all_even") == exact_prob(n, 2, A, "all_even")
+        with pytest.raises(CapacityError, match="n <= 28"):
+            exact_prob(29, 2, family, "all_even")
+        assert exact_prob(12, 2, family, "N") == (1 if family.sector_sign else F(1, 2))
+        # all_positive reads the signed table
+        message = re.escape(f"family {family.value} is limited to n <= 11")
+        with pytest.raises(CapacityError, match=message):
+            exact_prob(12, 2, family, "all_positive")
 
     def test_signed_predicate_rejects_a(self):
         with pytest.raises(ValidationError):
@@ -281,7 +297,7 @@ class TestJAndNotN:
         with pytest.raises(ValidationError):
             exact_prob_J_and_not_N(4, 2, A)
 
-    @pytest.mark.parametrize("family", [B, C])
+    @pytest.mark.parametrize("family", [B, C, DP, DM])
     def test_capacity(self, family):
         # even C enumerates the signed table here
         with pytest.raises(CapacityError, match="11"):

@@ -16,9 +16,8 @@ from invgen import (
     RngState,
     ValidationError,
     WeylFamily,
+    exact_prob,
     exact_prob_J,
-    exact_prob_J_and_not_N,
-    exact_prob_predicate,
     make_partition,
     make_signed,
     run,
@@ -44,27 +43,24 @@ def assert_within_3_sigma(est, exact):
     assert low <= float(exact) <= high, (est, float(exact))
 
 
+# (n, l) of each event's Monte Carlo vs exact cells
+CELLS = {"J": (4, 2), "J_and_not_N": (4, 2), "N": (5, 3), "all_even": (4, 2), "all_positive": (3, 2)}
+
+
 class TestAgainstOracle:
     def test_documented_example(self):
         est = run(spec(2, 2, A, trials=1_000_000))
         assert_within_3_sigma(est, 0.75)
 
-    @pytest.mark.parametrize("family", [B, DP, DM])
-    def test_J_signed(self, family):
-        est = run(spec(4, 2, family))
-        assert_within_3_sigma(est, exact_prob_J(4, 2, family))
-
-    def test_J_and_not_N(self):
-        est = run(spec(4, 2, B, event="J_and_not_N"))
-        assert_within_3_sigma(est, exact_prob_J_and_not_N(4, 2, B))
-
-    def test_N(self):
-        est = run(spec(5, 3, B, event="N"))
-        assert_within_3_sigma(est, exact_prob_predicate(5, B, "same_sign", 3))
-
-    def test_N_in_sector_is_certain(self):
-        est = run(spec(5, 3, DP, event="N", trials=2_000))
-        assert est.successes == est.spec.trials
+    @pytest.mark.parametrize(
+        "event, family", test_events.PAIRS, ids=[f"{e}-{f.value}" for e, f in test_events.PAIRS]
+    )
+    def test_cell(self, event, family):
+        # one cell per (event, family) pair the CLI accepts; where the exact
+        # value is 0 or 1 (N and J_and_not_N in a D sector), 3σ allows no miss
+        n, l = CELLS[event]
+        est = run(spec(n, l, family, event=event))
+        assert_within_3_sigma(est, exact_prob(n, l, family, event))
 
     @pytest.mark.parametrize("family", [DP, DM])
     @pytest.mark.parametrize("event, all_succeed", [("J_and_not_N", False), ("N", True)])
@@ -76,16 +72,6 @@ class TestAgainstOracle:
         monkeypatch.setattr(montecarlo, "_sample_cycles", no_sampling)
         est = run(spec(8, 4, family, event=event, trials=500))
         assert est.successes == (500 if all_succeed else 0)
-
-    def test_all_even(self):
-        est = run(spec(4, 2, A, event="all_even"))
-        single = exact_prob_predicate(4, A, "all_even")
-        assert_within_3_sigma(est, single**2)
-
-    def test_all_positive(self):
-        est = run(spec(3, 2, B, event="all_positive"))
-        single = exact_prob_predicate(3, B, "all_positive")
-        assert_within_3_sigma(est, single**2)
 
 
 class TestEngineMatchesDefinition:
@@ -221,6 +207,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             run(spec(4, 2, A, event=event))
 
+    @pytest.mark.parametrize("call", [run, lambda s: sweep([s])], ids=["run", "sweep"])
+    @pytest.mark.parametrize("bad", ["x", None, (4, 2, A, "J", 10, 1)])
+    def test_not_a_spec_rejected(self, call, bad):
+        # run("x") used to raise AttributeError
+        with pytest.raises(ValidationError, match="expected an ExperimentSpec"):
+            call(bad)
+
     def test_family_string_rejected(self):
         with pytest.raises(ValidationError):
             run(spec(4, 2, "A"))
@@ -310,6 +303,15 @@ class TestSweep:
     def test_empty(self):
         with pytest.raises(ValidationError):
             sweep([])
+
+    @pytest.mark.parametrize("seed, index", [("1", 0), (1.5, 0), (True, 0), (1, "x"), (1, None)])
+    def test_seed_rejects_non_integers(self, seed, index):
+        # used to raise TypeError on ^ or +
+        with pytest.raises(ValidationError, match="must be an integer"):
+            sweep_seed(seed, index)
+
+    def test_seed_reduced_mod_two_to_64(self):
+        assert sweep_seed(-1, 2) == sweep_seed(2**64 - 1, 2)
 
     def test_error_names_index(self):
         specs = [spec(4, 2, A, trials=100), spec(0, 2, A, trials=100)]

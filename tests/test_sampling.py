@@ -53,6 +53,17 @@ class TestDeterminism:
         b = RngState(6, 0)
         assert [a.next64() for _ in range(4)] != [b.next64() for _ in range(4)]
 
+    def test_seed_reduced_mod_two_to_64(self):
+        # the documented contract: an integer seed outside 0..2^64-1 wraps
+        assert RngState(-1, 3).next64() == RngState(2**64 - 1, 3).next64()
+        assert RngState(2**70 + 5, 0).next64() == RngState(5, 0).next64()
+
+    @pytest.mark.parametrize("seed, stream", [("1", 0), (1.5, 0), (None, 0), (1, "x"), (1, 0.5)])
+    def test_rejects_non_integer_seed_or_stream(self, seed, stream):
+        # "1" used to be accepted and fail at the first next64() with TypeError
+        with pytest.raises(ValidationError, match="seed and stream must be integers"):
+            RngState(seed, stream)
+
     def test_sampler_replayable(self):
         out1 = [sample_partition(9, RngState(42, t)) for t in range(50)]
         out2 = [sample_partition(9, RngState(42, t)) for t in range(50)]
