@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ValidationError, check_positive_int
+from .errors import ValidationError, as_list, check_positive_int
 
 
 class WeylFamily(Enum):
@@ -60,6 +60,11 @@ _FAMILY_TOKENS = {f.value: f for f in WeylFamily}
 def _check_family(family) -> None:
     if not isinstance(family, WeylFamily):
         raise ValidationError(f"family must be a WeylFamily, got {family!r}")
+
+
+def _check_label(label, kind: type) -> None:
+    if not isinstance(label, kind):
+        raise ValidationError(f"expected a {kind.__name__}, got {label!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ class SignedSizeProfile:
 
 def make_partition(parts) -> Partition:
     """Canonicalize a list of positive cycle lengths into a Partition."""
-    parts = list(parts)
+    parts = as_list("parts", parts)
     if not parts:
         raise ValidationError("partition needs at least one part")
     for p in parts:
@@ -125,7 +130,7 @@ def make_partition(parts) -> Partition:
 
 def make_signed(cycles) -> SignedCycleType:
     """Canonicalize a list of (length, sign) pairs into a SignedCycleType."""
-    cycles = list(cycles)
+    cycles = as_list("cycles", cycles)
     if not cycles:
         raise ValidationError("signed cycle type needs at least one cycle")
     if not all(isinstance(c, tuple) and len(c) == 2 for c in cycles):
@@ -140,8 +145,7 @@ def make_signed(cycles) -> SignedCycleType:
 
 def project(s: SignedCycleType) -> Partition:
     """Forget the signs: the underlying partition of cycle lengths."""
-    if not isinstance(s, SignedCycleType):
-        raise ValidationError(f"expected a SignedCycleType, got {s!r}")
+    _check_label(s, SignedCycleType)
     return Partition(n=s.n, parts=tuple(l for l, _ in s.cycles))
 
 
@@ -189,13 +193,13 @@ def signed_subset_masks(cycles, keep: int) -> tuple[int, int]:
 
 def fixed_sizes(p: Partition) -> SizeProfile:
     """Achievable proper fixed-subset sizes of one element of class p."""
-    if not isinstance(p, Partition):
-        raise ValidationError(f"expected a Partition, got {p!r}")
+    _check_label(p, Partition)
     return SizeProfile(n=p.n, achievable=subset_sum_mask(reversed(p.parts), (1 << p.n) - 2))
 
 
 def signed_fixed_sets(s: SignedCycleType) -> SignedSizeProfile:
     """Achievable proper (size, sign) pairs of one signed element."""
+    _check_label(s, SignedCycleType)
     plus, minus = signed_subset_masks(reversed(s.cycles), (1 << s.n) - 2)
     return SignedSizeProfile(n=s.n, plus=plus, minus=minus, total_sign=s.total_sign)
 
@@ -205,6 +209,7 @@ def event_J(profiles, family: WeylFamily) -> bool:
     fixed-set size (families A, C) or (size, sign) pair (families B, D)."""
     _check_family(family)
     kind = SignedSizeProfile if family.signed_profiles else SizeProfile
+    profiles = as_list("profiles", profiles)
     if not profiles or not all(isinstance(p, kind) for p in profiles):
         raise ValidationError(f"event_J on family {family.value} needs one or more {kind.__name__}s")
     n = profiles[0].n
@@ -223,15 +228,18 @@ def event_J(profiles, family: WeylFamily) -> bool:
 
 
 def all_cycles_even(p: Partition) -> bool:
+    _check_label(p, Partition)
     return all(part % 2 == 0 for part in p.parts)
 
 
 def all_cycles_positive(s: SignedCycleType) -> bool:
+    _check_label(s, SignedCycleType)
     return all(sign > 0 for _, sign in s.cycles)
 
 
 def event_N(types) -> bool:
     """True iff all signed elements share the same total sign."""
+    types = as_list("types", types)
     if not types or not all(isinstance(t, SignedCycleType) for t in types):
         raise ValidationError("event_N needs one or more SignedCycleTypes")
     n = types[0].n

@@ -22,3 +22,11 @@ def check_positive_int(name: str, value) -> None:
     subclass, but True is not a count, so it is rejected too."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+
+
+def as_list(name: str, items) -> list:
+    """`items` as a new list; ValidationError if it is not iterable."""
+    try:
+        return list(items)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {items!r}") from None

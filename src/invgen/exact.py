@@ -1,21 +1,24 @@
 """Exact small-n ground truth in rational arithmetic.
 
 Enumerates conjugacy classes with their exact probabilities and computes
-Prob(J^l) two independent ways: the law of the running AND of l profile
-masks (J holds iff that AND is empty), and a direct sum over all l-tuples
-of class profiles.  One mask law serves every oracle call: class
-probabilities summed by profile mask, where a mask is the achievable
-sizes, or plus | minus << n for (size, sign) pairs.  The running AND
-starts from the all-ones state -1 and keeps only the states that occur,
-with integer weights; no lattice of all masks is ever built.  Everything
-is a Fraction or an integer; no floating point enters this module.
-`_EVENTS` holds one row per event, read by validation, Monte Carlo and
-`exact_prob`.
+Prob(J^l) two independent ways: the law of the running AND of l element
+masks, and a direct sum over all l-tuples of class profiles.  Every event
+is the AND, over its l elements, of one per-element mask: the profile
+(the achievable sizes, or plus | minus << n for (size, sign) pairs) for
+events that intersect, plus the event's own bits above bit 2n, such as
+the total sign.  J and J_and_not_N hold when that AND ends empty; N and
+the per-element rules hold when it does not.  `_EVENTS` holds one row per
+event, read by validation, Monte Carlo and `exact_prob`, which builds one
+mask law and runs one running AND.  The running AND starts from the
+all-ones state -1 and keeps only the states that occur, with integer
+weights; no lattice of all masks is ever built.  Everything is a Fraction
+or an integer; no floating point enters this module.
 
 Capacity follows the table a route reads, chosen in `_entries`: n <= 28
 for S_n's partition table (J in A and C, all_even in every family), n <= 11
 wherever the signed class table is read (J in B, D+, D-, J_and_not_N and
-all_positive).  Event N needs no table and has no cap.
+all_positive).  Event N reads the n = 1 table and has no cap on n.  Every
+route takes l <= 16.
 """
 
 from __future__ import annotations
@@ -44,9 +47,12 @@ from .errors import CapacityError, ValidationError, check_positive_int
 # at these caps, but their number and the class table still grow
 # exponentially in n.  The caps keep the top of each range (A n = 28,
 # B n = 11, l = 4) to about 1.5 s; the oracle exists for testing, not
-# production.
+# production.  Each of the l draws costs states x masks (B n = 11: 0.9, 14
+# and 56 s at l = 4, 8 and 16); brute force takes about 10 us per tuple.
 UNSIGNED_LIMIT = 28
 SIGNED_LIMIT = 11
+L_LIMIT = 16
+_TUPLE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -142,42 +148,48 @@ def _entries(n: int, family: WeylFamily, signed: bool):
     return enumerate_classes(n, family if signed else WeylFamily.A).entries
 
 
-def _law(entries, signed_profiles: bool) -> dict[int, Fraction]:
-    """Class probabilities summed by profile mask: the achievable sizes
-    (of the projection, for signed labels), or plus | minus << n when the
-    event reads (size, sign) pairs, so that one AND intersects both."""
+def _law(entries, pairs: bool | None, bits) -> dict[int, Fraction]:
+    """Class probabilities summed by element mask: the profile, then
+    bits(lengths, signs, total) above bit 2n.  The profile is the achievable
+    sizes (of the projection, for signed labels) when `pairs` is False,
+    plus | minus << n for (size, sign) pairs when True, and absent when
+    None, so that one AND intersects all of them at once."""
     law: dict[int, Fraction] = {}
     for label, p in entries:
-        if signed_profiles:
-            prof = signed_fixed_sets(label)
-            mask = prof.plus | prof.minus << label.n
+        if isinstance(label, Partition):
+            lengths, signs, total = label.parts, (), 1
         else:
-            mask = fixed_sizes(label if isinstance(label, Partition) else project(label)).achievable
+            (lengths, signs), total = zip(*label.cycles), label.total_sign
+        mask = bits(lengths, signs, total) << 2 * label.n
+        if pairs:
+            prof = signed_fixed_sets(label)
+            mask |= prof.plus | prof.minus << label.n
+        elif pairs is not None:  # lengths are non-increasing: the projection's parts
+            mask |= fixed_sizes(Partition(label.n, lengths)).achievable
         law[mask] = law.get(mask, 0) + p
     return law
 
 
 def _prob_empty_and(masses: dict[int, Fraction], l: int) -> Fraction:
-    """Prob(the AND of l independent profile masks is empty), for masks
-    drawn from `masses` (whose total may be below 1: a sign sector).
+    """Prob(the AND of l independent masks is empty), for masks drawn from
+    the law `masses`.
 
     Tracks the law of the running AND as a sparse dict state -> weight, in
     integers over the lcm denominator, starting from the all-ones state -1
     (which ANDs to each mask itself).  A state that reaches 0 stays 0, so
-    its weight leaves the dict and only gains a factor W (the total weight)
-    per later draw; the last draw just sums the weights of masks disjoint
-    from each surviving state.  Only states that occur are kept, so no
-    mask width enters.
+    its weight leaves the dict and only gains a factor den (the total
+    weight, as the law sums to 1) per later draw; the last draw just sums
+    the weights of masks disjoint from each surviving state.  Only states
+    that occur are kept, so no mask width enters.
     """
     den = 1
     for f in masses.values():
         den = lcm(den, f.denominator)
     weights = [(mask, f.numerator * (den // f.denominator)) for mask, f in masses.items()]
-    total_weight = sum(w for _, w in weights)
     state = {-1: 1}
     empty = 0
     for _ in range(l - 1):
-        empty *= total_weight
+        empty *= den
         nxt: dict[int, int] = {}
         for a, c in state.items():
             for mask, w in weights:
@@ -187,56 +199,34 @@ def _prob_empty_and(masses: dict[int, Fraction], l: int) -> Fraction:
                 else:
                     empty += c * w
         state = nxt
-    empty *= total_weight
+    empty *= den
     for a, c in state.items():
         empty += c * sum(w for mask, w in weights if not a & mask)
     return Fraction(empty, den**l)
 
 
-def _prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
-    # A and C's J reads only plain sizes, and the uniform signed law projects
-    # to the uniform S_n class law, so both use the partition table (this
-    # keeps C at the unsigned capacity).
-    signed = family.signed_profiles
-    return _prob_empty_and(_law(_entries(n, family, signed), signed), l)
-
-
-def _prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
-    # Prob(J and all signs equal to e) is the same running-AND law with the
-    # single-element masses restricted to the sign-e sector, so
-    # Prob(J and not N) = Prob(J) - sum_e Prob(J and all signs e).  Even C
-    # needs its signed table here.
-    entries = _entries(n, family, True)
-    signed = family.signed_profiles
-    # the table's law is the sum of its sector laws: each label is profiled once
-    plus, minus = (_law([(s, p) for s, p in entries if s.total_sign == e], signed) for e in (1, -1))
-    total = {mask: plus.get(mask, 0) + minus.get(mask, 0) for mask in plus.keys() | minus.keys()}
-    return _prob_empty_and(total, l) - _prob_empty_and(plus, l) - _prob_empty_and(minus, l)
-
-
-def _prob_N(n: int, l: int, family: WeylFamily) -> Fraction:
-    # 2^(1-l) in B and C, whose total sign is a fair coin (the sector-mass
-    # theorem `enumerate_classes` asserts), 1 in a D sector
-    return Fraction(1) if family.sector_sign is not None else Fraction(2, 2**l)
+def _sign_bit(lengths, signs, total: int) -> int:
+    """Bit 0 for total sign +1, bit 1 for -1: it survives an AND only while
+    every total sign agrees."""
+    return 1 if total > 0 else 2
 
 
 class _Event(NamedTuple):
-    """What one event means; `_count_range` says how a trial settles it."""
+    """What one event means: the AND, over its l elements, of a per-element
+    mask, the profile (for intersecting events) plus the element's bits."""
 
     signed: bool  # reads cycle signs, so family A cannot take it
-    intersects: bool  # J-type: holds when the profile intersections end empty
-    mixed: bool  # reads whether two total signs differ
-    fails: Callable[[Sequence[int], Sequence[int]], bool] | None  # per element, on (lengths, signs)
-    exact: Callable[[int, int, WeylFamily], Fraction] | None  # None: (passing mass) ** l
+    intersects: bool  # holds when the AND ends empty; otherwise when it does not
+    bits: Callable[[Sequence[int], Sequence[int], int], int]  # on (lengths, signs, total)
 
 
 # One row per event, in the order the CLI lists them.
 _EVENTS = {
-    "J": _Event(False, True, False, None, _prob_J),
-    "J_and_not_N": _Event(True, True, True, None, _prob_J_and_not_N),
-    "N": _Event(True, False, True, None, _prob_N),
-    "all_even": _Event(False, False, False, lambda lengths, signs: any(k & 1 for k in lengths), None),
-    "all_positive": _Event(True, False, False, lambda lengths, signs: -1 in signs, None),
+    "J": _Event(False, True, lambda lengths, signs, total: 0),
+    "J_and_not_N": _Event(True, True, _sign_bit),
+    "N": _Event(True, False, _sign_bit),
+    "all_even": _Event(False, False, lambda lengths, signs, total: 0 if any(k & 1 for k in lengths) else 1),
+    "all_positive": _Event(True, False, lambda lengths, signs, total: 0 if -1 in signs else 1),
 }
 EVENTS = tuple(_EVENTS)
 
@@ -254,23 +244,29 @@ def check_event(event: str, family: WeylFamily) -> None:
         )
 
 
+def _check_l(l: int) -> None:
+    check_positive_int("l", l)
+    if l > L_LIMIT:
+        raise CapacityError(f"exact mode is limited to l <= {L_LIMIT} (got {l})")
+
+
 def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
     """Exact probability of an event of l uniform elements, by its row.
     The one place the event routes validate their input."""
     check_event(event, family)
     check_positive_int("n", n)
-    check_positive_int("l", l)
-    row = _EVENTS[event]
-    if row.exact is not None:
-        return row.exact(n, l, family)
-    # Given the cycle lengths, signs are fair coins and a D sector fixes only
-    # their product, so a rule on lengths alone sees S_n's class law.
-    mass = Fraction(0)
-    for label, p in _entries(n, family, row.signed):
-        lengths, signs = (label.parts, ()) if isinstance(label, Partition) else zip(*label.cycles)
-        if not row.fails(lengths, signs):
-            mass += p
-    return mass**l
+    _check_l(l)
+    signed, intersects, bits = _EVENTS[event]
+    # Cycle lengths have S_n's law in every family (signs are fair coins and
+    # a D sector fixes only their product), so S_n's partition table serves
+    # unless the event reads signs or intersects (size, sign) pairs (B, D).
+    # N reads only the total sign, whose law is the same at every n (the
+    # sector-mass theorem `enumerate_classes` asserts): the n = 1 table
+    # serves, with no cap.
+    pairs = intersects and family.signed_profiles
+    entries = _entries(1 if event == "N" else n, family, signed or pairs)
+    empty = _prob_empty_and(_law(entries, pairs if intersects else None, bits), l)
+    return empty if intersects else 1 - empty
 
 
 def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
@@ -280,8 +276,9 @@ def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
 
 
 def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
-    """Exact Prob(J and not N) for signed-label families, by the running-AND
-    law of each sign sector; 0 in a D sector."""
+    """Exact Prob(J and not N) for signed-label families: J's running AND
+    with the total sign as two more mask bits, which survive only while
+    every sign agrees; 0 in a D sector."""
     return exact_prob(n, l, family, "J_and_not_N")
 
 
@@ -290,9 +287,10 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
     profiles (with aggregated probabilities) and evaluate the event per
     tuple with the runtime event evaluator.  For family C this enumerates
     the signed table and projects, so it is capped at the signed limit.
-    Exponential in l; meant for n <= 6, l <= 3 cross-checks.
+    Exponential in l; meant for n <= 6, l <= 3 cross-checks, and capped at
+    10^6 tuples.
     """
-    check_positive_int("l", l)
+    _check_l(l)
     _check_family(family)
     check_positive_int("n", n)
     entries = _entries(n, family, family.signed_labels)
@@ -306,6 +304,8 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
             prof = fixed_sizes(project(label) if family is WeylFamily.C else label)
             key = prof.achievable
         grouped.setdefault(key, [prof, 0])[1] += p
+    if len(grouped) ** l > _TUPLE_LIMIT:
+        raise CapacityError(f"brute force is limited to {_TUPLE_LIMIT} tuples (got {len(grouped)}**{l})")
     total = Fraction(0)
     for combo in itertools.product(grouped.values(), repeat=l):
         if event_J([prof for prof, _ in combo], family):

@@ -44,8 +44,8 @@ from numbers import Real
 from statistics import NormalDist
 
 from .cycletypes import WeylFamily, signed_subset_masks, subset_sum_mask
-from .errors import ValidationError, check_positive_int
-from .exact import _EVENTS, EVENTS, check_event  # noqa: F401 (public names here too)
+from .errors import ValidationError, as_list, check_positive_int
+from .exact import _EVENTS, EVENTS, _sign_bit, check_event  # noqa: F401 (public names here too)
 from .sampling import GOLDEN, M64, RngState, _sample_cycles, mix64
 
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
@@ -116,11 +116,11 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
 def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     """Successes over trials start..stop-1; one loop serves every event.
 
-    A trial stops sampling once its outcome is settled.  J-type events
-    settle as successes: the running intersections of the half-lattice
-    profiles are empty (and, if the row reads mixed signs, two total signs
-    differ).  The others settle as failures: two total signs differ, or an
-    element breaks the row's per-element rule.
+    A trial keeps the running intersections of the half-lattice profiles
+    (for events that intersect) and `alive`, the AND of the row's bits of
+    every element drawn.  It settles once both are empty: a success for
+    the events that intersect, a failure for the others.  A trial that
+    draws all l elements unsettled has the opposite outcome.
 
     At n >= _WINDOW_CUTOFF a J trial intersects sizes 1.._WINDOW first
     and fails if they stay alive after l elements; once they are empty,
@@ -130,10 +130,11 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     on order, so the outcome is the one-pass outcome.
     """
     n, l, seed, family = spec.n, spec.l, spec.master_seed, spec.family
-    _, intersects, reads_mixed, fails, _ = _EVENTS[spec.event]
+    _, intersects, bits = _EVENTS[spec.event]
     signed, want = family.signed_labels, family.sector_sign
-    # Within a D sector every total sign is equal: J_and_not_N never holds, N always does.
-    if want is not None and reads_mixed and fails is None:
+    # Within a D sector every total sign is equal, so the sign bits never
+    # empty: J_and_not_N never holds, N always does.
+    if want is not None and bits is _sign_bit:
         return 0 if intersects else stop - start
     signed_profiles = family.signed_profiles
     low = (1 << (n // 2 + 1)) - 2
@@ -147,8 +148,7 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
         rng = RngState(seed, t)
         inter_p = inter_m = window
         swap_p = swap_m = window & swap_mask
-        first_sign = 0
-        mixed = settled = False
+        alive = -1
         kept = [] if rest else None  # window-pass elements, for the rest pass
         queue = []  # kept elements still to intersect above the window
         drawn = 0
@@ -158,9 +158,7 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
             else:
                 drawn += 1
                 element = lengths, signs, total = _sample_cycles(rng, n, signed, want)
-                if reads_mixed:
-                    first_sign = first_sign or total
-                    mixed = mixed or total != first_sign
+                alive &= bits(lengths, signs, total)
                 if kept is not None:
                     kept.append(element)
             if intersects:
@@ -184,12 +182,11 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
                     queue = sorted(kept, key=lambda e: len(e[0]), reverse=True)
                     kept = None
                     continue
-                settled = mixed or not reads_mixed
-            else:
-                settled = mixed or fails is not None and fails(lengths, signs)
-            if settled:
+            if not alive:
+                successes += intersects
                 break
-        successes += settled == intersects
+        else:
+            successes += not intersects
     return successes
 
 
@@ -250,7 +247,7 @@ def sweep(specs, threads: int = 1, confidence: float = 0.99) -> list[Estimate]:
     validated before any trial runs; with threads > 1 all rows share one
     pool, which is shut down before this returns or raises.
     """
-    specs = list(specs)
+    specs = as_list("specs", specs)
     if not specs:
         raise ValidationError("sweep needs at least one spec")
     check_positive_int("threads", threads)

@@ -109,9 +109,15 @@ def _sample_cycles(
     return lengths, signs, total
 
 
+def _check_rng(rng) -> None:
+    if not isinstance(rng, RngState):
+        raise ValidationError(f"rng must be an RngState, got {rng!r}")
+
+
 def sample_partition(n: int, rng: RngState) -> Partition:
     """Cycle type of a uniform random element of S_n."""
     check_positive_int("n", n)
+    _check_rng(rng)
     lengths, _, _ = _sample_cycles(rng, n, signed=False)
     lengths.sort(reverse=True)
     return Partition(n=n, parts=tuple(lengths))
@@ -125,6 +131,7 @@ def _canonical_signed(n: int, lengths: list[int], signs: list[int]) -> SignedCyc
 def sample_signed(n: int, rng: RngState) -> SignedCycleType:
     """Class label of a uniform random element of C2 wr S_n."""
     check_positive_int("n", n)
+    _check_rng(rng)
     lengths, signs, _ = _sample_cycles(rng, n, signed=True)
     return _canonical_signed(n, lengths, signs)
 
@@ -139,5 +146,6 @@ def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCy
     check_positive_int("n", n)
     if want_sign not in (1, -1):
         raise ValidationError(f"want_sign must be +1 or -1, got {want_sign!r}")
+    _check_rng(rng)
     lengths, signs, _ = _sample_cycles(rng, n, signed=True, want_sign=want_sign)
     return _canonical_signed(n, lengths, signs)

@@ -249,11 +249,18 @@ class TestExact:
         assert code == 0
         assert out.startswith("1 = 1.0")
 
-    @pytest.mark.parametrize("family,limit", [("A", 28), ("B", 11)])
-    def test_capacity_named(self, capsys, family, limit):
-        code, _, err = cli(capsys, "exact", "--n", str(limit + 1), "--l", "2", "--family", family)
+    @pytest.mark.parametrize(
+        "args,limit",
+        [
+            ("--n 29 --l 2 --family A", "n <= 28"),
+            ("--n 12 --l 2 --family B", "n <= 11"),
+            ("--n 4 --l 20 --family B --event N", "l <= 16"),
+        ],
+    )
+    def test_capacity_named(self, capsys, args, limit):
+        code, _, err = cli(capsys, "exact", *args.split())
         assert code == 2
-        assert str(limit) in err
+        assert limit in err
 
     def test_all_even_reads_the_partition_table(self, capsys):
         # used to exit 2 with "limited to n <= 11", though family C answered

@@ -14,7 +14,11 @@ from invgen import (
     make_partition,
     make_signed,
     project,
+    sample_partition,
+    sample_signed,
+    sample_signed_conditioned,
     signed_fixed_sets,
+    sweep,
 )
 from invgen.cycletypes import signed_subset_masks, subset_sum_mask
 
@@ -178,11 +182,28 @@ class TestPredicates:
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: fixed_sizes("31"), lambda: project("x"), lambda: make_signed("x")],
-    ids=["fixed_sizes", "project", "make_signed"],
+    [
+        pytest.param(lambda: fixed_sizes("31"), id="fixed_sizes"),
+        pytest.param(lambda: project("x"), id="project"),
+        pytest.param(lambda: make_signed("x"), id="make_signed"),
+        pytest.param(lambda: make_signed(5), id="make_signed.non_iterable"),
+        pytest.param(lambda: make_partition(None), id="make_partition.non_iterable"),
+        pytest.param(lambda: signed_fixed_sets("x"), id="signed_fixed_sets"),
+        pytest.param(lambda: signed_fixed_sets(make_partition([2, 1])), id="signed_fixed_sets.partition"),
+        pytest.param(lambda: all_cycles_even("x"), id="all_cycles_even"),
+        pytest.param(lambda: all_cycles_positive(None), id="all_cycles_positive"),
+        pytest.param(lambda: event_J(5, A), id="event_J.non_iterable"),
+        pytest.param(lambda: event_N(5), id="event_N.non_iterable"),
+        pytest.param(lambda: sample_partition(5, "x"), id="sample_partition.rng"),
+        pytest.param(lambda: sample_signed(5, None), id="sample_signed.rng"),
+        pytest.param(lambda: sample_signed_conditioned(5, 1, 3), id="sample_signed_conditioned.rng"),
+        pytest.param(lambda: sweep(None), id="sweep.None"),
+        pytest.param(lambda: sweep(5), id="sweep.non_iterable"),
+    ],
 )
-def test_label_helpers_reject_malformed_input(call):
-    # used to raise AttributeError (no `.n`) or ValueError (unpacking "x")
+def test_public_calls_reject_malformed_input(call):
+    # each used to raise AttributeError (no `.n`, `.cycles` or `.state`),
+    # TypeError (not iterable) or ValueError (unpacking "x")
     with pytest.raises(ValidationError):
         call()
 

@@ -57,13 +57,6 @@ def dense_inclusion_exclusion(masses, l):
     return Fraction(total, den**l)
 
 
-def sector_masses(n, family, sign):
-    """Masks of the sign-`sign` half of the B/C table, unscaled (total 1/2):
-    the input `exact_prob_J_and_not_N` hands the oracle."""
-    half = [(label, p) for label, p in enumerate_classes(n, B).entries if label.total_sign == sign]
-    return exact._law(half, family is B)
-
-
 class TestClassTables:
     def test_a2(self):
         table = dict(enumerate_classes(2, A).entries)
@@ -151,11 +144,22 @@ class TestExactJ:
         message = re.escape(f"family {family.value} is limited to n <= {cap}")
         with pytest.raises(CapacityError, match=message):
             exact_prob_J(cap + 1, 2, family)
+        # each of the l draws costs a pass over every running-AND state
+        assert 0 < exact_prob_J(3, exact.L_LIMIT, family) <= 1
+        with pytest.raises(CapacityError, match="l <= 16"):
+            exact_prob_J(3, exact.L_LIMIT + 1, family)
 
     def test_bruteforce_capacity(self):
         # brute force reads C's signed table and projects it
         with pytest.raises(CapacityError, match="family C is limited to n <= 11"):
             exact_prob_J_bruteforce(12, 2, C)
+        # l = 2^64 used to raise a raw OverflowError from itertools.product
+        with pytest.raises(CapacityError, match="l <= 16"):
+            exact_prob_J_bruteforce(2, 2**64, A)
+        # 35 distinct profiles: 42,875 tuples at l = 3, 1,500,625 at l = 4
+        assert 0 < exact_prob_J_bruteforce(6, 3, B) < 1
+        with pytest.raises(CapacityError, match="limited to 1000000 tuples"):
+            exact_prob_J_bruteforce(6, 4, B)
 
     def test_l_checked_before_capacity(self):
         # the order exact_prob uses for every event
@@ -196,21 +200,20 @@ class TestSparseMatchesDense:
         [(A, n) for n in range(1, 15)] + [(f, n) for f in (B, DP, DM) for n in range(1, 8)],
     )
     def test_full_masses(self, family, n):
-        masses = exact._law(enumerate_classes(n, family).entries, family.signed_profiles)
+        entries = enumerate_classes(n, family).entries
+        masses = exact._law(entries, family.signed_profiles, exact._EVENTS["J"].bits)
         for l in (1, 2, 3, 4):
             assert exact._prob_empty_and(masses, l) == dense_inclusion_exclusion(masses, l), l
 
-    @pytest.mark.parametrize("family", [B, C])
+    @pytest.mark.parametrize("family", [B, C, DP, DM])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_sector_masses(self, family, n):
-        # total weight 1/2: draws after the AND went empty still stay in the sector
-        for sign in (1, -1):
-            masses = sector_masses(n, family, sign)
-            assert sum(masses.values()) == F(1, 2)
-            for l in (1, 2, 3, 4):
-                assert exact._prob_empty_and(masses, l) == dense_inclusion_exclusion(
-                    masses, l
-                ), (sign, l)
+    def test_sign_tagged_laws(self, family, n):
+        # J_and_not_N's input: each profile with its total sign two bits above
+        entries = enumerate_classes(n, family).entries
+        masses = exact._law(entries, family.signed_profiles, exact._sign_bit)
+        assert sum(masses.values()) == 1
+        for l in (1, 2, 3, 4):
+            assert exact._prob_empty_and(masses, l) == dense_inclusion_exclusion(masses, l), l
 
 
 class TestPredicates:
@@ -261,6 +264,9 @@ class TestPredicates:
         with pytest.raises(CapacityError, match="n <= 28"):
             exact_prob(29, 2, family, "all_even")
         assert exact_prob(12, 2, family, "N") == (1 if family.sector_sign else F(1, 2))
+        # no route takes l above L_LIMIT, not even the table-free N
+        with pytest.raises(CapacityError, match="l <= 16"):
+            exact_prob(12, 17, family, "N")
         # all_positive reads the signed table
         message = re.escape(f"family {family.value} is limited to n <= 11")
         with pytest.raises(CapacityError, match=message):
