@@ -208,7 +208,7 @@ class TestSparseMatchesDense:
     @pytest.mark.parametrize("family", [B, C, DP, DM])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sign_tagged_laws(self, family, n):
-        # J_and_not_N's input: each profile with its total sign two bits above
+        # J_and_not_N's input: each profile with its total sign's bit above bit 2n
         entries = enumerate_classes(n, family).entries
         masses = exact._law(entries, family.signed_profiles, exact._sign_bit)
         assert sum(masses.values()) == 1
@@ -264,7 +264,7 @@ class TestPredicates:
         with pytest.raises(CapacityError, match="n <= 28"):
             exact_prob(29, 2, family, "all_even")
         assert exact_prob(12, 2, family, "N") == (1 if family.sector_sign else F(1, 2))
-        # no route takes l above L_LIMIT, not even the table-free N
+        # no route takes l above L_LIMIT, not even N, which has no cap on n
         with pytest.raises(CapacityError, match="l <= 16"):
             exact_prob(12, 17, family, "N")
         # all_positive reads the signed table
