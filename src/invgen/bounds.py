@@ -102,13 +102,16 @@ def _row(tag) -> _Row:
     return _ROWS[tag]
 
 
-def _validate(f: ClassicalFamily) -> _Row:
+def _validate(f: ClassicalFamily, **flags) -> _Row:
     if not isinstance(f, ClassicalFamily):
         raise ValidationError(f"expected a ClassicalFamily, got {f!r}")
     row = _row(f.tag)
     _check_q(f.q)
     if row.parity is not None and f.q % 2 != row.parity:
         raise ValidationError(f"{f.tag.value} needs {('even', 'odd')[row.parity]} q, got {f.q}")
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValidationError(f"{name} must be True or False, got {value!r}")
     return row
 
 
@@ -139,7 +142,7 @@ def separable_proportion(f: ClassicalFamily, conservative: bool = False) -> Frac
     (sign-safe truncation).  The SO odd-q row is already an explicit lower
     bound and is never truncated.
     """
-    s = _proportion(_validate(f), f.q, conservative, odd_q=f.q % 2 == 1)
+    s = _proportion(_validate(f, conservative=conservative), f.q, conservative, odd_q=f.q % 2 == 1)
     if s < 0:
         warnings.warn(
             f"separable proportion for {f.tag.value} at q={f.q} is negative; clamped to 0",
@@ -166,7 +169,7 @@ def i4_lower_bound(
     """Lower bound on the probability that four random elements invariably
     generate: factor * b - (1 - s^4), factor 7/8 by default.  Not clamped;
     a non-positive value means no conclusion at this q."""
-    row = _validate(f)
+    row = _validate(f, sharp_a=sharp_a, conservative=conservative)
     b = _as_fraction(b_J4)
     if not 0 <= b <= 1:
         raise ValidationError(f"b_J4 must be in [0,1], got {b}")

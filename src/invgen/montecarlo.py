@@ -12,20 +12,22 @@ and the chunks of every row of a `sweep` (or of a lone `run`) go to one
 process pool at once, which is shut down before the call returns.
 
 Profiles are complement-symmetric: a subset of size k leaves one of size
-n-k, with sign sigma*e for a subset of sign e when the element's total sign
-is sigma.  So a trial keeps only sizes 1..n//2 of its running intersection,
-plus, for family B, a second (plus, minus) pair whose tracks are swapped
+n-k, with sign sigma*e for a subset of sign e when the element's total
+sign is sigma.  So a trial keeps only sizes 1..n//2 of its running
+intersection, plus a second (plus, minus) pair whose tracks are swapped
 for every element with sigma = -1; J holds iff every intersection is
-empty.  Each profile DP computes only the bits still alive in those
-intersections and skips every cycle longer than the top one.
+empty.  Outside B that pair equals the plain pair (A, D+), mirrors it (D-)
+or is a subset of it (C), so it adds no DP work.  Each profile DP computes
+only the bits still alive in those intersections, runs only while one is,
+and skips every cycle longer than the top one.
 
-At n >= _WINDOW_CUTOFF (2^16) a J trial runs a window pass first: each
-element is sampled when needed and intersected on sizes 1..64 only, a DP
-over a few short cycles.  Most trials where J fails share such a size, and
-they end there without a full-width DP.  Once the window empties, the
-elements kept so far are intersected on the sizes above it, fewest cycles
-first (a sparse profile empties the intersection soonest), then any
-further elements are sampled with the usual early exit.  Below the
+At n >= _WINDOW_CUTOFF (2^16) a trial that intersects runs a window pass
+first: each element is drawn when needed and intersected on sizes 1..64
+only, a DP over a few short cycles.  Most trials where J fails share such
+a size, and they end there without a full-width DP.  Once the window
+empties, the elements drawn so far are sorted fewest cycles first (a
+sparse profile empties the intersection soonest) and read again on the
+sizes above it; later ones are drawn with the usual early exit.  Below the
 cut-off the window is the whole half-lattice, which is the one-pass loop.
 
 At n = 10^6 a trial costs about 200 us for A and 490 us for B at l = 4,
@@ -117,17 +119,17 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     """Successes over trials start..stop-1; one loop serves every event.
 
     A trial keeps the running intersections of the half-lattice profiles
-    (for events that intersect) and `alive`, the AND of the row's bits of
-    every element drawn.  It settles once both are empty: a success for
-    the events that intersect, a failure for the others.  A trial that
-    draws all l elements unsettled has the opposite outcome.
+    (empty from the start for events that do not intersect) and `alive`,
+    the AND of the row's bits of every element drawn.  It settles once
+    both are empty: a success for the events that intersect, a failure for
+    the others.  A trial that reads all l elements unsettled has the
+    opposite outcome.
 
-    At n >= _WINDOW_CUTOFF a J trial intersects sizes 1.._WINDOW first
-    and fails if they stay alive after l elements; once they are empty,
-    the intersections restart on the sizes above, the kept elements go
-    fewest cycles first, and further ones are sampled as usual.  Element
-    i is still draw i of the trial's stream and the AND does not depend
-    on order, so the outcome is the one-pass outcome.
+    `elements[i]` is draw i of the trial's stream, drawn when the index
+    first reaches it.  At n >= _WINDOW_CUTOFF the tracks start on sizes
+    1.._WINDOW; once they empty, the list is sorted fewest cycles first,
+    the index goes back to 0 and the tracks restart on the sizes above.
+    The AND does not depend on order, so the outcome is the one-pass one.
     """
     n, l, seed, family = spec.n, spec.l, spec.master_seed, spec.family
     _, intersects, bits = _EVENTS[spec.event]
@@ -137,32 +139,24 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     if want is not None and bits is _sign_bit:
         return 0 if intersects else stop - start
     signed_profiles = family.signed_profiles
-    low = (1 << (n // 2 + 1)) - 2
-    window = low & ((2 << _WINDOW) - 2) if intersects and n >= _WINDOW_CUTOFF else low
-    rest = low & ~window
-    # The swapped pair is needed only where total signs mix (B): A and C
-    # keep one track, and within a D sector it is the plain pair or its mirror.
-    swap_mask = -1 if signed_profiles and want is None else 0
+    low = (1 << (n // 2 + 1)) - 2 if intersects else 0
+    window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF else low
+    above = low & ~window
     successes = 0
     for t in range(start, stop):
         rng = RngState(seed, t)
-        inter_p = inter_m = window
-        swap_p = swap_m = window & swap_mask
+        inter_p = inter_m = swap_p = swap_m = keep = window
+        rest = above
         alive = -1
-        kept = [] if rest else None  # window-pass elements, for the rest pass
-        queue = []  # kept elements still to intersect above the window
-        drawn = 0
-        while queue or drawn < l:
-            if queue:
-                lengths, signs, total = queue.pop()
-            else:
-                drawn += 1
-                element = lengths, signs, total = _sample_cycles(rng, n, signed, want)
-                alive &= bits(lengths, signs, total)
-                if kept is not None:
-                    kept.append(element)
-            if intersects:
-                keep = inter_p | inter_m | swap_p | swap_m
+        elements = []
+        i = 0
+        while i < l:
+            if i == len(elements):
+                elements.append(_sample_cycles(rng, n, signed, want))
+                alive &= bits(*elements[i])
+            lengths, signs, total = elements[i]
+            i += 1
+            if keep:
                 if signed_profiles:
                     plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
                 else:
@@ -174,13 +168,15 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
                     plus, minus = minus, plus
                 swap_p &= plus
                 swap_m &= minus
-                if inter_p or inter_m or swap_p or swap_m:
+                # OR the minus tracks (empty in A and C) apart: x | 0 copies x
+                keep = inter_p | swap_p | (inter_m | swap_m)
+                if keep:
                     continue
-                if kept:  # the window emptied: intersect the rest
-                    inter_p = inter_m = rest
-                    swap_p = swap_m = rest & swap_mask
-                    queue = sorted(kept, key=lambda e: len(e[0]), reverse=True)
-                    kept = None
+                if rest:  # the window emptied: intersect the rest
+                    inter_p = inter_m = swap_p = swap_m = keep = rest
+                    rest = 0
+                    elements.sort(key=lambda e: len(e[0]))
+                    i = 0
                     continue
             if not alive:
                 successes += intersects

@@ -73,6 +73,8 @@ class TestSeparableProportion:
         assert separable_proportion(fam(T.SP_ODD_Q, 37), conservative=True) == F(34, 37)
         assert separable_proportion(fam(T.SP_EVEN_Q, 8), conservative=True) == F(3, 4)
         assert separable_proportion(fam(T.SO_EVEN_DIM_PLUS, 4), conservative=True) == F(1, 2)
+        # the solver takes the odd-q row for SO at every q, even q included
+        assert solver_proportion(T.SO_EVEN_DIM_PLUS, 4) == F(2, 9)
 
     def test_so_odd_q_never_truncated(self):
         # already a lower bound; both modes agree

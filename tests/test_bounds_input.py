@@ -11,7 +11,7 @@ from invgen import (
     solve_K4,
     solver_proportion,
 )
-from invgen.bounds import ClassicalTag as T
+from invgen.bounds import ClassicalFamily, ClassicalTag as T
 
 
 @pytest.mark.parametrize(
@@ -63,3 +63,22 @@ def test_bounds_reject_non_family(call, f):
     # None used to raise AttributeError: 'NoneType' object has no attribute 'tag'
     with pytest.raises(ValidationError, match="expected a ClassicalFamily"):
         call(f)
+
+
+SL_13 = ClassicalFamily(T.SL, 13)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda flag: i4_lower_bound(SL_13, 0.3, sharp_a=flag),
+        lambda flag: i4_lower_bound(SL_13, 0.3, conservative=flag),
+        lambda flag: separable_proportion(SL_13, conservative=flag),
+    ],
+    ids=["i4_lower_bound-sharp_a", "i4_lower_bound-conservative", "separable_proportion-conservative"],
+)
+@pytest.mark.parametrize("flag", ["false", "True", 0, 1, None, 1.0])
+def test_bounds_reject_non_bool_flag(call, flag):
+    # sharp_a="false" used to apply the sharp factor 1, as sharp_a=True does
+    with pytest.raises(ValidationError, match="must be True or False"):
+        call(flag)

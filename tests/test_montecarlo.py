@@ -73,6 +73,30 @@ class TestAgainstOracle:
         est = run(spec(8, 4, family, event=event, trials=500))
         assert est.successes == (500 if all_succeed else 0)
 
+    @pytest.mark.parametrize("n", [8, 1000])
+    @pytest.mark.parametrize("family", [B, C])
+    def test_no_wasted_profile_dp(self, monkeypatch, family, n):
+        # a profile DP runs only while some track is alive, and never for
+        # the events that do not intersect
+        keeps = []
+
+        def recording(dp):
+            def wrapped(cycles, keep):
+                keeps.append(keep)
+                return dp(cycles, keep)
+
+            return wrapped
+
+        for name in ("subset_sum_mask", "signed_subset_masks"):
+            monkeypatch.setattr(montecarlo, name, recording(getattr(montecarlo, name)))
+        for event in ("J", "J_and_not_N"):
+            run(spec(n, 4, family, event=event, trials=200))
+        assert keeps and all(keeps)
+        keeps.clear()
+        for event in ("N", "all_even", "all_positive"):
+            run(spec(n, 4, family, event=event, trials=200))
+        assert keeps == []
+
 
 class TestEngineMatchesDefinition:
     """The engine's half-lattice intersections, alive-bits DP, early exit
