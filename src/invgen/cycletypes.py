@@ -137,8 +137,8 @@ def make_signed(cycles) -> SignedCycleType:
         raise ValidationError(f"each cycle must be a (length, sign) pair, got {cycles!r}")
     for length, sign in cycles:
         check_positive_int("each cycle length", length)
-        if sign not in (1, -1):
-            raise ValidationError(f"cycle signs must be +1 or -1, got {sign!r}")
+        if type(sign) is not int or sign not in (1, -1):  # rejects True and -1.0 too
+            raise ValidationError(f"cycle signs must be the int 1 or -1, got {sign!r}")
     cycles.sort(key=lambda c: (-c[0], -c[1]))
     return SignedCycleType(n=sum(l for l, _ in cycles), cycles=tuple(cycles))
 

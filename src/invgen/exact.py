@@ -1,20 +1,20 @@
 """Exact small-n ground truth in rational arithmetic.
 
-Enumerates conjugacy classes with their exact probabilities and computes
-Prob(J^l) two independent ways: the law of the running AND of l element
-masks, and a direct sum over all l-tuples of class profiles.  Every event
-is the AND, over its l elements, of one per-element mask: the profile
-(the achievable sizes, or plus | minus << n for (size, sign) pairs) for
-events that intersect, plus the event's own bits above bit 2n, such as
-the total sign.  J and J_and_not_N hold when that AND ends empty; N and
-the per-element rules hold when it does not.  `_EVENTS` holds one row per
-event, read by validation, Monte Carlo and `exact_prob`, which builds one
-mask law and runs one running AND.  The running AND starts from the
-all-ones state -1 and keeps only the states that occur, with integer
-weights; no lattice of all masks is ever built.  Everything is a Fraction
-or an integer; no floating point enters this module.
+Enumerates conjugacy classes with their integer class sizes, `_classes`,
+and computes Prob(J^l) two independent ways: the law of the running AND of
+l element masks, and a direct sum over all l-tuples of class profiles
+(the public labels of `enumerate_classes`).  Every event is the AND, over
+its l elements, of one per-element mask: the profile (the achievable
+sizes, or plus | minus << n for (size, sign) pairs) for events that
+intersect, plus the event's own bits above bit 2n, such as the total
+sign.  J and J_and_not_N hold when that AND ends empty; N and the
+per-element rules hold when it does not.  `_EVENTS` holds one row per
+event, read by validation, Monte Carlo and `exact_prob`, which sums the
+class sizes by mask and runs one running AND on those integer weights; no
+lattice of all masks is ever built.  Everything is a Fraction or an
+integer; no floating point enters this module.
 
-Capacity follows the table a route reads, chosen in `_entries`: n <= 28
+Capacity follows the table a route reads, checked in `_classes`: n <= 28
 for S_n's partition table (J in A and C, all_even in every family), n <= 11
 wherever the signed class table is read (J in B, D+, D-, J_and_not_N and
 all_positive).  Event N reads the n = 1 table and has no cap on n.  Every
@@ -28,7 +28,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
 from .cycletypes import (
@@ -40,6 +40,8 @@ from .cycletypes import (
     fixed_sizes,
     project,
     signed_fixed_sets,
+    signed_subset_masks,
+    subset_sum_mask,
 )
 from .errors import CapacityError, ValidationError, check_positive_int
 
@@ -64,16 +66,6 @@ class ClassTable:
     entries: tuple[tuple[object, Fraction], ...]
 
 
-def _check_capacity(n: int, family: WeylFamily, signed: bool) -> None:
-    """Hold a valid n to the cap of the table the work reads: the signed
-    class table (`signed`) or S_n's partition table."""
-    limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
-    if n > limit:
-        raise CapacityError(
-            f"exact mode for family {family.value} is limited to n <= {limit} (got {n})"
-        )
-
-
 def _partitions(n: int, maxpart: int | None = None):
     """All partitions of n as non-increasing tuples."""
     if maxpart is None:
@@ -86,106 +78,97 @@ def _partitions(n: int, maxpart: int | None = None):
             yield (first,) + rest
 
 
-def _partition_prob(parts: tuple[int, ...]) -> Fraction:
-    """Probability that a uniform element of S_n has this cycle type:
-    1 / prod_j j^{m_j} m_j!  (reciprocal of the centralizer order)."""
-    den = 1
-    for j, m in Counter(parts).items():
-        den *= j**m * factorial(m)
-    return Fraction(1, den)
-
-
-def _signed_classes(n: int):
-    """All signed cycle types of n with probabilities
-    1 / prod_j (2j)^{m_j} m_j^+! m_j^-!  in canonical label order."""
+def _classes(n: int, family: WeylFamily, signed: bool):
+    """The classes of the family's signed table when `signed` (a D sector
+    keeps its own total sign), else of S_n's partition table (A's own, and
+    the projection of every other family's uniform law), in canonical
+    order, as (lengths, signs, total, count): the element form the
+    `_EVENTS` bits read, with the integer class size.  Lengths are
+    non-increasing, + before - at equal length; the counts sum to n!,
+    2^n n!, or half that in a D sector.  n above the table's cap raises a
+    CapacityError naming `family`."""
+    limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
+    if n > limit:
+        raise CapacityError(
+            f"exact mode for family {family.value} is limited to n <= {limit} (got {n})"
+        )
+    order, want = (factorial(n) << n, family.sector_sign) if signed else (factorial(n), None)
     for parts in _partitions(n):
-        # per part size j, descending: its m_j cycles split m+ positive, m- negative.
-        # Labels join exact-size tuples: tuples built from a generator are
-        # over-allocated, which cost 0.5 MB of peak memory on the exact benchmark.
+        # per part size j, descending: S_n's class has n! / prod_j j^{m_j} m_j!
+        # elements; a signed class splits the m_j cycles m+ positive, m- negative
+        # and has 2^n n! / prod_j (2j)^{m_j} m_j^+! m_j^-!.  Signs, and the labels'
+        # cycles, are exact-size tuples: tuple() of an iterator over-allocates.
         splits = [
-            [(((j, 1),) * mp + ((j, -1),) * (m - mp), (2 * j) ** m * factorial(mp) * factorial(m - mp))
-             for mp in range(m, -1, -1)]
+            [((1,) * mp + (-1,) * (m - mp), (2 * j) ** m * factorial(mp) * factorial(m - mp))
+             for mp in range(m, -1, -1)] if signed else [((), j**m * factorial(m))]
             for j, m in Counter(parts).items()
         ]
         for choice in itertools.product(*splits):
             chunks, dens = zip(*choice)
-            yield SignedCycleType(n=n, cycles=sum(chunks, ())), Fraction(1, prod(dens))
+            signs = sum(chunks, ())
+            total = -1 if signs.count(-1) & 1 else 1
+            if want in (None, total):
+                yield parts, signs, total, order // prod(dens)
 
 
 def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
-    """Class labels and exact probabilities for one family at size n.
+    """Class labels and exact probabilities for one family at size n: each
+    class size over the table's order.
 
-    D sectors are the total-sign-constrained halves of the signed table with
-    probabilities doubled; each sector carrying exactly half the mass is a
-    theorem (flip the sign of any one designated cycle), asserted here.
+    A D sector is the total-sign-constrained half of the signed table, of
+    order 2^(n-1) n!; that it holds exactly half the elements is a theorem
+    (flip the sign of any one designated cycle), asserted here by the
+    probabilities summing to 1.
     """
     _check_family(family)
     check_positive_int("n", n)
-    _check_capacity(n, family, family.signed_labels)
-    if family is WeylFamily.A:
-        entries = [
-            (Partition(n=n, parts=parts), _partition_prob(parts)) for parts in _partitions(n)
-        ]
-    elif family.sector_sign is None:  # B and C share the signed table
-        entries = list(_signed_classes(n))
-    else:
-        want = family.sector_sign
-        kept = [(s, p) for s, p in _signed_classes(n) if s.total_sign == want]
-        sector_mass = sum(p for _, p in kept)
-        assert sector_mass == Fraction(1, 2), f"sector mass {sector_mass} != 1/2"
-        entries = [(s, 2 * p) for s, p in kept]
+    signed = family.signed_labels
+    order = factorial(n) << n >> (family.sector_sign is not None) if signed else factorial(n)
+    entries = tuple(
+        (SignedCycleType(n, (*zip(lengths, signs),)) if signed else Partition(n, lengths),
+         Fraction(count, order))
+        for lengths, signs, _, count in _classes(n, family, signed)
+    )
     total = sum(p for _, p in entries)
     assert total == 1, f"class probabilities sum to {total}"
-    return ClassTable(n=n, family=family, entries=tuple(entries))
+    return ClassTable(n=n, family=family, entries=entries)
 
 
-def _entries(n: int, family: WeylFamily, signed: bool):
-    """The family's signed class table when `signed`, else S_n's partition
-    table (A's own, and the projection of every other family's uniform law).
-    Every exact route reads its table here; n above that table's cap raises
-    a CapacityError naming `family`."""
-    _check_capacity(n, family, signed)
-    return enumerate_classes(n, family if signed else WeylFamily.A).entries
-
-
-def _law(entries, pairs: bool | None, bits) -> dict[int, Fraction]:
-    """Class probabilities summed by element mask: the profile, then
-    bits(lengths, signs, total) above bit 2n.  The profile is the achievable
-    sizes (of the projection, for signed labels) when `pairs` is False,
-    plus | minus << n for (size, sign) pairs when True, and absent when
-    None, so that one AND intersects all of them at once."""
-    law: dict[int, Fraction] = {}
-    for label, p in entries:
-        if isinstance(label, Partition):
-            lengths, signs, total = label.parts, (), 1
-        else:
-            (lengths, signs), total = zip(*label.cycles), label.total_sign
-        mask = bits(lengths, signs, total) << 2 * label.n
+def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> dict[int, int]:
+    """Class sizes of `_classes(n, family, signed)` summed by element mask:
+    the profile, then bits(lengths, signs, total) above bit 2n.  The
+    profile is the achievable sizes (of the projection, for signed
+    classes) when `pairs` is False, plus | minus << n for (size, sign)
+    pairs when True, and absent when None, so that one AND intersects all
+    of them at once."""
+    keep = (1 << n) - 2
+    law: dict[int, int] = {}
+    for lengths, signs, total, count in _classes(n, family, signed):
+        mask = bits(lengths, signs, total) << 2 * n
         if pairs:
-            prof = signed_fixed_sets(label)
-            mask |= prof.plus | prof.minus << label.n
-        elif pairs is not None:  # lengths are non-increasing: the projection's parts
-            mask |= fixed_sizes(Partition(label.n, lengths)).achievable
-        law[mask] = law.get(mask, 0) + p
+            plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
+            mask |= plus | minus << n
+        elif pairs is not None:  # lengths are non-increasing
+            mask |= subset_sum_mask(reversed(lengths), keep)
+        law[mask] = law.get(mask, 0) + count
     return law
 
 
-def _prob_empty_and(masses: dict[int, Fraction], l: int) -> Fraction:
-    """Prob(the AND of l independent masks is empty), for masks drawn from
-    the law `masses`.
+def _prob_empty_and(law: dict[int, int], l: int) -> Fraction:
+    """Prob(the AND of l independent masks is empty), for masks drawn with
+    the integer weights of `law`.
 
-    Tracks the law of the running AND as a sparse dict state -> weight, in
-    integers over the lcm denominator, starting from the all-ones state -1
-    (which ANDs to each mask itself).  A state that reaches 0 stays 0, so
-    its weight leaves the dict and only gains a factor den (the total
-    weight, as the law sums to 1) per later draw; the last draw just sums
-    the weights of masks disjoint from each surviving state.  Only states
-    that occur are kept, so no mask width enters.
+    Tracks the law of the running AND as a sparse dict state -> weight,
+    with the weights divided by their gcd and den their sum, starting from
+    the all-ones state -1 (which ANDs to each mask itself).  A state that
+    reaches 0 stays 0, so its weight leaves the dict and only gains a
+    factor den per later draw; the last draw just sums the weights of
+    masks disjoint from each surviving state.  Only states that occur are
+    kept, so no mask width enters.
     """
-    den = 1
-    for f in masses.values():
-        den = lcm(den, f.denominator)
-    weights = [(mask, f.numerator * (den // f.denominator)) for mask, f in masses.items()]
+    g = gcd(*law.values())
+    weights = [(mask, c // g) for mask, c in law.items()]
+    den = sum(w for _, w in weights)
     state = {-1: 1}
     empty = 0
     for _ in range(l - 1):
@@ -264,8 +247,8 @@ def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
     # sector-mass theorem `enumerate_classes` asserts): the n = 1 table
     # serves, with no cap.
     pairs = intersects and family.signed_profiles
-    entries = _entries(1 if event == "N" else n, family, signed or pairs)
-    empty = _prob_empty_and(_law(entries, pairs if intersects else None, bits), l)
+    law = _law(1 if event == "N" else n, family, signed or pairs, pairs if intersects else None, bits)
+    empty = _prob_empty_and(law, l)
     return empty if intersects else 1 - empty
 
 
@@ -293,10 +276,9 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
     _check_l(l)
     _check_family(family)
     check_positive_int("n", n)
-    entries = _entries(n, family, family.signed_labels)
     # group identical profiles, keeping one representative object
     grouped: dict[object, list] = {}
-    for label, p in entries:
+    for label, p in enumerate_classes(n, family).entries:
         if family.signed_profiles:
             prof = signed_fixed_sets(label)
             key = prof.plus, prof.minus

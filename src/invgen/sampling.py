@@ -144,8 +144,8 @@ def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCy
     sectors, so conditioning is exact at O(1) extra cost.
     """
     check_positive_int("n", n)
-    if want_sign not in (1, -1):
-        raise ValidationError(f"want_sign must be +1 or -1, got {want_sign!r}")
+    if type(want_sign) is not int or want_sign not in (1, -1):  # rejects True and -1.0 too
+        raise ValidationError(f"want_sign must be the int 1 or -1, got {want_sign!r}")
     _check_rng(rng)
     lengths, signs, _ = _sample_cycles(rng, n, signed=True, want_sign=want_sign)
     return _canonical_signed(n, lengths, signs)

@@ -4,6 +4,7 @@ from hypothesis import given
 
 from invgen import (
     Partition,
+    RngState,
     ValidationError,
     WeylFamily,
     all_cycles_even,
@@ -197,6 +198,10 @@ class TestPredicates:
         pytest.param(lambda: sample_partition(5, "x"), id="sample_partition.rng"),
         pytest.param(lambda: sample_signed(5, None), id="sample_signed.rng"),
         pytest.param(lambda: sample_signed_conditioned(5, 1, 3), id="sample_signed_conditioned.rng"),
+        # a bool or float sign used to pass `sign in (1, -1)`
+        pytest.param(lambda: make_signed([(2, True)]), id="make_signed.bool_sign"),
+        pytest.param(lambda: make_signed([(2, 1.0)]), id="make_signed.float_sign"),
+        pytest.param(lambda: sample_signed_conditioned(5, True, RngState(1)), id="sample_signed_conditioned.bool_sign"),
         pytest.param(lambda: sweep(None), id="sweep.None"),
         pytest.param(lambda: sweep(5), id="sweep.non_iterable"),
     ],

@@ -1,8 +1,10 @@
 """Tests for the exact class tables and the running-AND oracle."""
 
+import itertools
 import re
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -57,6 +59,16 @@ def dense_inclusion_exclusion(masses, l):
     return Fraction(total, den**l)
 
 
+def integer_and_rational_law(n, family, pairs, bits):
+    """`exact._law` on the family's own class table, as class sizes and as
+    probabilities over the table's order: n!, 2^n n!, or half that in a D
+    sector."""
+    signed = family.signed_labels
+    law = exact._law(n, family, signed, pairs, bits)
+    order = factorial(n) << n >> (family.sector_sign is not None) if signed else factorial(n)
+    return law, {mask: Fraction(count, order) for mask, count in law.items()}
+
+
 class TestClassTables:
     def test_a2(self):
         table = dict(enumerate_classes(2, A).entries)
@@ -89,6 +101,33 @@ class TestClassTables:
         # family C is labelled by signed types; only the J event projects
         for label, _ in enumerate_classes(3, C).entries:
             assert hasattr(label, "total_sign")
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [(A, n) for n in range(1, 7)] + [(f, n) for f in (B, C, DP, DM) for n in range(1, 5)],
+    )
+    def test_class_sizes_count_the_whole_group(self, family, n):
+        # every (signed) permutation once: a cycle's sign is the product of
+        # its points' signs, and a D sector keeps one total sign
+        counts = Counter()
+        for perm in itertools.permutations(range(n)):
+            cycles, seen = [], set()
+            for start in range(n):
+                if start not in seen:
+                    cycle = [start]
+                    while perm[cycle[-1]] != start:
+                        cycle.append(perm[cycle[-1]])
+                    seen.update(cycle)
+                    cycles.append(cycle)
+            if not family.signed_labels:
+                counts[make_partition([len(c) for c in cycles])] += 1
+                continue
+            for eps in itertools.product((1, -1), repeat=n):
+                label = make_signed([(len(c), prod(eps[i] for i in c)) for c in cycles])
+                if family.sector_sign in (None, label.total_sign):
+                    counts[label] += 1
+        order = sum(counts.values())
+        assert dict(enumerate_classes(n, family).entries) == {lab: F(c, order) for lab, c in counts.items()}
 
     def test_capacity(self):
         with pytest.raises(CapacityError, match="28"):
@@ -200,20 +239,18 @@ class TestSparseMatchesDense:
         [(A, n) for n in range(1, 15)] + [(f, n) for f in (B, DP, DM) for n in range(1, 8)],
     )
     def test_full_masses(self, family, n):
-        entries = enumerate_classes(n, family).entries
-        masses = exact._law(entries, family.signed_profiles, exact._EVENTS["J"].bits)
+        law, masses = integer_and_rational_law(n, family, family.signed_profiles, exact._EVENTS["J"].bits)
         for l in (1, 2, 3, 4):
-            assert exact._prob_empty_and(masses, l) == dense_inclusion_exclusion(masses, l), l
+            assert exact._prob_empty_and(law, l) == dense_inclusion_exclusion(masses, l), l
 
     @pytest.mark.parametrize("family", [B, C, DP, DM])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sign_tagged_laws(self, family, n):
         # J_and_not_N's input: each profile with its total sign's bit above bit 2n
-        entries = enumerate_classes(n, family).entries
-        masses = exact._law(entries, family.signed_profiles, exact._sign_bit)
+        law, masses = integer_and_rational_law(n, family, family.signed_profiles, exact._sign_bit)
         assert sum(masses.values()) == 1
         for l in (1, 2, 3, 4):
-            assert exact._prob_empty_and(masses, l) == dense_inclusion_exclusion(masses, l), l
+            assert exact._prob_empty_and(law, l) == dense_inclusion_exclusion(masses, l), l
 
 
 class TestPredicates:
