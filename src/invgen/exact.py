@@ -24,7 +24,6 @@ route takes l <= 16.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,71 +65,60 @@ class ClassTable:
     entries: tuple[tuple[object, Fraction], ...]
 
 
-def _partitions(n: int, maxpart: int | None = None):
-    """All partitions of n as non-increasing tuples."""
-    if maxpart is None:
-        maxpart = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _classes(n: int, family: WeylFamily, signed: bool):
-    """The classes of the family's signed table when `signed` (a D sector
-    keeps its own total sign), else of S_n's partition table (A's own, and
-    the projection of every other family's uniform law), in canonical
-    order, as (lengths, signs, total, count): the element form the
-    `_EVENTS` bits read, with the integer class size.  Lengths are
-    non-increasing, + before - at equal length; the counts sum to n!,
-    2^n n!, or half that in a D sector.  n above the table's cap raises a
-    CapacityError naming `family`."""
+def _classes(n: int, family: WeylFamily, signed: bool) -> tuple[int, list]:
+    """The order of a class table and its classes as (lengths, signs, total,
+    count): the element form the `_EVENTS` bits read, with the integer
+    class size.  The table is the family's signed table when `signed` (a D
+    sector keeps its own total sign), else S_n's partition table (A's own,
+    and the projection of every other family's uniform law).  n above the
+    table's cap raises a CapacityError naming `family`.  One walk picks the
+    longest remaining cycle length j, then its multiplicity m, then
+    (signed) how many of the m cycles are positive, each descending, and
+    carries the class-size divisor down: j^m m! in S_n, (2j)^m m+! m-! in
+    the signed group.  The order is written only here: n!, 2^n n!, or
+    2^(n-1) n! in a D sector, whose counts sum to it by a theorem (flip the
+    sign of any one designated cycle) asserted here."""
     limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
     if n > limit:
-        raise CapacityError(
-            f"exact mode for family {family.value} is limited to n <= {limit} (got {n})"
-        )
-    order, want = (factorial(n) << n, family.sector_sign) if signed else (factorial(n), None)
-    for parts in _partitions(n):
-        # per part size j, descending: S_n's class has n! / prod_j j^{m_j} m_j!
-        # elements; a signed class splits the m_j cycles m+ positive, m- negative
-        # and has 2^n n! / prod_j (2j)^{m_j} m_j^+! m_j^-!.  Signs, and the labels'
-        # cycles, are exact-size tuples: tuple() of an iterator over-allocates.
-        splits = [
-            [((1,) * mp + (-1,) * (m - mp), (2 * j) ** m * factorial(mp) * factorial(m - mp))
-             for mp in range(m, -1, -1)] if signed else [((), j**m * factorial(m))]
-            for j, m in Counter(parts).items()
-        ]
-        for choice in itertools.product(*splits):
-            chunks, dens = zip(*choice)
-            signs = sum(chunks, ())
-            total = -1 if signs.count(-1) & 1 else 1
-            if want in (None, total):
-                yield parts, signs, total, order // prod(dens)
+        raise CapacityError(f"exact mode for family {family.value} is limited to n <= {limit} (got {n})")
+    group, want = (factorial(n) << n, family.sector_sign) if signed else (factorial(n), None)
+    # m cycles of one length, + first: (their signs, the signs' product, m+! m-!)
+    splits = [[((1,) * (m - k) + (-1,) * k, (-1) ** k, factorial(m - k) * factorial(k)) for k in range(m + 1)]
+              if signed else [((), 1, factorial(m))] for m in range(n + 1)]
+    table = []
+
+    def walk(rest, top, lengths, signs, total, div):
+        for j in range(min(rest, top), 0, -1):
+            for m in range(rest // j, 0, -1):
+                left, run, power = rest - j * m, lengths + (j,) * m, div * (2 * j if signed else j) ** m
+                for chunk, sign, split in splits[m]:
+                    if left:
+                        walk(left, j - 1, run, signs + chunk, total * sign, power * split)
+                    elif want in (None, total * sign):
+                        table.append((run, signs + chunk, total * sign, group // (power * split)))
+
+    walk(n, n, (), (), 1, 1)
+    del walk  # it holds itself and the table through its closure: free both now, not at the next gc
+    order = group >> (want is not None)
+    assert sum(row[3] for row in table) == order, f"class sizes do not sum to {order}"
+    return order, table
 
 
 def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     """Class labels and exact probabilities for one family at size n: each
-    class size over the table's order.
-
-    A D sector is the total-sign-constrained half of the signed table, of
-    order 2^(n-1) n!; that it holds exactly half the elements is a theorem
-    (flip the sign of any one designated cycle), asserted here by the
-    probabilities summing to 1.
-    """
+    class size over the table's order.  A label's lengths are non-increasing,
+    + before - at equal length; entries come in `_classes`'s walk order,
+    which for partitions is reverse lexicographic."""
     _check_family(family)
     check_positive_int("n", n)
     signed = family.signed_labels
-    order = factorial(n) << n >> (family.sector_sign is not None) if signed else factorial(n)
+    order, classes = _classes(n, family, signed)
+    # labels hold exact-size tuples: tuple() of an iterator over-allocates
     entries = tuple(
         (SignedCycleType(n, (*zip(lengths, signs),)) if signed else Partition(n, lengths),
          Fraction(count, order))
-        for lengths, signs, _, count in _classes(n, family, signed)
+        for lengths, signs, _, count in classes
     )
-    total = sum(p for _, p in entries)
-    assert total == 1, f"class probabilities sum to {total}"
     return ClassTable(n=n, family=family, entries=entries)
 
 
@@ -143,7 +131,7 @@ def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> 
     of them at once."""
     keep = (1 << n) - 2
     law: dict[int, int] = {}
-    for lengths, signs, total, count in _classes(n, family, signed):
+    for lengths, signs, total, count in _classes(n, family, signed)[1]:
         mask = bits(lengths, signs, total) << 2 * n
         if pairs:
             plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
@@ -244,7 +232,7 @@ def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
     # a D sector fixes only their product), so S_n's partition table serves
     # unless the event reads signs or intersects (size, sign) pairs (B, D).
     # N reads only the total sign, whose law is the same at every n (the
-    # sector-mass theorem `enumerate_classes` asserts): the n = 1 table
+    # sector-mass theorem `_classes` asserts): the n = 1 table
     # serves, with no cap.
     pairs = intersects and family.signed_profiles
     law = _law(1 if event == "N" else n, family, signed or pairs, pairs if intersects else None, bits)

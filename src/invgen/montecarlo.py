@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from itertools import islice
 from numbers import Real
@@ -95,8 +96,9 @@ def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, flo
     check_positive_int("trials", trials)
     if isinstance(successes, bool) or not isinstance(successes, int) or not 0 <= successes <= trials:
         raise ValidationError(f"successes must be an integer in 0..{trials}, got {successes!r}")
-    if isinstance(z, bool) or not isinstance(z, (int, float)) or not 0 < z < math.inf:
-        raise ValidationError(f"z must be a finite positive number, got {z!r}")
+    # a z whose square overflows would clamp both bounds to p_hat, or raise
+    if isinstance(z, bool) or not isinstance(z, (int, float)) or not (0 < z and z * z <= sys.float_info.max):
+        raise ValidationError(f"z must be a positive number whose square is a finite float, got {z!r}")
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials

@@ -1,6 +1,8 @@
 """Tests for separable proportions, the i4/i3 bound chain, and the K solver."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -105,6 +107,80 @@ class TestSeparableProportion:
         ]:
             vals = [separable_proportion(fam(tag, q)) for q in qs]
             assert vals == sorted(vals), tag
+
+
+def monic_irreducibles(q, d):
+    """Monic irreducible polynomials of degree d over F_q: the Moebius sum
+    (1/d) sum_{e | d} mu(e) q^(d/e)."""
+
+    def mu(e):
+        primes = [p for p in range(2, e + 1) if e % p == 0 and all(p % r for r in range(2, p))]
+        return 0 if any(e % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    return sum(mu(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+
+
+def wall_series(q, top):
+    """s_0..s_top, s_n the proportion of separable (regular semisimple)
+    elements of GL_n(q), from Wall's generating function
+    1 + sum s_n u^n = prod_d (1 + u^d / (q^d - 1))^N*(q, d), where N*(q, d)
+    counts the monic irreducibles of degree d other than z; each factor is
+    expanded binomially and the product truncated at u^top."""
+    s = [F(1)] + [F(0)] * top
+    for d in range(1, top + 1):
+        count = monic_irreducibles(q, d) - (d == 1)
+        factor = [F(0)] * (top + 1)
+        for k in range(top // d + 1):
+            factor[k * d] = comb(count, k) * F(1, q**d - 1) ** k
+        s = [sum(s[i] * factor[m - i] for i in range(m + 1)) for m in range(top + 1)]
+    return s
+
+
+def separable_in_gl3_2():
+    """Direct count over GL_3(2): an element is separable when its
+    characteristic polynomial z^3 + tr z^2 + c2 z + det (over F_2, as a bit
+    mask) is coprime to its derivative."""
+
+    def mod(a, b):
+        while a and a.bit_length() >= b.bit_length():
+            a ^= b << a.bit_length() - b.bit_length()
+        return a
+
+    group = separable = 0
+    for a, b, c, d, e, f, g, h, i in itertools.product((0, 1), repeat=9):
+        det = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) & 1
+        if det:
+            c2 = (a * e - b * d + a * i - c * g + e * i - f * h) & 1
+            poly, prime = 8 | (a + e + i) % 2 << 2 | c2 << 1 | det, 4 | c2  # 3z^2 + c2 = z^2 + c2
+            while prime:
+                poly, prime = prime, mod(poly, prime)
+            group += 1
+            separable += poly == 1
+    return F(separable, group)
+
+
+class TestWallSeries:
+    """An independent check of the SL row: its value 1 - 1/q is the limit
+    of s_n for GL_n(q), which approaches it from both sides."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+    def test_small_n(self, q):
+        s = wall_series(q, 2)
+        assert s[1] == 1
+        assert s[2] == F(q * q - q - 1, q * q - 1)
+
+    def test_gl3_2_by_direct_count(self):
+        # 104 of the 168 elements; 13/21 is above the limit 1/2
+        assert wall_series(2, 3)[3] == separable_in_gl3_2() == F(13, 21)
+
+    @pytest.mark.parametrize(
+        "q, n, value",
+        [(3, 10, 0.6666824044472935), (5, 10, 0.8000000143935726), (2, 20, 0.5000013679408476)],
+    )
+    def test_tends_to_the_sl_row(self, q, n, value):
+        s_n = wall_series(q, n)[n]
+        assert float(s_n) == pytest.approx(value, rel=1e-12)
+        assert separable_proportion(fam(T.SL, q)) == 1 - F(1, q)
 
 
 class TestI4:

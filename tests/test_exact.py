@@ -4,7 +4,7 @@ import itertools
 import re
 from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 import pytest
 
@@ -61,11 +61,10 @@ def dense_inclusion_exclusion(masses, l):
 
 def integer_and_rational_law(n, family, pairs, bits):
     """`exact._law` on the family's own class table, as class sizes and as
-    probabilities over the table's order: n!, 2^n n!, or half that in a D
-    sector."""
+    probabilities over the order `exact._classes` gives that table."""
     signed = family.signed_labels
     law = exact._law(n, family, signed, pairs, bits)
-    order = factorial(n) << n >> (family.sector_sign is not None) if signed else factorial(n)
+    order, _ = exact._classes(n, family, signed)
     return law, {mask: Fraction(count, order) for mask, count in law.items()}
 
 
@@ -78,10 +77,21 @@ class TestClassTables:
         table = dict(enumerate_classes(1, B).entries)
         assert table == {make_signed([(1, 1)]): F(1, 2), make_signed([(1, -1)]): F(1, 2)}
 
-    @pytest.mark.parametrize("family", [A, B, C, DP, DM])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_mass_is_one(self, n, family):
-        assert sum(p for _, p in enumerate_classes(n, family).entries) == 1
+    @pytest.mark.parametrize(
+        "family,n",
+        [(A, n) for n in range(1, 29)] + [(f, n) for f in (B, C, DP, DM) for n in range(1, 12)],
+    )
+    def test_contract_up_to_the_caps(self, family, n):
+        # every label canonical and listed once, and the probabilities sum to 1
+        entries = enumerate_classes(n, family).entries
+        labels = [label for label, _ in entries]
+        for label in labels:
+            if family.signed_labels:
+                assert label == make_signed(list(label.cycles))
+            else:
+                assert label == make_partition(list(label.parts))
+        assert len(set(labels)) == len(labels)
+        assert sum(p for _, p in entries) == 1
 
     @pytest.mark.parametrize("family,sign", [(DP, 1), (DM, -1)])
     def test_sector_labels(self, family, sign):

@@ -180,11 +180,16 @@ class TestWilson:
             with pytest.raises(ValidationError):
                 call()
 
-    @pytest.mark.parametrize("z", [-1.0, 0, 0.0, float("nan"), float("inf"), True, "2"])
+    @pytest.mark.parametrize("z", [-1.0, 0, 0.0, float("nan"), float("inf"), True, "2", 1e200, 10**200])
     def test_z_validated(self, z):
-        # -1.0 and nan used to return the zero-width "interval" (0.3, 0.3)
+        # -1.0 and nan used to return the zero-width "interval" (0.3, 0.3), as
+        # 1e200 did once z * z overflowed to inf; 10**200 raised OverflowError
         with pytest.raises(ValidationError, match="z must be"):
             wilson_interval_z(3, 10, z)
+
+    def test_z_with_a_finite_square(self):
+        # just below the overflow of z * z the interval is the whole of [0, 1]
+        assert wilson_interval_z(3, 10, 1.3e154) == (0.0, 1.0)
 
     def test_narrows_with_trials(self):
         w1 = wilson_interval_z(500, 1_000, 3.0)

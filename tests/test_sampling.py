@@ -11,6 +11,7 @@ from invgen import (
     ValidationError,
     WeylFamily,
     enumerate_classes,
+    project,
     sample_partition,
     sample_signed,
     sample_signed_conditioned,
@@ -116,6 +117,20 @@ class TestPartitionDistribution:
         rng = RngState(31337, 0)
         mean = sum(len(sample_partition(n, rng).parts) for _ in range(draws)) / draws
         assert abs(mean - h_n) / h_n < 0.05
+
+    @pytest.mark.parametrize(
+        "sample",
+        [sample_partition, lambda n, rng: project(sample_signed_conditioned(n, -1, rng))],
+        ids=["A", "D-"],
+    )
+    def test_longest_cycle_law_at_a_million(self, sample):
+        # P(longest cycle > n/2) = H_n - H_(n//2) exactly for a uniform
+        # permutation; a D- draw's sign flip must leave its lengths alone
+        n, draws = 10**6, 20_000
+        p = math.fsum(1 / k for k in range(n // 2 + 1, n + 1))
+        rng = RngState(1_000_003, 0)
+        hits = sum(sample(n, rng).parts[0] > n // 2 for _ in range(draws))
+        assert abs(hits / draws - p) < 3 * math.sqrt(p * (1 - p) / draws)
 
     def test_rejects_zero_n(self):
         with pytest.raises(ValidationError):
