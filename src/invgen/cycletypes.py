@@ -139,8 +139,12 @@ def make_signed(cycles) -> SignedCycleType:
         check_positive_int("each cycle length", length)
         if type(sign) is not int or sign not in (1, -1):  # rejects True and -1.0 too
             raise ValidationError(f"cycle signs must be the int 1 or -1, got {sign!r}")
-    cycles.sort(key=lambda c: (-c[0], -c[1]))
-    return SignedCycleType(n=sum(l for l, _ in cycles), cycles=tuple(cycles))
+    return _signed_label(sum(l for l, _ in cycles), cycles)
+
+
+def _signed_label(n: int, cycles) -> SignedCycleType:
+    """The one signed-label order: longest cycle first, + before - at equal length."""
+    return SignedCycleType(n=n, cycles=tuple(sorted(cycles, key=lambda c: (-c[0], -c[1]))))
 
 
 def project(s: SignedCycleType) -> Partition:

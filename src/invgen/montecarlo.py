@@ -1,15 +1,15 @@
 """Seeded Monte Carlo estimation of the tuple events at large n.
 
 Each trial owns RNG stream `trial_index` of the master seed, so the result
-is a pure function of the ExperimentSpec: thread count, chunking and
+is a pure function of the ExperimentSpec: thread count, shares and
 execution order cannot change it.  Trials may stop sampling as soon as the
 event outcome is determined (say, the running intersection went empty);
 that is safe for the same reason — no other trial reads this stream.
 What settles a trial of each event is that event's row of `exact._EVENTS`.
 
-With threads > 1 each spec's trials are split into deterministic chunks,
-and the chunks of every row of a `sweep` (or of a lone `run`) go to one
-process pool at once, which is shut down before the call returns.
+Each of min(threads, CPUs, largest trial count) workers takes one
+contiguous share of every spec's trials, all in one process pool that is
+shut down before the call returns; with one worker no pool opens.
 
 Profiles are complement-symmetric: a subset of size k leaves one of size
 n-k, with sign sigma*e for a subset of sign e when the element's total
@@ -189,23 +189,23 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
 
 
 def _estimate(specs: list[ExperimentSpec], threads: int, confidence: float) -> list[Estimate]:
-    """Estimates of validated specs, in order.  With threads > 1 each spec
-    is cut into min(4 * threads, trials) chunks, every chunk of every spec
-    goes to one pool, and each spec sums its own chunks; the worker count
-    is capped by the CPUs and the chunks, and cannot change a count."""
+    """Estimates of validated specs, in order.  One worker runs every spec
+    here; more cut each spec into one contiguous share per worker, send all
+    shares of all specs to one pool, and sum each spec's own shares.  Trials
+    are i.i.d., so equal shares carry equal expected work."""
     z = _z(confidence)
-    if threads == 1:
+    workers = min(threads, os.cpu_count() or 1, max(spec.trials for spec in specs))
+    if workers == 1:
         counts = [_count_range(spec, 0, spec.trials) for spec in specs]
     else:
         # imported here so that `import invgen` does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        sizes = [min(threads * 4, spec.trials) for spec in specs]
-        jobs = [(spec, i * spec.trials // k, (i + 1) * spec.trials // k)
-                for spec, k in zip(specs, sizes) for i in range(k)]
-        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1, len(jobs))) as pool:
+        jobs = [(spec, w * spec.trials // workers, (w + 1) * spec.trials // workers)
+                for spec in specs for w in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = pool.map(_count_range, *zip(*jobs))
-            counts = [sum(islice(done, k)) for k in sizes]
+            counts = [sum(islice(done, workers)) for _ in specs]
     out = []
     for spec, successes in zip(specs, counts):
         ci_low, ci_high = wilson_interval_z(successes, spec.trials, z)
@@ -221,7 +221,7 @@ def _validate(spec: ExperimentSpec) -> None:
 
 def run(spec: ExperimentSpec, threads: int = 1, confidence: float = 0.99) -> Estimate:
     """Run all trials of a spec and return the estimate with its Wilson
-    interval.  Identical output for every thread count: trials are chunked
+    interval.  Identical output for every thread count: trials are split
     deterministically and success counts add associatively."""
     _validate(spec)
     check_positive_int("threads", threads)

@@ -14,7 +14,7 @@ permutation of S_n; signs are independent fair coins per cycle.
 
 from __future__ import annotations
 
-from .cycletypes import Partition, SignedCycleType
+from .cycletypes import Partition, SignedCycleType, _signed_label
 from .errors import ValidationError, check_positive_int
 
 M64 = (1 << 64) - 1
@@ -35,15 +35,17 @@ def mix64(x: int) -> int:
 class RngState:
     """One SplitMix64 stream, identified by (master seed, stream index).
 
-    Both are integers; one outside 0..2^64-1 is reduced mod 2^64, so
-    seed -1 is seed 2^64 - 1.  The Monte Carlo loop builds one stream per
-    trial, so a non-integer is caught by the arithmetic, not a type check.
+    Both are integers (not bools); one outside 0..2^64-1 is reduced mod
+    2^64, so seed -1 is seed 2^64 - 1.  Built once per Monte Carlo trial,
+    so only a bool gets a type check; other non-integers fail the arithmetic.
     """
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int, stream: int = 0):
         try:
+            if type(seed) is bool or type(stream) is bool:
+                raise TypeError
             self.state = mix64((seed + (stream + 1) * GOLDEN) & M64)
         except TypeError:
             raise ValidationError(
@@ -123,17 +125,12 @@ def sample_partition(n: int, rng: RngState) -> Partition:
     return Partition(n=n, parts=tuple(lengths))
 
 
-def _canonical_signed(n: int, lengths: list[int], signs: list[int]) -> SignedCycleType:
-    cycles = sorted(zip(lengths, signs), key=lambda c: (-c[0], -c[1]))
-    return SignedCycleType(n=n, cycles=tuple(cycles))
-
-
 def sample_signed(n: int, rng: RngState) -> SignedCycleType:
     """Class label of a uniform random element of C2 wr S_n."""
     check_positive_int("n", n)
     _check_rng(rng)
     lengths, signs, _ = _sample_cycles(rng, n, signed=True)
-    return _canonical_signed(n, lengths, signs)
+    return _signed_label(n, zip(lengths, signs))
 
 
 def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCycleType:
@@ -148,4 +145,4 @@ def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCy
         raise ValidationError(f"want_sign must be the int 1 or -1, got {want_sign!r}")
     _check_rng(rng)
     lengths, signs, _ = _sample_cycles(rng, n, signed=True, want_sign=want_sign)
-    return _canonical_signed(n, lengths, signs)
+    return _signed_label(n, zip(lengths, signs))

@@ -10,7 +10,9 @@ def in_process_pool(monkeypatch):
     """Replace the process pool montecarlo opens with one that runs `map`
     in this process; returns the `max_workers` of every pool opened, in
     order.  Lets a test ask for any worker count without forking a single
-    process."""
+    process.  montecarlo opens a pool only for more than one worker, and
+    caps workers by `os.cpu_count()`, so a test that counts pools pins
+    `montecarlo.os.cpu_count`."""
     sizes = []
 
     class InProcessPool:

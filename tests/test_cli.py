@@ -145,11 +145,18 @@ class TestEstimate:
         two = cli(capsys, "estimate", "--n", "50", "--family", "B", "--trials", "400", "--threads", "2")
         assert one == two
 
-    def test_threads_beyond_cpus(self, capsys, in_process_pool):
-        # at most one worker per CPU and per chunk: 10 trials make 10 chunks
+    def test_threads_beyond_cpus(self, capsys, in_process_pool, monkeypatch):
+        # at most one worker per CPU and per trial: 10 trials, 10 workers
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
         argv = ("estimate", "--n", "50", "--family", "B", "--trials", "10")
         assert cli(capsys, *argv, "--threads", "100000") == cli(capsys, *argv, "--threads", "1")
-        assert len(in_process_pool) == 1 and 1 <= in_process_pool[0] <= 10
+        assert in_process_pool == [10]
+
+    def test_one_trial_opens_no_pool(self, capsys, in_process_pool, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+        argv = ("estimate", "--n", "50", "--family", "B", "--trials", "1")
+        assert cli(capsys, *argv, "--threads", "2") == cli(capsys, *argv, "--threads", "1")
+        assert in_process_pool == []
 
     def test_bad_confidence_fails_before_any_row(self, capsys, monkeypatch):
         def never(*args):

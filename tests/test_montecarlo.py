@@ -362,7 +362,8 @@ class TestPoolLifetime:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         return built
 
-    def test_sweep_shares_one_pool(self, pools):
+    def test_sweep_shares_one_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         specs = [spec(n, 2, B, trials=300, seed=5) for n in (3, 5, 8, 13, 21)]
         pooled = sweep(specs, threads=2)
         assert len(pools) == 1
@@ -385,17 +386,27 @@ class TestPoolLifetime:
 
     @pytest.mark.parametrize(
         "cpus, threads, workers",
-        [(64, 100_000, [10, 30]), (3, 100_000, [3, 3]), (None, 8, [1, 1]), (64, 2, [2, 2])],
+        [(64, 100_000, [10, 10]), (3, 100_000, [3, 3]), (None, 8, []), (64, 2, [2, 2])],
     )
-    def test_workers_capped_by_cpus_and_chunks(self, in_process_pool, monkeypatch, cpus, threads, workers):
+    def test_workers_capped_by_cpus_and_trials(self, in_process_pool, monkeypatch, cpus, threads, workers):
+        # one worker runs in this process and opens no pool
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         s = spec(40, 4, B, trials=10)
         assert run(s, threads=threads) == run(s)
         assert sweep([s] * 3, threads=threads) == sweep([s] * 3)
         assert in_process_pool == workers
 
+    def test_rows_with_fewer_trials_than_workers(self, in_process_pool, monkeypatch):
+        # four workers cut each 1-trial row into three empty shares and one
+        # trial; the D+ N row counts its shares without drawing
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+        specs = [spec(9, 4, B, trials=1, seed=3), spec(40, 4, B, trials=10, seed=3),
+                 spec(12, 3, DP, event="N", trials=1, seed=3)]
+        assert sweep(specs, threads=4) == sweep(specs)
+        assert in_process_pool == [4]
+
     def test_import_leaves_multiprocessing_out(self):
-        # the pool module is imported only when a run asks for threads > 1
+        # the pool module is imported only when a run has more than one worker
         code = "import sys, invgen.cli; print('multiprocessing' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"

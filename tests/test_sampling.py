@@ -59,9 +59,12 @@ class TestDeterminism:
         assert RngState(-1, 3).next64() == RngState(2**64 - 1, 3).next64()
         assert RngState(2**70 + 5, 0).next64() == RngState(5, 0).next64()
 
-    @pytest.mark.parametrize("seed, stream", [("1", 0), (1.5, 0), (None, 0), (1, "x"), (1, 0.5)])
+    @pytest.mark.parametrize(
+        "seed, stream", [("1", 0), (1.5, 0), (None, 0), (1, "x"), (1, 0.5), (True, 0), (1, True)]
+    )
     def test_rejects_non_integer_seed_or_stream(self, seed, stream):
-        # "1" used to be accepted and fail at the first next64() with TypeError
+        # "1" used to be accepted and fail at the first next64() with TypeError,
+        # and True to draw seed 1's stream
         with pytest.raises(ValidationError, match="seed and stream must be integers"):
             RngState(seed, stream)
 
