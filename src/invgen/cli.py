@@ -93,7 +93,7 @@ def _parse_cycles(text: str, signed: bool):
         return make_signed(pairs)
     parts = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not tok.isdecimal():  # what int() reads: isdigit() also passes '²'
             raise ValidationError(f"bad cycle length {tok!r}")
         parts.append(int(tok))
     return make_partition(parts)
@@ -199,22 +199,26 @@ def _load_config(path, command: str, allowed) -> dict[str, str]:
     names, and any other key is an error rather than silently ignored."""
     if path is None:
         return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in allowed:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown key {key!r} for {command}; "
-                    f"expected one of {', '.join(sorted(allowed))}"
-                )
-            out[key] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in allowed:
+            raise ValidationError(
+                f"{path}:{lineno}: unknown key {key!r} for {command}; "
+                f"expected one of {', '.join(sorted(allowed))}"
+            )
+        out[key] = value.strip()
     return out
 
 

@@ -1,18 +1,17 @@
 """Exact small-n ground truth in rational arithmetic.
 
 Enumerates conjugacy classes with their integer class sizes, `_classes`,
-and computes Prob(J^l) two independent ways: the law of the running AND of
-l element masks, and a direct sum over all l-tuples of class profiles
-(the public labels of `enumerate_classes`).  Every event is the AND, over
-its l elements, of one per-element mask: the profile (the achievable
-sizes, or plus | minus << n for (size, sign) pairs) for events that
-intersect, plus the event's own bits above bit 2n, such as the total
+and computes Prob(J^l) two independent ways: inclusion-exclusion over the
+class masks, and a sum over all l-tuples of class profiles (the labels of
+`enumerate_classes`).  Every event is the AND, over its l elements, of one
+per-element mask: the profile (achievable sizes, or (size, sign) pairs)
+for events that intersect, plus the event's own bits, such as the total
 sign.  J and J_and_not_N hold when that AND ends empty; N and the
 per-element rules hold when it does not.  `_EVENTS` holds one row per
-event, read by validation, Monte Carlo and `exact_prob`, which sums the
-class sizes by mask and runs one running AND on those integer weights; no
-lattice of all masks is ever built.  Everything is a Fraction or an
-integer; no floating point enters this module.
+event, read by validation, Monte Carlo and `exact_prob`.  A fixed set's
+complement turns (k, e) into (n - k, s e), s the total sign, so `_law`
+keeps sizes 1..n//2 and `_prob_no_common` works on that half lattice, in
+integers: no floating point enters this module.
 
 Capacity follows the table a route reads, checked in `_classes`: n <= 28
 for S_n's partition table (J in A and C, all_even in every family), n <= 11
@@ -23,33 +22,22 @@ route takes l <= 16.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, prod
+from itertools import chain, compress, product, repeat
+from math import comb, factorial, prod
+from operator import add, mul, neg, sub
 from typing import NamedTuple
 
-from .cycletypes import (
-    Partition,
-    SignedCycleType,
-    WeylFamily,
-    _check_family,
-    event_J,
-    fixed_sizes,
-    project,
-    signed_fixed_sets,
-    signed_subset_masks,
-    subset_sum_mask,
-)
+from .cycletypes import (Partition, SignedCycleType, WeylFamily, _check_family, event_J, fixed_sizes, project,
+                         signed_fixed_sets, signed_subset_masks, subset_sum_mask)
 from .errors import CapacityError, ValidationError, check_positive_int
 
-# The oracle keeps only the running-AND states that occur, a few thousand
-# at these caps, but their number and the class table still grow
-# exponentially in n.  The caps keep the top of each range (A n = 28,
-# B n = 11, l = 4) to about 1.5 s; the oracle exists for testing, not
-# production.  Each of the l draws costs states x masks (B n = 11: 0.9, 14
-# and 56 s at l = 4, 8 and 16); brute force takes about 10 us per tuple.
+# The half lattice has 2^(n//2) points, 4^(n//2) for sign pairs, so the
+# class table, exponential in n, costs most: at the caps (A n = 28, B n = 11)
+# a call takes up to 0.1 s at any l <= 16.  The oracle exists for testing,
+# not production; brute force takes about 10 us per tuple.
 UNSIGNED_LIMIT = 28
 SIGNED_LIMIT = 11
 L_LIMIT = 16
@@ -67,17 +55,14 @@ class ClassTable:
 
 def _classes(n: int, family: WeylFamily, signed: bool) -> tuple[int, list]:
     """The order of a class table and its classes as (lengths, signs, total,
-    count): the element form the `_EVENTS` bits read, with the integer
-    class size.  The table is the family's signed table when `signed` (a D
-    sector keeps its own total sign), else S_n's partition table (A's own,
-    and the projection of every other family's uniform law).  n above the
-    table's cap raises a CapacityError naming `family`.  One walk picks the
-    longest remaining cycle length j, then its multiplicity m, then
-    (signed) how many of the m cycles are positive, each descending, and
-    carries the class-size divisor down: j^m m! in S_n, (2j)^m m+! m-! in
-    the signed group.  The order is written only here: n!, 2^n n!, or
-    2^(n-1) n! in a D sector, whose counts sum to it by a theorem (flip the
-    sign of any one designated cycle) asserted here."""
+    count), count the integer class size.  The table is the family's signed
+    table when `signed` (a D sector keeps its own total sign), else S_n's
+    partition table (the projection of every family's uniform law); n above
+    its cap raises a CapacityError naming `family`.  One walk picks the
+    longest remaining length j, its multiplicity m, then (signed) how many
+    of the m cycles are positive, each descending, and carries the class
+    size's divisor down: j^m m! in S_n, (2j)^m m+! m-! signed.  The order,
+    n!, 2^n n!, or 2^(n-1) n! in a D sector, is asserted to sum the counts."""
     limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
     if n > limit:
         raise CapacityError(f"exact mode for family {family.value} is limited to n <= {limit} (got {n})")
@@ -114,71 +99,96 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     signed = family.signed_labels
     order, classes = _classes(n, family, signed)
     # labels hold exact-size tuples: tuple() of an iterator over-allocates
-    entries = tuple(
-        (SignedCycleType(n, (*zip(lengths, signs),)) if signed else Partition(n, lengths),
-         Fraction(count, order))
-        for lengths, signs, _, count in classes
-    )
+    entries = tuple((SignedCycleType(n, (*zip(lengths, signs),)) if signed else Partition(n, lengths),
+                     Fraction(count, order)) for lengths, signs, _, count in classes)
     return ClassTable(n=n, family=family, entries=entries)
 
 
-def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> dict[int, int]:
-    """Class sizes of `_classes(n, family, signed)` summed by element mask:
-    the profile, then bits(lengths, signs, total) above bit 2n.  The
-    profile is the achievable sizes (of the projection, for signed
-    classes) when `pairs` is False, plus | minus << n for (size, sign)
-    pairs when True, and absent when None, so that one AND intersects all
-    of them at once."""
-    keep = (1 << n) - 2
-    law: dict[int, int] = {}
-    for lengths, signs, total, count in _classes(n, family, signed)[1]:
-        mask = bits(lengths, signs, total) << 2 * n
-        if pairs:
-            plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
-            mask |= plus | minus << n
-        elif pairs is not None:  # lengths are non-increasing
-            mask |= subset_sum_mask(reversed(lengths), keep)
+# B's tables for `_apply`, one per digit (k, +) | (k, -) << 1 of a size k,
+# then one for the sign bits.  A + element holds (n - k, e) with (k, e), a -
+# element (n - k, -e); entry (S, R) sums (-1)^|T| over the T of that size
+# pair that fold to S for + and to R for -.  Size n/2 folds only for -.
+_OUTER = ((1, 0, 0, 0), (0, -1, -1, 1), (0, -1, -1, 1), (0, 1, 1, -1))
+_MIDDLE = ((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, -1), (0, 0, 0, 1))
+_SIGNS = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1))
+
+
+def _apply(vec: list[int], tables) -> list[int]:
+    """vec times the Kronecker product of `tables`, 4 x 4 with 0/1/-1
+    entries, one per base-4 digit of its index (tables[0] the lowest): each
+    pass transforms the top digit and moves it to the bottom."""
+    for table in reversed(tables):
+        q = len(vec) >> 2
+        parts = vec[:q], vec[q:2 * q], vec[2 * q:3 * q], vec[3 * q:]
+        rows: dict[tuple, list[int]] = dict.fromkeys(table)  # equal rows are summed once
+        for row in rows:
+            (c, out), *rest = compress(zip(row, parts), row)
+            out = out if c > 0 else list(map(neg, out))
+            for c, part in rest:
+                out = list(map(add if c > 0 else sub, out, part))
+            rows[row] = out
+        vec = list(chain.from_iterable(zip(*map(rows.get, table))))
+    return vec
+
+
+def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> tuple[int, list]:
+    """The order of `_classes(n, family, signed)` and its class sizes summed
+    by half-lattice mask: the profile on sizes 1..n//2, then bits(lengths,
+    signs, total).  The profile is the achievable sizes (of the projection,
+    for signed classes) when `pairs` is False, (k, +) at bit 2k - 2 and
+    (k, -) at 2k - 1 when True, and absent when None.  Pairs fold by total
+    sign, so they fill one dict per sector, + first; else only the first."""
+    half, keep = n // 2, (1 << n // 2 + 1) - 2
+    spread = [int(f"{i:b}", 4) for i in range(1 << half)] if pairs else None  # bit i to bit 2i
+    order, classes = _classes(n, family, signed)
+    laws = [{}, {}]
+    for lengths, signs, total, count in classes:
+        if pairs:  # lengths ascending
+            plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), keep)
+            mask = spread[plus >> 1] | spread[minus >> 1] << 1 | bits(lengths, signs, total) << 2 * half
+        elif pairs is None:
+            mask = bits(lengths, signs, total)
+        else:
+            mask = subset_sum_mask(reversed(lengths), keep) >> 1 | bits(lengths, signs, total) << half
+        law = laws[bool(pairs) and total < 0]
         law[mask] = law.get(mask, 0) + count
-    return law
+    return order, laws
 
 
-def _prob_empty_and(law: dict[int, int], l: int) -> Fraction:
-    """Prob(the AND of l independent masks is empty), for masks drawn with
-    the integer weights of `law`.
-
-    Tracks the law of the running AND as a sparse dict state -> weight,
-    with the weights divided by their gcd and den their sum, starting from
-    the all-ones state -1 (which ANDs to each mask itself).  A state that
-    reaches 0 stays 0, so its weight leaves the dict and only gains a
-    factor den per later draw; the last draw just sums the weights of
-    masks disjoint from each surviving state.  Only states that occur are
-    kept, so no mask width enters.
-    """
-    g = gcd(*law.values())
-    weights = [(mask, c // g) for mask, c in law.items()]
-    den = sum(w for _, w in weights)
-    state = {-1: 1}
-    empty = 0
-    for _ in range(l - 1):
-        empty *= den
-        nxt: dict[int, int] = {}
-        for a, c in state.items():
-            for mask, w in weights:
-                b = a & mask
-                if b:
-                    nxt[b] = nxt.get(b, 0) + c * w
-                else:
-                    empty += c * w
-        state = nxt
-    empty *= den
-    for a, c in state.items():
-        empty += c * sum(w for mask, w in weights if not a & mask)
-    return Fraction(empty, den**l)
+def _prob_no_common(n: int, l: int, order: int, laws: list) -> Fraction:
+    """Prob(the AND of l independent masks is empty), the masks drawn with
+    the class sizes `_law(n, ...)` gives, out of `order`.  With superset
+    sums g of one sector's law it is sum_T (-1)^|T| g(T)^l.  B's sectors
+    fold differently, so (g+ + g-)^l splits into sum_j C(l, j) <G+^j,
+    K G-^(l - j)>, K the Kronecker product of one table per digit."""
+    plus, minus = laws if laws[0] else laws[::-1]
+    width = max(chain(plus, minus)).bit_length()
+    if minus:  # one base-4 digit per size, then one for the sign bits
+        width, half, even = width + (width & 1), n // 2, 1 - n % 2
+        tables = [_OUTER] * (half - even) + [_MIDDLE] * even + [_SIGNS] * (width // 2 - half)
+    sums = []
+    for law in filter(None, (plus, minus)):
+        vec = [0] * (1 << width)
+        for mask, count in law.items():
+            vec[mask] = count
+        for _ in range(width):  # superset sums over the top bit, which then moves to the bottom
+            high = vec[len(vec) >> 1:]
+            vec = list(chain.from_iterable(zip(map(add, vec, high), high)))
+        sums.append(vec)
+    if not minus:  # sum_T (-1)^|T| g(T)^l, one bit at a time
+        terms = list(map(pow, sums[0], repeat(l)))
+        for _ in range(width):
+            terms = list(map(sub, terms, terms[len(terms) >> 1:]))
+        return Fraction(terms[0], order**l)
+    total = 0
+    for j in range(l + 1):
+        right = _apply(list(map(pow, sums[1], repeat(l - j))), tables)
+        total += comb(l, j) * sum(map(mul, map(pow, sums[0], repeat(j)), right))
+    return Fraction(total, order**l)
 
 
 def _sign_bit(lengths, signs, total: int) -> int:
-    """Bit 0 for total sign +1, bit 1 for -1: it survives an AND only while
-    every total sign agrees."""
+    """Bit 0 for total sign +1, bit 1 for -1: it survives an AND only while all agree."""
     return 1 if total > 0 else 2
 
 
@@ -210,9 +220,7 @@ def check_event(event: str, family: WeylFamily) -> None:
         raise ValidationError(f"unknown event {event!r}; expected one of {EVENTS}")
     if _EVENTS[event].signed and not family.signed_labels:
         unsigned = tuple(name for name, row in _EVENTS.items() if not row.signed)
-        raise ValidationError(
-            f"event {event} needs a signed family (B, C, D+, D-); family A supports {unsigned}"
-        )
+        raise ValidationError(f"event {event} needs a signed family (B, C, D+, D-); family A supports {unsigned}")
 
 
 def _check_l(l: int) -> None:
@@ -228,15 +236,13 @@ def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
     check_positive_int("n", n)
     _check_l(l)
     signed, intersects, bits = _EVENTS[event]
-    # Cycle lengths have S_n's law in every family (signs are fair coins and
-    # a D sector fixes only their product), so S_n's partition table serves
-    # unless the event reads signs or intersects (size, sign) pairs (B, D).
-    # N reads only the total sign, whose law is the same at every n (the
-    # sector-mass theorem `_classes` asserts): the n = 1 table
-    # serves, with no cap.
+    # Cycle lengths have S_n's law in every family (signs are fair coins, a D
+    # sector fixes only their product): S_n's partition table serves unless
+    # the event reads signs or intersects (size, sign) pairs (B, D).  N reads
+    # only the total sign, whose law the n = 1 table gives, with no cap.
     pairs = intersects and family.signed_profiles
-    law = _law(1 if event == "N" else n, family, signed or pairs, pairs if intersects else None, bits)
-    empty = _prob_empty_and(law, l)
+    n = 1 if event == "N" else n
+    empty = _prob_no_common(n, l, *_law(n, family, signed or pairs, pairs if intersects else None, bits))
     return empty if intersects else 1 - empty
 
 
@@ -247,20 +253,16 @@ def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
 
 
 def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
-    """Exact Prob(J and not N) for signed-label families: J's running AND
-    with the total sign as two more mask bits, which survive only while
-    every sign agrees; 0 in a D sector."""
+    """Exact Prob(J and not N) for signed-label families: J's AND with two
+    total-sign bits, which survive only while all signs agree; 0 in a D sector."""
     return exact_prob(n, l, family, "J_and_not_N")
 
 
 def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
-    """Independent route to Prob(J^l): enumerate all l-tuples of distinct
-    profiles (with aggregated probabilities) and evaluate the event per
-    tuple with the runtime event evaluator.  For family C this enumerates
-    the signed table and projects, so it is capped at the signed limit.
-    Exponential in l; meant for n <= 6, l <= 3 cross-checks, and capped at
-    10^6 tuples.
-    """
+    """Independent route to Prob(J^l): sum the aggregated probabilities of
+    the l-tuples of distinct profiles that the runtime `event_J` accepts.
+    Family C enumerates the signed table and projects, so it takes the
+    signed cap.  Exponential in l: meant for n <= 6, l <= 3, capped at 10^6 tuples."""
     _check_l(l)
     _check_family(family)
     check_positive_int("n", n)
@@ -277,7 +279,7 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
     if len(grouped) ** l > _TUPLE_LIMIT:
         raise CapacityError(f"brute force is limited to {_TUPLE_LIMIT} tuples (got {len(grouped)}**{l})")
     total = Fraction(0)
-    for combo in itertools.product(grouped.values(), repeat=l):
+    for combo in product(grouped.values(), repeat=l):
         if event_J([prof for prof, _ in combo], family):
             total += prod(p for _, p in combo)
     return total
@@ -289,9 +291,7 @@ def exact_prob_predicate(n: int, family: WeylFamily, predicate: str, l: int | No
     if predicate == "same_sign":
         return exact_prob(n, l, family, "N")
     if predicate not in ("all_even", "all_positive"):
-        raise ValidationError(
-            f"unknown predicate {predicate!r}; expected all_even, all_positive or same_sign"
-        )
+        raise ValidationError(f"unknown predicate {predicate!r}; expected all_even, all_positive or same_sign")
     if l is not None:
         raise ValidationError(f"{predicate} is a single-element mass; l applies only to same_sign")
     return exact_prob(n, 1, family, predicate)

@@ -80,6 +80,12 @@ class TestFixedsets:
         code, _, _ = cli(capsys, "fixedsets", "--cycles", "0")
         assert code == 2
 
+    def test_digit_that_int_rejects(self, capsys):
+        # '²'.isdigit() is True, but int('²') used to raise a raw ValueError
+        code, out, err = cli(capsys, "fixedsets", "--cycles", "²,1")
+        assert (code, out) == (2, "")
+        assert "bad cycle length '²'" in err
+
     @pytest.mark.parametrize("cycles", ["1,,2", "1,2,"])
     def test_empty_item(self, capsys, cycles):
         code, out, err = cli(capsys, "fixedsets", "--cycles", cycles)
@@ -431,6 +437,14 @@ class TestConfigFile:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = cli(capsys, "estimate", "--config", str(tmp_path / "absent.cfg"))
         assert code == 1 and "error:" in err
+
+    def test_not_utf8(self, capsys, tmp_path):
+        # used to end in a raw UnicodeDecodeError traceback, exit 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe=1\n")
+        code, out, err = cli(capsys, "estimate", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"{cfg}: not UTF-8 text" in err
 
 
 # each subcommand's option dests; each is a --flag (dashes for

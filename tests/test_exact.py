@@ -1,10 +1,10 @@
-"""Tests for the exact class tables and the running-AND oracle."""
+"""Tests for the exact class tables and the half-lattice oracle."""
 
 import itertools
 import re
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -25,6 +25,7 @@ from invgen import (
     make_partition,
     make_signed,
 )
+from invgen.cycletypes import signed_subset_masks, subset_sum_mask
 
 A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
 DP, DM = WeylFamily.D_PLUS, WeylFamily.D_MINUS
@@ -33,10 +34,10 @@ F = Fraction
 
 
 def dense_inclusion_exclusion(masses, l):
-    """Reference for `exact._prob_empty_and`: Prob(no common lattice point
-    among l draws) = sum_K (-1)^|K| q_K^l with q_K = Prob(one profile
-    covers K), by a dense superset-sum zeta transform over all 2^univ
-    lattice points in integer arithmetic; univ is the widest mask's width."""
+    """Reference for `running_and`: Prob(no common lattice point among l
+    draws) = sum_K (-1)^|K| q_K^l with q_K = Prob(one profile covers K),
+    by a dense superset-sum zeta transform over all 2^univ lattice points
+    in integer arithmetic; univ is the widest mask's width."""
     univ = max(mask.bit_length() for mask in masses)
     den = 1
     for f in masses.values():
@@ -59,13 +60,57 @@ def dense_inclusion_exclusion(masses, l):
     return Fraction(total, den**l)
 
 
-def integer_and_rational_law(n, family, pairs, bits):
-    """`exact._law` on the family's own class table, as class sizes and as
-    probabilities over the order `exact._classes` gives that table."""
-    signed = family.signed_labels
-    law = exact._law(n, family, signed, pairs, bits)
-    order, _ = exact._classes(n, family, signed)
-    return law, {mask: Fraction(count, order) for mask, count in law.items()}
+def running_and(law, l):
+    """Prob(the AND of l independent masks is empty), for masks drawn with
+    the integer weights of `law`: the oracle `exact_prob` replaced, kept
+    as an independent reference for the half lattice.
+
+    Tracks the law of the running AND as a sparse dict state -> weight,
+    with the weights divided by their gcd and den their sum, starting from
+    the all-ones state -1 (which ANDs to each mask itself).  A state that
+    reaches 0 stays 0, so its weight leaves the dict and only gains a
+    factor den per later draw; the last draw just sums the weights of
+    masks disjoint from each surviving state.
+    """
+    g = gcd(*law.values())
+    weights = [(mask, c // g) for mask, c in law.items()]
+    den = sum(w for _, w in weights)
+    state = {-1: 1}
+    empty = 0
+    for _ in range(l - 1):
+        empty *= den
+        nxt = {}
+        for a, c in state.items():
+            for mask, w in weights:
+                b = a & mask
+                if b:
+                    nxt[b] = nxt.get(b, 0) + c * w
+                else:
+                    empty += c * w
+        state = nxt
+    empty *= den
+    for a, c in state.items():
+        empty += c * sum(w for mask, w in weights if not a & mask)
+    return Fraction(empty, den**l)
+
+
+def full_law(n, family, bits):
+    """Class sizes of the family's own table (`exact._classes`) summed by
+    full element mask: the profile on every proper size, plus | minus << n
+    for (size, sign) pairs in families B and D, then bits(lengths, signs,
+    total) above bit 2n.  Returns the law in integers and as probabilities."""
+    keep = (1 << n) - 2
+    order, classes = exact._classes(n, family, family.signed_labels)
+    law = Counter()
+    for lengths, signs, total, count in classes:
+        mask = bits(lengths, signs, total) << 2 * n
+        if family.signed_profiles:
+            plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
+            mask |= plus | minus << n
+        else:
+            mask |= subset_sum_mask(sorted(lengths), keep)
+        law[mask] += count
+    return dict(law), {mask: Fraction(count, order) for mask, count in law.items()}
 
 
 class TestClassTables:
@@ -193,7 +238,7 @@ class TestExactJ:
         message = re.escape(f"family {family.value} is limited to n <= {cap}")
         with pytest.raises(CapacityError, match=message):
             exact_prob_J(cap + 1, 2, family)
-        # each of the l draws costs a pass over every running-AND state
+        # l = 16 costs about what l = 4 does: the lattice does not grow with l
         assert 0 < exact_prob_J(3, exact.L_LIMIT, family) <= 1
         with pytest.raises(CapacityError, match="l <= 16"):
             exact_prob_J(3, exact.L_LIMIT + 1, family)
@@ -242,25 +287,70 @@ def test_family_must_be_a_weyl_family(call):
 
 
 class TestSparseMatchesDense:
-    """The running-AND law equals the dense zeta transform it replaced."""
+    """The running AND equals the dense zeta transform it once replaced,
+    and the half-lattice oracle equals both."""
 
     @pytest.mark.parametrize(
         "family,n",
         [(A, n) for n in range(1, 15)] + [(f, n) for f in (B, DP, DM) for n in range(1, 8)],
     )
     def test_full_masses(self, family, n):
-        law, masses = integer_and_rational_law(n, family, family.signed_profiles, exact._EVENTS["J"].bits)
+        law, masses = full_law(n, family, exact._EVENTS["J"].bits)
         for l in (1, 2, 3, 4):
-            assert exact._prob_empty_and(law, l) == dense_inclusion_exclusion(masses, l), l
+            value = running_and(law, l)
+            assert value == dense_inclusion_exclusion(masses, l), l
+            assert exact_prob(n, l, family, "J") == value, l
 
     @pytest.mark.parametrize("family", [B, C, DP, DM])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sign_tagged_laws(self, family, n):
         # J_and_not_N's input: each profile with its total sign's bit above bit 2n
-        law, masses = integer_and_rational_law(n, family, family.signed_profiles, exact._sign_bit)
+        law, masses = full_law(n, family, exact._sign_bit)
         assert sum(masses.values()) == 1
         for l in (1, 2, 3, 4):
-            assert exact._prob_empty_and(law, l) == dense_inclusion_exclusion(masses, l), l
+            value = running_and(law, l)
+            assert value == dense_inclusion_exclusion(masses, l), l
+            assert exact_prob(n, l, family, "J_and_not_N") == value, l
+
+    @pytest.mark.parametrize(
+        "family,n,event",
+        [(A, 28, "J"), (B, 11, "J"), (DP, 11, "J"), (DM, 11, "J")]
+        + [(B, 11, "J_and_not_N"), (C, 11, "J_and_not_N")],
+    )
+    def test_caps_at_l4(self, family, n, event):
+        # the top of each table, where the running AND takes up to a second
+        law, _ = full_law(n, family, exact._EVENTS[event].bits)
+        assert exact_prob(n, 4, family, event) == running_and(law, 4)
+
+
+class TestLongTuples:
+    """Properties up to l = 16, where the half lattice costs about what it
+    does at l = 4 and the running AND took up to a minute."""
+
+    @pytest.mark.parametrize(
+        "family,n,event",
+        [(f, 28, "J") for f in (A, C)] + [(f, 11, "J") for f in (B, DP, DM)]
+        + [(f, 11, "J_and_not_N") for f in (B, C, DP, DM)],
+    )
+    def test_non_decreasing_in_l(self, family, n, event):
+        # one more element can only shrink the AND, so it ends empty at least as often
+        values = [exact_prob(n, l, family, event) for l in range(1, exact.L_LIMIT + 1)]
+        assert values == sorted(values)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+    def test_d_sectors_agree_at_odd_n(self, n):
+        """-1 is central in the signed group and has total sign (-1)^n, so
+        at odd n multiplying by it swaps the D+ and D- sectors.  It maps each
+        fixed (size, sign) pair (k, e) to (k, (-1)^k e), the same bijection
+        in every element of a tuple, so it keeps J: D+ and D- give the same
+        Prob(J^l) at every l."""
+        for l in range(1, exact.L_LIMIT + 1):
+            assert exact_prob_J(n, l, DP) == exact_prob_J(n, l, DM), l
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_d_sectors_differ_at_even_n(self, n):
+        # at even n, -1 lies in D+ and maps each sector to itself
+        assert exact_prob_J(n, 2, DP) != exact_prob_J(n, 2, DM)
 
 
 class TestPredicates:
