@@ -66,7 +66,7 @@ def _parse_bj4(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"bad b-j4 value {text!r}; expected a fraction like 1/3 or a decimal") from None
     if not 0 < value <= 1:
-        raise ValidationError(f"b-j4 must be in (0,1], got {value}")
+        raise ValidationError(f"b-j4 must be in (0,1], got {text!r}")
     return value
 
 

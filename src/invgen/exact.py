@@ -2,8 +2,8 @@
 
 Enumerates conjugacy classes with their integer class sizes, `_classes`,
 and computes Prob(J^l) two independent ways: inclusion-exclusion over the
-class masks, and a sum over all l-tuples of class profiles (the labels of
-`enumerate_classes`).  Every event is the AND, over its l elements, of one
+class masks, and a sum over the multisets of l class profiles (the labels
+of `enumerate_classes`).  Every event is the AND, over its l elements, of one
 per-element mask: the profile (achievable sizes, or (size, sign) pairs)
 for events that intersect, plus the event's own bits, such as the total
 sign.  J and J_and_not_N hold when that AND ends empty; N and the
@@ -25,8 +25,8 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, product, repeat
-from math import comb, factorial, prod
+from itertools import chain, combinations_with_replacement, compress, groupby, repeat
+from math import comb, factorial, lcm, prod
 from operator import add, mul, neg, sub
 from typing import NamedTuple
 
@@ -37,7 +37,9 @@ from .errors import CapacityError, ValidationError, check_positive_int
 # The half lattice has 2^(n//2) points, 4^(n//2) for sign pairs, so the
 # class table, exponential in n, costs most: at the caps (A n = 28, B n = 11)
 # a call takes up to 0.1 s at any l <= 16.  The oracle exists for testing,
-# not production; brute force takes about 10 us per tuple.
+# not production.  Brute force judges each multiset of l profiles once,
+# about 3 us each, weighted by its l! / prod m_i! orderings; its cap
+# still counts ordered tuples.
 UNSIGNED_LIMIT = 28
 SIGNED_LIMIT = 11
 L_LIMIT = 16
@@ -259,10 +261,12 @@ def exact_prob_J_and_not_N(n: int, l: int, family: WeylFamily) -> Fraction:
 
 
 def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
-    """Independent route to Prob(J^l): sum the aggregated probabilities of
-    the l-tuples of distinct profiles that the runtime `event_J` accepts.
+    """Independent route to Prob(J^l): group the labels of
+    `enumerate_classes` by profile, then judge each multiset of l groups
+    once with the runtime `event_J`, weighted by its l! / prod m_i!
+    orderings and its groups' masses in integers over one denominator.
     Family C enumerates the signed table and projects, so it takes the
-    signed cap.  Exponential in l: meant for n <= 6, l <= 3, capped at 10^6 tuples."""
+    signed cap.  Exponential in l: capped at 10^6 ordered tuples."""
     _check_l(l)
     _check_family(family)
     check_positive_int("n", n)
@@ -278,11 +282,15 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
         grouped.setdefault(key, [prof, 0])[1] += p
     if len(grouped) ** l > _TUPLE_LIMIT:
         raise CapacityError(f"brute force is limited to {_TUPLE_LIMIT} tuples (got {len(grouped)}**{l})")
-    total = Fraction(0)
-    for combo in product(grouped.values(), repeat=l):
-        if event_J([prof for prof, _ in combo], family):
-            total += prod(p for _, p in combo)
-    return total
+    profs, masses = zip(*grouped.values())
+    den = lcm(*(p.denominator for p in masses))
+    weights = [p.numerator * (den // p.denominator) for p in masses]
+    total = 0
+    for combo in combinations_with_replacement(range(len(profs)), l):
+        if event_J([profs[i] for i in combo], family):
+            orderings = factorial(l) // prod(factorial(len(list(run))) for _, run in groupby(combo))
+            total += orderings * prod(weights[i] for i in combo)
+    return Fraction(total, den**l)
 
 
 def exact_prob_predicate(n: int, family: WeylFamily, predicate: str, l: int | None = None) -> Fraction:

@@ -49,7 +49,7 @@ from statistics import NormalDist
 from .cycletypes import WeylFamily, signed_subset_masks, subset_sum_mask
 from .errors import ValidationError, as_list, check_positive_int
 from .exact import _EVENTS, EVENTS, _sign_bit, check_event  # noqa: F401 (public names here too)
-from .sampling import GOLDEN, M64, RngState, _sample_cycles, mix64
+from .sampling import GOLDEN, M64, RngState, _check_range, _sample_cycles, mix64
 
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
 # rest; below 2^16 the window pass measured no faster than one pass
@@ -67,7 +67,7 @@ class ExperimentSpec:
     master_seed: int
 
     def validate(self) -> None:
-        check_positive_int("n", self.n)
+        _check_range("n", self.n)
         check_positive_int("l", self.l)
         check_positive_int("trials", self.trials)
         seed = self.master_seed

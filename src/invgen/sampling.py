@@ -59,14 +59,21 @@ class RngState:
     def randbelow(self, m: int) -> int:
         """Uniform on {0..m-1} for 1 <= m <= 2^64; rejection keeps it
         exactly uniform."""
-        check_positive_int("m", m)
-        if m > TWO64:
-            raise ValidationError(f"m must be at most 2^64, got {m!r}")
+        _check_range("m", m)
         lim = (TWO64 // m) * m
         while True:
             u = self.next64()
             if u < lim:
                 return u % m
+
+
+def _check_range(name: str, value) -> None:
+    """A positive int at most 2^64, the most values one draw can cover:
+    above it the rejection limit (2^64 // value) * value is 0 and no draw
+    is ever accepted."""
+    check_positive_int(name, value)
+    if value > TWO64:
+        raise ValidationError(f"{name} must be at most 2^64, got {value!r}")
 
 
 def _sample_cycles(
@@ -118,7 +125,7 @@ def _check_rng(rng) -> None:
 
 def sample_partition(n: int, rng: RngState) -> Partition:
     """Cycle type of a uniform random element of S_n."""
-    check_positive_int("n", n)
+    _check_range("n", n)
     _check_rng(rng)
     lengths, _, _ = _sample_cycles(rng, n, signed=False)
     lengths.sort(reverse=True)
@@ -127,7 +134,7 @@ def sample_partition(n: int, rng: RngState) -> Partition:
 
 def sample_signed(n: int, rng: RngState) -> SignedCycleType:
     """Class label of a uniform random element of C2 wr S_n."""
-    check_positive_int("n", n)
+    _check_range("n", n)
     _check_rng(rng)
     lengths, signs, _ = _sample_cycles(rng, n, signed=True)
     return _signed_label(n, zip(lengths, signs))
@@ -140,7 +147,7 @@ def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCy
     wrong; given the shape, that map is a bijection between the two sign
     sectors, so conditioning is exact at O(1) extra cost.
     """
-    check_positive_int("n", n)
+    _check_range("n", n)
     if type(want_sign) is not int or want_sign not in (1, -1):  # rejects True and -1.0 too
         raise ValidationError(f"want_sign must be the int 1 or -1, got {want_sign!r}")
     _check_rng(rng)

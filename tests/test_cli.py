@@ -369,6 +369,12 @@ class TestBounds:
         code, _, _ = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "junk")
         assert code == 2
 
+    def test_b_out_of_range_echoes_the_text(self, capsys):
+        # the message used to print the expanded Fraction, 401 digits here
+        code, _, err = cli(capsys, "bounds", "--family", "Sp", "--q", "4", "--b-j4", "1e400")
+        assert code == 2
+        assert "'1e400'" in err and len(err) < 80
+
     @pytest.mark.parametrize(
         "extra,flag",
         [(["--q", "13"], "--q"), (["--sharp-a"], "--sharp-a"), (["--sharp-a", "--q", "13"], "--q")],

@@ -24,6 +24,8 @@ from invgen import (
     fixed_sizes,
     make_partition,
     make_signed,
+    project,
+    signed_fixed_sets,
 )
 from invgen.cycletypes import signed_subset_masks, subset_sum_mask
 
@@ -111,6 +113,26 @@ def full_law(n, family, bits):
             mask |= subset_sum_mask(sorted(lengths), keep)
         law[mask] += count
     return dict(law), {mask: Fraction(count, order) for mask, count in law.items()}
+
+
+def ordered_tuples(n, l, family):
+    """Reference for `exact_prob_J_bruteforce`, the route it replaced: group
+    the labels of `enumerate_classes` by profile, then sum the product of
+    the groups' masses over every ordered l-tuple that `event_J` accepts."""
+    grouped = {}
+    for label, p in enumerate_classes(n, family).entries:
+        if family.signed_profiles:
+            prof = signed_fixed_sets(label)
+            key = prof.plus, prof.minus
+        else:
+            prof = fixed_sizes(project(label) if family is C else label)
+            key = prof.achievable
+        grouped.setdefault(key, [prof, 0])[1] += p
+    total = Fraction(0)
+    for combo in itertools.product(grouped.values(), repeat=l):
+        if event_J([prof for prof, _ in combo], family):
+            total += prod(p for _, p in combo)
+    return total
 
 
 class TestClassTables:
@@ -219,9 +241,16 @@ class TestExactJ:
         assert exact_prob_J(n, 3, B) >= exact_prob_J(n, 3, A)
 
     @pytest.mark.parametrize("family", [A, B, C, DP, DM])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_routes_agree(self, n, family):
-        assert exact_prob_J(n, 2, family) == exact_prob_J_bruteforce(n, 2, family)
+        for l in (2, 4):
+            assert exact_prob_J(n, l, family) == exact_prob_J_bruteforce(n, l, family), l
+
+    @pytest.mark.parametrize("family", [A, B, C, DP, DM])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_multisets_match_ordered_tuples(self, n, family):
+        for l in (1, 2, 3):
+            assert exact_prob_J_bruteforce(n, l, family) == ordered_tuples(n, l, family), l
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -231,6 +231,13 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 run(bad)
 
+    @pytest.mark.parametrize("event", ["all_even", "J"])
+    def test_n_above_two_to_64(self, event):
+        # all_even's trials never ended there, and J raised a raw MemoryError
+        with pytest.raises(ValidationError, match="n must be at most 2\\^64, got 18446744073709551617"):
+            spec(2**64 + 1, 1, A, event=event, trials=1).validate()
+        spec(2**64, 1, A, event=event, trials=1).validate()
+
     @pytest.mark.parametrize("event", ["N", "all_positive", "J_and_not_N"])
     def test_unsigned_family_rejects_signed_events(self, event):
         with pytest.raises(ValidationError):

@@ -97,6 +97,18 @@ class TestDeterminism:
         assert rng.randbelow(1) == 0
 
 
+@pytest.mark.parametrize(
+    "sampler",
+    [sample_partition, sample_signed, lambda n, rng: sample_signed_conditioned(n, 1, rng)],
+    ids=["partition", "signed", "conditioned"],
+)
+def test_samplers_reject_n_above_two_to_64(sampler):
+    # n is checked before the rng, so no draw starts: at such n the
+    # stick-breaking rejection limit is 0 and the first draw never ended
+    with pytest.raises(ValidationError, match="n must be at most 2\\^64"):
+        sampler(2**64 + 1, None)
+
+
 class TestPartitionDistribution:
     def test_exact_at_top_size(self):
         n, draws = 6, 1_000_000
