@@ -172,7 +172,7 @@ def i4_lower_bound(
     row = _validate(f, sharp_a=sharp_a, conservative=conservative)
     b = _as_fraction(b_J4)
     if not 0 <= b <= 1:
-        raise ValidationError(f"b_J4 must be in [0,1], got {b}")
+        raise ValidationError(f"b_J4 must be in [0,1], got {b_J4!r}")
     if sharp_a and not row.sharp:
         raise ValidationError(
             f"the sharp variant is unavailable for {f.tag.value}; "
@@ -189,7 +189,7 @@ def i3_upper_bound(f: ClassicalFamily, j3) -> Fraction:
     _validate(f)
     j = _as_fraction(j3)
     if not 0 <= j <= 1:
-        raise ValidationError(f"j3 must be in [0,1], got {j}")
+        raise ValidationError(f"j3 must be in [0,1], got {j3!r}")
     s = separable_proportion(f)
     return j + (1 - s**3)
 
@@ -205,7 +205,7 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
     """
     b = _as_fraction(b_J4)
     if not 0 < b <= 1:
-        raise ValidationError(f"b_J4 must be in (0,1], got {b}")
+        raise ValidationError(f"b_J4 must be in (0,1], got {b_J4!r}")
 
     def positive(q: int) -> bool:
         s = solver_proportion(tag, q)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ValidationError, as_list, check_positive_int
+from .errors import CapacityError, ValidationError, as_list, check_positive_int
 
 
 class WeylFamily(Enum):
@@ -65,6 +65,13 @@ def _check_family(family) -> None:
 def _check_label(label, kind: type) -> None:
     if not isinstance(label, kind):
         raise ValidationError(f"expected a {kind.__name__}, got {label!r}")
+
+
+def _check_profile_n(n: int) -> None:
+    """A profile is a bitmask with a bit per size (n/2 of them in a Monte
+    Carlo trial): above n = 2^28 it would take gigabytes, a CapacityError."""
+    if n > 1 << 28:
+        raise CapacityError(f"fixed-set profiles are limited to n <= 2^28 (got {n})")
 
 
 @dataclass(frozen=True)
@@ -198,12 +205,14 @@ def signed_subset_masks(cycles, keep: int) -> tuple[int, int]:
 def fixed_sizes(p: Partition) -> SizeProfile:
     """Achievable proper fixed-subset sizes of one element of class p."""
     _check_label(p, Partition)
+    _check_profile_n(p.n)
     return SizeProfile(n=p.n, achievable=subset_sum_mask(reversed(p.parts), (1 << p.n) - 2))
 
 
 def signed_fixed_sets(s: SignedCycleType) -> SignedSizeProfile:
     """Achievable proper (size, sign) pairs of one signed element."""
     _check_label(s, SignedCycleType)
+    _check_profile_n(s.n)
     plus, minus = signed_subset_masks(reversed(s.cycles), (1 << s.n) - 2)
     return SignedSizeProfile(n=s.n, plus=plus, minus=minus, total_sign=s.total_sign)
 

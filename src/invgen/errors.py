@@ -10,7 +10,10 @@ class ValidationError(InvgenError):
 
 
 class CapacityError(InvgenError):
-    """Exact-mode request beyond the configured enumeration limits."""
+    """A request beyond a configured size limit: exact-mode enumeration
+    (n, l or brute-force tuples), or a fixed-set profile at n > 2^28, whose
+    bitmask would take gigabytes (Monte Carlo on an intersecting event,
+    `fixed_sizes`, `signed_fixed_sets`)."""
 
 
 class NoSolutionError(InvgenError):

@@ -25,9 +25,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, compress, groupby, repeat
+from itertools import chain, combinations_with_replacement, groupby, repeat
 from math import comb, factorial, lcm, prod
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .cycletypes import (Partition, SignedCycleType, WeylFamily, _check_family, event_J, fixed_sizes, project,
@@ -106,33 +106,6 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     return ClassTable(n=n, family=family, entries=entries)
 
 
-# B's tables for `_apply`, one per digit (k, +) | (k, -) << 1 of a size k,
-# then one for the sign bits.  A + element holds (n - k, e) with (k, e), a -
-# element (n - k, -e); entry (S, R) sums (-1)^|T| over the T of that size
-# pair that fold to S for + and to R for -.  Size n/2 folds only for -.
-_OUTER = ((1, 0, 0, 0), (0, -1, -1, 1), (0, -1, -1, 1), (0, 1, 1, -1))
-_MIDDLE = ((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, -1), (0, 0, 0, 1))
-_SIGNS = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1))
-
-
-def _apply(vec: list[int], tables) -> list[int]:
-    """vec times the Kronecker product of `tables`, 4 x 4 with 0/1/-1
-    entries, one per base-4 digit of its index (tables[0] the lowest): each
-    pass transforms the top digit and moves it to the bottom."""
-    for table in reversed(tables):
-        q = len(vec) >> 2
-        parts = vec[:q], vec[q:2 * q], vec[2 * q:3 * q], vec[3 * q:]
-        rows: dict[tuple, list[int]] = dict.fromkeys(table)  # equal rows are summed once
-        for row in rows:
-            (c, out), *rest = compress(zip(row, parts), row)
-            out = out if c > 0 else list(map(neg, out))
-            for c, part in rest:
-                out = list(map(add if c > 0 else sub, out, part))
-            rows[row] = out
-        vec = list(chain.from_iterable(zip(*map(rows.get, table))))
-    return vec
-
-
 def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> tuple[int, list]:
     """The order of `_classes(n, family, signed)` and its class sizes summed
     by half-lattice mask: the profile on sizes 1..n//2, then bits(lengths,
@@ -157,17 +130,42 @@ def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> 
     return order, laws
 
 
+def _cover(vec: list[int], half: int) -> list[int]:
+    """vec[S] weighs the tuples of - elements whose AND holds S; the result
+    weighs, for each T, those whose AND holds some pair of every size T
+    touches.  T has one base-4 digit (k, +) | (k, -) << 1 per size k <= half,
+    then the sign bits, which pass unchanged.  By inclusion-exclusion a
+    non-zero size digit takes vec's (k, +) + (k, -) - (k, +-) entries; at
+    k = n/2 a - element's pairs are swap-closed, so the three are equal and
+    that is the (k, +-) entry.  Each pass moves the top digit to the bottom."""
+    for digit in reversed(range((len(vec).bit_length() - 1) // 2)):
+        q = len(vec) >> 2
+        parts = vec[:q], vec[q:2 * q], vec[2 * q:3 * q], vec[3 * q:]
+        if digit < half:
+            either = list(map(sub, map(add, parts[1], parts[2]), parts[3]))
+            parts = parts[0], either, either, either
+        vec = list(chain.from_iterable(zip(*parts)))
+    return vec
+
+
+def _alternating(vec: list[int]) -> int:
+    """sum_T (-1)^|T| vec[T], one bit at a time."""
+    while len(vec) > 1:
+        vec = list(map(sub, vec, vec[len(vec) >> 1:]))
+    return vec[0]
+
+
 def _prob_no_common(n: int, l: int, order: int, laws: list) -> Fraction:
     """Prob(the AND of l independent masks is empty), the masks drawn with
     the class sizes `_law(n, ...)` gives, out of `order`.  With superset
-    sums g of one sector's law it is sum_T (-1)^|T| g(T)^l.  B's sectors
-    fold differently, so (g+ + g-)^l splits into sum_j C(l, j) <G+^j,
-    K G-^(l - j)>, K the Kronecker product of one table per digit."""
+    sums g of one sector's law it is sum_T (-1)^|T| g(T)^l.  In B a -
+    element holds (k, e) with (n - k, -e), so a set the + elements share
+    must be covered, size by size, by the - elements, and (g+ + g-)^l
+    splits into sum_j C(l, j) sum_T (-1)^|T| g+(T)^j `_cover`(g-^(l - j))(T)."""
     plus, minus = laws if laws[0] else laws[::-1]
     width = max(chain(plus, minus)).bit_length()
     if minus:  # one base-4 digit per size, then one for the sign bits
-        width, half, even = width + (width & 1), n // 2, 1 - n % 2
-        tables = [_OUTER] * (half - even) + [_MIDDLE] * even + [_SIGNS] * (width // 2 - half)
+        width += width & 1
     sums = []
     for law in filter(None, (plus, minus)):
         vec = [0] * (1 << width)
@@ -177,15 +175,12 @@ def _prob_no_common(n: int, l: int, order: int, laws: list) -> Fraction:
             high = vec[len(vec) >> 1:]
             vec = list(chain.from_iterable(zip(map(add, vec, high), high)))
         sums.append(vec)
-    if not minus:  # sum_T (-1)^|T| g(T)^l, one bit at a time
-        terms = list(map(pow, sums[0], repeat(l)))
-        for _ in range(width):
-            terms = list(map(sub, terms, terms[len(terms) >> 1:]))
-        return Fraction(terms[0], order**l)
+    if not minus:
+        return Fraction(_alternating(list(map(pow, sums[0], repeat(l)))), order**l)
     total = 0
     for j in range(l + 1):
-        right = _apply(list(map(pow, sums[1], repeat(l - j))), tables)
-        total += comb(l, j) * sum(map(mul, map(pow, sums[0], repeat(j)), right))
+        covered = _cover(list(map(pow, sums[1], repeat(l - j))), n // 2)
+        total += comb(l, j) * _alternating(list(map(mul, map(pow, sums[0], repeat(j)), covered)))
     return Fraction(total, order**l)
 
 

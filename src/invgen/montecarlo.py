@@ -46,8 +46,8 @@ from itertools import islice
 from numbers import Real
 from statistics import NormalDist
 
-from .cycletypes import WeylFamily, signed_subset_masks, subset_sum_mask
-from .errors import ValidationError, as_list, check_positive_int
+from .cycletypes import WeylFamily, _check_profile_n, signed_subset_masks, subset_sum_mask
+from .errors import CapacityError, ValidationError, as_list, check_positive_int
 from .exact import _EVENTS, EVENTS, _sign_bit, check_event  # noqa: F401 (public names here too)
 from .sampling import GOLDEN, M64, RngState, _check_range, _sample_cycles, mix64
 
@@ -74,6 +74,8 @@ class ExperimentSpec:
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= M64:
             raise ValidationError(f"master_seed must be a 64-bit integer, got {seed!r}")
         check_event(self.event, self.family)
+        if _EVENTS[self.event].intersects:
+            _check_profile_n(self.n)
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ def sweep(specs, threads: int = 1, confidence: float = 0.99) -> list[Estimate]:
     for i, spec in enumerate(specs):
         try:
             _validate(spec)
-        except ValidationError as exc:
-            raise ValidationError(f"spec {i}: {exc}") from exc
+        except (ValidationError, CapacityError) as exc:
+            raise type(exc)(f"spec {i}: {exc}") from exc
         effective.append(replace(spec, master_seed=sweep_seed(spec.master_seed, i)))
     return _estimate(effective, threads, confidence)

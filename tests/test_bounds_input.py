@@ -82,3 +82,19 @@ def test_bounds_reject_non_bool_flag(call, flag):
     # sharp_a="false" used to apply the sharp factor 1, as sharp_a=True does
     with pytest.raises(ValidationError, match="must be True or False"):
         call(flag)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: i4_lower_bound(SL_13, b),
+        lambda b: i3_upper_bound(SL_13, b),
+        lambda b: solve_K4(T.SL, b),
+    ],
+    ids=["i4_lower_bound", "i3_upper_bound", "solve_K4"],
+)
+def test_out_of_range_echoes_the_argument(call):
+    # the message used to print the expanded Fraction, 401 digits here
+    with pytest.raises(ValidationError, match="must be in") as info:
+        call("1e400")
+    assert "'1e400'" in str(info.value) and len(str(info.value)) < 40

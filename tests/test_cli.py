@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -85,6 +86,14 @@ class TestFixedsets:
         code, out, err = cli(capsys, "fixedsets", "--cycles", "²,1")
         assert (code, out) == (2, "")
         assert "bad cycle length '²'" in err
+
+    @pytest.mark.parametrize("cycles", ["18446744073709551616", "18446744073709551616+"])
+    def test_huge_cycle(self, capsys, cycles):
+        # the profile's n-bit mask used to raise a raw MemoryError
+        argv = ["--cycles", cycles] + ["--signed"] * cycles.endswith("+")
+        code, out, err = cli(capsys, "fixedsets", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: fixed-set profiles are limited to n <= 2^28 (got 18446744073709551616)\n"
 
     @pytest.mark.parametrize("cycles", ["1,,2", "1,2,"])
     def test_empty_item(self, capsys, cycles):
@@ -223,6 +232,16 @@ class TestEstimate:
     def test_bad_seed(self, capsys):
         code, _, _ = cli(capsys, "estimate", "--n", "4", "--family", "A", "--seed", "zz")
         assert code == 2
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    def test_huge_n_for_J(self, capsys, family):
+        # the trial's first n/2-bit mask used to raise a raw MemoryError
+        n = "18446744073709551616"
+        code, out, err = cli(
+            capsys, "estimate", "--family", family, "--event", "J", "--n", n, "--trials", "1", "--l", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: fixed-set profiles are limited to n <= 2^28 (got {n})\n"
 
 
 class TestSweep:
@@ -559,12 +578,11 @@ class TestTopLevel:
         assert proc.stdout.startswith("3/4 = 0.75")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+
 # README lines of the form `invgen <args>  # -> <expected stdout>`
-README_EXAMPLES = re.findall(
-    r"^invgen (.+?)\s+# -> (.+)$",
-    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
-    re.M,
-)
+README_EXAMPLES = re.findall(r"^invgen (.+?)\s+# -> (.+)$", README, re.M)
 
 
 def test_readme_has_examples():
@@ -574,3 +592,13 @@ def test_readme_has_examples():
 @pytest.mark.parametrize("args,expected", README_EXAMPLES, ids=[a for a, _ in README_EXAMPLES])
 def test_readme_example(capsys, args, expected):
     assert cli(capsys, *args.split()) == (0, expected + "\n", "")
+
+
+def test_readme_library_block():
+    # the Python block under "## Library", run as a reader would, against this checkout's src
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", README, re.M | re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and lines[2:] == ["1/4", "36"], proc.stdout

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 
 from invgen import (
+    CapacityError,
     Partition,
     RngState,
     ValidationError,
@@ -84,6 +85,19 @@ class TestFixedSizes:
 
     def test_identity_fixes_everything(self):
         assert fixed_sizes(make_partition([1, 1, 1])).sizes() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fixed_sizes(make_partition([2**28, 1])),
+            lambda: signed_fixed_sets(make_signed([(2**28, 1), (1, -1)])),
+        ],
+        ids=["fixed_sizes", "signed_fixed_sets"],
+    )
+    def test_n_above_two_to_28(self, call):
+        # the n-bit mask of a larger n would take gigabytes
+        with pytest.raises(CapacityError, match=r"limited to n <= 2\^28 \(got 268435457\)"):
+            call()
 
 
 class TestSignedFixedSets:

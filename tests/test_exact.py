@@ -351,6 +351,17 @@ class TestSparseMatchesDense:
         law, _ = full_law(n, family, exact._EVENTS[event].bits)
         assert exact_prob(n, 4, family, event) == running_and(law, 4)
 
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize(
+        "family,event",
+        [(f, "J") for f in (B, DP, DM)] + [(f, "J_and_not_N") for f in (B, C, DP)],
+    )
+    def test_long_tuples(self, family, event, n):
+        # B's binomial sum over sectors at long tuples, where j and l - j both reach 8
+        law, _ = full_law(n, family, exact._EVENTS[event].bits)
+        for l in (8, 16):
+            assert exact_prob(n, l, family, event) == running_and(law, l), l
+
 
 class TestLongTuples:
     """Properties up to l = 16, where the half lattice costs about what it

@@ -11,6 +11,7 @@ import pytest
 import invgen.montecarlo as montecarlo
 import test_events
 from invgen import (
+    CapacityError,
     Estimate,
     ExperimentSpec,
     RngState,
@@ -236,7 +237,26 @@ class TestValidation:
         # all_even's trials never ended there, and J raised a raw MemoryError
         with pytest.raises(ValidationError, match="n must be at most 2\\^64, got 18446744073709551617"):
             spec(2**64 + 1, 1, A, event=event, trials=1).validate()
-        spec(2**64, 1, A, event=event, trials=1).validate()
+        if event == "J":  # within 2^64, J's profiles are capped at 2^28
+            with pytest.raises(CapacityError):
+                spec(2**64, 1, A, event=event, trials=1).validate()
+        else:
+            spec(2**64, 1, A, event=event, trials=1).validate()
+
+    @pytest.mark.parametrize("family,event", [(A, "J"), (B, "J"), (C, "J_and_not_N")])
+    def test_profile_cap_for_intersecting_events(self, family, event):
+        # a trial's first mask has n/2 bits: n = 2^64 raised a raw MemoryError
+        with pytest.raises(CapacityError, match=r"limited to n <= 2\^28 \(got 268435457\)"):
+            spec(2**28 + 1, 1, family, event=event, trials=1).validate()
+        spec(2**28, 1, family, event=event, trials=1).validate()
+
+    @pytest.mark.parametrize("event", ["N", "all_positive"])
+    def test_no_profile_cap_without_intersection(self, event):
+        spec(2**64, 1, B, event=event, trials=1).validate()
+
+    def test_sweep_names_the_capped_spec(self):
+        with pytest.raises(CapacityError, match="^spec 1: "):
+            sweep([spec(4, 2, A, trials=1), spec(2**28 + 1, 2, A, trials=1)])
 
     @pytest.mark.parametrize("event", ["N", "all_positive", "J_and_not_N"])
     def test_unsigned_family_rejects_signed_events(self, event):
