@@ -218,7 +218,7 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
         hi *= 2
         if hi > 1 << 60:
             raise NoSolutionError(
-                f"no threshold below 2^60 for {tag.value} with b_J4={b}; the bound stays non-positive"
+                f"no threshold below 2^60 for {tag.value} with b_J4={b_J4!r}; the bound stays non-positive"
             )
     lo = 2
     while hi - lo > 1:

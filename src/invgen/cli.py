@@ -60,14 +60,14 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _parse_bj4(text: str) -> Fraction:
+def _parse_bj4(text: str) -> str:  # the text: the bounds functions echo it in their errors
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"bad b-j4 value {text!r}; expected a fraction like 1/3 or a decimal") from None
     if not 0 < value <= 1:
         raise ValidationError(f"b-j4 must be in (0,1], got {text!r}")
-    return value
+    return text.strip()
 
 
 def _split_list(text: str, what: str) -> list[str]:
@@ -344,9 +344,9 @@ def cmd_bounds(o) -> int:
                 raise ValidationError(f"{flag} does not apply with --solve-k")
         k = solve_K4(tag, o.b_j4)
         if o.json:
+            b = Fraction(o.b_j4)
             print(json.dumps(
-                {"family": o.family, "tag": tag.value, "b_j4": float(o.b_j4),
-                 "b_j4_exact": str(o.b_j4), "K4": k},
+                {"family": o.family, "tag": tag.value, "b_j4": float(b), "b_j4_exact": str(b), "K4": k},
                 sort_keys=True,
             ))
         else:

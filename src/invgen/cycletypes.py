@@ -228,6 +228,7 @@ def event_J(profiles, family: WeylFamily) -> bool:
     n = profiles[0].n
     if any(p.n != n for p in profiles):
         raise ValidationError("profiles must share the same n")
+    _check_profile_n(n)
     if family.signed_profiles:
         plus = minus = (1 << n) - 2
         for p in profiles:

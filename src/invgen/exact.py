@@ -113,9 +113,9 @@ def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> 
     for signed classes) when `pairs` is False, (k, +) at bit 2k - 2 and
     (k, -) at 2k - 1 when True, and absent when None.  Pairs fold by total
     sign, so they fill one dict per sector, + first; else only the first."""
+    order, classes = _classes(n, family, signed)  # checks the cap before anything is built from n
     half, keep = n // 2, (1 << n // 2 + 1) - 2
     spread = [int(f"{i:b}", 4) for i in range(1 << half)] if pairs else None  # bit i to bit 2i
-    order, classes = _classes(n, family, signed)
     laws = [{}, {}]
     for lengths, signs, total, count in classes:
         if pairs:  # lengths ascending

@@ -30,10 +30,10 @@ sparse profile empties the intersection soonest) and read again on the
 sizes above it; later ones are drawn with the usual early exit.  Below the
 cut-off the window is the whole half-lattice, which is the one-pass loop.
 
-At n = 10^6 a trial costs about 200 us for A and 490 us for B at l = 4,
-and 66/79, 88/137, 270/481 and 262/588 us at l = 1, 2, 8 and 16, against
-278 and 604 us at l = 4 for the one-pass loop (one core of a shared
-2-vCPU VM, Python 3.11).
+At n = 10^6 a trial costs about 190 us for A and 410 us for B at l = 4,
+and 15/21, 74/76, 280/501 and 296/523 us at l = 1, 2, 8 and 16, against
+299 and 593 us at l = 4 for the one-pass loop (one core of a shared
+2-vCPU VM, Python 3.11; best of 9 interleaved runs of 40 trials).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from statistics import NormalDist
 from .cycletypes import WeylFamily, _check_profile_n, signed_subset_masks, subset_sum_mask
 from .errors import CapacityError, ValidationError, as_list, check_positive_int
 from .exact import _EVENTS, EVENTS, _sign_bit, check_event  # noqa: F401 (public names here too)
-from .sampling import GOLDEN, M64, RngState, _check_range, _sample_cycles, mix64
+from .sampling import GOLDEN, LANES, M64, _check_range, _draws, _lanes, _sample_cycles, mix64
 
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
 # rest; below 2^16 the window pass measured no faster than one pass
@@ -146,9 +146,11 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     low = (1 << (n // 2 + 1)) - 2 if intersects else 0
     window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF else low
     above = low & ~window
+    k = _lanes(n, signed, min(l, 2))  # more lanes are wasted on trials that stop early
     successes = 0
-    for t in range(start, stop):
-        rng = RngState(seed, t)
+    # trial t's start state mix64(seed + (t+1)*GOLDEN) is draw t+1 of seed's stream
+    for state in islice(_draws(seed + start * GOLDEN, LANES), stop - start):
+        draws = _draws(state, k)
         inter_p = inter_m = swap_p = swap_m = keep = window
         rest = above
         alive = -1
@@ -156,8 +158,9 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
         i = 0
         while i < l:
             if i == len(elements):
-                elements.append(_sample_cycles(rng, n, signed, want))
-                alive &= bits(*elements[i])
+                element, _ = _sample_cycles(draws, n, signed, want)
+                elements.append(element)
+                alive &= bits(*element)
             lengths, signs, total = elements[i]
             i += 1
             if keep:

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +295,25 @@ class TestExact:
         assert code == 2
         assert limit in err
 
+    @pytest.mark.parametrize(
+        "n,family,limit",
+        [("99999999999999999999999", "A", 28), ("10000000000", "A", 28), ("10000000000", "B", 11)],
+    )
+    def test_capacity_checked_before_building_from_n(self, n, family, limit):
+        # masks of n bits were built before the cap was checked: a raw
+        # OverflowError at 10^23 (exit 1), about 1.3 GB at 10^10; the child
+        # gets 512 MB of address space
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "invgen", "exact", "--n", n, "--family", family],
+            capture_output=True, text=True, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: exact mode for family {family} is limited to n <= {limit} (got {n})\n"
+
     def test_all_even_reads_the_partition_table(self, capsys):
         # used to exit 2 with "limited to n <= 11", though family C answered
         code, out, _ = cli(capsys, "exact", "--n", "12", "--l", "2", "--family", "B", "--event", "all_even")
@@ -406,6 +426,13 @@ class TestBounds:
     def test_no_solution_exit_1(self, capsys):
         code, _, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "1e-30")
         assert code == 1 and "error:" in err
+
+    def test_no_solution_echoes_the_text(self, capsys):
+        # the message used to print the expanded Fraction: 482 bytes here
+        code, _, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "1e-400")
+        (line,) = err.splitlines()
+        assert code == 1 and line.startswith("error:")
+        assert "1e-400" in line and len(line) <= 200
 
 
 class TestConfigFile:

@@ -6,6 +6,8 @@ from invgen import (
     CapacityError,
     Partition,
     RngState,
+    SignedSizeProfile,
+    SizeProfile,
     ValidationError,
     WeylFamily,
     all_cycles_even,
@@ -151,6 +153,16 @@ class TestEventJ:
     def test_empty_list(self):
         with pytest.raises(ValidationError):
             event_J([], A)
+
+    @pytest.mark.parametrize(
+        "profile,family",
+        [(SizeProfile(n=2**64, achievable=0), A), (SignedSizeProfile(n=2**64, plus=0, minus=0, total_sign=1), B)],
+        ids=["A", "B"],
+    )
+    def test_n_above_two_to_28(self, profile, family):
+        # (1 << n) - 2 was built before any cap: a raw MemoryError or OverflowError
+        with pytest.raises(CapacityError, match=r"limited to n <= 2\^28"):
+            event_J([profile], family)
 
     @pytest.mark.parametrize("family", [A, B])
     def test_non_profile_items(self, family):

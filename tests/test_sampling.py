@@ -2,11 +2,13 @@
 
 import math
 from collections import Counter
+from itertools import chain, islice
 
 import pytest
 from scipy import stats
 
 from invgen import (
+    Partition,
     RngState,
     ValidationError,
     WeylFamily,
@@ -16,6 +18,8 @@ from invgen import (
     sample_signed,
     sample_signed_conditioned,
 )
+from invgen.cycletypes import _signed_label
+from invgen.sampling import GOLDEN, LANES, M64, TWO64, _BATCH, _draws, _lanes, _sample_cycles
 
 SIGNIFICANCE = 1e-3
 
@@ -226,3 +230,87 @@ class TestRandbelowUniformity:
         observed = [counts.get(k, 0) for k in range(m)]
         _, pvalue = stats.chisquare(observed, [draws / m] * m)
         assert pvalue > SIGNIFICANCE
+
+
+def scalar_walk(state, count):
+    """`count` draws of the stream whose state is `state`, one next64 at a time."""
+    rng = RngState(0)
+    rng.state = state
+    return [rng.next64() for _ in range(count)]
+
+
+def scalar_sample(draws, n, signed, want_sign=None):
+    """The draw-by-draw sampler that the batched one replaced, as the
+    reference: each length draw is tested against the exact limit
+    (2^64 // rem) * rem.  Returns the element and the draws it read."""
+    lengths, signs, rem, used = [], [], n, 0
+    while rem:
+        u = next(draws)
+        used += 1
+        if u < TWO64 // rem * rem:
+            lengths.append(1 + u % rem)
+            rem -= lengths[-1]
+            if signed:
+                signs.append(-1 if next(draws) >> 63 else 1)
+                used += 1
+    total = -1 if signs.count(-1) & 1 else 1
+    if want_sign is not None and total != want_sign:
+        signs[-1] = -signs[-1]
+        total = want_sign
+    return (lengths, signs, total), used
+
+
+class TestBatchedStream:
+    # 2^64 - GOLDEN: the first lane's state wraps to 0
+    STATES = [0, M64, TWO64 - GOLDEN]
+
+    @pytest.mark.parametrize("k", range(1, len(_BATCH)))
+    def test_batches_are_the_scalar_draws(self, k):
+        for s in self.STATES:
+            assert list(_BATCH[k](s)) == scalar_walk(s, k)
+            # draws k and k + 1 straddle the first batch boundary
+            assert list(islice(_draws(s, k), 2 * k + 1)) == scalar_walk(s, 2 * k + 1)
+
+    def test_every_lane_count_has_a_kernel(self):
+        # _lanes grows with n, so n = 1 and n = 2^64 bound what it can pick
+        picks = {_lanes(n, signed) for n in (1, 2**64) for signed in (False, True)}
+        assert min(picks) >= 1 and max(picks) == LANES == len(_BATCH) - 1
+
+    def test_rejection_is_counted(self):
+        # 2^64 mod 3 = 1: at rem = 3 the limit is 2^64 - 1, so M64 is
+        # rejected and 2^64 - 2 (a length of 3) is the largest draw kept
+        draws = iter([M64, TWO64 - 2, 5])
+        assert _sample_cycles(draws, 3, signed=False) == (([3], [], 1), 2)
+        assert next(draws) == 5
+        draws = iter([M64, 0, 2**63, M64, 1, 5])
+        assert _sample_cycles(draws, 3, signed=True) == (([1, 2], [-1, 1], -1), 5)
+        assert next(draws) == 5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_acceptance_matches_the_exact_limit(self, n, signed):
+        # first draws on each side of 2^64 - n and of the limit
+        lim = TWO64 // n * n
+        rest = scalar_walk(n, 600)
+        for u in {0, TWO64 - n, TWO64 - n + 1, lim - 1, lim, M64} - {TWO64}:
+            got = _sample_cycles(chain([u], rest), n, signed)
+            assert got == scalar_sample(chain([u], rest), n, signed), u
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**63 + 1])
+    @pytest.mark.parametrize("want", [None, 0, 1, -1], ids=["partition", "signed", "plus", "minus"])
+    def test_public_samplers_leave_the_scalar_state(self, n, want):
+        # at n = 2^63 + 1 about half of the first length draws are rejected
+        signed = want is not None
+        rejected = 0
+        for seed in range(20):
+            rng, ref = RngState(seed, 3), RngState(seed, 3)
+            (lengths, signs, _), used = scalar_sample(iter(ref.next64, None), n, signed, want or None)
+            rejected += used - (len(lengths) << signed)
+            if not signed:
+                assert sample_partition(n, rng) == Partition(n, tuple(sorted(lengths, reverse=True)))
+            elif want == 0:
+                assert sample_signed(n, rng) == _signed_label(n, zip(lengths, signs))
+            else:
+                assert sample_signed_conditioned(n, want, rng) == _signed_label(n, zip(lengths, signs))
+            assert rng.state == ref.state
+        assert rejected > 0 if n == 2**63 + 1 else rejected == 0
