@@ -1,7 +1,7 @@
 """Exact small-n ground truth in rational arithmetic.
 
-Enumerates conjugacy classes with their integer class sizes, `_classes`,
-and computes Prob(J^l) two independent ways: inclusion-exclusion over the
+Enumerates conjugacy classes with their integer class sizes, `_classes`
+(also the tables the samplers draw small-n elements from), and computes Prob(J^l) two independent ways: inclusion-exclusion over the
 class masks, and a sum over the multisets of l class profiles (the labels
 of `enumerate_classes`).  Every event is the AND, over its l elements, of one
 per-element mask: the profile (achievable sizes, or (size, sign) pairs)

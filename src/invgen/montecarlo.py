@@ -14,12 +14,18 @@ shut down before the call returns; with one worker no pool opens.
 Profiles are complement-symmetric: a subset of size k leaves one of size
 n-k, with sign sigma*e for a subset of sign e when the element's total
 sign is sigma.  So a trial keeps only sizes 1..n//2 of its running
-intersection, plus a second (plus, minus) pair whose tracks are swapped
-for every element with sigma = -1; J holds iff every intersection is
-empty.  Outside B that pair equals the plain pair (A, D+), mirrors it (D-)
-or is a subset of it (C), so it adds no DP work.  Each profile DP computes
-only the bits still alive in those intersections, runs only while one is,
-and skips every cycle longer than the top one.
+intersection, plus, in B, a second (plus, minus) pair whose tracks are
+swapped for every element with sigma = -1; J holds iff every intersection
+is empty.  Outside B that pair would equal the plain pair (A, D+), mirror
+it (D-) or lie inside it (C), so only B keeps it.  Each profile DP
+computes only the bits still alive in those intersections, runs only
+while one is, and skips every cycle longer than the top one.
+
+At the samplers' table n (see `sampling`) an element is one table draw,
+and its masks are its class's row of `_class_masks`, built once per (n,
+family, event): no stick-breaking, sort, DP or label per element.  At
+n = 8, l = 4 that cut a trial from 12-20 us to 3-6 us (one core of a
+shared 2-vCPU VM, Python 3.11, in-process against stick-breaking).
 
 At n >= _WINDOW_CUTOFF (2^16) a trial that intersects runs a window pass
 first: each element is drawn when needed and intersected on sizes 1..64
@@ -42,6 +48,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import islice
 from numbers import Real
 from statistics import NormalDist
@@ -49,7 +56,8 @@ from statistics import NormalDist
 from .cycletypes import WeylFamily, _check_profile_n, signed_subset_masks, subset_sum_mask
 from .errors import CapacityError, ValidationError, as_list, check_positive_int
 from .exact import _EVENTS, EVENTS, _sign_bit, check_event  # noqa: F401 (public names here too)
-from .sampling import GOLDEN, LANES, M64, _check_range, _draws, _lanes, _sample_cycles, mix64
+from .sampling import (GOLDEN, LANES, M64, _check_range, _class_table, _draws, _lanes, _pick, _sample_cycles, _table,
+                       mix64)
 
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
 # rest; below 2^16 the window pass measured no faster than one pass
@@ -119,6 +127,27 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
     return wilson_interval_z(successes, trials, _z(confidence))
 
 
+@cache
+def _class_masks(n: int, family: WeylFamily, event: str) -> list[tuple[int, int, int, int]]:
+    """Per class of the table that family's sampler reads at n, in its
+    order: (plus, minus, total sign, row bits) for event.  The pair is the
+    profile on sizes 1..n//2 as the trial loop intersects it: (size, sign)
+    tracks in B and D, else the projection's sizes and 0; both 0 for an
+    event that does not intersect."""
+    _, intersects, bits = _EVENTS[event]
+    low = (1 << (n // 2 + 1)) - 2
+    out = []
+    for lengths, signs, total, _ in _class_table(n, family.signed_labels, family.sector_sign).classes:
+        if not intersects:
+            plus = minus = 0
+        elif family.signed_profiles:
+            plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), low)
+        else:
+            plus, minus = subset_sum_mask(reversed(lengths), low), 0
+        out.append((plus, minus, total, bits(lengths, signs, total)))
+    return out
+
+
 def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     """Successes over trials start..stop-1; one loop serves every event.
 
@@ -130,7 +159,9 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     opposite outcome.
 
     `elements[i]` is draw i of the trial's stream, drawn when the index
-    first reaches it.  At n >= _WINDOW_CUTOFF the tracks start on sizes
+    first reaches it: at the sampler's table n a class's `_class_masks`
+    row, above them stick-breaking cycles whose profile DP runs when the
+    element is read.  At n >= _WINDOW_CUTOFF the tracks start on sizes
     1.._WINDOW; once they empty, the list is sorted fewest cycles first,
     the index goes back to 0 and the tracks restart on the sizes above.
     The AND does not depend on order, so the outcome is the one-pass one.
@@ -142,15 +173,18 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     # empty: J_and_not_N never holds, N always does.
     if want is not None and bits is _sign_bit:
         return 0 if intersects else stop - start
-    signed_profiles = family.signed_profiles
+    signed_profiles, swaps = family.signed_profiles, family is WeylFamily.B
+    table = _table(n, signed, want)
+    masks = None if table is None else _class_masks(n, family, spec.event)
     low = (1 << (n // 2 + 1)) - 2 if intersects else 0
-    window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF else low
+    window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF and table is None else low
     above = low & ~window
     k = _lanes(n, signed, min(l, 2))  # more lanes are wasted on trials that stop early
     successes = 0
     # trial t's start state mix64(seed + (t+1)*GOLDEN) is draw t+1 of seed's stream
     for state in islice(_draws(seed + start * GOLDEN, LANES), stop - start):
-        draws = _draws(state, k)
+        # stick-breaking reads the trial's stream as an iterator, a table draw as a state
+        draws = _draws(state, k) if table is None else None
         inter_p = inter_m = swap_p = swap_m = keep = window
         rest = above
         alive = -1
@@ -158,25 +192,35 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
         i = 0
         while i < l:
             if i == len(elements):
-                element, _ = _sample_cycles(draws, n, signed, want)
+                if table is None:
+                    element, _ = _sample_cycles(draws, n, signed, want)
+                    element += (bits(*element),)
+                else:
+                    index, state = _pick(state, table)
+                    element = masks[index]
                 elements.append(element)
-                alive &= bits(*element)
-            lengths, signs, total = elements[i]
+                alive &= element[3]
+            # (plus, minus) masks of a table class, else (lengths, signs)
+            first, second, total, _ = elements[i]
             i += 1
             if keep:
-                if signed_profiles:
-                    plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
+                if table is not None:
+                    plus, minus = first, second
+                elif signed_profiles:
+                    plus, minus = signed_subset_masks(sorted(zip(first, second)), keep)
                 else:
-                    lengths.sort()
-                    plus, minus = subset_sum_mask(lengths, keep), 0
+                    first.sort()
+                    plus, minus = subset_sum_mask(first, keep), 0
                 inter_p &= plus
                 inter_m &= minus
-                if total < 0:
-                    plus, minus = minus, plus
-                swap_p &= plus
-                swap_m &= minus
-                # OR the minus tracks (empty in A and C) apart: x | 0 copies x
-                keep = inter_p | swap_p | (inter_m | swap_m)
+                if swaps:  # a - element's tracks swap
+                    if total < 0:
+                        plus, minus = minus, plus
+                    swap_p &= plus
+                    swap_m &= minus
+                    keep = inter_p | swap_p | (inter_m | swap_m)
+                else:
+                    keep = inter_p | inter_m
                 if keep:
                     continue
                 if rest:  # the window emptied: intersect the rest

@@ -6,23 +6,40 @@ constant, outputs put through the murmur-style mix64 finalizer.  Stream
 Monte Carlo trial owns an independent stream and results cannot depend on
 scheduling.
 
-Pure Python on purpose.  A sampler reads its stream k draws at a time
-(`_batch`, one mix64 over k lanes of an int): 32 draws cost about nine
-scalar mix64 calls.  They are the scalar draws, so no output depends on k.
+Small n read a class table: n <= PARTITION_TABLE_LIMIT (20) for S_n, n <=
+SIGNED_TABLE_LIMIT (11) for the signed group and for a D sector.  The
+table is `exact._classes`'s: its classes in that walk order (longest
+remaining length first, its multiplicity descending, then the number of +
+cycles descending), with integer class sizes summing to the order (n!,
+2^n n!, or 2^(n-1) n! in a sector), which fits one draw.  An element is one table draw (`_pick`): a draw u is
+kept if u < (2^64 // order) * order, else the next one is read, and
+r = u mod order picks the class at bisect_right(cumulative sizes, r).
+sample_partition reads S_n's table, sample_signed the signed one, and
+sample_signed_conditioned its sector's; the Monte Carlo engine reads the
+table its family's sampler does.  The caps are the samplers' own, not the
+exact oracle's.
 
-Cycle lengths come from stick-breaking: draw L uniform on {1..remaining},
-emit, repeat.  That realizes exactly the cycle-type law of a uniform
-permutation of S_n; signs are independent fair coins per cycle.
+Above the caps, cycle lengths come from stick-breaking: draw L uniform on
+{1..remaining}, emit, repeat.  That realizes exactly the cycle-type law of
+a uniform permutation of S_n.  Signs are independent fair coins per cycle,
+read 64 at a time from one draw.  Stick-breaking reads its stream k draws
+at a time (`_batch`, one mix64 over k lanes of an int): 32 draws cost
+about nine scalar mix64 calls.  They are the scalar draws, so no output
+depends on k.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from itertools import chain, count
+from bisect import bisect_right
+from functools import cache
+from itertools import accumulate, chain, count
+from typing import NamedTuple
 
-from .cycletypes import Partition, SignedCycleType, _signed_label
+from .cycletypes import Partition, SignedCycleType, WeylFamily, _signed_label
 from .errors import ValidationError, check_positive_int
+from .exact import _classes
 
 M64 = (1 << 64) - 1
 TWO64 = 1 << 64
@@ -30,6 +47,11 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 LANES = 32  # the most draws one batch computes
+# the largest n whose elements are table draws, the samplers' own caps: A
+# stops where n! outgrows one draw (20! < 2^64 < 21!); the signed tables,
+# which fit one draw up to n = 16, stop at 752 classes (B n = 11)
+PARTITION_TABLE_LIMIT = 20
+SIGNED_TABLE_LIMIT = 11
 
 
 def mix64(x: int) -> int:
@@ -85,10 +107,10 @@ def _check_range(name: str, value) -> None:
 
 
 def _lanes(n: int, signed: bool, elements: int = 1) -> int:
-    """Draws per batch: the expected draws of `elements` elements, (1 + signed)
-    H_n each with H_n <= 1 + ln n, capped at LANES.  At n = 2, 16 lanes made
-    a trial 34-42% slower than the scalar walk."""
-    return min(LANES, math.ceil(elements * (1 + signed) * (1 + math.log(n))))
+    """Draws per batch: the expected draws of `elements` elements, H_n + signed
+    each (a sign word per 64 cycles) with H_n <= 1 + ln n, capped at LANES.
+    At n = 2, 16 lanes made a trial 34-42% slower than the scalar walk."""
+    return min(LANES, math.ceil(elements * (1 + signed + math.log(n))))
 
 
 def _kernel(k: int):
@@ -117,6 +139,55 @@ def _draws(s: int, k: int):
     return chain.from_iterable(map(_BATCH[k], count(s, k * GOLDEN)))
 
 
+class _Table(NamedTuple):
+    """A class table as the samplers read it."""
+
+    order: int
+    limit: int  # (2^64 // order) * order: a draw at or above it is rejected
+    cumulative: list[int]  # running sums of the class sizes
+    classes: list  # `exact._classes` rows: (lengths, signs, total, count)
+
+
+_SECTOR_FAMILY = {None: WeylFamily.B, 1: WeylFamily.D_PLUS, -1: WeylFamily.D_MINUS}
+
+
+@cache
+def _class_table(n: int, signed: bool, want: int | None) -> _Table:
+    """S_n's class table, or the signed one (want None) or a D sector's
+    (want its total sign)."""
+    order, classes = _classes(n, _SECTOR_FAMILY[want] if signed else WeylFamily.A, signed)
+    return _Table(order, TWO64 // order * order, list(accumulate(row[3] for row in classes)), classes)
+
+
+@cache
+def _class_labels(n: int, signed: bool, want: int | None) -> list:
+    """Each class's label, as the public samplers return it; the Monte
+    Carlo engine reads `_class_table` alone."""
+    return [SignedCycleType(n, (*zip(lengths, signs),)) if signed else Partition(n, lengths)
+            for lengths, signs, _, _ in _class_table(n, signed, want).classes]
+
+
+def _table(n: int, signed: bool, want: int | None = None) -> _Table | None:
+    """The class table the samplers read at n, or None above the table
+    caps, where they break sticks."""
+    if n > (SIGNED_TABLE_LIMIT if signed else PARTITION_TABLE_LIMIT):
+        return None
+    return _class_table(n, signed, want)
+
+
+def _pick(state: int, table: _Table) -> tuple[int, int]:
+    """One table draw from the stream whose state is `state`: the index of
+    the class it picks and the state after it.  Draw u is rejected at or
+    above the table's limit, else r = u mod order picks the first class
+    whose cumulative size exceeds r."""
+    order, limit, cumulative, _ = table
+    while True:
+        state = (state + GOLDEN) & M64
+        u = mix64(state)
+        if u < limit:
+            return bisect_right(cumulative, u % order), state
+
+
 def _sample_cycles(
     draws, n: int, signed: bool, want_sign: int | None = None
 ) -> tuple[tuple[list[int], list[int], int], int]:
@@ -127,20 +198,25 @@ def _sample_cycles(
     With `want_sign`, the last-emitted cycle's sign is flipped when the
     total comes out wrong: the sector rule of sample_signed_conditioned.
 
-    A cycle's sign is the top bit of the draw after its length draw.  A
-    length draw u is kept if u < (2^64 // rem) * rem, which holds whenever
-    u <= 2^64 - rem, so the common case needs no division.
+    Signs come 64 to a word: the draw after the length of cycle i, for i a
+    multiple of 64, is a word, and cycle i's sign is its bit 63 - i mod 64
+    (1 for -).  A length draw u is kept if u < (2^64 // rem) * rem, which
+    holds whenever u <= 2^64 - rem, so the common case needs no division.
     """
     lengths = []
     signs = []
     rem = n
-    rejected = 0
+    rejected = words = bit = 0
     for u in draws:
         if u <= TWO64 - rem or u < TWO64 // rem * rem:
             length = 1 + u % rem
             lengths.append(length)
             if signed:
-                signs.append(-1 if next(draws) >> 63 else 1)
+                if not bit:
+                    word, bit = next(draws), 64
+                    words += 1
+                bit -= 1
+                signs.append(-1 if word >> bit & 1 else 1)
             rem -= length
             if not rem:
                 break
@@ -150,14 +226,7 @@ def _sample_cycles(
     if want_sign is not None and total != want_sign:
         signs[-1] = -signs[-1]
         total = want_sign
-    return (lengths, signs, total), (len(lengths) << signed) + rejected
-
-
-def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
-    """_sample_cycles on rng's stream; rng.state ends after the draws it read."""
-    element, used = _sample_cycles(_draws(rng.state, _lanes(n, signed)), n, signed, want_sign)
-    rng.state = (rng.state + used * GOLDEN) & M64
-    return element
+    return (lengths, signs, total), len(lengths) + words + rejected
 
 
 def _check_rng(rng) -> None:
@@ -165,33 +234,43 @@ def _check_rng(rng) -> None:
         raise ValidationError(f"rng must be an RngState, got {rng!r}")
 
 
+def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
+    """The label of one element drawn from rng's stream: a table draw at
+    small n, stick-breaking above; rng.state ends after the draws it read."""
+    _check_rng(rng)
+    table = _table(n, signed, want_sign)
+    if table is not None:
+        index, rng.state = _pick(rng.state, table)
+        return _class_labels(n, signed, want_sign)[index]
+    (lengths, signs, _), used = _sample_cycles(_draws(rng.state, _lanes(n, signed)), n, signed, want_sign)
+    rng.state = (rng.state + used * GOLDEN) & M64
+    if signed:
+        return _signed_label(n, zip(lengths, signs))
+    lengths.sort(reverse=True)
+    return Partition(n=n, parts=tuple(lengths))
+
+
 def sample_partition(n: int, rng: RngState) -> Partition:
     """Cycle type of a uniform random element of S_n."""
     _check_range("n", n)
-    _check_rng(rng)
-    lengths, _, _ = _sample(rng, n, signed=False)
-    lengths.sort(reverse=True)
-    return Partition(n=n, parts=tuple(lengths))
+    return _sample(rng, n, signed=False)
 
 
 def sample_signed(n: int, rng: RngState) -> SignedCycleType:
     """Class label of a uniform random element of C2 wr S_n."""
     _check_range("n", n)
-    _check_rng(rng)
-    lengths, signs, _ = _sample(rng, n, signed=True)
-    return _signed_label(n, zip(lengths, signs))
+    return _sample(rng, n, signed=True)
 
 
 def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCycleType:
     """Class label of a uniform element conditioned on total sign.
 
-    The sign of the last-emitted cycle is flipped when the total comes out
-    wrong; given the shape, that map is a bijection between the two sign
-    sectors, so conditioning is exact at O(1) extra cost.
+    Above the table caps, the sign of the last-emitted cycle is flipped
+    when the total comes out wrong; given the shape, that map is a
+    bijection between the two sign sectors, so conditioning is exact at
+    O(1) extra cost.  Below them the draw reads the sector's own table.
     """
     _check_range("n", n)
     if type(want_sign) is not int or want_sign not in (1, -1):  # rejects True and -1.0 too
         raise ValidationError(f"want_sign must be the int 1 or -1, got {want_sign!r}")
-    _check_rng(rng)
-    lengths, signs, _ = _sample(rng, n, signed=True, want_sign=want_sign)
-    return _signed_label(n, zip(lengths, signs))
+    return _sample(rng, n, signed=True, want_sign=want_sign)

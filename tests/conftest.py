@@ -30,3 +30,15 @@ def in_process_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes
+
+
+@pytest.fixture
+def stick_breaking(monkeypatch):
+    """Set the samplers' table caps to 0, so that the public samplers and
+    the Monte Carlo engine break sticks at every n: the law of
+    `_sample_cycles` stays checked against the class tables that the
+    table draws read."""
+    import invgen.sampling as sampling
+
+    monkeypatch.setattr(sampling, "PARTITION_TABLE_LIMIT", 0)
+    monkeypatch.setattr(sampling, "SIGNED_TABLE_LIMIT", 0)

@@ -1,4 +1,5 @@
-"""Acceptance gate: the eleven primary criteria, one test per criterion.
+"""Acceptance gate: the eleven primary criteria, one test per criterion,
+plus criterion 4's stick-breaking cells.
 
 Monte Carlo criteria use frozen master seeds, so every run reproduces the
 same deterministic numbers; the tolerances are the criteria's own.
@@ -133,6 +134,22 @@ def test_criterion_04_oracle_agreement(criterion4):
             exact = float(exact_prob_J(n, l, fam))
             assert low <= exact <= high, (family, l, n, successes, exact)
     assert elapsed < 120, elapsed
+
+
+@pytest.mark.parametrize("family", C4_FAMILIES)
+def test_criterion_04_through_stick_breaking(workdir, stick_breaking, family):
+    # criterion 4's l = 4 cell of each family, at its seed, with the table
+    # caps at 0: n <= 6 reads tables by default, so this keeps the
+    # stick-breaking sampler checked against the oracle at small n
+    l = 4
+    seed = C4_BASE_SEED + C4_FAMILIES.index(family) * len(C4_LS) + C4_LS.index(l)
+    out = workdir / f"c4_stick_{family.replace('+', 'p')}.csv"
+    cli_ok(sweep_argv("2,3,4,5,6", l, family, 100_000, seed, out, 1))
+    for row in data_rows(out):
+        n, trials, successes = int(row[0]), int(row[4]), int(row[5])
+        low, high = wilson_interval_z(successes, trials, 3.0)
+        exact = float(exact_prob_J(n, l, WeylFamily.parse(family)))
+        assert low <= exact <= high, (family, l, n, successes, exact)
 
 
 def test_criterion_05_bruteforce_equality():

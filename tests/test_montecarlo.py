@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,7 @@ from invgen import (
     wilson_interval,
     wilson_interval_z,
 )
+from invgen.sampling import PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT
 
 A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
 DP, DM = WeylFamily.D_PLUS, WeylFamily.D_MINUS
@@ -43,6 +45,10 @@ def assert_within_3_sigma(est, exact):
     low, high = wilson_interval_z(est.successes, est.spec.trials, 3.0)
     assert low <= float(exact) <= high, (est, float(exact))
 
+
+# the largest n at which each family's elements are table draws
+TABLE_CAPS = {A: PARTITION_TABLE_LIMIT, B: SIGNED_TABLE_LIMIT, C: SIGNED_TABLE_LIMIT,
+              DP: SIGNED_TABLE_LIMIT, DM: SIGNED_TABLE_LIMIT}
 
 # (n, l) of each event's Monte Carlo vs exact cells
 CELLS = {"J": (4, 2), "J_and_not_N": (4, 2), "N": (5, 3), "all_even": (4, 2), "all_positive": (3, 2)}
@@ -71,16 +77,14 @@ class TestAgainstOracle:
             raise AssertionError("sampled an element of a settled trial")
 
         monkeypatch.setattr(montecarlo, "_sample_cycles", no_sampling)
-        est = run(spec(8, 4, family, event=event, trials=500))
-        assert est.successes == (500 if all_succeed else 0)
+        monkeypatch.setattr(montecarlo, "_pick", no_sampling)
+        for n in (8, 1000):  # a table draw and stick-breaking
+            est = run(spec(n, 4, family, event=event, trials=500))
+            assert est.successes == (500 if all_succeed else 0)
 
-    @pytest.mark.parametrize("n", [8, 1000])
-    @pytest.mark.parametrize("family", [B, C])
-    def test_no_wasted_profile_dp(self, monkeypatch, family, n):
-        # a profile DP runs only while some track is alive, and never for
-        # the events that do not intersect
-        keeps = []
-
+    @staticmethod
+    def recording_dp(monkeypatch, keeps):
+        """Record the keep mask of every profile DP montecarlo runs."""
         def recording(dp):
             def wrapped(cycles, keep):
                 keeps.append(keep)
@@ -90,12 +94,36 @@ class TestAgainstOracle:
 
         for name in ("subset_sum_mask", "signed_subset_masks"):
             monkeypatch.setattr(montecarlo, name, recording(getattr(montecarlo, name)))
+
+    @pytest.mark.parametrize("n", [8, 1000])
+    @pytest.mark.parametrize("family", [B, C])
+    def test_no_wasted_profile_dp(self, monkeypatch, stick_breaking, family, n):
+        # a stick-breaking profile DP runs only while some track is alive,
+        # and never for the events that do not intersect
+        keeps = []
+        self.recording_dp(monkeypatch, keeps)
         for event in ("J", "J_and_not_N"):
             run(spec(n, 4, family, event=event, trials=200))
         assert keeps and all(keeps)
         keeps.clear()
         for event in ("N", "all_even", "all_positive"):
             run(spec(n, 4, family, event=event, trials=200))
+        assert keeps == []
+
+    @pytest.mark.parametrize("family", [A, B, C, DP, DM])
+    def test_table_elements_run_no_dp(self, monkeypatch, family):
+        # at table n each class's masks are built once per (n, family,
+        # event), with no DP for the events that do not intersect
+        keeps = []
+        self.recording_dp(monkeypatch, keeps)
+        montecarlo._class_masks.cache_clear()
+        for event in ("all_even",) if family is A else ("N", "all_even", "all_positive"):
+            run(spec(8, 4, family, event=event, trials=200))
+        assert keeps == []
+        run(spec(8, 4, family, trials=200))
+        assert len(keeps) == len(montecarlo._class_masks(8, family, "J"))
+        keeps.clear()
+        run(spec(8, 4, family, trials=200, seed=1))
         assert keeps == []
 
 
@@ -107,7 +135,8 @@ class TestEngineMatchesDefinition:
     signs across a tuple.  The grid runs three ways: the one-pass loop every
     n here takes by default; the window pass forced on by a cut-off of 1,
     where only n = 1000 has sizes above the window; and a window of sizes
-    1..2, where every n >= 5 does."""
+    1..2, where every n >= 5 does.  n up to 11 (A: 20) reads the class
+    tables, whose elements take the one pass at any cut-off."""
 
     PAIRS = [(family, event) for event, family in test_events.PAIRS]
 
@@ -148,6 +177,27 @@ class TestEngineMatchesDefinition:
     @pytest.mark.parametrize("offset", [0, 1])
     def test_at_the_cutoff(self, family, event, offset):
         self.check(montecarlo._WINDOW_CUTOFF + offset, (1, 2, 4), family, event, 4)
+
+
+class TestReplayContract:
+    """What a replay of `run` through the public API relies on: trial t is
+    decided by the family's public sampler on RngState(seed, t) on both
+    sides of each table cap, and a run of the first k trials is a prefix
+    of a longer run, at any thread count."""
+
+    CASES = [(family, event, n) for event, family in test_events.PAIRS
+             for n in (1, 2, TABLE_CAPS[family], TABLE_CAPS[family] + 1)]
+    TRIALS = 60
+
+    @pytest.mark.parametrize("family, event, n", CASES, ids=[f"{f.value}-{e}-{n}" for f, e, n in CASES])
+    def test_run_is_the_public_replay(self, in_process_pool, monkeypatch, family, event, n):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        s = spec(n, 4, family, event=event, trials=self.TRIALS, seed=n * 7 + 3)
+        outcomes = [TestEngineMatchesDefinition.definition(s, t) for t in range(self.TRIALS)]
+        for k in (1, 4, self.TRIALS):
+            prefix = replace(s, trials=k)
+            assert run(prefix).successes == sum(outcomes[:k]), k
+            assert run(prefix, threads=3) == run(prefix)
 
 
 class TestWilson:

@@ -19,7 +19,8 @@ from invgen import (
     sample_signed_conditioned,
 )
 from invgen.cycletypes import _signed_label
-from invgen.sampling import GOLDEN, LANES, M64, TWO64, _BATCH, _draws, _lanes, _sample_cycles
+from invgen.sampling import (_BATCH, _MIX1, _MIX2, GOLDEN, LANES, M64, PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT, TWO64,
+                             _class_labels, _draws, _lanes, _pick, _sample_cycles, _table, mix64)
 
 SIGNIFICANCE = 1e-3
 
@@ -220,6 +221,37 @@ class TestConditionedSampler:
             sample_signed_conditioned(0, 1, RngState(0, 0))
 
 
+class TestStickBreakingDistribution:
+    """The chi-square tests above, run again with the table caps at 0: the
+    public samplers then break sticks, so `_sample_cycles` stays checked
+    against `_classes`, which the table draws read.  Same sizes and seeds."""
+
+    @pytest.mark.parametrize("n, draws, seed", [(6, 1_000_000, 2024)] + [(n, 200_000, 77 + n) for n in (2, 3, 4, 5)])
+    def test_partition(self, stick_breaking, n, draws, seed):
+        rng = RngState(seed, 0)
+        counts = Counter(sample_partition(n, rng) for _ in range(draws))
+        assert chi_square_ok(counts, enumerate_classes(n, WeylFamily.A), draws)
+
+    @pytest.mark.parametrize("n, draws, seed", [(4, 1_000_000, 99)] + [(n, 200_000, 55 + n) for n in (1, 2, 3)])
+    def test_signed(self, stick_breaking, n, draws, seed):
+        rng = RngState(seed, 0)
+        counts = Counter(sample_signed(n, rng) for _ in range(draws))
+        assert chi_square_ok(counts, enumerate_classes(n, WeylFamily.B), draws)
+
+    @pytest.mark.parametrize(
+        "n, want, draws, seed, sampler",
+        [(2, 1, 200_000, 11, sample_signed_conditioned)]
+        + [(4, want, 200_000, 13, sample_signed_conditioned) for want in (1, -1)]
+        + [(4, want, 100_000, 17, sample_signed_rejecting) for want in (1, -1)],
+        ids=["n2_positive_sector", "sector_table_plus", "sector_table_minus", "reject_plus", "reject_minus"],
+    )
+    def test_conditioned(self, stick_breaking, n, want, draws, seed, sampler):
+        rng = RngState(seed, 0)
+        counts = Counter(sampler(n, want, rng) for _ in range(draws))
+        table = enumerate_classes(n, WeylFamily.D_PLUS if want == 1 else WeylFamily.D_MINUS)
+        assert chi_square_ok(counts, table, draws)
+
+
 class TestRandbelowUniformity:
     @pytest.mark.parametrize("m", [7, 10, 1000])
     def test_uniform(self, m):
@@ -240,24 +272,72 @@ def scalar_walk(state, count):
 
 
 def scalar_sample(draws, n, signed, want_sign=None):
-    """The draw-by-draw sampler that the batched one replaced, as the
-    reference: each length draw is tested against the exact limit
-    (2^64 // rem) * rem.  Returns the element and the draws it read."""
+    """The draw-by-draw stick-breaking walk, as the reference: each length
+    draw is tested against the exact limit (2^64 // rem) * rem, and when
+    `signed` the draw after the length of every 64th cycle is a sign word,
+    whose bits from the top are the signs of that cycle and the 63 after it.
+    Returns the element and the draws it read."""
     lengths, signs, rem, used = [], [], n, 0
     while rem:
         u = next(draws)
         used += 1
         if u < TWO64 // rem * rem:
+            i = len(lengths)
             lengths.append(1 + u % rem)
             rem -= lengths[-1]
             if signed:
-                signs.append(-1 if next(draws) >> 63 else 1)
-                used += 1
+                if i % 64 == 0:
+                    word = next(draws)
+                    used += 1
+                signs.append(-1 if word >> (63 - i % 64) & 1 else 1)
     total = -1 if signs.count(-1) & 1 else 1
     if want_sign is not None and total != want_sign:
         signs[-1] = -signs[-1]
         total = want_sign
     return (lengths, signs, total), used
+
+
+def scalar_table_walk(rng, n, family):
+    """The class that one table draw reads, as the reference: next64 draws
+    until one is below (2^64 // order) * order, r = that draw mod order,
+    then a linear scan for the first class whose running size exceeds r.
+    Sizes are `enumerate_classes`'s probabilities times the order: n!,
+    2^n n!, or 2^(n-1) n! in a D sector.  Returns the label and the number
+    of draws rejected."""
+    entries = enumerate_classes(n, family).entries
+    order = math.factorial(n)
+    if family.signed_labels:
+        order <<= n - (family.sector_sign is not None)
+    rejected = 0
+    while (u := rng.next64()) >= TWO64 // order * order:
+        rejected += 1
+    running = 0
+    for label, p in entries:
+        running += p * order
+        if running > u % order:
+            return label, rejected
+
+
+def unmix64(y):
+    """The inverse of mix64: each xorshift undone by iterating it to its
+    fixed point, each product by the multiplier's inverse mod 2^64."""
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k):
+            x = y ^ x >> k
+        return x
+
+    y = unshift(y, 31) * pow(_MIX2, -1, TWO64) & M64
+    y = unshift(y, 27) * pow(_MIX1, -1, TWO64) & M64
+    return unshift(y, 30)
+
+
+TABLE_SAMPLERS = {
+    WeylFamily.A: sample_partition,
+    WeylFamily.B: sample_signed,
+    WeylFamily.D_PLUS: lambda n, rng: sample_signed_conditioned(n, 1, rng),
+    WeylFamily.D_MINUS: lambda n, rng: sample_signed_conditioned(n, -1, rng),
+}
 
 
 class TestBatchedStream:
@@ -282,9 +362,26 @@ class TestBatchedStream:
         draws = iter([M64, TWO64 - 2, 5])
         assert _sample_cycles(draws, 3, signed=False) == (([3], [], 1), 2)
         assert next(draws) == 5
-        draws = iter([M64, 0, 2**63, M64, 1, 5])
-        assert _sample_cycles(draws, 3, signed=True) == (([1, 2], [-1, 1], -1), 5)
+        # one sign word, 2^63, after the first length: signs -, +
+        draws = iter([M64, 0, 2**63, M64, 5])
+        assert _sample_cycles(draws, 3, signed=True) == (([1, 2], [-1, 1], -1), 4)
         assert next(draws) == 5
+
+    def test_sign_words(self):
+        # 130 cycles of length 1 read three words, after cycles 0, 64 and
+        # 128; cycle i takes bit 63 - i % 64 of word i // 64
+        words = [0xF0 << 56, 1, 3 << 62]
+        draws = []
+        for i in range(130):
+            draws.append(0)
+            if i % 64 == 0:
+                draws.append(words[i // 64])
+        (lengths, signs, total), used = _sample_cycles(iter(draws + [7]), 130, signed=True)
+        minus = [0, 1, 2, 3, 127, 128, 129]
+        assert lengths == [1] * 130 and used == 133
+        assert [i for i, sign in enumerate(signs) if sign < 0] == minus and total == -1
+        assert _sample_cycles(iter(draws), 130, True, want_sign=1)[0][1][-1] == 1
+        assert scalar_sample(iter(draws), 130, True) == ((lengths, signs, total), used)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64])
     @pytest.mark.parametrize("signed", [False, True])
@@ -298,14 +395,15 @@ class TestBatchedStream:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**63 + 1])
     @pytest.mark.parametrize("want", [None, 0, 1, -1], ids=["partition", "signed", "plus", "minus"])
-    def test_public_samplers_leave_the_scalar_state(self, n, want):
-        # at n = 2^63 + 1 about half of the first length draws are rejected
+    def test_public_samplers_leave_the_scalar_state(self, stick_breaking, n, want):
+        # with the table caps at 0 every n breaks sticks; at n = 2^63 + 1
+        # about half of the first length draws are rejected
         signed = want is not None
         rejected = 0
         for seed in range(20):
             rng, ref = RngState(seed, 3), RngState(seed, 3)
             (lengths, signs, _), used = scalar_sample(iter(ref.next64, None), n, signed, want or None)
-            rejected += used - (len(lengths) << signed)
+            rejected += used - len(lengths) - (signed and -(-len(lengths) // 64))
             if not signed:
                 assert sample_partition(n, rng) == Partition(n, tuple(sorted(lengths, reverse=True)))
             elif want == 0:
@@ -314,3 +412,44 @@ class TestBatchedStream:
                 assert sample_signed_conditioned(n, want, rng) == _signed_label(n, zip(lengths, signs))
             assert rng.state == ref.state
         assert rejected > 0 if n == 2**63 + 1 else rejected == 0
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [(family, n) for family in TABLE_SAMPLERS for n in (1, 2, 7, 11, 19, 20)
+         if n <= (SIGNED_TABLE_LIMIT if family.signed_labels else PARTITION_TABLE_LIMIT)],
+        ids=str,
+    )
+    def test_table_draws_are_the_scalar_walk(self, family, n):
+        # below the caps a public sampler reads its family's class table;
+        # 20! leaves 7.7% of the draws rejected, so A at n = 20 rejects some
+        rejected = 0
+        for seed in range(60):
+            rng, ref = RngState(seed, 5), RngState(seed, 5)
+            label, skipped = scalar_table_walk(ref, n, family)
+            rejected += skipped
+            assert TABLE_SAMPLERS[family](n, rng) == label
+            assert rng.state == ref.state
+        if n == 20:
+            assert rejected > 0
+
+    @pytest.mark.parametrize("family", TABLE_SAMPLERS, ids=lambda f: f.value)
+    def test_a_rejected_table_draw(self, family):
+        # from this state the next draw is M64, at or above the limit of
+        # every order that does not divide 2^64, as 7! and 2^7 7! do not
+        n = 7
+        assert mix64(unmix64(M64)) == M64
+        state = (unmix64(M64) - GOLDEN) & M64
+        rng, ref = RngState(0), RngState(0)
+        rng.state = ref.state = state
+        label, rejected = scalar_table_walk(ref, n, family)
+        assert rejected >= 1
+        assert TABLE_SAMPLERS[family](n, rng) == label and rng.state == ref.state
+        args = n, family.signed_labels, family.sector_sign
+        index, after = _pick(state, _table(*args))
+        assert _class_labels(*args)[index] == label and after == ref.state
+
+    def test_table_caps(self):
+        # n! fits one draw up to n = 20; the caps pick the table, not the oracle's limits
+        assert math.factorial(PARTITION_TABLE_LIMIT) < TWO64 < math.factorial(PARTITION_TABLE_LIMIT + 1)
+        for signed, cap in ((False, PARTITION_TABLE_LIMIT), (True, SIGNED_TABLE_LIMIT)):
+            assert _table(cap, signed) is not None and _table(cap + 1, signed) is None
