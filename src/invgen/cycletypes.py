@@ -74,6 +74,16 @@ def _check_profile_n(n: int) -> None:
         raise CapacityError(f"fixed-set profiles are limited to n <= 2^28 (got {n})")
 
 
+def _check_profile_fields(n, *masks) -> None:
+    """A profile's n is a positive int up to 2^28, and each mask a
+    non-negative int with bits only in 1..n-1."""
+    check_positive_int("n", n)
+    _check_profile_n(n)
+    for mask in masks:
+        if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0 or mask & 1 or mask >> n:
+            raise ValidationError(f"profile masks must be non-negative ints over bits 1..{n - 1}, got {mask!r}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Multiset of positive cycle lengths summing to n, stored non-increasing."""
@@ -104,6 +114,9 @@ class SizeProfile:
     n: int
     achievable: int
 
+    def __post_init__(self) -> None:
+        _check_profile_fields(self.n, self.achievable)
+
     def sizes(self) -> list[int]:
         return [k for k in range(1, self.n) if self.achievable >> k & 1]
 
@@ -117,6 +130,11 @@ class SignedSizeProfile:
     plus: int
     minus: int
     total_sign: int
+
+    def __post_init__(self) -> None:
+        _check_profile_fields(self.n, self.plus, self.minus)
+        if type(self.total_sign) is not int or self.total_sign not in (1, -1):
+            raise ValidationError(f"total_sign must be the int 1 or -1, got {self.total_sign!r}")
 
     def pairs(self) -> list[tuple[int, int]]:
         out = [(k, 1) for k in range(1, self.n) if self.plus >> k & 1]
@@ -228,7 +246,6 @@ def event_J(profiles, family: WeylFamily) -> bool:
     n = profiles[0].n
     if any(p.n != n for p in profiles):
         raise ValidationError("profiles must share the same n")
-    _check_profile_n(n)
     if family.signed_profiles:
         plus = minus = (1 << n) - 2
         for p in profiles:

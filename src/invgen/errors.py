@@ -13,7 +13,7 @@ class CapacityError(InvgenError):
     """A request beyond a configured size limit: exact-mode enumeration
     (n, l or brute-force tuples), or a fixed-set profile at n > 2^28, whose
     bitmask would take gigabytes (Monte Carlo on an intersecting event,
-    `fixed_sizes`, `signed_fixed_sets`)."""
+    `fixed_sizes`, `signed_fixed_sets`, the profile types)."""
 
 
 class NoSolutionError(InvgenError):

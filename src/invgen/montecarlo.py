@@ -31,15 +31,20 @@ At n >= _WINDOW_CUTOFF (2^16) a trial that intersects runs a window pass
 first: each element is drawn when needed and intersected on sizes 1..64
 only, a DP over a few short cycles.  Most trials where J fails share such
 a size, and they end there without a full-width DP.  Once the window
-empties, the elements drawn so far are sorted fewest cycles first (a
-sparse profile empties the intersection soonest) and read again on the
-sizes above it; later ones are drawn with the usual early exit.  Below the
-cut-off the window is the whole half-lattice, which is the one-pass loop.
+empties, the rest of the tuple is drawn, the elements are sorted fewest
+cycles first (a sparse profile empties the intersection soonest) and read
+again on the sizes above the window up to the tuple's reach, min(n -
+longest cycle): a subset holding a cycle longer than n/2 is larger than
+n/2, and one without it sums to at most n minus that cycle.  So each
+full-width DP skips every cycle above the reach, and a reach inside the
+window settles the trial with none.  Below the cut-off the window is the
+whole half-lattice, which is the one-pass loop.
 
-At n = 10^6 a trial costs about 190 us for A and 410 us for B at l = 4,
-and 15/21, 74/76, 280/501 and 296/523 us at l = 1, 2, 8 and 16, against
-299 and 593 us at l = 4 for the one-pass loop (one core of a shared
-2-vCPU VM, Python 3.11; best of 9 interleaved runs of 40 trials).
+At n = 10^6 a trial costs about 16/27, 45/113, 63/204, 93/168 and 179/256
+us for A/B at l = 1, 2, 4, 8 and 16, against 16/26, 49/121, 91/270,
+181/418 and 211/412 us with the full-width pass running up to n/2 (one
+core of a shared 2-vCPU VM, Python 3.11; medians of interleaved runs, 15
+of 800 trials at l <= 2 and 9 of 150 above).
 """
 
 from __future__ import annotations
@@ -162,9 +167,11 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     first reaches it: at the sampler's table n a class's `_class_masks`
     row, above them stick-breaking cycles whose profile DP runs when the
     element is read.  At n >= _WINDOW_CUTOFF the tracks start on sizes
-    1.._WINDOW; once they empty, the list is sorted fewest cycles first,
-    the index goes back to 0 and the tracks restart on the sizes above.
-    The AND does not depend on order, so the outcome is the one-pass one.
+    1.._WINDOW; once they empty, the tuple's other elements are drawn, the
+    list is sorted fewest cycles first, the index goes back to 0 and the
+    tracks restart on the sizes above, up to the tuple's reach.  The AND
+    does not depend on order, so the outcome is the one-pass one.  In A
+    and C the one track is `keep` itself.
     """
     n, l, seed, family = spec.n, spec.l, spec.master_seed, spec.family
     _, intersects, bits = _EVENTS[spec.event]
@@ -204,31 +211,36 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
             first, second, total, _ = elements[i]
             i += 1
             if keep:
-                if table is not None:
-                    plus, minus = first, second
-                elif signed_profiles:
-                    plus, minus = signed_subset_masks(sorted(zip(first, second)), keep)
-                else:
+                if table is None and not signed_profiles:
+                    # one track (A, C): the DP's mask lies within keep, so it is the intersection
                     first.sort()
-                    plus, minus = subset_sum_mask(first, keep), 0
-                inter_p &= plus
-                inter_m &= minus
-                if swaps:  # a - element's tracks swap
-                    if total < 0:
-                        plus, minus = minus, plus
-                    swap_p &= plus
-                    swap_m &= minus
-                    keep = inter_p | swap_p | (inter_m | swap_m)
+                    keep = subset_sum_mask(first, keep)
                 else:
-                    keep = inter_p | inter_m
+                    if table is not None:
+                        plus, minus = first, second
+                    else:
+                        plus, minus = signed_subset_masks(sorted(zip(first, second)), keep)
+                    inter_p &= plus
+                    inter_m &= minus
+                    if swaps:  # a - element's tracks swap
+                        if total < 0:
+                            plus, minus = minus, plus
+                        swap_p &= plus
+                        swap_m &= minus
+                        keep = inter_p | swap_p | (inter_m | swap_m)
+                    else:
+                        keep = inter_p | inter_m
                 if keep:
                     continue
-                if rest:  # the window emptied: intersect the rest
-                    inter_p = inter_m = swap_p = swap_m = keep = rest
-                    rest = 0
-                    elements.sort(key=lambda e: len(e[0]))
-                    i = 0
+            if rest:  # the window emptied: draw the tuple's rest, then intersect up to its reach
+                if i < l:
                     continue
+                reach = n - max(max(element[0]) for element in elements)
+                inter_p = inter_m = swap_p = swap_m = keep = rest & ((2 << reach) - 1)
+                rest = 0
+                elements.sort(key=lambda e: len(e[0]))
+                i = 0
+                continue
             if not alive:
                 successes += intersects
                 break

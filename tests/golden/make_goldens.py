@@ -79,11 +79,11 @@ def _estimate_large_calls():
 
 
 def _estimate_window_calls():
-    # n = 2*10^5 for every J / J_and_not_N family and l in {1, 2, 8}:
+    # n = 2*10^5 for every J / J_and_not_N family and l in {1, 2, 8, 16}:
     # large n, where the profile DP is most of a trial
     rows = [(family, "J", 4) for family in ("C", "D+", "D-")]
     rows += [(family, "J_and_not_N", 4) for family in ("B", "C")]
-    rows += [(family, "J", l) for family in ("A", "B") for l in (1, 2, 8)]
+    rows += [(family, "J", l) for family in ("A", "B") for l in (1, 2, 8, 16)]
     for family, event, l in rows:
         yield ["estimate", "--n", "200000", "--l", str(l), "--family", family,
                "--event", event, "--trials", "20", "--seed", "0x5eed2"]

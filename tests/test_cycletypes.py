@@ -115,6 +115,42 @@ class TestSignedFixedSets:
         assert signed_fixed_sets(make_signed([(1, 1), (1, 1)])).pairs() == [(1, 1)]
 
 
+class TestProfileValues:
+    """A profile no element has is refused when it is built: n a positive
+    int up to 2^28, masks non-negative ints over bits 1..n-1, total sign
+    the int 1 or -1."""
+
+    def test_negative_mask(self):
+        # event_J([SizeProfile(4, -1)], A) used to answer False
+        with pytest.raises(ValidationError, match="profile masks"):
+            event_J([SizeProfile(4, -1)], A)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(n=0), dict(n=-4), dict(n=True), dict(n=4.0), dict(n="4"), dict(achievable=-2),
+         dict(achievable=1), dict(achievable=0b10011), dict(achievable=True), dict(achievable=6.0),
+         dict(achievable=None)],
+    )
+    def test_bad_size_profile(self, fields):
+        with pytest.raises(ValidationError):
+            SizeProfile(**{"n": 4, "achievable": 0b110, **fields})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(n=0), dict(n=True), dict(plus=-2), dict(minus=1), dict(plus=1 << 4), dict(minus="2"),
+         dict(total_sign=0), dict(total_sign=2), dict(total_sign=True), dict(total_sign=-1.0)],
+    )
+    def test_bad_signed_profile(self, fields):
+        with pytest.raises(ValidationError):
+            SignedSizeProfile(**{"n": 4, "plus": 0b10, "minus": 0b1100, "total_sign": -1, **fields})
+
+    def test_edges_accepted(self):
+        assert SizeProfile(1, 0).sizes() == []
+        assert SizeProfile(4, 0b1110).sizes() == [1, 2, 3]
+        assert SignedSizeProfile(2**28, 1 << 2**28 - 1, 0, 1).plus.bit_length() == 2**28
+        assert fixed_sizes(make_partition([1, 1, 1, 1])) == SizeProfile(4, 0b1110)
+
+
 class TestProject:
     def test_forgets_signs(self):
         assert project(make_signed([(2, 1), (1, -1)])) == make_partition([2, 1])
@@ -155,14 +191,15 @@ class TestEventJ:
             event_J([], A)
 
     @pytest.mark.parametrize(
-        "profile,family",
-        [(SizeProfile(n=2**64, achievable=0), A), (SignedSizeProfile(n=2**64, plus=0, minus=0, total_sign=1), B)],
+        "kind,fields,family",
+        [(SizeProfile, dict(achievable=0), A), (SignedSizeProfile, dict(plus=0, minus=0, total_sign=1), B)],
         ids=["A", "B"],
     )
-    def test_n_above_two_to_28(self, profile, family):
-        # (1 << n) - 2 was built before any cap: a raw MemoryError or OverflowError
+    def test_n_above_two_to_28(self, kind, fields, family):
+        # (1 << n) - 2 was built before any cap: a raw MemoryError or
+        # OverflowError; now such a profile is refused when it is built
         with pytest.raises(CapacityError, match=r"limited to n <= 2\^28"):
-            event_J([profile], family)
+            event_J([kind(n=2**64, **fields)], family)
 
     @pytest.mark.parametrize("family", [A, B])
     def test_non_profile_items(self, family):

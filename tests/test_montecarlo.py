@@ -18,14 +18,17 @@ from invgen import (
     RngState,
     ValidationError,
     WeylFamily,
+    event_J,
     exact_prob,
     exact_prob_J,
+    fixed_sizes,
     make_partition,
     make_signed,
     run,
     sample_partition,
     sample_signed,
     sample_signed_conditioned,
+    signed_fixed_sets,
     sweep,
     sweep_seed,
     wilson_interval,
@@ -158,14 +161,13 @@ class TestEngineMatchesDefinition:
             got = [montecarlo._count_range(s, t, t + 1) for t in range(trials)]
             assert got == [int(self.definition(s, t)) for t in range(trials)], (n, l)
 
-    @pytest.mark.parametrize(
-        "cutoff, window",
-        [
-            pytest.param(montecarlo._WINDOW_CUTOFF, montecarlo._WINDOW, id="one-pass"),
-            pytest.param(1, montecarlo._WINDOW, id="window"),
-            pytest.param(1, 2, id="narrow-window"),
-        ],
-    )
+    CUTOFFS = [
+        pytest.param(montecarlo._WINDOW_CUTOFF, montecarlo._WINDOW, id="one-pass"),
+        pytest.param(1, montecarlo._WINDOW, id="window"),
+        pytest.param(1, 2, id="narrow-window"),
+    ]
+
+    @pytest.mark.parametrize("cutoff, window", CUTOFFS)
     @pytest.mark.parametrize("family, event", PAIRS)
     @pytest.mark.parametrize("n", [3, 4, 8, 16, 17, 33, 1000])
     def test_trial_for_trial(self, monkeypatch, cutoff, window, family, event, n):
@@ -173,10 +175,91 @@ class TestEngineMatchesDefinition:
         monkeypatch.setattr(montecarlo, "_WINDOW", window)
         self.check(n, (1, 2, 3, 4, 8), family, event, 200)
 
+    @pytest.mark.parametrize("cutoff, window", CUTOFFS)
+    @pytest.mark.parametrize("family, event", PAIRS)
+    def test_above_the_table_cap(self, monkeypatch, cutoff, window, family, event):
+        # the smallest stick-breaking n (21 for A, 12 for the signed
+        # families), where the narrow window restarts in every pair
+        self.test_trial_for_trial(monkeypatch, cutoff, window, family, event, TABLE_CAPS[family] + 1)
+
     @pytest.mark.parametrize("family, event", PAIRS)
     @pytest.mark.parametrize("offset", [0, 1])
     def test_at_the_cutoff(self, family, event, offset):
-        self.check(montecarlo._WINDOW_CUTOFF + offset, (1, 2, 4), family, event, 4)
+        self.check(montecarlo._WINDOW_CUTOFF + offset, (1, 2, 4, 8, 16), family, event, 4)
+
+
+class TestReachCap:
+    """Hand-made tuples at n = 2^16 against the cap of the full-width pass
+    at the tuple's reach, min(n - longest cycle): a subset holding a cycle
+    longer than n/2 is larger than n/2, one without it sums to at most
+    n - that cycle.  Every tuple empties the window (sizes 1..64)."""
+
+    N = 1 << 16
+
+    @staticmethod
+    def trial(monkeypatch, family, labels):
+        """The trial's outcome, checked against event_J, and the keep mask
+        of every profile DP it runs, when stick-breaking draws `labels` in
+        order: cycle lengths for A, (length, sign) pairs for B."""
+        queue = iter(labels)
+
+        def handmade(draws, n, signed, want):
+            cycles = next(queue)
+            lengths = [c[0] for c in cycles] if signed else list(cycles)
+            signs = [c[1] for c in cycles] if signed else []
+            return (lengths, signs, -1 if signs.count(-1) & 1 else 1), len(cycles)
+
+        monkeypatch.setattr(montecarlo, "_sample_cycles", handmade)
+        keeps = []
+        TestAgainstOracle.recording_dp(monkeypatch, keeps)
+        got = montecarlo._count_range(spec(TestReachCap.N, len(labels), family), 0, 1)
+        if family is A:
+            profiles = [fixed_sizes(make_partition(lengths)) for lengths in labels]
+        else:
+            profiles = [signed_fixed_sets(make_signed(cycles)) for cycles in labels]
+        assert got == event_J(profiles, family)
+        return got, keeps
+
+    @pytest.mark.parametrize(
+        "family, labels",
+        [
+            (A, [[N - 1000, 1000], [N - 3000, 1000, 2000], [40000, 1000, N - 41000]]),
+            (B, [[(N - 1000, 1), (1000, 1)], [(N - 3000, -1), (1000, 1), (2000, -1)],
+                 [(40000, 1), (1000, 1), (N - 41000, 1)]]),
+        ],
+        ids=["A", "B"],
+    )
+    def test_common_size_at_the_reach(self, monkeypatch, family, labels):
+        # reaches 1000, 3000 and 25536; the only common size (B: pair
+        # (1000, +)) is the smallest, which a cap one bit short would drop
+        got, keeps = self.trial(monkeypatch, family, labels)
+        assert got == 0
+        assert max(keep.bit_length() for keep in keeps) == 1001
+
+    @pytest.mark.parametrize(
+        "family, labels",
+        [
+            (A, [[N - 50, 50], [N - 1000, 940, 60]]),
+            (B, [[(N - 50, 1), (50, -1)], [(N - 1000, -1), (940, 1), (60, 1)]]),
+        ],
+        ids=["A", "B"],
+    )
+    def test_reach_inside_the_window(self, monkeypatch, family, labels):
+        # the window empties and the first element's reach is 50: J holds
+        # with no full-width DP
+        got, keeps = self.trial(monkeypatch, family, labels)
+        assert got == 1
+        assert keeps and max(keep.bit_length() for keep in keeps) <= montecarlo._WINDOW + 1
+
+    def test_common_pair_on_a_swapped_track(self, monkeypatch):
+        # the - element holds (1000, -) where the others hold (1000, +), so
+        # the plain tracks empty; swapped, it holds (1000, +) like them: the
+        # tuple shares (N - 1000, +), and 1000 is the reach
+        labels = [[(self.N - 1000, 1), (1000, 1)], [(self.N - 1000, 1), (1000, -1)],
+                  [(self.N - 3000, 1), (1000, 1), (2000, 1)]]
+        got, keeps = self.trial(monkeypatch, B, labels)
+        assert got == 0
+        assert max(keep.bit_length() for keep in keeps) == 1001
 
 
 class TestReplayContract:
