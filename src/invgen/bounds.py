@@ -15,6 +15,7 @@ callers format reports.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -200,8 +201,8 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
 
     The formulas are treated as functions over all integers q (the
     threshold an even q can land on matters even for an odd-q family).
-    Exact arithmetic throughout; doubling then binary search on the
-    monotone boundary.
+    Exact arithmetic throughout: doubling finds a positive q, then
+    `bisect_left` the first one, positivity being monotone in q.
     """
     b = _as_fraction(b_J4)
     if not 0 < b <= 1:
@@ -220,11 +221,4 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
             raise NoSolutionError(
                 f"no threshold below 2^60 for {tag.value} with b_J4={b_J4!r}; the bound stays non-positive"
             )
-    lo = 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return bisect_left(range(hi), True, lo=3, key=positive) - 1  # the first positive q in 3..hi, less one

@@ -23,7 +23,6 @@ import csv
 import functools
 import io
 import json
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -44,7 +43,6 @@ from .montecarlo import EVENTS, ExperimentSpec, run, sweep
 from .sampling import RngState, sample_partition, sample_signed, sample_signed_conditioned
 
 _COLUMNS = ("n", "l", "family", "event", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
-_SIGNED_TOKEN = re.compile(r"^(\d+)([+-])$")
 
 
 # ---------------------------------------------------------------- parsing
@@ -82,21 +80,16 @@ def _split_list(text: str, what: str) -> list[str]:
 
 
 def _parse_cycles(text: str, signed: bool):
-    tokens = _split_list(text, "cycle")
-    if signed:
-        pairs = []
-        for tok in tokens:
-            m = _SIGNED_TOKEN.match(tok)
-            if not m:
-                raise ValidationError(f"bad signed cycle token {tok!r}; expected like 3+ or 1-")
-            pairs.append((int(m.group(1)), 1 if m.group(2) == "+" else -1))
-        return make_signed(pairs)
-    parts = []
-    for tok in tokens:
-        if not tok.isdecimal():  # what int() reads: isdigit() also passes '²'
-            raise ValidationError(f"bad cycle length {tok!r}")
-        parts.append(int(tok))
-    return make_partition(parts)
+    """Cycle lengths, each an isdecimal token (what int() reads: isdigit()
+    also passes '²'), with one trailing + or - when `signed`."""
+    cycles = []
+    for tok in _split_list(text, "cycle"):
+        length, sign = (tok[:-1], tok[-1]) if signed else (tok, "+")
+        if not length.isdecimal() or sign not in ("+", "-"):
+            raise ValidationError(f"bad signed cycle token {tok!r}; expected like 3+ or 1-" if signed
+                                  else f"bad cycle length {tok!r}")
+        cycles.append((int(length), 1 if sign == "+" else -1))
+    return make_signed(cycles) if signed else make_partition([length for length, _ in cycles])
 
 
 # token -> (tag at odd q, tag at even q); the threshold solver has no q and

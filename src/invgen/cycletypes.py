@@ -84,6 +84,19 @@ def _check_profile_fields(n, *masks) -> None:
             raise ValidationError(f"profile masks must be non-negative ints over bits 1..{n - 1}, got {mask!r}")
 
 
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of a non-negative `mask`, ascending, found by str.rfind
+    in its binary text: a byte per bit and a step per set bit, rather than
+    a shift of the whole mask per bit."""
+    text = bin(mask)
+    top, out = len(text) - 1, []
+    i = text.rfind("1")
+    while i >= 0:  # the '0b' prefix holds no '1'
+        out.append(top - i)
+        i = text.rfind("1", 0, i)
+    return out
+
+
 @dataclass(frozen=True)
 class Partition:
     """Multiset of positive cycle lengths summing to n, stored non-increasing."""
@@ -118,7 +131,7 @@ class SizeProfile:
         _check_profile_fields(self.n, self.achievable)
 
     def sizes(self) -> list[int]:
-        return [k for k in range(1, self.n) if self.achievable >> k & 1]
+        return _set_bits(self.achievable)
 
 
 @dataclass(frozen=True)
@@ -137,9 +150,7 @@ class SignedSizeProfile:
             raise ValidationError(f"total_sign must be the int 1 or -1, got {self.total_sign!r}")
 
     def pairs(self) -> list[tuple[int, int]]:
-        out = [(k, 1) for k in range(1, self.n) if self.plus >> k & 1]
-        out += [(k, -1) for k in range(1, self.n) if self.minus >> k & 1]
-        return out
+        return [(k, 1) for k in _set_bits(self.plus)] + [(k, -1) for k in _set_bits(self.minus)]
 
 
 def make_partition(parts) -> Partition:

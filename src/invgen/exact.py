@@ -1,17 +1,19 @@
 """Exact small-n ground truth in rational arithmetic.
 
 Enumerates conjugacy classes with their integer class sizes, `_classes`
-(also the tables the samplers draw small-n elements from), and computes Prob(J^l) two independent ways: inclusion-exclusion over the
-class masks, and a sum over the multisets of l class profiles (the labels
-of `enumerate_classes`).  Every event is the AND, over its l elements, of one
+(also the tables the samplers draw small-n elements from), and computes
+Prob(J^l) two independent ways: inclusion-exclusion over the class masks,
+and a sum over the multisets of l class profiles (the labels of
+`enumerate_classes`).  Every event is the AND, over its l elements, of one
 per-element mask: the profile (achievable sizes, or (size, sign) pairs)
 for events that intersect, plus the event's own bits, such as the total
 sign.  J and J_and_not_N hold when that AND ends empty; N and the
 per-element rules hold when it does not.  `_EVENTS` holds one row per
-event, read by validation, Monte Carlo and `exact_prob`.  A fixed set's
-complement turns (k, e) into (n - k, s e), s the total sign, so `_law`
-keeps sizes 1..n//2 and `_prob_no_common` works on that half lattice, in
-integers: no floating point enters this module.
+event, read by validation, Monte Carlo and `_law`, which decides from it
+the class table, the mask layout and the sectors of an event's law.
+A fixed set's complement turns (k, e) into (n - k, s e), s the total
+sign, so `_law` keeps sizes 1..n//2 and `_prob_no_common` works on that
+half lattice, in integers: no floating point enters this module.
 
 Capacity follows the table a route reads, checked in `_classes`: n <= 28
 for S_n's partition table (J in A and C, all_even in every family), n <= 11
@@ -106,14 +108,23 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     return ClassTable(n=n, family=family, entries=entries)
 
 
-def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> tuple[int, list]:
-    """The order of `_classes(n, family, signed)` and its class sizes summed
-    by half-lattice mask: the profile on sizes 1..n//2, then bits(lengths,
-    signs, total).  The profile is the achievable sizes (of the projection,
-    for signed classes) when `pairs` is False, (k, +) at bit 2k - 2 and
-    (k, -) at 2k - 1 when True, and absent when None.  Pairs fold by total
-    sign, so they fill one dict per sector, + first; else only the first."""
-    order, classes = _classes(n, family, signed)  # checks the cap before anything is built from n
+def _law(n: int, family: WeylFamily, event: str) -> tuple[int, list, int]:
+    """The order of the class table `event` reads in `family`, its class
+    sizes summed by half-lattice mask in each total-sign sector that holds a
+    class, + first, and the number of size digits, n//2, `_cover` reads.
+    Cycle lengths have S_n's law in every family (signs are fair coins, a D
+    sector fixes only their product), so S_n's partition table serves unless
+    the event reads signs or intersects (size, sign) pairs (B, D); N reads
+    only the total sign, whose law the n = 1 table gives, with no cap.  A
+    mask is the profile on sizes 1..n//2, then the row's bits(lengths, signs,
+    total): the achievable sizes (of the projection, for signed classes), or
+    (k, +) at bit 2k - 2 and (k, -) at 2k - 1 for pairs, which fold by total
+    sign and so split by sector; an event that does not intersect has no
+    profile."""
+    signed, intersects, bits = _EVENTS[event]
+    pairs = intersects and family.signed_profiles
+    n = 1 if event == "N" else n
+    order, classes = _classes(n, family, signed or pairs)  # checks the cap before anything is built from n
     half, keep = n // 2, (1 << n // 2 + 1) - 2
     spread = [int(f"{i:b}", 4) for i in range(1 << half)] if pairs else None  # bit i to bit 2i
     laws = [{}, {}]
@@ -121,13 +132,13 @@ def _law(n: int, family: WeylFamily, signed: bool, pairs: bool | None, bits) -> 
         if pairs:  # lengths ascending
             plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), keep)
             mask = spread[plus >> 1] | spread[minus >> 1] << 1 | bits(lengths, signs, total) << 2 * half
-        elif pairs is None:
+        elif not intersects:
             mask = bits(lengths, signs, total)
         else:
             mask = subset_sum_mask(reversed(lengths), keep) >> 1 | bits(lengths, signs, total) << half
-        law = laws[bool(pairs) and total < 0]
+        law = laws[pairs and total < 0]
         law[mask] = law.get(mask, 0) + count
-    return order, laws
+    return order, [law for law in laws if law], half
 
 
 def _cover(vec: list[int], half: int) -> list[int]:
@@ -155,19 +166,18 @@ def _alternating(vec: list[int]) -> int:
     return vec[0]
 
 
-def _prob_no_common(n: int, l: int, order: int, laws: list) -> Fraction:
+def _prob_no_common(l: int, order: int, laws: list, half: int) -> Fraction:
     """Prob(the AND of l independent masks is empty), the masks drawn with
-    the class sizes `_law(n, ...)` gives, out of `order`.  With superset
+    the class sizes of `_law`'s sectors, out of `order`.  With superset
     sums g of one sector's law it is sum_T (-1)^|T| g(T)^l.  In B a -
     element holds (k, e) with (n - k, -e), so a set the + elements share
     must be covered, size by size, by the - elements, and (g+ + g-)^l
     splits into sum_j C(l, j) sum_T (-1)^|T| g+(T)^j `_cover`(g-^(l - j))(T)."""
-    plus, minus = laws if laws[0] else laws[::-1]
-    width = max(chain(plus, minus)).bit_length()
-    if minus:  # one base-4 digit per size, then one for the sign bits
+    width = max(chain(*laws)).bit_length()
+    if len(laws) > 1:  # one base-4 digit per size, then one for the sign bits
         width += width & 1
     sums = []
-    for law in filter(None, (plus, minus)):
+    for law in laws:
         vec = [0] * (1 << width)
         for mask, count in law.items():
             vec[mask] = count
@@ -175,11 +185,11 @@ def _prob_no_common(n: int, l: int, order: int, laws: list) -> Fraction:
             high = vec[len(vec) >> 1:]
             vec = list(chain.from_iterable(zip(map(add, vec, high), high)))
         sums.append(vec)
-    if not minus:
+    if len(sums) == 1:
         return Fraction(_alternating(list(map(pow, sums[0], repeat(l)))), order**l)
     total = 0
     for j in range(l + 1):
-        covered = _cover(list(map(pow, sums[1], repeat(l - j))), n // 2)
+        covered = _cover(list(map(pow, sums[1], repeat(l - j))), half)
         total += comb(l, j) * _alternating(list(map(mul, map(pow, sums[0], repeat(j)), covered)))
     return Fraction(total, order**l)
 
@@ -227,20 +237,14 @@ def _check_l(l: int) -> None:
 
 
 def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
-    """Exact probability of an event of l uniform elements, by its row.
-    The one place the event routes validate their input."""
+    """Exact probability of an event of l uniform elements, by its row:
+    `_law` reads the row, `_prob_no_common` sums.  The one place the event
+    routes validate their input."""
     check_event(event, family)
     check_positive_int("n", n)
     _check_l(l)
-    signed, intersects, bits = _EVENTS[event]
-    # Cycle lengths have S_n's law in every family (signs are fair coins, a D
-    # sector fixes only their product): S_n's partition table serves unless
-    # the event reads signs or intersects (size, sign) pairs (B, D).  N reads
-    # only the total sign, whose law the n = 1 table gives, with no cap.
-    pairs = intersects and family.signed_profiles
-    n = 1 if event == "N" else n
-    empty = _prob_no_common(n, l, *_law(n, family, signed or pairs, pairs if intersects else None, bits))
-    return empty if intersects else 1 - empty
+    empty = _prob_no_common(l, *_law(n, family, event))
+    return empty if _EVENTS[event].intersects else 1 - empty
 
 
 def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:

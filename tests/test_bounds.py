@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from invgen import bounds
 from invgen import (
     BoundReport,
     ClassicalFamily,
@@ -27,6 +28,36 @@ T = ClassicalTag
 
 def fam(tag, q):
     return ClassicalFamily(tag, q)
+
+
+def bisection_K4(tag, b_J4):
+    """Reference for `solve_K4`: its search before it called `bisect_left`,
+    doubling then a hand-written binary search between a q known
+    non-positive and one known positive."""
+    b = bounds._as_fraction(b_J4)
+    if not 0 < b <= 1:
+        raise ValidationError(f"b_J4 must be in (0,1], got {b_J4!r}")
+
+    def positive(q):
+        return F(7, 8) * b - (1 - solver_proportion(tag, q) ** 4) > 0
+
+    if positive(2):
+        return 1
+    hi = 4
+    while not positive(hi):
+        hi *= 2
+        if hi > 1 << 60:
+            raise NoSolutionError(
+                f"no threshold below 2^60 for {tag.value} with b_J4={b_J4!r}; the bound stays non-positive"
+            )
+    lo = 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if positive(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 class TestWeylFamilyOf:
@@ -311,6 +342,17 @@ class TestSolveK4:
 
     def test_larger_b_lowers_threshold(self):
         assert solve_K4(T.SL, F(2, 3)) < solve_K4(T.SL, F(1, 3))
+
+    @pytest.mark.parametrize("tag", list(T))
+    def test_matches_hand_bisection(self, tag):
+        def outcome(solve, b):
+            try:
+                return solve(tag, b)
+            except (NoSolutionError, ValidationError) as e:
+                return f"error: {e}"
+
+        grid = [F(k, 97) for k in range(1, 98)] + [F(1, 3), F(1, 10**6), F(1), F(0), "junk", 2]
+        assert [outcome(solve_K4, b) for b in grid] == [outcome(bisection_K4, b) for b in grid]
 
     def test_solver_proportion_clamps(self):
         assert solver_proportion(T.SO_ODD_DIM, 2) == 0

@@ -15,14 +15,17 @@ import invgen
 import invgen.montecarlo as montecarlo
 from invgen import (
     ExperimentSpec,
+    ValidationError,
     WeylFamily,
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_predicate,
+    make_partition,
+    make_signed,
     run,
     sweep_seed,
 )
-from invgen.cli import _build_parser, main
+from invgen.cli import _build_parser, _parse_cycles, _split_list, main
 
 CSV_HEADER = "n,l,family,event,trials,successes,p_hat,ci_low,ci_high,seed"
 
@@ -101,6 +104,47 @@ class TestFixedsets:
         code, out, err = cli(capsys, "fixedsets", "--cycles", cycles)
         assert (code, out) == (2, "")
         assert "empty item" in err and repr(cycles) in err
+
+
+def regex_cycles(text, signed):
+    """Reference for `_parse_cycles`: signed tokens read by the regex it
+    used before one isdecimal rule covered both flavours."""
+    tokens = _split_list(text, "cycle")
+    if signed:
+        pairs = []
+        for tok in tokens:
+            m = re.match(r"^(\d+)([+-])$", tok)
+            if not m:
+                raise ValidationError(f"bad signed cycle token {tok!r}; expected like 3+ or 1-")
+            pairs.append((int(m.group(1)), 1 if m.group(2) == "+" else -1))
+        return make_signed(pairs)
+    parts = []
+    for tok in tokens:
+        if not tok.isdecimal():
+            raise ValidationError(f"bad cycle length {tok!r}")
+        parts.append(int(tok))
+    return make_partition(parts)
+
+
+class TestCycleTokens:
+    BODIES = ["3", "12", "0", "007", "\u0663", "\uff13", "\u00b2", "", "1 2", "+3", "-3", "3+1", "3-1"]
+    ENDS = ["", "+", "-", "++", "+-", "--", " +", "- ", "+ "]
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_regex_parser(self, signed):
+        def outcome(parse, text):
+            try:
+                return parse(text, signed)
+            except ValidationError as e:
+                return f"error: {e}"
+
+        tokens = [body + end for body in self.BODIES for end in self.ENDS]
+        texts = tokens + [f"{a}, {b}" for a in ("2+", "2", "\u0663-") for b in tokens]
+        assert [outcome(_parse_cycles, t) for t in texts] == [outcome(regex_cycles, t) for t in texts]
+
+    def test_unicode_digits_read_as_int_does(self):
+        assert _parse_cycles("\u0663+,\uff13-", True) == make_signed([(3, 1), (3, -1)])
+        assert _parse_cycles("\u0663,\uff13", False) == make_partition([3, 3])
 
 
 class TestEstimate:

@@ -151,6 +151,26 @@ class TestProfileValues:
         assert fixed_sizes(make_partition([1, 1, 1, 1])) == SizeProfile(4, 0b1110)
 
 
+class TestProfileLists:
+    """`sizes()` and `pairs()` cost a step per set bit and a byte per bit:
+    a shift of the whole mask per k in 1..n-1 did not finish in minutes at
+    n = 2^24."""
+
+    def test_far_bits_at_two_to_24(self):
+        n = 2**24
+        assert SizeProfile(n, 2 | 1 << n - 1).sizes() == [1, n - 1]
+        assert SignedSizeProfile(n, 1 << n - 1, 0, 1).pairs() == [(n - 1, 1)]
+        assert SignedSizeProfile(n, 0, 1 << n - 1, -1).pairs() == [(n - 1, -1)]
+
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), *[st.integers(0, (1 << n) - 1)] * 2)))
+    def test_match_a_scan_of_every_size(self, fields):
+        n, plus, minus = fields
+        plus, minus = plus & ~1, minus & ~1
+        assert SizeProfile(n, plus).sizes() == [k for k in range(1, n) if plus >> k & 1]
+        assert SignedSizeProfile(n, plus, minus, 1).pairs() == (
+            [(k, 1) for k in range(1, n) if plus >> k & 1] + [(k, -1) for k in range(1, n) if minus >> k & 1])
+
+
 class TestProject:
     def test_forgets_signs(self):
         assert project(make_signed([(2, 1), (1, -1)])) == make_partition([2, 1])

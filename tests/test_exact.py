@@ -472,6 +472,23 @@ class TestJAndNotN:
     def test_bounded_by_J(self):
         assert exact_prob_J_and_not_N(5, 3, B) <= exact_prob_J(5, 3, B)
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_sector_split(self, n):
+        # N holds when all total signs agree.  B's signs are fair and each sector is
+        # uniform given its sign, so J and N splits as 2^-l (P_D+(J) + P_D-(J)); C's
+        # signs are fair coins independent of its lengths, and J in C is J in A
+        for l in range(1, 6):
+            both = (exact_prob_J(n, l, DP) + exact_prob_J(n, l, DM)) / 2**l
+            assert exact_prob_J_and_not_N(n, l, B) == exact_prob_J(n, l, B) - both
+            assert exact_prob_J_and_not_N(n, l, C) == exact_prob_J(n, l, A) * (1 - F(2, 2**l))
+            assert exact_prob_J_and_not_N(n, l, DP) == exact_prob_J_and_not_N(n, l, DM) == 0
+
+    @pytest.mark.parametrize("l", [8, 16])
+    @pytest.mark.parametrize("n", [7, 8, 11])
+    def test_sector_split_long_tuples(self, n, l):
+        both = (exact_prob_J(n, l, DP) + exact_prob_J(n, l, DM)) / 2**l
+        assert exact_prob_J_and_not_N(n, l, B) == exact_prob_J(n, l, B) - both
+
     def test_complement_bounded_by_N(self):
         gap = exact_prob_J(5, 3, B) - exact_prob_J_and_not_N(5, 3, B)
         assert gap <= exact_prob_predicate(5, B, "same_sign", 3)
