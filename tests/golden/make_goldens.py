@@ -115,7 +115,7 @@ def _exact_calls():
         yield ["exact", "--n", str(n), "--l", "4", "--family", family, "--event", event]
     # at the caps, up to l = 16
     rows = [("A", 28, "J", 4), ("A", 28, "J", 16), ("B", 11, "J", 8), ("B", 11, "J", 16),
-            ("D-", 11, "J", 16), ("B", 11, "J_and_not_N", 8)]
+            ("D-", 11, "J", 16), ("B", 11, "J_and_not_N", 8), ("B", 11, "J_and_not_N", 16), ("D+", 11, "J", 16)]
     for family, n, event, l in rows:
         yield ["exact", "--n", str(n), "--l", str(l), "--family", family, "--event", event]
 
