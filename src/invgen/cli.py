@@ -58,8 +58,17 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _parse_bj4(text: str) -> str:  # the text: the bounds functions echo it in their errors
+def _parse_bj4(text: str) -> str:
+    """The --b-j4 text, stripped, once it reads as a fraction in (0, 1]:
+    the bounds functions echo it in their errors.  An exponent past the
+    interpreter's int-to-str digit limit is refused before Fraction spends
+    minutes on its power of ten; the value could not be printed anyway."""
+    _, marker, exponent = text.strip().lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
     try:
+        if marker and limit and abs(int(exponent)) > limit:
+            raise ValidationError(f"b-j4 exponent must be within ±{limit}, the interpreter's int digit limit, "
+                                  f"got {text!r}")
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"bad b-j4 value {text!r}; expected a fraction like 1/3 or a decimal") from None
@@ -85,10 +94,13 @@ def _parse_cycles(text: str, signed: bool):
     cycles = []
     for tok in _split_list(text, "cycle"):
         length, sign = (tok[:-1], tok[-1]) if signed else (tok, "+")
-        if not length.isdecimal() or sign not in ("+", "-"):
+        try:
+            if not length.isdecimal() or sign not in ("+", "-"):
+                raise ValueError(tok)
+            cycles.append((int(length), 1 if sign == "+" else -1))
+        except ValueError:  # int() also refuses more digits than the interpreter's limit
             raise ValidationError(f"bad signed cycle token {tok!r}; expected like 3+ or 1-" if signed
-                                  else f"bad cycle length {tok!r}")
-        cycles.append((int(length), 1 if sign == "+" else -1))
+                                  else f"bad cycle length {tok!r}") from None
     return make_signed(cycles) if signed else make_partition([length for length, _ in cycles])
 
 
@@ -335,30 +347,38 @@ def cmd_bounds(o) -> int:
         for flag, given in (("--q", o.q is not None), ("--sharp-a", o.sharp_a)):
             if given:
                 raise ValidationError(f"{flag} does not apply with --solve-k")
-        k = solve_K4(tag, o.b_j4)
-        if o.json:
-            b = Fraction(o.b_j4)
-            print(json.dumps(
-                {"family": o.family, "tag": tag.value, "b_j4": float(b), "b_j4_exact": str(b), "K4": k},
-                sort_keys=True,
-            ))
-        else:
-            print(f"K4({o.family}) = {k}")
-        return 0
-    if o.q is None:
-        raise ValidationError("bounds needs --q or --solve-k")
-    tag = _classical_tag(o.family, o.q)
-    report = i4_lower_bound(ClassicalFamily(tag=tag, q=o.q), o.b_j4, sharp_a=o.sharp_a)
-    if o.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
+        result = solve_K4(tag, o.b_j4)
     else:
-        print(f"family {tag.value} (q={o.q}), weyl family {report.weyl_family.value}")
-        print(f"s        = {float(report.s)!r} ({report.s})")
-        print(f"b_J4     = {float(report.b_J4)!r} ({report.b_J4})")
-        print(f"i4_lower = {float(report.i4_lower)!r} ({report.i4_lower})")
-        if report.i4_lower <= 0:
-            print("no conclusion at this q (bound not positive)")
+        if o.q is None:
+            raise ValidationError("bounds needs --q or --solve-k")
+        tag = _classical_tag(o.family, o.q)
+        result = i4_lower_bound(ClassicalFamily(tag=tag, q=o.q), o.b_j4, sharp_a=o.sharp_a)
+    try:  # the whole text before any of it prints: str() refuses ints past the interpreter's digit limit
+        text = _bounds_text(o, tag, result)
+    except ValueError:
+        raise ValidationError(f"a number in the bounds report has more than {sys.get_int_max_str_digits()} "
+                              "digits, the interpreter's limit for printing one") from None
+    print(text)
     return 0
+
+
+def _bounds_text(o, tag: ClassicalTag, result) -> str:
+    """The threshold K4 (`result` under --solve-k) or the i4 report."""
+    if o.solve_k:
+        if not o.json:
+            return f"K4({o.family}) = {result}"
+        b = Fraction(o.b_j4)
+        return json.dumps({"family": o.family, "tag": tag.value, "b_j4": float(b), "b_j4_exact": str(b), "K4": result},
+                          sort_keys=True)
+    if o.json:
+        return json.dumps(result.to_dict(), sort_keys=True)
+    lines = [f"family {tag.value} (q={o.q}), weyl family {result.weyl_family.value}",
+             f"s        = {float(result.s)!r} ({result.s})",
+             f"b_J4     = {float(result.b_J4)!r} ({result.b_J4})",
+             f"i4_lower = {float(result.i4_lower)!r} ({result.i4_lower})"]
+    if result.i4_lower <= 0:
+        lines.append("no conclusion at this q (bound not positive)")
+    return "\n".join(lines)
 
 
 # ------------------------------------------------------------ wiring

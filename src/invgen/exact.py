@@ -111,16 +111,16 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
 def _law(n: int, family: WeylFamily, event: str) -> tuple[int, list, int]:
     """The order of the class table `event` reads in `family`, its class
     sizes summed by half-lattice mask in each total-sign sector that holds a
-    class, + first, and the number of size digits, n//2, `_cover` reads.
+    class, + first, and the number of size digits, n//2, `_fold` reads.
     Cycle lengths have S_n's law in every family (signs are fair coins, a D
     sector fixes only their product), so S_n's partition table serves unless
     the event reads signs or intersects (size, sign) pairs (B, D); N reads
     only the total sign, whose law the n = 1 table gives, with no cap.  A
     mask is the profile on sizes 1..n//2, then the row's bits(lengths, signs,
     total): the achievable sizes (of the projection, for signed classes), or
-    (k, +) at bit 2k - 2 and (k, -) at 2k - 1 for pairs, which fold by total
-    sign and so split by sector; an event that does not intersect has no
-    profile."""
+    (k, +) at bit 2k - 2 and (k, -) at 2k - 1 for pairs, whose complements
+    turn on the total sign and so split by sector; an event that does not
+    intersect has no profile."""
     signed, intersects, bits = _EVENTS[event]
     pairs = intersects and family.signed_profiles
     n = 1 if event == "N" else n
@@ -141,29 +141,23 @@ def _law(n: int, family: WeylFamily, event: str) -> tuple[int, list, int]:
     return order, [law for law in laws if law], half
 
 
-def _cover(vec: list[int], half: int) -> list[int]:
-    """vec[S] weighs the tuples of - elements whose AND holds S; the result
-    weighs, for each T, those whose AND holds some pair of every size T
-    touches.  T has one base-4 digit (k, +) | (k, -) << 1 per size k <= half,
-    then the sign bits, which pass unchanged.  By inclusion-exclusion a
-    non-zero size digit takes vec's (k, +) + (k, -) - (k, +-) entries; at
-    k = n/2 a - element's pairs are swap-closed, so the three are equal and
-    that is the (k, +-) entry.  Each pass moves the top digit to the bottom."""
-    for digit in reversed(range((len(vec).bit_length() - 1) // 2)):
-        q = len(vec) >> 2
-        parts = vec[:q], vec[q:2 * q], vec[2 * q:3 * q], vec[3 * q:]
+def _fold(vec: list[int], half: int) -> list[int]:
+    """vec[S] weighs the tuples whose AND holds S: one base-4 digit
+    (k, +) | (k, -) << 1 per size k <= half, then the sign bits, which pass
+    unchanged.  Each size digit becomes one bit, "some pair of size k",
+    whose entry is (k, +) + (k, -) - (k, +-) by inclusion-exclusion.  A
+    size the + elements share needs only some pair of that size in the -
+    elements' AND (at k = n/2 their pairs are swap-closed).  So over one
+    digit, a from the + elements and b from the - elements,
+    sum_t (-1)^|t| a_t c_t with c_0 = b_0 and c_t = fold(b)_1 for t > 0 is
+    a_0 b_0 - fold(a)_1 fold(b)_1, the same sum over the folded bit.  Each
+    pass moves the bottom digit to the top."""
+    for digit in range((len(vec).bit_length() - 1) // 2):
+        parts = [vec[i::4] for i in range(4)]
         if digit < half:
-            either = list(map(sub, map(add, parts[1], parts[2]), parts[3]))
-            parts = parts[0], either, either, either
-        vec = list(chain.from_iterable(zip(*parts)))
+            parts = parts[0], list(map(sub, map(add, parts[1], parts[2]), parts[3]))
+        vec = list(chain.from_iterable(parts))
     return vec
-
-
-def _alternating(vec: list[int]) -> int:
-    """sum_T (-1)^|T| vec[T], one bit at a time."""
-    while len(vec) > 1:
-        vec = list(map(sub, vec, vec[len(vec) >> 1:]))
-    return vec[0]
 
 
 def _prob_no_common(l: int, order: int, laws: list, half: int) -> Fraction:
@@ -171,8 +165,10 @@ def _prob_no_common(l: int, order: int, laws: list, half: int) -> Fraction:
     the class sizes of `_law`'s sectors, out of `order`.  With superset
     sums g of one sector's law it is sum_T (-1)^|T| g(T)^l.  In B a -
     element holds (k, e) with (n - k, -e), so a set the + elements share
-    must be covered, size by size, by the - elements, and (g+ + g-)^l
-    splits into sum_j C(l, j) sum_T (-1)^|T| g+(T)^j `_cover`(g-^(l - j))(T)."""
+    must be met, size by size, by some pair the - elements share, and
+    (g+ + g-)^l splits into sum_j C(l, j) sum_U (-1)^|U|
+    `_fold`(g+^j)(U) `_fold`(g-^(l - j))(U).  Each sum streams against
+    one list of the signs (-1)^|T|, built by doubling."""
     width = max(chain(*laws)).bit_length()
     if len(laws) > 1:  # one base-4 digit per size, then one for the sign bits
         width += width & 1
@@ -186,12 +182,15 @@ def _prob_no_common(l: int, order: int, laws: list, half: int) -> Fraction:
             vec = list(chain.from_iterable(zip(map(add, vec, high), high)))
         sums.append(vec)
     if len(sums) == 1:
-        return Fraction(_alternating(list(map(pow, sums[0], repeat(l)))), order**l)
-    total = 0
-    for j in range(l + 1):
-        covered = _cover(list(map(pow, sums[1], repeat(l - j))), half)
-        total += comb(l, j) * _alternating(list(map(mul, map(pow, sums[0], repeat(j)), covered)))
-    return Fraction(total, order**l)
+        terms = [(1, map(pow, sums[0], repeat(l)))]
+    else:
+        width -= min(width >> 1, half)  # `_fold` keeps one bit of each size digit
+        terms = ((comb(l, j), map(mul, _fold(list(map(pow, sums[0], repeat(j))), half),
+                                  _fold(list(map(pow, sums[1], repeat(l - j))), half))) for j in range(l + 1))
+    signs = [1]
+    for _ in range(width):
+        signs += [-sign for sign in signs]
+    return Fraction(sum(weight * sum(map(mul, signs, values)) for weight, values in terms), order**l)
 
 
 def _sign_bit(lengths, signs, total: int) -> int:

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from invgen import (
 from invgen.cli import _build_parser, _parse_cycles, _split_list, main
 
 CSV_HEADER = "n,l,family,event,trials,successes,p_hat,ci_low,ci_high,seed"
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 
 def cli(capsys, *argv):
@@ -98,6 +100,15 @@ class TestFixedsets:
         code, out, err = cli(capsys, "fixedsets", *argv)
         assert (code, out) == (2, "")
         assert err == "error: fixed-set profiles are limited to n <= 2^28 (got 18446744073709551616)\n"
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_token_past_the_int_digit_limit(self, capsys, signed):
+        # int() refuses more than sys.get_int_max_str_digits() digits: a raw ValueError, exit 1
+        token = "9" * 5000 + "+" * signed
+        code, out, err = cli(capsys, "fixedsets", "--cycles", token, *["--signed"] * signed)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: bad signed cycle token '9999" if signed else "error: bad cycle length '9999")
 
     @pytest.mark.parametrize("cycles", ["1,,2", "1,2,"])
     def test_empty_item(self, capsys, cycles):
@@ -477,6 +488,37 @@ class TestBounds:
         (line,) = err.splitlines()
         assert code == 1 and line.startswith("error:")
         assert "1e-400" in line and len(line) <= 200
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--q", "7" * 1502], ["--q", "7" * 1502, "--json"], ["--q", "13", "--b-j4", f"1e-{DIGIT_LIMIT}"]],
+        ids=["q", "q-json", "b-j4"],
+    )
+    def test_report_past_the_print_limit(self, capsys, extra):
+        # i4's denominator holds q^4 (or b's 10^4300), too many digits for str(): the
+        # report used to print its first lines, then end in a raw ValueError, exit 1
+        code, out, err = cli(capsys, "bounds", "--family", "SL", *extra)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a number in the bounds report has more than {DIGIT_LIMIT} digits, "
+                       "the interpreter's limit for printing one\n")
+
+    @pytest.mark.parametrize("b", [f"1e-{DIGIT_LIMIT + 1}", "1e-9999999", "1e-99999999", "1E+99999999"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_exponent_past_the_digit_limit(self, capsys, tmp_path, b, via_config):
+        # Fraction built 10^99999999 for more than a minute before the report failed to print it
+        argv = ["bounds", "--family", "SL", "--q", "13"]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"b-j4 = {b}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--b-j4", b]
+        start = time.perf_counter()
+        code, out, err = cli(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == (f"error: b-j4 exponent must be within ±{DIGIT_LIMIT}, the interpreter's int digit limit, "
+                       f"got {b!r}\n")
 
 
 class TestConfigFile:

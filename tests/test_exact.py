@@ -2,11 +2,14 @@
 
 import itertools
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from invgen import exact
 from invgen.montecarlo import check_event
@@ -133,6 +136,52 @@ def ordered_tuples(n, l, family):
         if event_J([prof for prof, _ in combo], family):
             total += prod(p for _, p in combo)
     return total
+
+
+def cover(vec, half):
+    """Reference for `exact._fold`, the rule it replaced: vec[S] weighs the
+    tuples of - elements whose AND holds S; the result weighs, for each T,
+    those whose AND holds some pair of every size T touches.  T has one
+    base-4 digit (k, +) | (k, -) << 1 per size k <= half, then the sign
+    bits, which pass unchanged; a non-zero size digit takes vec's
+    (k, +) + (k, -) - (k, +-) entry in all three of its places."""
+    for digit in reversed(range((len(vec).bit_length() - 1) // 2)):
+        q = len(vec) >> 2
+        parts = vec[:q], vec[q:2 * q], vec[2 * q:3 * q], vec[3 * q:]
+        if digit < half:
+            either = [b + c - d for b, c, d in zip(*parts[1:])]
+            parts = parts[0], either, either, either
+        vec = list(itertools.chain.from_iterable(zip(*parts)))
+    return vec
+
+
+def alternating(vec):
+    """sum_T (-1)^|T| vec[T], by halving: the sum the sign list replaced."""
+    while len(vec) > 1:
+        vec = [a - b for a, b in zip(vec, vec[len(vec) >> 1:])]
+    return vec[0]
+
+
+def covered_sum(l, order, laws, half):
+    """Reference for B's two-sector branch of `exact._prob_no_common`, the
+    route it replaced: superset sums g+ and g- on the base-4 lattice, then
+    sum_j C(l, j) sum_T (-1)^|T| g+(T)^j cover(g-^(l - j))(T)."""
+    width = max(itertools.chain(*laws)).bit_length()
+    width += width & 1
+    sums = []
+    for law in laws:
+        vec = [0] * (1 << width)
+        for mask, count in law.items():
+            vec[mask] = count
+        for bit in range(width):
+            for index in range(len(vec)):
+                if not index >> bit & 1:
+                    vec[index] += vec[index | 1 << bit]
+        sums.append(vec)
+    plus, minus = sums
+    total = sum(comb(l, j) * alternating([a**j * c for a, c in zip(plus, cover([b ** (l - j) for b in minus], half))])
+                for j in range(l + 1))
+    return Fraction(total, order**l)
 
 
 class TestClassTables:
@@ -391,6 +440,38 @@ class TestLongTuples:
     def test_d_sectors_differ_at_even_n(self, n):
         # at even n, -1 lies in D+ and maps each sector to itself
         assert exact_prob_J(n, 2, DP) != exact_prob_J(n, 2, DM)
+
+
+class TestFold:
+    """B's sum folds each size digit of both sectors, where it once covered
+    the - sector's digits: the same values on half the points per size."""
+
+    @pytest.mark.parametrize("n", range(1, exact.SIGNED_LIMIT + 1))
+    @pytest.mark.parametrize("event", ["J", "J_and_not_N"])
+    def test_matches_covered_sum(self, event, n):
+        order, laws, half = exact._law(n, B, event)
+        assert len(laws) == 2
+        for l in (1, 2, 3, 4, 5, 6, 8, 16):
+            assert exact._prob_no_common(l, order, laws, half) == covered_sum(l, order, laws, half), l
+
+    @given(st.integers(1, 4), st.booleans(), st.data())
+    def test_fold_keeps_the_alternating_sum(self, half, sign_digit, data):
+        # a digit adds a0 h0 - (a1 + a2 - a3)(h1 + h2 - h3) either way
+        values = st.lists(st.integers(-10**6, 10**6), min_size=4 ** (half + sign_digit),
+                          max_size=4 ** (half + sign_digit))
+        a, h = data.draw(values), data.draw(values)
+        covered = alternating([x * y for x, y in zip(a, cover(h, half))])
+        assert alternating([x * y for x, y in zip(exact._fold(a, half), exact._fold(h, half))]) == covered
+
+    def test_peak_memory_at_the_cap(self):
+        # every sum streams: no list of g(T)^l and no halving copies (7 MB when they were built)
+        tracemalloc.start()
+        try:
+            exact_prob(28, 16, A, "J")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 10**6
 
 
 class TestPredicates:
