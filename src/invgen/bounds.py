@@ -14,6 +14,7 @@ callers format reports.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -78,17 +79,19 @@ class BoundReport:
     weyl_family: WeylFamily
 
     def to_dict(self) -> dict:
+        """The report's fields, each Fraction as a float and as its exact
+        text; ValidationError if str() could not print one."""
         return {
             "family": self.family.tag.value,
             "q": self.family.q,
             "weyl_family": self.weyl_family.value,
             "s": float(self.s),
-            "s_exact": str(self.s),
+            "s_exact": _exact(self.s),
             "b_j4": float(self.b_J4),
-            "b_j4_exact": str(self.b_J4),
+            "b_j4_exact": _exact(self.b_J4),
             "l": self.l,
             "i4_lower": float(self.i4_lower),
-            "i4_lower_exact": str(self.i4_lower),
+            "i4_lower_exact": _exact(self.i4_lower),
         }
 
 
@@ -121,13 +124,45 @@ def weyl_family_of(f) -> WeylFamily:
     return _row(f.tag if isinstance(f, ClassicalFamily) else f).weyl
 
 
-def _as_fraction(x) -> Fraction:
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0, no limit, before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _exact(value: Fraction) -> str:
+    """str(value), which refuses ints past the interpreter's digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValidationError(f"a number in the bounds report has more than {_digit_limit()} digits, "
+                              "the interpreter's limit for printing one") from None
+
+
+def _check_exponent(text: str, name: str) -> None:
+    """Refuse a decimal exponent past the interpreter's int digit limit
+    before Fraction spends minutes on its power of ten; the value could not
+    be printed anyway.  ValueError if the text after an e is not an
+    integer, which Fraction refuses too."""
+    _, marker, exponent = text.strip().lower().partition("e")
+    limit = _digit_limit()
+    if marker and limit and abs(int(exponent)) > limit:
+        raise ValidationError(f"{name} exponent must be within ±{limit}, the interpreter's int digit limit, "
+                              f"got {text!r}")
+
+
+def _as_fraction(x, name: str = "b_J4") -> Fraction:
+    """x as an exact Fraction (a float's exact binary value), once its
+    exponent and its exact text are within the interpreter's digit limit."""
     if isinstance(x, bool) or not isinstance(x, (Fraction, int, float, str)):
         raise ValidationError(f"expected a number, got {x!r}")
     try:
-        return Fraction(x)  # a float's exact binary value; deterministic
+        if isinstance(x, str):
+            _check_exponent(x, name)
+        value = Fraction(x)
     except (ValueError, OverflowError, ZeroDivisionError):
         raise ValidationError(f"cannot parse {x!r} as a fraction") from None
+    _exact(value)
+    return value
 
 
 def _proportion(row: _Row, q: int, conservative: bool, odd_q: bool) -> Fraction:
@@ -188,7 +223,7 @@ def i4_lower_bound(
 def i3_upper_bound(f: ClassicalFamily, j3) -> Fraction:
     """Upper bound on generation by three elements: j3 + (1 - s^3)."""
     _validate(f)
-    j = _as_fraction(j3)
+    j = _as_fraction(j3, "j3")
     if not 0 <= j <= 1:
         raise ValidationError(f"j3 must be in [0,1], got {j3!r}")
     s = separable_proportion(f)

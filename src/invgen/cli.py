@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
-from .bounds import ClassicalFamily, ClassicalTag, i4_lower_bound, solve_K4
+from .bounds import ClassicalFamily, ClassicalTag, _check_exponent, i4_lower_bound, solve_K4
 from .cycletypes import (
     Partition,
     WeylFamily,
@@ -60,15 +60,10 @@ def _parse_seed(text: str) -> int:
 
 def _parse_bj4(text: str) -> str:
     """The --b-j4 text, stripped, once it reads as a fraction in (0, 1]:
-    the bounds functions echo it in their errors.  An exponent past the
-    interpreter's int-to-str digit limit is refused before Fraction spends
-    minutes on its power of ten; the value could not be printed anyway."""
-    _, marker, exponent = text.strip().lower().partition("e")
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+    the bounds functions echo it in their errors, and refuse a value they
+    could not print."""
     try:
-        if marker and limit and abs(int(exponent)) > limit:
-            raise ValidationError(f"b-j4 exponent must be within ±{limit}, the interpreter's int digit limit, "
-                                  f"got {text!r}")
+        _check_exponent(text, "b-j4")
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"bad b-j4 value {text!r}; expected a fraction like 1/3 or a decimal") from None
@@ -342,43 +337,32 @@ def cmd_exact(o) -> int:
 
 
 def cmd_bounds(o) -> int:
+    """The threshold K4 under --solve-k, else the i4 report at --q, as text
+    or JSON.  The bounds library refuses a number it could not print, so
+    no report prints in part."""
     if o.solve_k:
         tag = _classical_tag(o.family, None)
         for flag, given in (("--q", o.q is not None), ("--sharp-a", o.sharp_a)):
             if given:
                 raise ValidationError(f"{flag} does not apply with --solve-k")
-        result = solve_K4(tag, o.b_j4)
+        k4 = solve_K4(tag, o.b_j4)
+        b = Fraction(o.b_j4)
+        record = {"family": o.family, "tag": tag.value, "b_j4": float(b), "b_j4_exact": str(b), "K4": k4}
+        lines = [f"K4({o.family}) = {k4}"]
     else:
         if o.q is None:
             raise ValidationError("bounds needs --q or --solve-k")
         tag = _classical_tag(o.family, o.q)
-        result = i4_lower_bound(ClassicalFamily(tag=tag, q=o.q), o.b_j4, sharp_a=o.sharp_a)
-    try:  # the whole text before any of it prints: str() refuses ints past the interpreter's digit limit
-        text = _bounds_text(o, tag, result)
-    except ValueError:
-        raise ValidationError(f"a number in the bounds report has more than {sys.get_int_max_str_digits()} "
-                              "digits, the interpreter's limit for printing one") from None
-    print(text)
+        report = i4_lower_bound(ClassicalFamily(tag=tag, q=o.q), o.b_j4, sharp_a=o.sharp_a)
+        record = report.to_dict()
+        lines = [f"family {record['family']} (q={record['q']}), weyl family {record['weyl_family']}"]
+        # the record's keys are the field names in lower case
+        lines += [f"{name:8} = {record[name.lower()]!r} ({record[name.lower() + '_exact']})"
+                  for name in ("s", "b_J4", "i4_lower")]
+        if report.i4_lower <= 0:
+            lines.append("no conclusion at this q (bound not positive)")
+    print(json.dumps(record, sort_keys=True) if o.json else "\n".join(lines))
     return 0
-
-
-def _bounds_text(o, tag: ClassicalTag, result) -> str:
-    """The threshold K4 (`result` under --solve-k) or the i4 report."""
-    if o.solve_k:
-        if not o.json:
-            return f"K4({o.family}) = {result}"
-        b = Fraction(o.b_j4)
-        return json.dumps({"family": o.family, "tag": tag.value, "b_j4": float(b), "b_j4_exact": str(b), "K4": result},
-                          sort_keys=True)
-    if o.json:
-        return json.dumps(result.to_dict(), sort_keys=True)
-    lines = [f"family {tag.value} (q={o.q}), weyl family {result.weyl_family.value}",
-             f"s        = {float(result.s)!r} ({result.s})",
-             f"b_J4     = {float(result.b_J4)!r} ({result.b_J4})",
-             f"i4_lower = {float(result.i4_lower)!r} ({result.i4_lower})"]
-    if result.i4_lower <= 0:
-        lines.append("no conclusion at this q (bound not positive)")
-    return "\n".join(lines)
 
 
 # ------------------------------------------------------------ wiring

@@ -265,9 +265,7 @@ def exact_prob_J_bruteforce(n: int, l: int, family: WeylFamily) -> Fraction:
     orderings and its groups' masses in integers over one denominator.
     Family C enumerates the signed table and projects, so it takes the
     signed cap.  Exponential in l: capped at 10^6 ordered tuples."""
-    _check_l(l)
-    _check_family(family)
-    check_positive_int("n", n)
+    _check_l(l)  # enumerate_classes checks the family, then n
     # group identical profiles, keeping one representative object
     grouped: dict[object, list] = {}
     for label, p in enumerate_classes(n, family).entries:

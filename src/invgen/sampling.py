@@ -161,14 +161,6 @@ def _class_table(n: int, signed: bool, want: int | None) -> _Table:
     return _Table(order, TWO64 // order * order, list(accumulate(row[3] for row in classes)), classes)
 
 
-@cache
-def _class_labels(n: int, signed: bool, want: int | None) -> list:
-    """Each class's label, as the public samplers return it; the Monte
-    Carlo engine reads `_class_table` alone."""
-    return [SignedCycleType(n, (*zip(lengths, signs),)) if signed else Partition(n, lengths)
-            for lengths, signs, _, _ in _class_table(n, signed, want).classes]
-
-
 def _table(n: int, signed: bool, want: int | None = None) -> _Table | None:
     """The class table the samplers read at n, or None above the table
     caps, where they break sticks."""
@@ -243,13 +235,13 @@ def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
     table = _table(n, signed, want_sign)
     if table is not None:
         index, rng.state = _pick(rng.state, table)
-        return _class_labels(n, signed, want_sign)[index]
-    (lengths, signs, _), used = _sample_cycles(_draws(rng.state, _lanes(n, signed)), n, signed, want_sign)
-    rng.state = (rng.state + used * GOLDEN) & M64
+        lengths, signs, _, _ = table.classes[index]  # already in label order
+    else:
+        (lengths, signs, _), used = _sample_cycles(_draws(rng.state, _lanes(n, signed)), n, signed, want_sign)
+        rng.state = (rng.state + used * GOLDEN) & M64
     if signed:
         return _signed_label(n, zip(lengths, signs))
-    lengths.sort(reverse=True)
-    return Partition(n=n, parts=tuple(lengths))
+    return Partition(n=n, parts=tuple(sorted(lengths, reverse=True)))
 
 
 def sample_partition(n: int, rng: RngState) -> Partition:

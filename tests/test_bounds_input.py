@@ -1,6 +1,12 @@
 """Bad input to the bound layer raises ValidationError instead of an
 arithmetic error or a silent answer."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from invgen import (
@@ -12,6 +18,10 @@ from invgen import (
     solver_proportion,
 )
 from invgen.bounds import ClassicalFamily, ClassicalTag as T
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.mark.parametrize(
@@ -98,3 +108,50 @@ def test_out_of_range_echoes_the_argument(call):
     with pytest.raises(ValidationError, match="must be in") as info:
         call("1e400")
     assert "'1e400'" in str(info.value) and len(str(info.value)) < 40
+
+
+# each public bound function that reads a number b: the call, and the name its errors give b
+READERS = {
+    "i4_lower_bound": ("i4_lower_bound(SL_13, b)", "b_J4"),
+    "i3_upper_bound": ("i3_upper_bound(SL_13, b)", "j3"),
+    "solve_K4": ("solve_K4(T.SL, b)", "b_J4"),
+}
+each_reader = pytest.mark.parametrize("call,name", list(READERS.values()), ids=list(READERS))
+TOO_LONG = (f"a number in the bounds report has more than {DIGIT_LIMIT} digits, "
+            "the interpreter's limit for printing one")
+
+
+@needs_digit_limit
+@each_reader
+@pytest.mark.parametrize("b", ["1e-99999999", "1E+99999999"])
+def test_exponent_past_the_digit_limit(call, name, b):
+    # Fraction built 10^99999999 for minutes; the call runs in a child
+    # process, so a hang fails here within seconds
+    script = ("from invgen import ValidationError, i3_upper_bound, i4_lower_bound, solve_K4\n"
+              "from invgen.bounds import ClassicalFamily, ClassicalTag as T\n"
+              f"SL_13, b = ClassicalFamily(T.SL, 13), {b!r}\n"
+              f"try:\n    {call}\nexcept ValidationError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=5,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert (proc.stdout, proc.stderr) == (
+        f"{name} exponent must be within ±{DIGIT_LIMIT}, the interpreter's int digit limit, got {b!r}\n", "")
+
+
+@needs_digit_limit
+@each_reader
+def test_value_past_the_print_limit(call, name):
+    # i4 and i3 used to answer with a b no report could print, and solve_K4
+    # to end in a raw ValueError while echoing it in NoSolutionError
+    b = Fraction(1, 10 ** (DIGIT_LIMIT + 100))
+    with pytest.raises(ValidationError) as info:
+        eval(call, {**globals(), "b": b})
+    assert str(info.value) == TOO_LONG
+
+
+@needs_digit_limit
+def test_report_past_the_print_limit():
+    # i4's denominator holds q^4, 6,000 digits here: to_dict raised a raw ValueError
+    report = i4_lower_bound(ClassicalFamily(T.SL, 10**1500), Fraction(1, 3))
+    with pytest.raises(ValidationError) as info:
+        report.to_dict()
+    assert str(info.value) == TOO_LONG

@@ -20,7 +20,7 @@ from invgen import (
 )
 from invgen.cycletypes import _signed_label
 from invgen.sampling import (_BATCH, _MIX1, _MIX2, GOLDEN, LANES, M64, PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT, TWO64,
-                             _class_labels, _draws, _lanes, _pick, _sample_cycles, _table, mix64)
+                             _draws, _lanes, _pick, _sample_cycles, _table, mix64)
 
 SIGNIFICANCE = 1e-3
 
@@ -444,9 +444,9 @@ class TestBatchedStream:
         label, rejected = scalar_table_walk(ref, n, family)
         assert rejected >= 1
         assert TABLE_SAMPLERS[family](n, rng) == label and rng.state == ref.state
-        args = n, family.signed_labels, family.sector_sign
-        index, after = _pick(state, _table(*args))
-        assert _class_labels(*args)[index] == label and after == ref.state
+        # the class _pick picks is the sampler's label, in enumerate_classes's order
+        index, after = _pick(state, _table(n, family.signed_labels, family.sector_sign))
+        assert enumerate_classes(n, family).entries[index][0] == label and after == ref.state
 
     def test_table_caps(self):
         # n! fits one draw up to n = 20; the caps pick the table, not the oracle's limits
