@@ -9,7 +9,10 @@ holds that call's exact stdout.  The cases cover every sampler, both
 Monte Carlo regimes (small n, where sampling dominates, and large n, where
 the profile DP does), every event each family accepts, CSV and JSON-lines
 rendering, the exact oracles at small n, and the classical bound reports
-and threshold solver.
+and threshold solver.  `exact_cells.txt` is not CLI output: it holds a
+short hash of every `exact_prob` value (or its error's class name) over
+every family and event at the n and l of CELL_NS and CELL_LS, so a
+rewrite of the exact oracle shows the same results on 3,000 cells.
 
 Regenerate only when a change is meant to alter output bytes; such a
 change also bumps the version and says so in CHANGES.md.
@@ -17,6 +20,7 @@ change also bumps the version and says so in CHANGES.md.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import sys
 from contextlib import redirect_stdout
@@ -25,10 +29,13 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from invgen import EVENTS, RngState, ValidationError, WeylFamily  # noqa: E402
+from invgen import EVENTS, InvgenError, RngState, ValidationError, WeylFamily, exact_prob  # noqa: E402
 from invgen.cli import main as cli_main  # noqa: E402
 from invgen.montecarlo import check_event  # noqa: E402
 
+# exact_cells.txt: every (family, event) pair, errors included, at these n and l
+CELL_NS = (*range(1, 13), 20, 28, 29)
+CELL_LS = (1, 2, 3, 4, 5, 6, 8, 16)
 NEXT64_STREAMS = ((0, 0), (5, 3), ((1 << 64) - 1, 7))
 NEXT64_DRAWS = 20
 
@@ -144,6 +151,21 @@ def _run_cli(argv) -> str:
     return f"$ invgen {' '.join(argv)}\n" + buf.getvalue()
 
 
+def _cell(n: int, l: int, family: WeylFamily, event: str) -> str:
+    """A short sha256 of exact_prob's value, or the class name of its error."""
+    try:
+        value = exact_prob(n, l, family, event)
+    except InvgenError as err:
+        return type(err).__name__
+    return hashlib.sha256(str(value).encode()).hexdigest()[:16]
+
+
+def _exact_cells_text() -> str:
+    """One line per (family, event, n): the cells at each l of CELL_LS."""
+    return "".join(f"{family.value} {event} {n}: {' '.join(_cell(n, l, family, event) for l in CELL_LS)}\n"
+                   for family in WeylFamily for event in EVENTS for n in CELL_NS)
+
+
 def _next64_text() -> str:
     out = []
     for seed, stream in NEXT64_STREAMS:
@@ -163,6 +185,7 @@ FIXTURES = {
     "sweep.txt": lambda: "".join(map(_run_cli, _sweep_calls())),
     "exact.txt": lambda: "".join(map(_run_cli, _exact_calls())),
     "bounds.txt": lambda: "".join(map(_run_cli, _bounds_calls())),
+    "exact_cells.txt": _exact_cells_text,
 }
 
 
