@@ -95,27 +95,38 @@ class BoundReport:
         }
 
 
+def _echo(value, show=repr) -> str:
+    """show(value) for an error message: cut after 60 characters once it
+    is longer than 100, and only its type where it holds an int past the
+    interpreter's digit limit, which str() and repr() refuse."""
+    try:
+        text = show(value)
+    except ValueError:
+        return f"an unprintable {type(value).__name__} (past the int digit limit)"
+    return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _check_q(q) -> None:
     if isinstance(q, bool) or not isinstance(q, int) or q < 2:
-        raise ValidationError(f"q must be an integer >= 2, got {q!r}")
+        raise ValidationError(f"q must be an integer >= 2, got {_echo(q)}")
 
 
 def _row(tag) -> _Row:
     if not isinstance(tag, ClassicalTag):
-        raise ValidationError(f"unknown classical family {tag!r}")
+        raise ValidationError(f"unknown classical family {_echo(tag)}")
     return _ROWS[tag]
 
 
 def _validate(f: ClassicalFamily, **flags) -> _Row:
     if not isinstance(f, ClassicalFamily):
-        raise ValidationError(f"expected a ClassicalFamily, got {f!r}")
+        raise ValidationError(f"expected a ClassicalFamily, got {_echo(f)}")
     row = _row(f.tag)
     _check_q(f.q)
     if row.parity is not None and f.q % 2 != row.parity:
-        raise ValidationError(f"{f.tag.value} needs {('even', 'odd')[row.parity]} q, got {f.q}")
+        raise ValidationError(f"{f.tag.value} needs {('even', 'odd')[row.parity]} q, got {_echo(f.q, str)}")
     for name, value in flags.items():
         if not isinstance(value, bool):
-            raise ValidationError(f"{name} must be True or False, got {value!r}")
+            raise ValidationError(f"{name} must be True or False, got {_echo(value)}")
     return row
 
 
@@ -147,20 +158,20 @@ def _check_exponent(text: str, name: str) -> None:
     limit = _digit_limit()
     if marker and limit and abs(int(exponent)) > limit:
         raise ValidationError(f"{name} exponent must be within ±{limit}, the interpreter's int digit limit, "
-                              f"got {text!r}")
+                              f"got {_echo(text)}")
 
 
 def _as_fraction(x, name: str = "b_J4") -> Fraction:
     """x as an exact Fraction (a float's exact binary value), once its
     exponent and its exact text are within the interpreter's digit limit."""
     if isinstance(x, bool) or not isinstance(x, (Fraction, int, float, str)):
-        raise ValidationError(f"expected a number, got {x!r}")
+        raise ValidationError(f"expected a number, got {_echo(x)}")
     try:
         if isinstance(x, str):
             _check_exponent(x, name)
         value = Fraction(x)
     except (ValueError, OverflowError, ZeroDivisionError):
-        raise ValidationError(f"cannot parse {x!r} as a fraction") from None
+        raise ValidationError(f"cannot parse {_echo(x)} as a fraction") from None
     _exact(value)
     return value
 
@@ -208,7 +219,7 @@ def i4_lower_bound(
     row = _validate(f, sharp_a=sharp_a, conservative=conservative)
     b = _as_fraction(b_J4)
     if not 0 <= b <= 1:
-        raise ValidationError(f"b_J4 must be in [0,1], got {b_J4!r}")
+        raise ValidationError(f"b_J4 must be in [0,1], got {_echo(b_J4)}")
     if sharp_a and not row.sharp:
         raise ValidationError(
             f"the sharp variant is unavailable for {f.tag.value}; "
@@ -225,7 +236,7 @@ def i3_upper_bound(f: ClassicalFamily, j3) -> Fraction:
     _validate(f)
     j = _as_fraction(j3, "j3")
     if not 0 <= j <= 1:
-        raise ValidationError(f"j3 must be in [0,1], got {j3!r}")
+        raise ValidationError(f"j3 must be in [0,1], got {_echo(j3)}")
     s = separable_proportion(f)
     return j + (1 - s**3)
 
@@ -241,7 +252,7 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
     """
     b = _as_fraction(b_J4)
     if not 0 < b <= 1:
-        raise ValidationError(f"b_J4 must be in (0,1], got {b_J4!r}")
+        raise ValidationError(f"b_J4 must be in (0,1], got {_echo(b_J4)}")
 
     def positive(q: int) -> bool:
         s = solver_proportion(tag, q)
@@ -254,6 +265,6 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
         hi *= 2
         if hi > 1 << 60:
             raise NoSolutionError(
-                f"no threshold below 2^60 for {tag.value} with b_J4={b_J4!r}; the bound stays non-positive"
+                f"no threshold below 2^60 for {tag.value} with b_J4={_echo(b_J4)}; the bound stays non-positive"
             )
     return bisect_left(range(hi), True, lo=3, key=positive) - 1  # the first positive q in 3..hi, less one

@@ -24,25 +24,12 @@ class WeylFamily(Enum):
     D_PLUS = "D+"
     D_MINUS = "D-"
 
-    @property
-    def signed_labels(self) -> bool:
-        """True when class labels carry per-cycle signs (all families but A)."""
-        return self is not WeylFamily.A
-
-    @property
-    def signed_profiles(self) -> bool:
-        """True when the J event matches (size, sign) pairs; family C matches
-        plain sizes on the projection, so it is excluded here."""
-        return self in (WeylFamily.B, WeylFamily.D_PLUS, WeylFamily.D_MINUS)
-
-    @property
-    def sector_sign(self) -> int | None:
-        """Total-sign constraint on the family's class labels, if any."""
-        if self is WeylFamily.D_PLUS:
-            return 1
-        if self is WeylFamily.D_MINUS:
-            return -1
-        return None
+    def __init__(self, token: str) -> None:
+        # plain attributes, set once: the exact routes read them per call
+        self.signed_labels = token != "A"  # class labels carry per-cycle signs (all families but A)
+        # the J event matches (size, sign) pairs; family C matches plain sizes on the projection
+        self.signed_profiles = token in ("B", "D+", "D-")
+        self.sector_sign = {"D+": 1, "D-": -1}.get(token)  # total-sign constraint on the class labels, if any
 
     @classmethod
     def parse(cls, token: str) -> "WeylFamily":
@@ -248,25 +235,28 @@ def signed_fixed_sets(s: SignedCycleType) -> SignedSizeProfile:
 
 def event_J(profiles, family: WeylFamily) -> bool:
     """True iff the sampled elements admit no common achievable proper
-    fixed-set size (families A, C) or (size, sign) pair (families B, D)."""
+    fixed-set size (families A, C) or (size, sign) pair (families B, D).
+    One pass checks each profile's kind and n and ANDs it in; a profile of
+    the wrong kind is reported before a mismatched n, wherever it stands."""
     _check_family(family)
-    kind = SignedSizeProfile if family.signed_profiles else SizeProfile
+    signed = family.signed_profiles
+    kind = SignedSizeProfile if signed else SizeProfile
     profiles = as_list("profiles", profiles)
-    if not profiles or not all(isinstance(p, kind) for p in profiles):
-        raise ValidationError(f"event_J on family {family.value} needs one or more {kind.__name__}s")
-    n = profiles[0].n
-    if any(p.n != n for p in profiles):
-        raise ValidationError("profiles must share the same n")
-    if family.signed_profiles:
-        plus = minus = (1 << n) - 2
-        for p in profiles:
-            plus &= p.plus
-            minus &= p.minus
-        return plus == 0 and minus == 0
-    inter = (1 << n) - 2
+    n = profiles[0].n if profiles and isinstance(profiles[0], kind) else 0
+    plus = minus = (1 << n) - 2
+    same = True
     for p in profiles:
-        inter &= p.achievable
-    return inter == 0
+        if not isinstance(p, kind):
+            n = 0
+            break
+        same &= p.n == n
+        plus &= p.plus if signed else p.achievable
+        minus &= p.minus if signed else 0
+    if not n:
+        raise ValidationError(f"event_J on family {family.value} needs one or more {kind.__name__}s")
+    if not same:
+        raise ValidationError("profiles must share the same n")
+    return not (plus or minus)
 
 
 def all_cycles_even(p: Partition) -> bool:

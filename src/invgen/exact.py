@@ -1,29 +1,32 @@
 """Exact small-n ground truth in rational arithmetic.
 
-Enumerates conjugacy classes with their integer class sizes, `_classes`
-(also the tables the samplers draw small-n elements from), and computes
-Prob(J^l) two independent ways: inclusion-exclusion over the class masks,
-and a sum over the multisets of l class profiles (the labels of
-`enumerate_classes`).  Every event is the AND, over its l elements, of one
-per-element mask: the profile (achievable sizes, or (size, sign) pairs)
-for events that intersect, plus the event's own bits, such as the total
-sign.  J and J_and_not_N hold when that AND ends empty; N and the
-per-element rules hold when it does not.  `_EVENTS` holds one row per
-event, read by validation, Monte Carlo and `_law`, which decides from it
-the class table, the mask layout and the sectors of an event's law.
+Computes Prob(J^l) two independent ways.  The oracle builds the law of
+one element's mask by a DP over cycle lengths (`_law`) and sums it by
+inclusion-exclusion.  Brute force walks the conjugacy classes with their
+integer class sizes (`_classes`, also the tables the samplers draw
+small-n elements from) and sums over the multisets of l class profiles
+(the labels of `enumerate_classes`).  Every event is the AND, over its l
+elements, of one per-element mask: the profile (achievable sizes, or
+(size, sign) pairs) for events that intersect, plus the event's own bits,
+such as the total sign.  J and J_and_not_N hold when that AND ends empty;
+N and the per-element rules hold when it does not, and their laws, of one
+or two masks, still come from the class table.  `_EVENTS` holds one row
+per event, read by validation, Monte Carlo and `_law`, which decides from
+it the group, the mask layout and the sectors of an event's law.
 A fixed set's complement turns (k, e) into (n - k, s e), s the total
 sign, so `_law` keeps sizes 1..n//2 and `_prob_no_common` works on that
 half lattice, in integers: no floating point enters this module.
 
-Capacity follows the table a route reads, checked in `_classes`: n <= 28
-for S_n's partition table (J in A and C, all_even in every family), n <= 11
-wherever the signed class table is read (J in B, D+, D-, J_and_not_N and
-all_positive).  Event N reads the n = 1 table and has no cap on n.  Every
-route takes l <= 16.
+Capacity follows the group a route reads, checked by `_check_cap`: n <= 28
+for S_n (J in A and C, all_even in every family), n <= 11 wherever the
+signed group is read (J in B, D+, D-, J_and_not_N and all_positive).
+Event N reads the n = 1 table and has no cap on n.  Every route takes
+l <= 16.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,15 +36,15 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .cycletypes import (Partition, SignedCycleType, WeylFamily, _check_family, event_J, fixed_sizes, project,
-                         signed_fixed_sets, signed_subset_masks, subset_sum_mask)
+                         signed_fixed_sets)
 from .errors import CapacityError, ValidationError, check_positive_int
 
-# The half lattice has 2^(n//2) points, 4^(n//2) for sign pairs, so the
-# class table, exponential in n, costs most: at the caps (A n = 28, B n = 11)
-# a call takes up to 0.1 s at any l <= 16.  The oracle exists for testing,
-# not production.  Brute force judges each multiset of l profiles once,
-# about 3 us each, weighted by its l! / prod m_i! orderings; its cap
-# still counts ordered tuples.
+# The half lattice has 2^(n//2) points, 4^(n//2) for sign pairs, and its
+# sums cost most: at the caps (A n = 28, B n = 11) a call takes up to about
+# 0.06 s at any l <= 16, of which the DP's law takes under 8 ms.  The oracle
+# exists for testing, not production.  Brute force judges each multiset of
+# l profiles once, about 4 us each with its weights, counted by its
+# l! / prod m_i! orderings; its cap still counts ordered tuples.
 UNSIGNED_LIMIT = 28
 SIGNED_LIMIT = 11
 L_LIMIT = 16
@@ -57,6 +60,11 @@ class ClassTable:
     entries: tuple[tuple[object, Fraction], ...]
 
 
+def _check_cap(n: int, family: WeylFamily, signed: bool) -> None:
+    if n > (limit := SIGNED_LIMIT if signed else UNSIGNED_LIMIT):
+        raise CapacityError(f"exact mode for family {family.value} is limited to n <= {limit} (got {n})")
+
+
 def _classes(n: int, family: WeylFamily, signed: bool) -> tuple[int, list]:
     """The order of a class table and its classes as (lengths, signs, total,
     count), count the integer class size.  The table is the family's signed
@@ -67,9 +75,7 @@ def _classes(n: int, family: WeylFamily, signed: bool) -> tuple[int, list]:
     of the m cycles are positive, each descending, and carries the class
     size's divisor down: j^m m! in S_n, (2j)^m m+! m-! signed.  The order,
     n!, 2^n n!, or 2^(n-1) n! in a D sector, is asserted to sum the counts."""
-    limit = SIGNED_LIMIT if signed else UNSIGNED_LIMIT
-    if n > limit:
-        raise CapacityError(f"exact mode for family {family.value} is limited to n <= {limit} (got {n})")
+    _check_cap(n, family, signed)
     group, want = (factorial(n) << n, family.sector_sign) if signed else (factorial(n), None)
     # m cycles of one length, + first: (their signs, the signs' product, m+! m-!)
     splits = [[((1,) * (m - k) + (-1,) * k, (-1) ** k, factorial(m - k) * factorial(k)) for k in range(m + 1)]
@@ -109,36 +115,58 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
 
 
 def _law(n: int, family: WeylFamily, event: str) -> tuple[int, list, int]:
-    """The order of the class table `event` reads in `family`, its class
-    sizes summed by half-lattice mask in each total-sign sector that holds a
+    """The order of the group `event` reads in `family`, its class sizes
+    summed by half-lattice mask in each total-sign sector that holds a
     class, + first, and the number of size digits, n//2, `_fold` reads.
     Cycle lengths have S_n's law in every family (signs are fair coins, a D
-    sector fixes only their product), so S_n's partition table serves unless
-    the event reads signs or intersects (size, sign) pairs (B, D); N reads
-    only the total sign, whose law the n = 1 table gives, with no cap.  A
-    mask is the profile on sizes 1..n//2, then the row's bits(lengths, signs,
-    total): the achievable sizes (of the projection, for signed classes), or
-    (k, +) at bit 2k - 2 and (k, -) at 2k - 1 for pairs, whose complements
-    turn on the total sign and so split by sector; an event that does not
-    intersect has no profile."""
-    signed, intersects, bits = _EVENTS[event]
-    pairs = intersects and family.signed_profiles
-    n = 1 if event == "N" else n
-    order, classes = _classes(n, family, signed or pairs)  # checks the cap before anything is built from n
-    half, keep = n // 2, (1 << n // 2 + 1) - 2
-    spread = [int(f"{i:b}", 4) for i in range(1 << half)] if pairs else None  # bit i to bit 2i
-    laws = [{}, {}]
-    for lengths, signs, total, count in classes:
-        if pairs:  # lengths ascending
-            plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), keep)
-            mask = spread[plus >> 1] | spread[minus >> 1] << 1 | bits(lengths, signs, total) << 2 * half
-        elif not intersects:
-            mask = bits(lengths, signs, total)
-        else:
-            mask = subset_sum_mask(reversed(lengths), keep) >> 1 | bits(lengths, signs, total) << half
-        law = laws[pairs and total < 0]
-        law[mask] = law.get(mask, 0) + count
-    return order, [law for law in laws if law], half
+    sector fixes only their product), so S_n serves unless the event reads
+    signs or intersects (size, sign) pairs (B, D).  A mask is the profile
+    on sizes 1..n//2, then the row's bits: the achievable sizes (of the
+    projection, for signed classes), or (k, +) at bit 2k - 2 and (k, -) at
+    2k - 1 for pairs, whose complements turn on the total sign and so split
+    by sector.
+
+    An event that intersects reads no class table.  A DP over cycle
+    lengths j = n..1, each length's - cycles before its + cycles, merges
+    equal states (size used, + track, - track, sign parity), the tracks on
+    sizes 0..n//2: a + cycle shift-ors both tracks, a - cycle swaps them
+    for pairs and shift-ors the one track otherwise.  A state's weight
+    starts at the group order, and the c-th cycle of one length and sign
+    divides it by (2j or j) c, exactly, as each merged summand is the order
+    over a centraliser's in a smaller group.  So the states at size n hold
+    the summed class sizes; their row bits read only the total sign.  The
+    per-element events have no profile: their one or two masks come from
+    the class table, N's from the n = 1 table, with no cap."""
+    (signed, intersects, bits), pairs = _EVENTS[event], family.signed_profiles
+    laws = [defaultdict(int), defaultdict(int)]  # by total sign, for pairs
+    if not intersects:
+        order, classes = _classes(1 if event == "N" else n, family, signed)
+        for lengths, signs, total, count in classes:
+            laws[0][bits(lengths, signs, total)] += count
+        return order, laws[:1], 0
+    _check_cap(n, family, signed := signed or pairs)
+    half, step, group = n // 2, 1 + pairs, factorial(n) << n if signed else factorial(n)
+    # a key is the mask being built, size 0 included: (k, +) at bit k step and, for pairs, (k, -) at
+    # bit 2k + 1, for k <= half; then the sign parity at bit 2n + 2, which no track bit reaches, as a
+    # track holds no size above the size used
+    top, even, odd = (1 << step * (half + 1)) - 1, (4 << 2 * half) // 3, 1 << 2 * n + 2  # even: pairs' (k, +) bits
+    states = [{1: group}] + [{} for _ in range(n)]  # by size used
+    for j in range(n, 0, -1):
+        # a length's - cycles, then its + cycles: the divisor's unit, whether the tracks swap, the parity flip
+        for unit, swap, flip in ((2 * j, pairs, odd), (2 * j, False, 0)) if signed else ((j, False, 0),):
+            for used in range(n - j, -1, -1):  # downwards, so no state this step makes is stepped again
+                for key, weight in states[used].items():
+                    for c in range(1, (n - used) // j + 1):
+                        moved = key >> 1 & even | (key & even) << 1 if swap else key
+                        key, weight = (key | moved << step * j) & (top | odd) ^ flip, weight // (unit * c)
+                        if j > 1 or flip or used + c == n:  # the last step, + 1-cycles, only completes
+                            target = states[used + j * c]
+                            target[key] = target.get(key, 0) + weight
+    for key, weight in states[n].items():
+        total = -1 if key & odd else 1
+        if family.sector_sign in (None, total):
+            laws[pairs and total < 0][(key & top) >> step | bits((), (), total) << step * half] += weight
+    return group >> (family.sector_sign is not None), [law for law in laws if law], half
 
 
 def _fold(vec: list[int], half: int) -> list[int]:

@@ -2,6 +2,7 @@
 arithmetic error or a silent answer."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from invgen import (
+    NoSolutionError,
     ValidationError,
     i3_upper_bound,
     i4_lower_bound,
@@ -155,3 +157,43 @@ def test_report_past_the_print_limit():
     with pytest.raises(ValidationError) as info:
         report.to_dict()
     assert str(info.value) == TOO_LONG
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: separable_proportion(ClassicalFamily(T.SP_ODD_Q, 10**5000)), "Sp_odd_q needs odd q, got "),
+        (lambda: i4_lower_bound(ClassicalFamily(T.SP_EVEN_Q, 10**5000 + 1), "1/3"), "Sp_even_q needs even q, got "),
+        (lambda: separable_proportion(ClassicalFamily(T.SL, -10**5000)), "q must be an integer >= 2, got "),
+        (lambda: solver_proportion(T.SL, -10**5000), "q must be an integer >= 2, got "),
+        (lambda: separable_proportion(10**5000), "expected a ClassicalFamily, got "),
+    ],
+    ids=["parity-odd", "parity-even", "check_q", "solver", "not-a-family"],
+)
+def test_q_past_the_print_limit(call, message):
+    # formatting q into the message raised Python's raw int-to-str ValueError
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message + "an unprintable int (past the int digit limit)"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: solve_K4(T.SL, Fraction(10**4000 + 1, 10**4000)), "b_J4 must be in (0,1], got Fraction(1000"),
+        (lambda: i3_upper_bound(SL_13, "1" + "0" * 4000), "j3 must be in [0,1], got '1000"),
+        (lambda: i4_lower_bound(SL_13, "2" + "0" * 4000), "b_J4 must be in [0,1], got '2000"),
+        (lambda: solve_K4(T.SL, Fraction(1, 10**4000)), "no threshold below 2^60 for SL with b_J4=Fraction(1, 1000"),
+        (lambda: solve_K4(T.SL, "x" * 5000), "cannot parse 'xxx"),
+        (lambda: i4_lower_bound(ClassicalFamily("SL" * 1000, 13), "1/3"), "unknown classical family 'SLSL"),
+    ],
+    ids=["solve_K4-range", "i3-range", "i4-range", "no-threshold", "parse", "tag"],
+)
+def test_long_arguments_are_cut(call, message):
+    # the message echoed the whole argument: 8,041 characters for the solve_K4 range case
+    with pytest.raises((ValidationError, NoSolutionError)) as info:
+        call()
+    text = str(info.value)
+    assert text.startswith(message) and len(text) < 200
+    assert re.search(r"\.\.\. \(\d+ characters\)", text)

@@ -234,6 +234,70 @@ class TestEventJ:
         assert event_J(profs, WeylFamily.C) is False
 
 
+def generator_event_J(profiles, family):
+    """Reference for `event_J`, the body its one pass replaced: check the
+    kinds, then the n, then AND, each with its own generator."""
+    if not isinstance(family, WeylFamily):
+        raise ValidationError(f"family must be a WeylFamily, got {family!r}")
+    kind = SignedSizeProfile if family.signed_profiles else SizeProfile
+    profiles = list(profiles)
+    if not profiles or not all(isinstance(p, kind) for p in profiles):
+        raise ValidationError(f"event_J on family {family.value} needs one or more {kind.__name__}s")
+    n = profiles[0].n
+    if any(p.n != n for p in profiles):
+        raise ValidationError("profiles must share the same n")
+    if family.signed_profiles:
+        plus = minus = (1 << n) - 2
+        for p in profiles:
+            plus &= p.plus
+            minus &= p.minus
+        return plus == 0 and minus == 0
+    inter = (1 << n) - 2
+    for p in profiles:
+        inter &= p.achievable
+    return inter == 0
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValidationError as err:
+        return type(err), str(err)
+
+
+# a profile of either kind at n = 1..6, or an item that is no profile
+_ANY_PROFILE = st.integers(1, 6).flatmap(lambda n: st.one_of(
+    st.builds(SizeProfile, st.just(n), st.integers(0, (1 << n) - 1).map(lambda m: m & ~1)),
+    st.builds(SignedSizeProfile, st.just(n), *[st.integers(0, (1 << n) - 1).map(lambda m: m & ~1)] * 2,
+              st.sampled_from([1, -1])),
+    st.sampled_from([None, 1, "A"]),
+))
+
+
+class TestEventJOnePass:
+    """`event_J` checks, compares n and ANDs in one pass: the same answer
+    and the same error as the generator body it replaced, on any list."""
+
+    @given(st.lists(_ANY_PROFILE, max_size=5), st.sampled_from(list(WeylFamily)))
+    def test_matches_the_generator_body(self, profiles, family):
+        assert _outcome(lambda: event_J(profiles, family)) == _outcome(lambda: generator_event_J(profiles, family))
+
+    @pytest.mark.parametrize(
+        "family,right,other,wrong",
+        [(A, fixed_sizes(make_partition([3, 1])), SizeProfile(3, 0), signed_fixed_sets(make_signed([(2, 1), (1, -1)]))),
+         (B, signed_fixed_sets(make_signed([(3, 1), (1, -1)])), SignedSizeProfile(3, 0, 0, 1),
+          fixed_sizes(make_partition([2, 1])))],
+        ids=["A", "B"],
+    )
+    def test_wrong_kind_after_an_n_mismatch(self, family, right, other, wrong):
+        # n = 4 then n = 3, then a profile of the other kind: the kind error wins wherever it stands
+        kind = "SignedSizeProfiles" if family is B else "SizeProfiles"
+        with pytest.raises(ValidationError, match=f"event_J on family {family.value} needs one or more {kind}$"):
+            event_J([right, other, wrong], family)
+        with pytest.raises(ValidationError, match="profiles must share the same n"):
+            event_J([right, other], family)
+
+
 class TestPredicates:
     def test_all_cycles_even(self):
         assert all_cycles_even(make_partition([2, 2])) is True
@@ -316,6 +380,15 @@ class TestWeylFamily:
         assert WeylFamily.D_PLUS.sector_sign == 1
         assert WeylFamily.D_MINUS.sector_sign == -1
         assert WeylFamily.B.sector_sign is None
+
+
+@pytest.mark.parametrize("family", list(WeylFamily))
+def test_flags_match_their_definitions(family):
+    # the three flags are plain attributes set once per member; these were their property bodies
+    assert family.signed_labels is (family is not WeylFamily.A)
+    assert family.signed_profiles is (family in (WeylFamily.B, WeylFamily.D_PLUS, WeylFamily.D_MINUS))
+    sign = 1 if family is WeylFamily.D_PLUS else -1 if family is WeylFamily.D_MINUS else None
+    assert family.sector_sign == sign and type(family.sector_sign) is type(sign)
 
 
 class TestComplementSymmetry:

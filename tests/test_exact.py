@@ -118,6 +118,27 @@ def full_law(n, family, bits):
     return dict(law), {mask: Fraction(count, order) for mask, count in law.items()}
 
 
+def table_law(n, family, event):
+    """Reference for `exact._law` on the events that intersect, the route
+    its DP over cycle lengths replaced: walk `exact._classes`'s table, run
+    one profile DP per class, and sum the class sizes by half-lattice mask
+    in each total-sign sector, + first.  Returns what `_law` does."""
+    signed, _, bits = exact._EVENTS[event]
+    pairs = family.signed_profiles
+    order, classes = exact._classes(n, family, signed or pairs)
+    half, keep = n // 2, (1 << n // 2 + 1) - 2
+    laws = [{}, {}]
+    for lengths, signs, total, count in classes:
+        if pairs:  # (k, +) at bit 2k - 2, (k, -) at bit 2k - 1
+            plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), keep)
+            mask = int(f"{plus >> 1:b}", 4) | int(f"{minus >> 1:b}", 4) << 1 | bits(lengths, signs, total) << 2 * half
+        else:
+            mask = subset_sum_mask(reversed(lengths), keep) >> 1 | bits(lengths, signs, total) << half
+        law = laws[pairs and total < 0]
+        law[mask] = law.get(mask, 0) + count
+    return order, [law for law in laws if law], half
+
+
 def ordered_tuples(n, l, family):
     """Reference for `exact_prob_J_bruteforce`, the route it replaced: group
     the labels of `enumerate_classes` by profile, then sum the product of
@@ -410,6 +431,31 @@ class TestSparseMatchesDense:
         law, _ = full_law(n, family, exact._EVENTS[event].bits)
         for l in (8, 16):
             assert exact_prob(n, l, family, event) == running_and(law, l), l
+
+
+class TestLawMatchesTable:
+    """`_law`'s DP over cycle lengths builds, for the events that
+    intersect, the same law as the class walk it replaced (`table_law`),
+    mask for mask and sector for sector: so the row bits of J and
+    J_and_not_N read only the total sign.  Above a cap both raise the same
+    CapacityError."""
+
+    @pytest.mark.parametrize(
+        "family,event",
+        [(f, "J") for f in (A, B, C, DP, DM)] + [(f, "J_and_not_N") for f in (B, C, DP, DM)],
+    )
+    @pytest.mark.parametrize("n", [*range(1, 13), 20, 28, 29])
+    def test_same_law(self, family, event, n):
+        unsigned = event == "J" and not family.signed_profiles
+        if n > (exact.UNSIGNED_LIMIT if unsigned else exact.SIGNED_LIMIT):
+            message = f"exact mode for family {family.value} is limited to n <= "
+            with pytest.raises(CapacityError, match=re.escape(message)) as want:
+                table_law(n, family, event)
+            with pytest.raises(CapacityError) as got:
+                exact._law(n, family, event)
+            assert str(got.value) == str(want.value)
+        else:
+            assert exact._law(n, family, event) == table_law(n, family, event)
 
 
 class TestLongTuples:
