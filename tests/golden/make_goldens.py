@@ -13,6 +13,12 @@ and threshold solver.  `exact_cells.txt` is not CLI output: it holds a
 short hash of every `exact_prob` value (or its error's class name) over
 every family and event at the n and l of CELL_NS and CELL_LS, so a
 rewrite of the exact oracle shows the same results on 3,000 cells.
+`mc_outcomes.txt` holds, per Monte Carlo spec of MC_CELLS, the outcome of
+each trial, `_count_range(spec, t, t + 1)`, as one bit string: its count
+of ones and a short hash.  The specs cross every branch of the trial loop
+(table draws, stick-breaking below and above the window cut-off) at every
+event and l of MC_LS, so a rewrite of the samplers or of the engine shows
+the same draws and outcomes trial by trial.
 
 Regenerate only when a change is meant to alter output bytes; such a
 change also bumps the version and says so in CHANGES.md.
@@ -31,11 +37,21 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 from invgen import EVENTS, InvgenError, RngState, ValidationError, WeylFamily, exact_prob  # noqa: E402
 from invgen.cli import main as cli_main  # noqa: E402
-from invgen.montecarlo import check_event  # noqa: E402
+from invgen.montecarlo import ExperimentSpec, _count_range, check_event  # noqa: E402
 
 # exact_cells.txt: every (family, event) pair, errors included, at these n and l
 CELL_NS = (*range(1, 13), 20, 28, 29)
 CELL_LS = (1, 2, 3, 4, 5, 6, 8, 16)
+# mc_outcomes.txt: (families, n, trials); the table draws reach A n = 20 and
+# signed n = 11, and the window pass starts at n = 2^16
+_SIGNED = ("B", "C", "D+", "D-")
+MC_CELLS = (
+    (("A",), 8, 1000), (("A",), 20, 1000), (_SIGNED, 11, 1000),
+    (("A",), 21, 500), (_SIGNED, 12, 500),
+    (("A", *_SIGNED), 1000, 200),
+    (("A", *_SIGNED), 1 << 16, 16), (("A", *_SIGNED), (1 << 16) + 1, 16), (("A", *_SIGNED), 10**6, 16),
+)
+MC_LS = (1, 2, 4, 16)
 NEXT64_STREAMS = ((0, 0), (5, 3), ((1 << 64) - 1, 7))
 NEXT64_DRAWS = 20
 
@@ -166,6 +182,20 @@ def _exact_cells_text() -> str:
                    for family in WeylFamily for event in EVENTS for n in CELL_NS)
 
 
+def _mc_outcomes_text() -> str:
+    """One line per (family, event, n, l): the trials' outcome bits."""
+    out = []
+    for families, n, trials in MC_CELLS:
+        for token in families:
+            for event in FAMILY_EVENTS[token]:
+                for l in MC_LS:
+                    spec = ExperimentSpec(n, l, WeylFamily.parse(token), event, trials, n * 1009 + l)
+                    bits = "".join(str(_count_range(spec, t, t + 1)) for t in range(trials))
+                    digest = hashlib.sha256(bits.encode()).hexdigest()[:16]
+                    out.append(f"{token} {event} {n} l={l}: {bits.count('1')}/{trials} {digest}\n")
+    return "".join(out)
+
+
 def _next64_text() -> str:
     out = []
     for seed, stream in NEXT64_STREAMS:
@@ -186,6 +216,7 @@ FIXTURES = {
     "exact.txt": lambda: "".join(map(_run_cli, _exact_calls())),
     "bounds.txt": lambda: "".join(map(_run_cli, _bounds_calls())),
     "exact_cells.txt": _exact_cells_text,
+    "mc_outcomes.txt": _mc_outcomes_text,
 }
 
 
