@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cycletypes import WeylFamily
-from .errors import NoSolutionError, ValidationError
+from .errors import NoSolutionError, ValidationError, _echo
 
 
 class ClassicalTag(Enum):
@@ -93,17 +93,6 @@ class BoundReport:
             "i4_lower": float(self.i4_lower),
             "i4_lower_exact": _exact(self.i4_lower),
         }
-
-
-def _echo(value, show=repr) -> str:
-    """show(value) for an error message: cut after 60 characters once it
-    is longer than 100, and only its type where it holds an int past the
-    interpreter's digit limit, which str() and repr() refuse."""
-    try:
-        text = show(value)
-    except ValueError:
-        return f"an unprintable {type(value).__name__} (past the int digit limit)"
-    return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def _check_q(q) -> None:

@@ -37,7 +37,7 @@ from .cycletypes import (
     make_signed,
     signed_fixed_sets,
 )
-from .errors import CapacityError, NoSolutionError, ValidationError
+from .errors import CapacityError, NoSolutionError, ValidationError, _echo
 from .exact import exact_prob
 from .montecarlo import EVENTS, ExperimentSpec, run, sweep
 from .sampling import RngState, sample_partition, sample_signed, sample_signed_conditioned
@@ -52,9 +52,9 @@ def _parse_seed(text: str) -> int:
     try:
         value = int(text, 16) if text.lower().startswith("0x") else int(text)
     except ValueError:
-        raise ValidationError(f"bad seed {text!r}; expected decimal or 0x-hex") from None
+        raise ValidationError(f"bad seed {_echo(text)}; expected decimal or 0x-hex") from None
     if not 0 <= value < 1 << 64:
-        raise ValidationError(f"seed must fit in 64 bits, got {text}")
+        raise ValidationError(f"seed must fit in 64 bits, got {_echo(text, str)}")
     return value
 
 
@@ -66,9 +66,9 @@ def _parse_bj4(text: str) -> str:
         _check_exponent(text, "b-j4")
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"bad b-j4 value {text!r}; expected a fraction like 1/3 or a decimal") from None
+        raise ValidationError(f"bad b-j4 value {_echo(text)}; expected a fraction like 1/3 or a decimal") from None
     if not 0 < value <= 1:
-        raise ValidationError(f"b-j4 must be in (0,1], got {text!r}")
+        raise ValidationError(f"b-j4 must be in (0,1], got {_echo(text)}")
     return text.strip()
 
 
@@ -79,7 +79,7 @@ def _split_list(text: str, what: str) -> list[str]:
     if tokens == [""]:
         raise ValidationError(f"empty {what} list")
     if "" in tokens:
-        raise ValidationError(f"empty item {tokens.index('') + 1} in {what} list {text!r}")
+        raise ValidationError(f"empty item {tokens.index('') + 1} in {what} list {_echo(text)}")
     return tokens
 
 
@@ -94,8 +94,8 @@ def _parse_cycles(text: str, signed: bool):
                 raise ValueError(tok)
             cycles.append((int(length), 1 if sign == "+" else -1))
         except ValueError:  # int() also refuses more digits than the interpreter's limit
-            raise ValidationError(f"bad signed cycle token {tok!r}; expected like 3+ or 1-" if signed
-                                  else f"bad cycle length {tok!r}") from None
+            raise ValidationError(f"bad signed cycle token {_echo(tok)}; expected like 3+ or 1-" if signed
+                                  else f"bad cycle length {_echo(tok)}") from None
     return make_signed(cycles) if signed else make_partition([length for length, _ in cycles])
 
 
@@ -113,7 +113,7 @@ _CLASSICAL = {
 
 def _classical_tag(token: str, q: int | None) -> ClassicalTag:
     if token not in _CLASSICAL:
-        raise ValidationError(f"unknown classical family {token!r}; expected {', '.join(_CLASSICAL)}")
+        raise ValidationError(f"unknown classical family {_echo(token)}; expected {', '.join(_CLASSICAL)}")
     return _CLASSICAL[token][q is not None and q % 2 == 0]
 
 
@@ -121,14 +121,14 @@ def _as_int(text: str) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        raise ValidationError(f"bad integer {text!r}") from None
+        raise ValidationError(f"bad integer {_echo(text)}") from None
 
 
 def _as_float(text: str) -> float:
     try:
         return float(text.strip())
     except ValueError:
-        raise ValidationError(f"bad number {text!r}") from None
+        raise ValidationError(f"bad number {_echo(text)}") from None
 
 
 def _as_bool(text: str) -> bool:
@@ -137,12 +137,12 @@ def _as_bool(text: str) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ValidationError(f"bad boolean {text!r}")
+    raise ValidationError(f"bad boolean {_echo(text)}")
 
 
 def _as_format(text: str) -> str:
     if text not in ("csv", "jsonl"):
-        raise ValidationError(f"unknown format {text!r}; expected csv or jsonl")
+        raise ValidationError(f"unknown format {_echo(text)}; expected csv or jsonl")
     return text
 
 
@@ -210,12 +210,12 @@ def _load_config(path, command: str, allowed) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {_echo(line)}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if key not in allowed:
             raise ValidationError(
-                f"{path}:{lineno}: unknown key {key!r} for {command}; "
+                f"{path}:{lineno}: unknown key {_echo(key)} for {command}; "
                 f"expected one of {', '.join(sorted(allowed))}"
             )
         out[key] = value.strip()
@@ -281,7 +281,7 @@ def _meta(command: str, o) -> dict:
 
 def cmd_sample(o) -> int:
     if o.count < 1:
-        raise ValidationError(f"count must be >= 1, got {o.count}")
+        raise ValidationError(f"count must be >= 1, got {_echo(o.count, str)}")
     for i in range(o.count):
         rng = RngState(o.seed, i)  # one stream per label, like trial streams
         if o.family is WeylFamily.A:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CapacityError, ValidationError, as_list, check_positive_int
+from .errors import CapacityError, ValidationError, _echo, as_list, check_positive_int
 
 
 class WeylFamily(Enum):
@@ -37,7 +37,7 @@ class WeylFamily(Enum):
             return _FAMILY_TOKENS[token]
         except (KeyError, TypeError):  # TypeError: an unhashable token
             raise ValidationError(
-                f"unknown family {token!r}; expected one of A, B, C, D+, D-"
+                f"unknown family {_echo(token)}; expected one of A, B, C, D+, D-"
             ) from None
 
 
@@ -46,19 +46,19 @@ _FAMILY_TOKENS = {f.value: f for f in WeylFamily}
 
 def _check_family(family) -> None:
     if not isinstance(family, WeylFamily):
-        raise ValidationError(f"family must be a WeylFamily, got {family!r}")
+        raise ValidationError(f"family must be a WeylFamily, got {_echo(family)}")
 
 
 def _check_label(label, kind: type) -> None:
     if not isinstance(label, kind):
-        raise ValidationError(f"expected a {kind.__name__}, got {label!r}")
+        raise ValidationError(f"expected a {kind.__name__}, got {_echo(label)}")
 
 
 def _check_profile_n(n: int) -> None:
     """A profile is a bitmask with a bit per size (n/2 of them in a Monte
     Carlo trial): above n = 2^28 it would take gigabytes, a CapacityError."""
     if n > 1 << 28:
-        raise CapacityError(f"fixed-set profiles are limited to n <= 2^28 (got {n})")
+        raise CapacityError(f"fixed-set profiles are limited to n <= 2^28 (got {_echo(n, str)})")
 
 
 def _check_profile_fields(n, *masks) -> None:
@@ -68,7 +68,7 @@ def _check_profile_fields(n, *masks) -> None:
     _check_profile_n(n)
     for mask in masks:
         if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0 or mask & 1 or mask >> n:
-            raise ValidationError(f"profile masks must be non-negative ints over bits 1..{n - 1}, got {mask!r}")
+            raise ValidationError(f"profile masks must be non-negative ints over bits 1..{n - 1}, got {_echo(mask)}")
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -134,7 +134,7 @@ class SignedSizeProfile:
     def __post_init__(self) -> None:
         _check_profile_fields(self.n, self.plus, self.minus)
         if type(self.total_sign) is not int or self.total_sign not in (1, -1):
-            raise ValidationError(f"total_sign must be the int 1 or -1, got {self.total_sign!r}")
+            raise ValidationError(f"total_sign must be the int 1 or -1, got {_echo(self.total_sign)}")
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(k, 1) for k in _set_bits(self.plus)] + [(k, -1) for k in _set_bits(self.minus)]
@@ -157,11 +157,11 @@ def make_signed(cycles) -> SignedCycleType:
     if not cycles:
         raise ValidationError("signed cycle type needs at least one cycle")
     if not all(isinstance(c, tuple) and len(c) == 2 for c in cycles):
-        raise ValidationError(f"each cycle must be a (length, sign) pair, got {cycles!r}")
+        raise ValidationError(f"each cycle must be a (length, sign) pair, got {_echo(cycles)}")
     for length, sign in cycles:
         check_positive_int("each cycle length", length)
         if type(sign) is not int or sign not in (1, -1):  # rejects True and -1.0 too
-            raise ValidationError(f"cycle signs must be the int 1 or -1, got {sign!r}")
+            raise ValidationError(f"cycle signs must be the int 1 or -1, got {_echo(sign)}")
     return _signed_label(sum(l for l, _ in cycles), cycles)
 
 

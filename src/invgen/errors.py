@@ -20,11 +20,23 @@ class NoSolutionError(InvgenError):
     """Threshold solver could not find a finite answer."""
 
 
+def _echo(value, show=repr) -> str:
+    """show(value) for an error message, the one rule for every caller
+    value the package echoes: cut after 60 characters once it is longer
+    than 100, and only its type where it holds an int past the
+    interpreter's digit limit, which str() and repr() refuse."""
+    try:
+        text = show(value)
+    except ValueError:
+        return f"an unprintable {type(value).__name__} (past the int digit limit)"
+    return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def check_positive_int(name: str, value) -> None:
     """Raise ValidationError unless `value` is an int >= 1.  bool is an int
     subclass, but True is not a count, so it is rejected too."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+        raise ValidationError(f"{name} must be a positive integer, got {_echo(value)}")
 
 
 def as_list(name: str, items) -> list:
@@ -32,4 +44,4 @@ def as_list(name: str, items) -> list:
     try:
         return list(items)
     except TypeError:
-        raise ValidationError(f"{name} must be iterable, got {items!r}") from None
+        raise ValidationError(f"{name} must be iterable, got {_echo(items)}") from None

@@ -2,26 +2,25 @@
 
 Computes Prob(J^l) two independent ways.  The oracle builds the law of
 one element's mask by a DP over cycle lengths (`_law`) and sums it by
-inclusion-exclusion.  Brute force walks the conjugacy classes with their
-integer class sizes (`_classes`, also the tables the samplers draw
-small-n elements from) and sums over the multisets of l class profiles
-(the labels of `enumerate_classes`).  Every event is the AND, over its l
+inclusion-exclusion.  Brute force reads the conjugacy classes with their
+integer class sizes (`enumerate_classes`, from the tables the samplers
+draw small-n elements from, `sampling._class_table`) and sums over the
+multisets of l class profiles.  Every event is the AND, over its l
 elements, of one per-element mask: the profile (achievable sizes, or
 (size, sign) pairs) for events that intersect, plus the event's own bits,
-such as the total sign.  J and J_and_not_N hold when that AND ends empty;
-N and the per-element rules hold when it does not, and their laws, of one
-or two masks, still come from the class table.  `_EVENTS` holds one row
-per event, read by validation, Monte Carlo and `_law`, which decides from
-it the group, the mask layout and the sectors of an event's law.
-A fixed set's complement turns (k, e) into (n - k, s e), s the total
-sign, so `_law` keeps sizes 1..n//2 and `_prob_no_common` works on that
-half lattice, in integers: no floating point enters this module.
+such as the total sign.  J and J_and_not_N hold when that AND ends empty.
+N and the per-element rules hold when it does not, and they have closed
+forms (`_per_element`), so the oracle reads no class table.  `_EVENTS`
+holds one row per event, read by validation, Monte Carlo and `_law`,
+which decides from it the group, the mask layout and the sectors of an
+event's law.  A fixed set's complement turns (k, e) into (n - k, s e), s
+the total sign, so `_law` keeps sizes 1..n//2 and `_prob_no_common` works
+on that half lattice, in integers: no floating point enters this module.
 
 Capacity follows the group a route reads, checked by `_check_cap`: n <= 28
 for S_n (J in A and C, all_even in every family), n <= 11 wherever the
 signed group is read (J in B, D+, D-, J_and_not_N and all_positive).
-Event N reads the n = 1 table and has no cap on n.  Every route takes
-l <= 16.
+Event N has no cap on n.  Every route takes l <= 16.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from typing import NamedTuple
 
 from .cycletypes import (Partition, SignedCycleType, WeylFamily, _check_family, event_J, fixed_sizes, project,
                          signed_fixed_sets)
-from .errors import CapacityError, ValidationError, check_positive_int
+from .errors import CapacityError, ValidationError, _echo, check_positive_int
+from .sampling import _class_table
 
 # The half lattice has 2^(n//2) points, 4^(n//2) for sign pairs, and its
 # sums cost most: at the caps (A n = 28, B n = 11) a call takes up to about
@@ -62,88 +62,49 @@ class ClassTable:
 
 def _check_cap(n: int, family: WeylFamily, signed: bool) -> None:
     if n > (limit := SIGNED_LIMIT if signed else UNSIGNED_LIMIT):
-        raise CapacityError(f"exact mode for family {family.value} is limited to n <= {limit} (got {n})")
-
-
-def _classes(n: int, family: WeylFamily, signed: bool) -> tuple[int, list]:
-    """The order of a class table and its classes as (lengths, signs, total,
-    count), count the integer class size.  The table is the family's signed
-    table when `signed` (a D sector keeps its own total sign), else S_n's
-    partition table (the projection of every family's uniform law); n above
-    its cap raises a CapacityError naming `family`.  One walk picks the
-    longest remaining length j, its multiplicity m, then (signed) how many
-    of the m cycles are positive, each descending, and carries the class
-    size's divisor down: j^m m! in S_n, (2j)^m m+! m-! signed.  The order,
-    n!, 2^n n!, or 2^(n-1) n! in a D sector, is asserted to sum the counts."""
-    _check_cap(n, family, signed)
-    group, want = (factorial(n) << n, family.sector_sign) if signed else (factorial(n), None)
-    # m cycles of one length, + first: (their signs, the signs' product, m+! m-!)
-    splits = [[((1,) * (m - k) + (-1,) * k, (-1) ** k, factorial(m - k) * factorial(k)) for k in range(m + 1)]
-              if signed else [((), 1, factorial(m))] for m in range(n + 1)]
-    table = []
-
-    def walk(rest, top, lengths, signs, total, div):
-        for j in range(min(rest, top), 0, -1):
-            for m in range(rest // j, 0, -1):
-                left, run, power = rest - j * m, lengths + (j,) * m, div * (2 * j if signed else j) ** m
-                for chunk, sign, split in splits[m]:
-                    if left:
-                        walk(left, j - 1, run, signs + chunk, total * sign, power * split)
-                    elif want in (None, total * sign):
-                        table.append((run, signs + chunk, total * sign, group // (power * split)))
-
-    walk(n, n, (), (), 1, 1)
-    del walk  # it holds itself and the table through its closure: free both now, not at the next gc
-    order = group >> (want is not None)
-    assert sum(row[3] for row in table) == order, f"class sizes do not sum to {order}"
-    return order, table
+        raise CapacityError(f"exact mode for family {family.value} is limited to n <= {limit} (got {_echo(n, str)})")
 
 
 def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     """Class labels and exact probabilities for one family at size n: each
     class size over the table's order.  A label's lengths are non-increasing,
-    + before - at equal length; entries come in `_classes`'s walk order,
-    which for partitions is reverse lexicographic."""
+    + before - at equal length; entries come in the samplers' table order
+    (`sampling._class_table`), which for partitions is reverse
+    lexicographic."""
     _check_family(family)
     check_positive_int("n", n)
     signed = family.signed_labels
-    order, classes = _classes(n, family, signed)
+    _check_cap(n, family, signed)
+    table = _class_table(n, signed, family.sector_sign)
     # labels hold exact-size tuples: tuple() of an iterator over-allocates
     entries = tuple((SignedCycleType(n, (*zip(lengths, signs),)) if signed else Partition(n, lengths),
-                     Fraction(count, order)) for lengths, signs, _, count in classes)
+                     Fraction(count, table.order)) for lengths, signs, _, count in table.classes)
     return ClassTable(n=n, family=family, entries=entries)
 
 
 def _law(n: int, family: WeylFamily, event: str) -> tuple[int, list, int]:
-    """The order of the group `event` reads in `family`, its class sizes
-    summed by half-lattice mask in each total-sign sector that holds a
-    class, + first, and the number of size digits, n//2, `_fold` reads.
-    Cycle lengths have S_n's law in every family (signs are fair coins, a D
-    sector fixes only their product), so S_n serves unless the event reads
-    signs or intersects (size, sign) pairs (B, D).  A mask is the profile
-    on sizes 1..n//2, then the row's bits: the achievable sizes (of the
-    projection, for signed classes), or (k, +) at bit 2k - 2 and (k, -) at
-    2k - 1 for pairs, whose complements turn on the total sign and so split
-    by sector.
+    """The order of the group an intersecting `event` reads in `family`,
+    its class sizes summed by half-lattice mask in each total-sign sector
+    that holds a class, + first, and the number of size digits, n//2,
+    `_fold` reads.  Cycle lengths have S_n's law in every family (signs
+    are fair coins, a D sector fixes only their product), so S_n serves
+    unless the event reads signs or intersects (size, sign) pairs (B, D).
+    A mask is the profile on sizes 1..n//2, then the row's bits: the
+    achievable sizes (of the projection, for signed classes), or (k, +) at
+    bit 2k - 2 and (k, -) at 2k - 1 for pairs, whose complements turn on
+    the total sign and so split by sector.
 
-    An event that intersects reads no class table.  A DP over cycle
-    lengths j = n..1, each length's - cycles before its + cycles, merges
-    equal states (size used, + track, - track, sign parity), the tracks on
-    sizes 0..n//2: a + cycle shift-ors both tracks, a - cycle swaps them
-    for pairs and shift-ors the one track otherwise.  A state's weight
-    starts at the group order, and the c-th cycle of one length and sign
-    divides it by (2j or j) c, exactly, as each merged summand is the order
-    over a centraliser's in a smaller group.  So the states at size n hold
-    the summed class sizes; their row bits read only the total sign.  The
-    per-element events have no profile: their one or two masks come from
-    the class table, N's from the n = 1 table, with no cap."""
-    (signed, intersects, bits), pairs = _EVENTS[event], family.signed_profiles
+    The law reads no class table.  A DP over cycle lengths j = n..1, each
+    length's - cycles before its + cycles, merges equal states (size used,
+    + track, - track, sign parity), the tracks on sizes 0..n//2: a + cycle
+    shift-ors both tracks, a - cycle swaps them for pairs and shift-ors
+    the one track otherwise.  A state's weight starts at the group order,
+    and the c-th cycle of one length and sign divides it by (2j or j) c,
+    exactly, as each merged summand is the order over a centraliser's in a
+    smaller group.  So the states at size n hold the summed class sizes;
+    their row bits read only the total sign."""
+    (signed, _, bits), pairs = _EVENTS[event], family.signed_profiles
     laws = [defaultdict(int), defaultdict(int)]  # by total sign, for pairs
-    if not intersects:
-        order, classes = _classes(1 if event == "N" else n, family, signed)
-        for lengths, signs, total, count in classes:
-            laws[0][bits(lengths, signs, total)] += count
-        return order, laws[:1], 0
     _check_cap(n, family, signed := signed or pairs)
     half, step, group = n // 2, 1 + pairs, factorial(n) << n if signed else factorial(n)
     # a key is the mask being built, size 0 included: (k, +) at bit k step and, for pairs, (k, -) at
@@ -251,7 +212,7 @@ def check_event(event: str, family: WeylFamily) -> None:
     that reads signs on family A."""
     _check_family(family)
     if event not in EVENTS:
-        raise ValidationError(f"unknown event {event!r}; expected one of {EVENTS}")
+        raise ValidationError(f"unknown event {_echo(event)}; expected one of {EVENTS}")
     if _EVENTS[event].signed and not family.signed_labels:
         unsigned = tuple(name for name, row in _EVENTS.items() if not row.signed)
         raise ValidationError(f"event {event} needs a signed family (B, C, D+, D-); family A supports {unsigned}")
@@ -260,18 +221,39 @@ def check_event(event: str, family: WeylFamily) -> None:
 def _check_l(l: int) -> None:
     check_positive_int("l", l)
     if l > L_LIMIT:
-        raise CapacityError(f"exact mode is limited to l <= {L_LIMIT} (got {l})")
+        raise CapacityError(f"exact mode is limited to l <= {L_LIMIT} (got {_echo(l, str)})")
+
+
+def _per_element(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
+    """Prob(event) of l uniform elements for an event that does not
+    intersect, in closed form.  N: a total sign is a fair coin in B and C,
+    so l of them agree with chance 2^(1 - l), and a D sector fixes it.  The
+    others hold for l elements with chance p^l.  all_even: cycle lengths
+    have S_n's law in every family, and p = C(n, n/2) / 2^n at even n, 0 at
+    odd n.  all_positive: given its lengths each cycle is + with chance
+    1/2, so p = E[2^-cycles] = C(2n, n) / 4^n in B and C; a D+ sector, half
+    the group, holds those elements twice as often, and D- none.  all_even
+    keeps S_n's cap and all_positive the signed one."""
+    if event == "N":
+        return Fraction(1) if family.sector_sign else Fraction(2, 2**l)
+    _check_cap(n, family, _EVENTS[event].signed)
+    if event == "all_even":
+        return Fraction(0 if n & 1 else comb(n, n // 2), 2**n) ** l
+    return (Fraction(comb(2 * n, n), 4**n) * (1 + (family.sector_sign or 0))) ** l  # x 1, 2, 0 in B/C, D+, D-
 
 
 def exact_prob(n: int, l: int, family: WeylFamily, event: str) -> Fraction:
     """Exact probability of an event of l uniform elements, by its row:
-    `_law` reads the row, `_prob_no_common` sums.  The one place the event
-    routes validate their input."""
+    for an event that intersects `_law` reads the row and
+    `_prob_no_common` sums, and the others have closed forms
+    (`_per_element`).  The one place the event routes validate their
+    input."""
     check_event(event, family)
     check_positive_int("n", n)
     _check_l(l)
-    empty = _prob_no_common(l, *_law(n, family, event))
-    return empty if _EVENTS[event].intersects else 1 - empty
+    if _EVENTS[event].intersects:
+        return _prob_no_common(l, *_law(n, family, event))
+    return _per_element(n, l, family, event)
 
 
 def exact_prob_J(n: int, l: int, family: WeylFamily) -> Fraction:
@@ -323,7 +305,7 @@ def exact_prob_predicate(n: int, family: WeylFamily, predicate: str, l: int | No
     if predicate == "same_sign":
         return exact_prob(n, l, family, "N")
     if predicate not in ("all_even", "all_positive"):
-        raise ValidationError(f"unknown predicate {predicate!r}; expected all_even, all_positive or same_sign")
+        raise ValidationError(f"unknown predicate {_echo(predicate)}; expected all_even, all_positive or same_sign")
     if l is not None:
         raise ValidationError(f"{predicate} is a single-element mass; l applies only to same_sign")
     return exact_prob(n, 1, family, predicate)

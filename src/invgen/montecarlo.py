@@ -59,7 +59,7 @@ from numbers import Real
 from statistics import NormalDist
 
 from .cycletypes import WeylFamily, _check_profile_n, signed_subset_masks, subset_sum_mask
-from .errors import CapacityError, ValidationError, as_list, check_positive_int
+from .errors import CapacityError, ValidationError, _echo, as_list, check_positive_int
 from .exact import _EVENTS, EVENTS, _sign_bit, check_event  # noqa: F401 (public names here too)
 from .sampling import (GOLDEN, LANES, M64, _check_range, _class_table, _draws, _lanes, _pick, _sample_cycles, _table,
                        mix64)
@@ -85,7 +85,7 @@ class ExperimentSpec:
         check_positive_int("trials", self.trials)
         seed = self.master_seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= M64:
-            raise ValidationError(f"master_seed must be a 64-bit integer, got {seed!r}")
+            raise ValidationError(f"master_seed must be a 64-bit integer, got {_echo(seed)}")
         check_event(self.event, self.family)
         if _EVENTS[self.event].intersects:
             _check_profile_n(self.n)
@@ -110,10 +110,10 @@ def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, flo
     """
     check_positive_int("trials", trials)
     if isinstance(successes, bool) or not isinstance(successes, int) or not 0 <= successes <= trials:
-        raise ValidationError(f"successes must be an integer in 0..{trials}, got {successes!r}")
+        raise ValidationError(f"successes must be an integer in 0..{_echo(trials, str)}, got {_echo(successes)}")
     # a z whose square overflows would clamp both bounds to p_hat, or raise
     if isinstance(z, bool) or not isinstance(z, (int, float)) or not (0 < z and z * z <= sys.float_info.max):
-        raise ValidationError(f"z must be a positive number whose square is a finite float, got {z!r}")
+        raise ValidationError(f"z must be a positive number whose square is a finite float, got {_echo(z)}")
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials
@@ -124,7 +124,7 @@ def wilson_interval_z(successes: int, trials: int, z: float) -> tuple[float, flo
 
 def _z(confidence: float) -> float:
     if isinstance(confidence, bool) or not isinstance(confidence, Real) or not 0 < confidence < 1:
-        raise ValidationError(f"confidence must be in (0,1), got {confidence!r}")
+        raise ValidationError(f"confidence must be in (0,1), got {_echo(confidence)}")
     return NormalDist().inv_cdf((1 + confidence) / 2)
 
 
@@ -276,7 +276,7 @@ def _estimate(specs: list[ExperimentSpec], threads: int, confidence: float) -> l
 
 def _validate(spec: ExperimentSpec) -> None:
     if not isinstance(spec, ExperimentSpec):
-        raise ValidationError(f"expected an ExperimentSpec, got {spec!r}")
+        raise ValidationError(f"expected an ExperimentSpec, got {_echo(spec)}")
     spec.validate()
 
 
@@ -294,7 +294,7 @@ def sweep_seed(master_seed: int, index: int) -> int:
     get unrelated streams even for otherwise identical specs."""
     for name, value in (("master_seed", master_seed), ("index", index)):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+            raise ValidationError(f"{name} must be an integer, got {_echo(value)}")
     return mix64(master_seed ^ ((index + 1) * GOLDEN & M64))
 
 

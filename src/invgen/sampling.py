@@ -7,17 +7,18 @@ Monte Carlo trial owns an independent stream and results cannot depend on
 scheduling.
 
 Small n read a class table: n <= PARTITION_TABLE_LIMIT (20) for S_n, n <=
-SIGNED_TABLE_LIMIT (11) for the signed group and for a D sector.  The
-table is `exact._classes`'s: its classes in that walk order (longest
+SIGNED_TABLE_LIMIT (11) for the signed group and for a D sector.  This
+module owns the tables: `_class_table` walks the classes (longest
 remaining length first, its multiplicity descending, then the number of +
-cycles descending), with integer class sizes summing to the order (n!,
-2^n n!, or 2^(n-1) n! in a sector), which fits one draw.  An element is one table draw (`_pick`): a draw u is
-kept if u < (2^64 // order) * order, else the next one is read, and
-r = u mod order picks the class at bisect_right(cumulative sizes, r).
-sample_partition reads S_n's table, sample_signed the signed one, and
-sample_signed_conditioned its sector's; the Monte Carlo engine reads the
-table its family's sampler does.  The caps are the samplers' own, not the
-exact oracle's.
+cycles descending) with integer class sizes summing to the order (n!,
+2^n n!, or 2^(n-1) n! in a sector), which fits one draw.  An element is
+one table draw (`_pick`): a draw u is kept if u < (2^64 // order) *
+order, else the next one is read, and r = u mod order picks the class at
+bisect_right(cumulative sizes, r).  sample_partition reads S_n's table,
+sample_signed the signed one, and sample_signed_conditioned its sector's;
+the Monte Carlo engine reads the table its family's sampler does, and
+brute force (`exact.enumerate_classes`) reads the same tables under the
+exact oracle's caps.  The caps here are the samplers' own.
 
 Above the caps, cycle lengths come from stick-breaking: draw L uniform on
 {1..remaining}, emit, repeat.  That realizes exactly the cycle-type law of
@@ -37,9 +38,8 @@ from functools import cache
 from itertools import accumulate, chain, count
 from typing import NamedTuple
 
-from .cycletypes import Partition, SignedCycleType, WeylFamily, _signed_label
-from .errors import ValidationError, check_positive_int
-from .exact import _classes
+from .cycletypes import Partition, SignedCycleType, _signed_label
+from .errors import ValidationError, _echo, check_positive_int
 
 M64 = (1 << 64) - 1
 TWO64 = 1 << 64
@@ -79,7 +79,7 @@ class RngState:
             self.state = mix64((seed + (stream + 1) * GOLDEN) & M64)
         except TypeError:
             raise ValidationError(
-                f"seed and stream must be integers, got {seed!r} and {stream!r}"
+                f"seed and stream must be integers, got {_echo(seed)} and {_echo(stream)}"
             ) from None
 
     def next64(self) -> int:
@@ -103,7 +103,7 @@ def _check_range(name: str, value) -> None:
     is ever accepted."""
     check_positive_int(name, value)
     if value > TWO64:
-        raise ValidationError(f"{name} must be at most 2^64, got {value!r}")
+        raise ValidationError(f"{name} must be at most 2^64, got {_echo(value)}")
 
 
 def _lanes(n: int, signed: bool, elements: int = 1) -> int:
@@ -147,18 +147,40 @@ class _Table(NamedTuple):
     order: int
     limit: int  # (2^64 // order) * order: a draw at or above it is rejected
     cumulative: list[int]  # running sums of the class sizes
-    classes: list  # `exact._classes` rows: (lengths, signs, total, count)
-
-
-_SECTOR_FAMILY = {None: WeylFamily.B, 1: WeylFamily.D_PLUS, -1: WeylFamily.D_MINUS}
+    classes: list  # (lengths, signs, total, count) rows, in walk order
 
 
 @cache
 def _class_table(n: int, signed: bool, want: int | None) -> _Table:
     """S_n's class table, or the signed one (want None) or a D sector's
-    (want its total sign)."""
-    order, classes = _classes(n, _SECTOR_FAMILY[want] if signed else WeylFamily.A, signed)
-    return _Table(order, TWO64 // order * order, list(accumulate(row[3] for row in classes)), classes)
+    (want its total sign), with no cap: its classes as (lengths, signs,
+    total, count), count the integer class size.  One walk picks the
+    longest remaining length j, its multiplicity m, then (signed) how many
+    of the m cycles are positive, each descending, and carries the class
+    size's divisor down: j^m m! in S_n, (2j)^m m+! m-! signed.  The order,
+    n!, 2^n n!, or 2^(n-1) n! in a D sector, is asserted to sum the counts."""
+    group = math.factorial(n) << n if signed else math.factorial(n)
+    # m cycles of one length, + first: (their signs, the signs' product, m+! m-!)
+    splits = [[((1,) * (m - k) + (-1,) * k, (-1) ** k, math.factorial(m - k) * math.factorial(k)) for k in range(m + 1)]
+              if signed else [((), 1, math.factorial(m))] for m in range(n + 1)]
+    classes = []
+
+    def walk(rest, top, lengths, signs, total, div):
+        for j in range(min(rest, top), 0, -1):
+            for m in range(rest // j, 0, -1):
+                left, run, power = rest - j * m, lengths + (j,) * m, div * (2 * j if signed else j) ** m
+                for chunk, sign, split in splits[m]:
+                    if left:
+                        walk(left, j - 1, run, signs + chunk, total * sign, power * split)
+                    elif want in (None, total * sign):
+                        classes.append((run, signs + chunk, total * sign, group // (power * split)))
+
+    walk(n, n, (), (), 1, 1)
+    del walk  # it holds itself and the table through its closure: free both now, not at the next gc
+    order = group >> (want is not None)
+    cumulative = list(accumulate(row[3] for row in classes))
+    assert cumulative[-1] == order, f"class sizes do not sum to {order}"
+    return _Table(order, TWO64 // order * order, cumulative, classes)
 
 
 def _table(n: int, signed: bool, want: int | None = None) -> _Table | None:
@@ -225,7 +247,7 @@ def _sample_cycles(
 
 def _check_rng(rng) -> None:
     if not isinstance(rng, RngState):
-        raise ValidationError(f"rng must be an RngState, got {rng!r}")
+        raise ValidationError(f"rng must be an RngState, got {_echo(rng)}")
 
 
 def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
@@ -266,5 +288,5 @@ def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCy
     """
     _check_range("n", n)
     if type(want_sign) is not int or want_sign not in (1, -1):  # rejects True and -1.0 too
-        raise ValidationError(f"want_sign must be the int 1 or -1, got {want_sign!r}")
+        raise ValidationError(f"want_sign must be the int 1 or -1, got {_echo(want_sign)}")
     return _sample(rng, n, signed=True, want_sign=want_sign)

@@ -591,6 +591,56 @@ class TestConfigFile:
         assert f"{cfg}: not UTF-8 text" in err
 
 
+LONG = "x" * 300
+BIG = "1" + "0" * 500  # an int of 501 digits: it parses, then a range check echoes it
+
+
+class TestLongValuesAreCut:
+    """Every value the CLI echoes in an error goes through `errors._echo`:
+    each case exits 2 with one `error:` line of at most 200 characters,
+    where it echoed the whole value."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--family", "A", "--n", BIG],
+            ["estimate", "--family", "A", "--n", "1" + "0" * 5000],
+            ["estimate", "--family", "A", "--n", "8", "--event", LONG],
+            ["estimate", "--family", "A", "--n", "8", "--seed", "9" * 300],
+            ["estimate", "--family", "A", "--n", "8", "--seed", LONG],
+            ["estimate", "--family", "A", "--n", "8", f"--trials=-{BIG}"],
+            ["estimate", "--family", "A", "--n", "8", "--confidence", LONG],
+            ["estimate", "--family", "A", "--n", "8", "--format", LONG],
+            ["estimate", "--family", LONG, "--n", "8"],
+            ["sweep", "--family", "A", "--ns", "2," * 150 + ","],
+            ["sample", "--family", "A", "--n", "3", f"--count=-{BIG}"],
+            ["exact", "--family", "A", "--n", BIG],
+            ["exact", "--family", "A", "--n", "8", "--l", BIG],
+            ["fixedsets", "--cycles", LONG],
+            ["fixedsets", "--signed", "--cycles", "3" * 300],
+            ["bounds", "--family", LONG, "--q", "13"],
+            ["bounds", "--family", "SL", "--solve-k", "--b-j4", LONG],
+            ["bounds", "--family", "SL", "--solve-k", "--b-j4", BIG],
+        ],
+        ids=["n-range", "n-digits", "event", "seed-range", "seed-text", "trials", "confidence", "format",
+             "family", "ns-empty-item", "count", "exact-n", "exact-l", "cycles", "signed-cycles",
+             "classical-family", "b-j4-text", "b-j4-range"],
+    )
+    def test_flag(self, capsys, argv):
+        code, out, err = cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201, err
+
+    @pytest.mark.parametrize("line", ["json=" + LONG, LONG, LONG + "=1"], ids=["bool", "no-equals", "key"])
+    def test_config(self, capsys, tmp_path, monkeypatch, line):
+        # a short path, as the line names the file; the key case also lists bounds's keys
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(line + "\n")
+        code, out, err = cli(capsys, "bounds", "--family", "SL", "--q", "13", "--config", "run.cfg")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201, err
+
+
 # each subcommand's option dests; each is a --flag (dashes for
 # underscores) and a config key of the same name
 DESTS = {

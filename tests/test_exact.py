@@ -31,6 +31,7 @@ from invgen import (
     signed_fixed_sets,
 )
 from invgen.cycletypes import signed_subset_masks, subset_sum_mask
+from invgen.sampling import _class_table
 
 A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
 DP, DM = WeylFamily.D_PLUS, WeylFamily.D_MINUS
@@ -100,12 +101,14 @@ def running_and(law, l):
 
 
 def full_law(n, family, bits):
-    """Class sizes of the family's own table (`exact._classes`) summed by
-    full element mask: the profile on every proper size, plus | minus << n
-    for (size, sign) pairs in families B and D, then bits(lengths, signs,
-    total) above bit 2n.  Returns the law in integers and as probabilities."""
+    """Class sizes of the family's own table (`_class_table`, under the
+    oracle's cap) summed by full element mask: the profile on every proper
+    size, plus | minus << n for (size, sign) pairs in families B and D,
+    then bits(lengths, signs, total) above bit 2n.  Returns the law in
+    integers and as probabilities."""
     keep = (1 << n) - 2
-    order, classes = exact._classes(n, family, family.signed_labels)
+    exact._check_cap(n, family, family.signed_labels)
+    order, _, _, classes = _class_table(n, family.signed_labels, family.sector_sign)
     law = Counter()
     for lengths, signs, total, count in classes:
         mask = bits(lengths, signs, total) << 2 * n
@@ -120,12 +123,14 @@ def full_law(n, family, bits):
 
 def table_law(n, family, event):
     """Reference for `exact._law` on the events that intersect, the route
-    its DP over cycle lengths replaced: walk `exact._classes`'s table, run
-    one profile DP per class, and sum the class sizes by half-lattice mask
-    in each total-sign sector, + first.  Returns what `_law` does."""
+    its DP over cycle lengths replaced: walk the class table
+    (`_class_table`, under the oracle's cap), run one profile DP per class,
+    and sum the class sizes by half-lattice mask in each total-sign
+    sector, + first.  Returns what `_law` does."""
     signed, _, bits = exact._EVENTS[event]
     pairs = family.signed_profiles
-    order, classes = exact._classes(n, family, signed or pairs)
+    exact._check_cap(n, family, signed or pairs)
+    order, _, _, classes = _class_table(n, signed or pairs, family.sector_sign)
     half, keep = n // 2, (1 << n // 2 + 1) - 2
     laws = [{}, {}]
     for lengths, signs, total, count in classes:
@@ -137,6 +142,21 @@ def table_law(n, family, event):
         law = laws[pairs and total < 0]
         law[mask] = law.get(mask, 0) + count
     return order, [law for law in laws if law], half
+
+
+def table_event(n, l, family, event):
+    """Reference for `exact_prob` on the events that do not intersect, the
+    route its closed forms replaced: sum the class table's rows by their
+    `_EVENTS` bits (S_n's table unless the event reads signs), then take
+    Prob(the AND of l masks is not empty).  The total sign's law is the
+    same at every n, so N reads the table at min(n, SIGNED_LIMIT)."""
+    signed, _, bits = exact._EVENTS[event]
+    size = min(n, exact.SIGNED_LIMIT) if event == "N" else n
+    order, _, _, classes = _class_table(size, signed, family.sector_sign if signed else None)
+    law = Counter()
+    for lengths, signs, total, count in classes:
+        law[bits(lengths, signs, total)] += count
+    return 1 - exact._prob_no_common(l, order, [law], 0)
 
 
 def ordered_tuples(n, l, family):
@@ -456,6 +476,28 @@ class TestLawMatchesTable:
             assert str(got.value) == str(want.value)
         else:
             assert exact._law(n, family, event) == table_law(n, family, event)
+
+
+class TestPerElementMatchesTable:
+    """The closed forms of N, all_even and all_positive equal the class
+    tables they replaced (`table_event`) at every l, wherever the event's
+    cap allows; above it, all_even and all_positive raise the CapacityError
+    of the group they once read."""
+
+    @pytest.mark.parametrize(
+        "family,event",
+        [(A, "all_even")] + [(f, e) for f in (B, C, DP, DM) for e in ("N", "all_even", "all_positive")],
+    )
+    @pytest.mark.parametrize("n", [*range(1, 13), 20, 28])
+    def test_same_value(self, family, event, n):
+        limit = exact.SIGNED_LIMIT if exact._EVENTS[event].signed else exact.UNSIGNED_LIMIT
+        if event != "N" and n > limit:
+            message = f"exact mode for family {family.value} is limited to n <= {limit} (got {n})"
+            with pytest.raises(CapacityError, match=re.escape(message)):
+                exact_prob(n, 1, family, event)
+            return
+        for l in (1, 2, 3, 4, 5, 6, 8, 16):
+            assert exact_prob(n, l, family, event) == table_event(n, l, family, event), l
 
 
 class TestLongTuples:

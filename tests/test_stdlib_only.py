@@ -26,3 +26,33 @@ def test_runtime_imports_are_stdlib_only():
         if name != "invgen" and name not in sys.stdlib_module_names
     )
     assert stray == [], f"imports outside the standard library: {stray}"
+
+
+# the package's layers, lowest first: a module imports only modules before it
+LAYERS = ("errors", "cycletypes", "bounds", "sampling", "exact", "montecarlo", "cli")
+ENTRY_POINTS = {"__init__", "__main__"}  # the package's surface, which may import any layer
+
+
+def relative_imports(path):
+    """Package module names of the relative imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:  # from . import name
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert modules - ENTRY_POINTS == set(LAYERS)
+
+
+def test_imports_follow_the_layers():
+    # so the samplers cannot lean on the exact oracle, nor a lower layer on the CLI
+    later = []
+    for rank, module in enumerate(LAYERS):
+        for name in relative_imports(PACKAGE / f"{module}.py"):
+            if name in LAYERS and LAYERS.index(name) >= rank:
+                later.append((module, name))
+    assert later == [], f"imports of a module at or above the importer's layer: {later}"
