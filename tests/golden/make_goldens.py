@@ -18,7 +18,10 @@ each trial, `_count_range(spec, t, t + 1)`, as one bit string: its count
 of ones and a short hash.  The specs cross every branch of the trial loop
 (table draws, stick-breaking below and above the window cut-off) at every
 event and l of MC_LS, so a rewrite of the samplers or of the engine shows
-the same draws and outcomes trial by trial.
+the same draws and outcomes trial by trial.  Its last lines hold the
+successes of whole ranges of the table specs, `_count_range(spec, a, b)`
+for each (a, b) of `_mc_ranges`, where the engine runs many trials at
+once.
 
 Regenerate only when a change is meant to alter output bytes; such a
 change also bumps the version and says so in CHANGES.md.
@@ -52,6 +55,8 @@ MC_CELLS = (
     (("A", *_SIGNED), 1 << 16, 16), (("A", *_SIGNED), (1 << 16) + 1, 16), (("A", *_SIGNED), 10**6, 16),
 )
 MC_LS = (1, 2, 4, 16)
+# the MC_CELLS whose elements are table draws (A n <= 20, signed n <= 11)
+MC_TABLE_CELLS = MC_CELLS[:3]
 NEXT64_STREAMS = ((0, 0), (5, 3), ((1 << 64) - 1, 7))
 NEXT64_DRAWS = 20
 
@@ -182,17 +187,32 @@ def _exact_cells_text() -> str:
                    for family in WeylFamily for event in EVENTS for n in CELL_NS)
 
 
-def _mc_outcomes_text() -> str:
-    """One line per (family, event, n, l): the trials' outcome bits."""
-    out = []
-    for families, n, trials in MC_CELLS:
+def _mc_specs(cells):
+    """Every (token, spec) of the cells, at each event its family accepts and each l of MC_LS."""
+    for families, n, trials in cells:
         for token in families:
             for event in FAMILY_EVENTS[token]:
                 for l in MC_LS:
-                    spec = ExperimentSpec(n, l, WeylFamily.parse(token), event, trials, n * 1009 + l)
-                    bits = "".join(str(_count_range(spec, t, t + 1)) for t in range(trials))
-                    digest = hashlib.sha256(bits.encode()).hexdigest()[:16]
-                    out.append(f"{token} {event} {n} l={l}: {bits.count('1')}/{trials} {digest}\n")
+                    yield token, ExperimentSpec(n, l, WeylFamily.parse(token), event, trials, n * 1009 + l)
+
+
+def _mc_ranges(trials: int):
+    """Whole and offset trial ranges, and one of 4,200 trials: an engine
+    that runs a range's trials in blocks of a few thousand splits it."""
+    return (0, trials), (7, trials - 3), (trials - 100, trials + 4_100)
+
+
+def _mc_outcomes_text() -> str:
+    """One line per (family, event, n, l): the trials' outcome bits; then,
+    per table spec, the successes over each range of `_mc_ranges`."""
+    out = []
+    for token, spec in _mc_specs(MC_CELLS):
+        bits = "".join(str(_count_range(spec, t, t + 1)) for t in range(spec.trials))
+        digest = hashlib.sha256(bits.encode()).hexdigest()[:16]
+        out.append(f"{token} {spec.event} {spec.n} l={spec.l}: {bits.count('1')}/{spec.trials} {digest}\n")
+    for token, spec in _mc_specs(MC_TABLE_CELLS):
+        counts = " ".join(f"{a}..{b}={_count_range(spec, a, b)}" for a, b in _mc_ranges(spec.trials))
+        out.append(f"{token} {spec.event} {spec.n} l={spec.l} ranges: {counts}\n")
     return "".join(out)
 
 
