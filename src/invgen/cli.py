@@ -203,20 +203,19 @@ def _load_config(path, command: str, allowed) -> dict[str, str]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise ValidationError(f"{_echo(path, str)}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     out = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key=value, got {_echo(line)}")
+            raise ValidationError(f"{_echo(path, str)}:{lineno}: expected key=value, got {_echo(line)}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if key not in allowed:
             raise ValidationError(
-                f"{path}:{lineno}: unknown key {_echo(key)} for {command}; "
-                f"expected one of {', '.join(sorted(allowed))}"
+                f"{_echo(path, str)}:{lineno}: unknown key {_echo(key)} for {command}; see `invgen {command} --help`"
             )
         out[key] = value.strip()
     return out

@@ -22,10 +22,15 @@ computes only the bits still alive in those intersections, runs only
 while one is, and skips every cycle longer than the top one.
 
 At the samplers' table n (see `sampling`) an element is one table draw,
-and its masks are its class's row of `_class_masks`, built once per (n,
-family, event): no stick-breaking, sort, DP or label per element.  At
-n = 8, l = 4 that cut a trial from 12-20 us to 3-6 us (one core of a
-shared 2-vCPU VM, Python 3.11, in-process against stick-breaking).
+and its masks are its class's row of `_class_masks`, packed into one int
+and built once per (n, family, event): no stick-breaking, sort, DP or
+label per element.  The trials run a block at a time, one round per
+element: `sampling._picks` draws element j of every open trial, 32
+streams per mix64, and one AND per trial settles it or keeps it open.
+At n = 8, l = 4 a trial takes 1.0-3.1 us, against 2.3-7.2 us drawing
+one trial at a time (A n = 16: 1.6-3.5 against 2.9-7.2 us), and 12-20 us
+by stick-breaking (one core of a shared 2-vCPU VM, Python 3.11, in
+process, medians of 7).
 
 At n >= _WINDOW_CUTOFF (2^16) a trial that intersects runs a window pass
 first: each element is drawn when needed and intersected on sizes 1..64
@@ -54,20 +59,23 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import and_
 from numbers import Real
 from statistics import NormalDist
 
 from .cycletypes import WeylFamily, _check_profile_n, signed_subset_masks, subset_sum_mask
 from .errors import CapacityError, ValidationError, _echo, as_list, check_positive_int
 from .exact import _EVENTS, EVENTS, _sign_bit, check_event  # noqa: F401 (public names here too)
-from .sampling import (GOLDEN, LANES, M64, _check_range, _class_table, _draws, _lanes, _pick, _sample_cycles, _table,
+from .sampling import (GOLDEN, LANES, M64, _check_range, _class_table, _draws, _lanes, _picks, _sample_cycles, _table,
                        mix64)
 
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
 # rest; below 2^16 the window pass measured no faster than one pass
 _WINDOW = 64
 _WINDOW_CUTOFF = 1 << 16
+# trials a table range runs at once, which bounds its memory
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -133,14 +141,18 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
 
 
 @cache
-def _class_masks(n: int, family: WeylFamily, event: str) -> list[tuple[int, int, int, int]]:
+def _class_masks(n: int, family: WeylFamily, event: str) -> list[int]:
     """Per class of the table that family's sampler reads at n, in its
-    order: (plus, minus, total sign, row bits) for event.  The pair is the
-    profile on sizes 1..n//2 as the trial loop intersects it: (size, sign)
-    tracks in B and D, else the projection's sizes and 0; both 0 for an
-    event that does not intersect."""
+    order: its masks for event packed into one int.  Bits 0-1 hold the
+    row's bits; above them fields of n//2 + 1 bits hold the profile on
+    sizes 1..n//2 as a trial intersects it: (plus, minus) of the (size,
+    sign) tracks in B and D, else the projection's sizes and 0, and in B
+    the pair again, swapped for a - element.  Every field is 0 for an
+    event that does not intersect.  So the AND of a trial's rows is 0
+    exactly when every track and the alive bits are empty."""
     _, intersects, bits = _EVENTS[event]
-    low = (1 << (n // 2 + 1)) - 2
+    width = n // 2 + 1
+    low = (1 << width) - 2
     out = []
     for lengths, signs, total, _ in _class_table(n, family.signed_labels, family.sector_sign).classes:
         if not intersects:
@@ -149,12 +161,16 @@ def _class_masks(n: int, family: WeylFamily, event: str) -> list[tuple[int, int,
             plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), low)
         else:
             plus, minus = subset_sum_mask(reversed(lengths), low), 0
-        out.append((plus, minus, total, bits(lengths, signs, total)))
+        tracks = plus | minus << width
+        if family is WeylFamily.B:
+            tracks |= (minus | plus << width if total < 0 else tracks) << 2 * width
+        out.append(bits(lengths, signs, total) | tracks << 2)
     return out
 
 
 def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
-    """Successes over trials start..stop-1; one loop serves every event.
+    """Successes over trials start..stop-1; one settle rule serves every
+    event.
 
     A trial keeps the running intersections of the half-lattice profiles
     (empty from the start for events that do not intersect) and `alive`,
@@ -163,10 +179,16 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     the others.  A trial that reads all l elements unsettled has the
     opposite outcome.
 
-    `elements[i]` is draw i of the trial's stream, drawn when the index
-    first reaches it: at the sampler's table n a class's `_class_masks`
-    row, above them stick-breaking cycles whose profile DP runs when the
-    element is read.  At n >= _WINDOW_CUTOFF the tracks start on sizes
+    At the sampler's table n the trials run a block of up to _BLOCK at a
+    time, one round per element: round j draws element j of every trial
+    still open (`_picks`), ANDs its `_class_masks` row into the trial's,
+    and drops the trials whose AND is 0.  Element j is draw j of the
+    trial's stream, rejected draws skipped, and the AND does not depend on
+    order, so each trial has its one-at-a-time outcome.
+
+    Above the table caps `elements[i]` is an element's stick-breaking
+    cycles, drawn when the index first reaches it; its profile DP runs when
+    it is read.  At n >= _WINDOW_CUTOFF the tracks start on sizes
     1.._WINDOW; once they empty, the tuple's other elements are drawn, the
     list is sorted fewest cycles first, the index goes back to 0 and the
     tracks restart on the sizes above, up to the tuple's reach.  The AND
@@ -180,18 +202,31 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     # empty: J_and_not_N never holds, N always does.
     if want is not None and bits is _sign_bit:
         return 0 if intersects else stop - start
-    signed_profiles, swaps = family.signed_profiles, family is WeylFamily.B
+    # trial t's start state mix64(seed + (t+1)*GOLDEN) is draw t+1 of seed's stream
+    starts = _draws(seed + start * GOLDEN, LANES)
     table = _table(n, signed, want)
-    masks = None if table is None else _class_masks(n, family, spec.event)
+    if table is not None:
+        rows = _class_masks(n, family, spec.event)
+        unsettled = 0
+        for first in range(start, stop, _BLOCK):
+            bases = list(islice(starts, min(_BLOCK, stop - first)))
+            ands = repeat(-1)  # the AND of each open trial's rows
+            for j in range(1, l + 1):
+                ands = list(map(and_, ands, map(rows.__getitem__, _picks(bases, j, table))))
+                bases = list(compress(bases, ands))
+                ands = list(compress(ands, ands))
+                if not ands:
+                    break
+            unsettled += len(ands)
+        return stop - start - unsettled if intersects else unsettled
+    signed_profiles, swaps = family.signed_profiles, family is WeylFamily.B
     low = (1 << (n // 2 + 1)) - 2 if intersects else 0
-    window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF and table is None else low
+    window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF else low
     above = low & ~window
     k = _lanes(n, signed, min(l, 2))  # more lanes are wasted on trials that stop early
     successes = 0
-    # trial t's start state mix64(seed + (t+1)*GOLDEN) is draw t+1 of seed's stream
-    for state in islice(_draws(seed + start * GOLDEN, LANES), stop - start):
-        # stick-breaking reads the trial's stream as an iterator, a table draw as a state
-        draws = _draws(state, k) if table is None else None
+    for state in islice(starts, stop - start):
+        draws = _draws(state, k)
         inter_p = inter_m = swap_p = swap_m = keep = window
         rest = above
         alive = -1
@@ -199,27 +234,18 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
         i = 0
         while i < l:
             if i == len(elements):
-                if table is None:
-                    element, _ = _sample_cycles(draws, n, signed, want)
-                    element += (bits(*element),)
-                else:
-                    index, state = _pick(state, table)
-                    element = masks[index]
+                element, _ = _sample_cycles(draws, n, signed, want)
                 elements.append(element)
-                alive &= element[3]
-            # (plus, minus) masks of a table class, else (lengths, signs)
-            first, second, total, _ = elements[i]
+                alive &= bits(*element)
+            lengths, signs, total = elements[i]
             i += 1
             if keep:
-                if table is None and not signed_profiles:
+                if not signed_profiles:
                     # one track (A, C): the DP's mask lies within keep, so it is the intersection
-                    first.sort()
-                    keep = subset_sum_mask(first, keep)
+                    lengths.sort()
+                    keep = subset_sum_mask(lengths, keep)
                 else:
-                    if table is not None:
-                        plus, minus = first, second
-                    else:
-                        plus, minus = signed_subset_masks(sorted(zip(first, second)), keep)
+                    plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
                     inter_p &= plus
                     inter_m &= minus
                     if swaps:  # a - element's tracks swap

@@ -16,9 +16,11 @@ one table draw (`_pick`): a draw u is kept if u < (2^64 // order) *
 order, else the next one is read, and r = u mod order picks the class at
 bisect_right(cumulative sizes, r).  sample_partition reads S_n's table,
 sample_signed the signed one, and sample_signed_conditioned its sector's;
-the Monte Carlo engine reads the table its family's sampler does, and
-brute force (`exact.enumerate_classes`) reads the same tables under the
-exact oracle's caps.  The caps here are the samplers' own.
+the Monte Carlo engine reads the table its family's sampler does, draw j
+of many trials' streams at once (`_picks`: one mix64 over LANES streams,
+a rejected lane read again by `_pick`), and brute force
+(`exact.enumerate_classes`) reads the same tables under the exact
+oracle's caps.  The caps here are the samplers' own.
 
 Above the caps, cycle lengths come from stick-breaking: draw L uniform on
 {1..remaining}, emit, repeat.  That realizes exactly the cycle-type law of
@@ -35,7 +37,8 @@ import math
 import struct
 from bisect import bisect_right
 from functools import cache
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, repeat
+from operator import mod
 from typing import NamedTuple
 
 from .cycletypes import Partition, SignedCycleType, _signed_label
@@ -116,24 +119,33 @@ def _lanes(n: int, signed: bool, elements: int = 1) -> int:
 
 
 def _kernel(k: int):
-    """The k-lane `_batch`: draws 1..k of the stream whose state is s, by one
-    mix64 over k lanes of an int (SWAR).  A lane is the low half of a 128-bit
-    slot, so its 64x64-bit products fit; each step masks back to 64 bits."""
+    """The k-lane kernels, each one mix64 over k lanes of an int (SWAR):
+    `_batch(s)` is draws 1..k of the stream whose state is s, `_streams(
+    states, j)` is draw j of each of k streams.  A lane is the low half of
+    a 128-bit slot, so its 64x64-bit products fit; each step masks back to
+    64 bits."""
     ones = sum(1 << 128 * j for j in range(k))
     steps = sum((j + 1) * GOLDEN << 128 * j for j in range(k))
     mask = M64 * ones
-    unpack = struct.Struct("<" + "Q8x" * k).unpack  # the low halves, on any host
+    lanes = struct.Struct("<" + "Q8x" * k)  # the low halves, on any host
 
-    def _batch(s: int) -> tuple[int, ...]:
-        x = ((s & M64) * ones + steps) & mask
+    def _mix(x: int) -> tuple[int, ...]:
         x = ((x ^ x >> 30) & mask) * _MIX1 & mask
         x = ((x ^ x >> 27) & mask) * _MIX2 & mask
-        return unpack((x ^ x >> 31).to_bytes(16 * k, "little"))
+        return lanes.unpack((x ^ x >> 31).to_bytes(16 * k, "little"))
 
-    return _batch
+    def _batch(s: int) -> tuple[int, ...]:
+        return _mix(((s & M64) * ones + steps) & mask)
+
+    def _streams(states, j: int) -> tuple[int, ...]:
+        return _mix((int.from_bytes(lanes.pack(*states), "little") + (j * GOLDEN & M64) * ones) & mask)
+
+    return _batch, _streams
 
 
-_BATCH = [None] + [_kernel(k) for k in range(1, LANES + 1)]
+_KERNELS = [_kernel(k) for k in range(1, LANES + 1)]
+_BATCH = [None] + [batch for batch, _ in _KERNELS]
+_STREAMS = [None] + [streams for _, streams in _KERNELS]
 
 
 def _draws(s: int, k: int):
@@ -202,6 +214,27 @@ def _pick(state: int, table: _Table) -> tuple[int, int]:
         u = mix64(state)
         if u < limit:
             return bisect_right(cumulative, u % order), state
+
+
+def _picks(bases: list[int], j: int, table: _Table) -> list[int]:
+    """The class `_pick` picks at draw j of each stream whose start state is
+    in `bases` (draw j is mix64 of the base plus j*GOLDEN), from one mix64
+    per LANES streams.  A draw at or above the table's limit is read again
+    by `_pick` from that draw's state, and its base moves to the state
+    `_pick` ends on, less j steps: draw j + 1 of it is the draw after."""
+    order, limit, cumulative, _ = table
+    draws = []
+    for i in range(0, len(bases), LANES):
+        lanes = bases[i:i + LANES]
+        draws += _STREAMS[len(lanes)](lanes, j)
+    picks = list(map(bisect_right, repeat(cumulative), map(mod, draws, repeat(order))))
+    if max(draws, default=0) >= limit:
+        step = j * GOLDEN
+        for t, u in enumerate(draws):
+            if u >= limit:
+                picks[t], state = _pick((bases[t] + step) & M64, table)
+                bases[t] = (state - step) & M64
+    return picks
 
 
 def _sample_cycles(

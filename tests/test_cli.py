@@ -631,12 +631,25 @@ class TestLongValuesAreCut:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201, err
 
-    @pytest.mark.parametrize("line", ["json=" + LONG, LONG, LONG + "=1"], ids=["bool", "no-equals", "key"])
-    def test_config(self, capsys, tmp_path, monkeypatch, line):
-        # a short path, as the line names the file; the key case also lists bounds's keys
+    @pytest.mark.parametrize(
+        "command, path, line",
+        [
+            ("bounds", "run.cfg", "json=" + LONG),
+            ("bounds", "run.cfg", LONG),
+            ("bounds", "run.cfg", LONG + "=1"),
+            ("estimate", "run.cfg", LONG + "=1"),
+            ("sweep", "run.cfg", LONG + "=1"),
+            ("estimate", f"{'d' * 150}/{'d' * 150}/run.cfg", "trails=5"),
+        ],
+        ids=["bool", "no-equals", "key", "estimate-key", "sweep-key", "path"],
+    )
+    def test_config(self, capsys, tmp_path, monkeypatch, command, path, line):
+        # the line names the file: a short path, then one of 309 characters
         monkeypatch.chdir(tmp_path)
-        Path("run.cfg").write_text(line + "\n")
-        code, out, err = cli(capsys, "bounds", "--family", "SL", "--q", "13", "--config", "run.cfg")
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(line + "\n")
+        argv = [token for dest, value in BASE_OPTIONS[command].items() for token in (flag(dest), value)]
+        code, out, err = cli(capsys, command, *argv, "--config", path)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201, err
 

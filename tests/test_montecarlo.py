@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -80,7 +81,7 @@ class TestAgainstOracle:
             raise AssertionError("sampled an element of a settled trial")
 
         monkeypatch.setattr(montecarlo, "_sample_cycles", no_sampling)
-        monkeypatch.setattr(montecarlo, "_pick", no_sampling)
+        monkeypatch.setattr(montecarlo, "_picks", no_sampling)
         for n in (8, 1000):  # a table draw and stick-breaking
             est = run(spec(n, 4, family, event=event, trials=500))
             assert est.successes == (500 if all_succeed else 0)
@@ -186,6 +187,19 @@ class TestEngineMatchesDefinition:
     @pytest.mark.parametrize("offset", [0, 1])
     def test_at_the_cutoff(self, family, event, offset):
         self.check(montecarlo._WINDOW_CUTOFF + offset, (1, 2, 4, 8, 16), family, event, 4)
+
+    @pytest.mark.parametrize("block", [montecarlo._BLOCK, 50])
+    @pytest.mark.parametrize("family, event", PAIRS)
+    def test_table_ranges(self, monkeypatch, block, family, event):
+        # a table range runs its trials a round at a time, a block at a
+        # time: its count is the definitions' over the range, with blocks of
+        # 50 too, whose ends fall inside lane groups
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        for n in (8, TABLE_CAPS[family]):
+            for l in (1, 2, 4, 8):
+                s = spec(n, l, family, event=event, trials=300, seed=n * 37 + l)
+                want = sum(self.definition(s, t) for t in range(7, 307))
+                assert montecarlo._count_range(s, 7, 307) == want, (n, l)
 
 
 class TestReachCap:
@@ -570,6 +584,22 @@ class TestPoolLifetime:
         code = "import sys, invgen.cli; print('multiprocessing' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestMemory:
+    def test_table_range_is_run_in_blocks(self):
+        # 500,000 table trials hold one block of states and masks at a
+        # time: all of them at once would take tens of MB
+        s = spec(8, 1, A, trials=500_000)
+        montecarlo._count_range(s, 0, 10)  # the class table and masks, cached
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            montecarlo._count_range(s, 0, s.trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2 << 20, peak - before
 
 
 class TestLargeN:

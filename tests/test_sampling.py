@@ -1,6 +1,7 @@
 """Distributional and determinism checks for the cycle-type samplers."""
 
 import math
+import random
 from collections import Counter
 from itertools import chain, islice
 
@@ -19,8 +20,9 @@ from invgen import (
     sample_signed_conditioned,
 )
 from invgen.cycletypes import _signed_label
-from invgen.sampling import (_BATCH, _MIX1, _MIX2, GOLDEN, LANES, M64, PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT, TWO64,
-                             _draws, _lanes, _pick, _sample_cycles, _table, mix64)
+import invgen.sampling as sampling
+from invgen.sampling import (_BATCH, _MIX1, _MIX2, _STREAMS, GOLDEN, LANES, M64, PARTITION_TABLE_LIMIT,
+                             SIGNED_TABLE_LIMIT, TWO64, _draws, _lanes, _pick, _picks, _sample_cycles, _table, mix64)
 
 SIGNIFICANCE = 1e-3
 
@@ -224,7 +226,8 @@ class TestConditionedSampler:
 class TestStickBreakingDistribution:
     """The chi-square tests above, run again with the table caps at 0: the
     public samplers then break sticks, so `_sample_cycles` stays checked
-    against `_classes`, which the table draws read.  Same sizes and seeds."""
+    against `sampling._class_table`, which the table draws read.  Same
+    sizes and seeds."""
 
     @pytest.mark.parametrize("n, draws, seed", [(6, 1_000_000, 2024)] + [(n, 200_000, 77 + n) for n in (2, 3, 4, 5)])
     def test_partition(self, stick_breaking, n, draws, seed):
@@ -351,6 +354,19 @@ class TestBatchedStream:
             # draws k and k + 1 straddle the first batch boundary
             assert list(islice(_draws(s, k), 2 * k + 1)) == scalar_walk(s, 2 * k + 1)
 
+    @pytest.mark.parametrize("k", range(1, len(_STREAMS)))
+    def test_many_streams_are_the_scalar_draws(self, k):
+        # draw j of k streams at once; near 2^64 the sum state + j*GOLDEN
+        # carries past bit 63, which the lane must drop
+        rng = random.Random(k)
+        states = [rng.getrandbits(64) for _ in range(k)]
+        near = [TWO64 - GOLDEN if i % 2 else M64 - rng.randrange(256) for i in range(k)]
+        for lanes in (states, near):
+            for j in (1, 2, 3, 33):
+                assert list(_STREAMS[k](lanes, j)) == [scalar_walk(s, j)[-1] for s in lanes]
+            j = (1 << 64) + 5  # j*GOLDEN past 2^64: the step is taken mod 2^64
+            assert list(_STREAMS[k](lanes, j)) == [mix64(s + j * GOLDEN) for s in lanes]
+
     def test_every_lane_count_has_a_kernel(self):
         # _lanes grows with n, so n = 1 and n = 2^64 bound what it can pick
         picks = {_lanes(n, signed) for n in (1, 2**64) for signed in (False, True)}
@@ -447,6 +463,32 @@ class TestBatchedStream:
         # the class _pick picks is the sampler's label, in enumerate_classes's order
         index, after = _pick(state, _table(n, family.signed_labels, family.sector_sign))
         assert enumerate_classes(n, family).entries[index][0] == label and after == ref.state
+
+    @pytest.mark.parametrize("family, n", [(WeylFamily.A, 8), (WeylFamily.A, 20), (WeylFamily.B, 11),
+                                           (WeylFamily.D_PLUS, 11), (WeylFamily.D_MINUS, 7)], ids=str)
+    def test_picks_are_the_scalar_table_draws(self, monkeypatch, family, n):
+        # 3 * LANES - 7 streams, a count no lane width divides, read a round
+        # at a time: each round's picks and each stream's next state are
+        # those of one `_pick` per stream.  Stream 5's first draw is M64,
+        # rejected at n = 7; at A n = 20, 7.7% of the draws are
+        table = _table(n, family.signed_labels, family.sector_sign)
+        bases = [mix64(t) for t in range(3 * LANES - 7)]
+        bases[5] = (unmix64(M64) - GOLDEN) & M64
+        states = list(bases)
+        fallbacks = []
+
+        def counting(state, table):
+            fallbacks.append(state)
+            return _pick(state, table)
+
+        monkeypatch.setattr(sampling, "_pick", counting)
+        for j in range(1, 5):
+            picks = _picks(bases, j, table)
+            for t, state in enumerate(states):
+                index, states[t] = _pick(state, table)
+                assert picks[t] == index and (bases[t] + j * GOLDEN) & M64 == states[t], (j, t)
+        if n in (7, 20):
+            assert fallbacks
 
     def test_table_caps(self):
         # n! fits one draw up to n = 20; the caps pick the table, not the oracle's limits
