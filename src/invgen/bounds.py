@@ -43,8 +43,10 @@ class _Row(NamedTuple):
     share an explicit lower bound, which is never truncated.  `sharp` says
     whether the sharp variant (factor 1 instead of 7/8, no same-sign
     correction) is available: the underlying inequality must hold without
-    the N event."""
+    the N event.  `token` is the family's name on the command line; Sp's
+    two rows share one, told apart by the parity of q."""
 
+    token: str
     weyl: WeylFamily
     parity: int | None  # the q % 2 the tag requires, if any
     first: int
@@ -53,14 +55,25 @@ class _Row(NamedTuple):
 
 
 _ROWS = {
-    ClassicalTag.SL: _Row(WeylFamily.A, None, 1, 0, True),
-    ClassicalTag.SU: _Row(WeylFamily.A, None, 1, 0, True),
-    ClassicalTag.SP_ODD_Q: _Row(WeylFamily.C, 1, 3, 5, True),
-    ClassicalTag.SP_EVEN_Q: _Row(WeylFamily.C, 0, 2, 2, False),
-    ClassicalTag.SO_ODD_DIM: _Row(WeylFamily.B, None, 2, 2, False),
-    ClassicalTag.SO_EVEN_DIM_PLUS: _Row(WeylFamily.D_PLUS, None, 2, 2, True),
-    ClassicalTag.SO_EVEN_DIM_MINUS: _Row(WeylFamily.D_MINUS, None, 2, 2, True),
+    ClassicalTag.SL: _Row("SL", WeylFamily.A, None, 1, 0, True),
+    ClassicalTag.SU: _Row("SU", WeylFamily.A, None, 1, 0, True),
+    ClassicalTag.SP_ODD_Q: _Row("Sp", WeylFamily.C, 1, 3, 5, True),
+    ClassicalTag.SP_EVEN_Q: _Row("Sp", WeylFamily.C, 0, 2, 2, False),
+    ClassicalTag.SO_ODD_DIM: _Row("SO", WeylFamily.B, None, 2, 2, False),
+    ClassicalTag.SO_EVEN_DIM_PLUS: _Row("SO+", WeylFamily.D_PLUS, None, 2, 2, True),
+    ClassicalTag.SO_EVEN_DIM_MINUS: _Row("SO-", WeylFamily.D_MINUS, None, 2, 2, True),
 }
+_TOKENS = tuple(dict.fromkeys(row.token for row in _ROWS.values()))  # the CLI's family tokens, in row order
+
+
+def _tag_of(token: str, q: int | None) -> ClassicalTag:
+    """The tag whose row has `token` and admits q's parity; with no q, the
+    odd-q one, the row the threshold solver reads (for Sp, the table's
+    single, weaker row)."""
+    for tag, row in _ROWS.items():
+        if row.token == token and row.parity in (None, 1 if q is None else q % 2):
+            return tag
+    raise ValidationError(f"unknown classical family {_echo(token)}; expected {', '.join(_TOKENS)}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
-from .bounds import ClassicalFamily, ClassicalTag, _check_exponent, i4_lower_bound, solve_K4
+from .bounds import _TOKENS, ClassicalFamily, _as_fraction, _tag_of, i4_lower_bound, solve_K4
 from .cycletypes import (
     Partition,
     WeylFamily,
@@ -40,7 +40,7 @@ from .cycletypes import (
 from .errors import CapacityError, NoSolutionError, ValidationError, _echo
 from .exact import exact_prob
 from .montecarlo import EVENTS, ExperimentSpec, run, sweep
-from .sampling import RngState, sample_partition, sample_signed, sample_signed_conditioned
+from .sampling import RngState, _check_range, _sample
 
 _COLUMNS = ("n", "l", "family", "event", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
 
@@ -59,15 +59,10 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_bj4(text: str) -> str:
-    """The --b-j4 text, stripped, once it reads as a fraction in (0, 1]:
-    the bounds functions echo it in their errors, and refuse a value they
-    could not print."""
-    try:
-        _check_exponent(text, "b-j4")
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"bad b-j4 value {_echo(text)}; expected a fraction like 1/3 or a decimal") from None
-    if not 0 < value <= 1:
+    """The --b-j4 text, stripped, once bounds reads it as a fraction in
+    (0, 1]: the bounds functions echo it in their errors.  Only the CLI
+    refuses 0, which `i4_lower_bound` accepts."""
+    if not 0 < _as_fraction(text, "b-j4") <= 1:
         raise ValidationError(f"b-j4 must be in (0,1], got {_echo(text)}")
     return text.strip()
 
@@ -97,24 +92,6 @@ def _parse_cycles(text: str, signed: bool):
             raise ValidationError(f"bad signed cycle token {_echo(tok)}; expected like 3+ or 1-" if signed
                                   else f"bad cycle length {_echo(tok)}") from None
     return make_signed(cycles) if signed else make_partition([length for length, _ in cycles])
-
-
-# token -> (tag at odd q, tag at even q); the threshold solver has no q and
-# reads the odd-q row, the table's single (weaker) Sp row
-_CLASSICAL = {
-    "SL": (ClassicalTag.SL, ClassicalTag.SL),
-    "SU": (ClassicalTag.SU, ClassicalTag.SU),
-    "Sp": (ClassicalTag.SP_ODD_Q, ClassicalTag.SP_EVEN_Q),
-    "SO": (ClassicalTag.SO_ODD_DIM, ClassicalTag.SO_ODD_DIM),
-    "SO+": (ClassicalTag.SO_EVEN_DIM_PLUS, ClassicalTag.SO_EVEN_DIM_PLUS),
-    "SO-": (ClassicalTag.SO_EVEN_DIM_MINUS, ClassicalTag.SO_EVEN_DIM_MINUS),
-}
-
-
-def _classical_tag(token: str, q: int | None) -> ClassicalTag:
-    if token not in _CLASSICAL:
-        raise ValidationError(f"unknown classical family {_echo(token)}; expected {', '.join(_CLASSICAL)}")
-    return _CLASSICAL[token][q is not None and q % 2 == 0]
 
 
 def _as_int(text: str) -> int:
@@ -170,7 +147,7 @@ _OPTIONS = {
     "ns": (_parse_ns, "comma-separated n values"),
     "l": (_as_int, "number of elements l"),
     "family": (WeylFamily.parse, "Weyl family: A, B, C, D+, D-"),
-    ("bounds", "family"): (str, f"classical family: {', '.join(_CLASSICAL)}"),
+    ("bounds", "family"): (str, f"classical family: {', '.join(_TOKENS)}"),
     "event": (str, f"event: {', '.join(EVENTS)}"),
     "trials": (_as_int, "Monte Carlo trials"),
     "count": (_as_int, "labels to draw"),
@@ -194,6 +171,13 @@ def _option(command: str, dest: str):
     return _OPTIONS.get((command, dest)) or _OPTIONS[dest]
 
 
+def _echo_after(path, value) -> tuple[str, str]:
+    """The config path and a value shown after it in one error line: they
+    share 120 characters, each taking what the other leaves, and at least
+    half, so the line's other words keep it within 200."""
+    return _echo(path, str, max(120 - len(repr(value)), 60)), _echo(value, room=max(120 - len(path), 60))
+
+
 def _load_config(path, command: str, allowed) -> dict[str, str]:
     """key=value lines, # comments; keys mirror the subcommand's long flag
     names, and any other key is an error rather than silently ignored."""
@@ -210,13 +194,13 @@ def _load_config(path, command: str, allowed) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValidationError(f"{_echo(path, str)}:{lineno}: expected key=value, got {_echo(line)}")
+            where, shown = _echo_after(path, line)
+            raise ValidationError(f"{where}:{lineno}: expected key=value, got {shown}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if key not in allowed:
-            raise ValidationError(
-                f"{_echo(path, str)}:{lineno}: unknown key {_echo(key)} for {command}; see `invgen {command} --help`"
-            )
+            where, shown = _echo_after(path, key)
+            raise ValidationError(f"{where}:{lineno}: unknown key {shown} for {command}; see `invgen {command} --help`")
         out[key] = value.strip()
     return out
 
@@ -281,14 +265,10 @@ def _meta(command: str, o) -> dict:
 def cmd_sample(o) -> int:
     if o.count < 1:
         raise ValidationError(f"count must be >= 1, got {_echo(o.count, str)}")
+    _check_range("n", o.n)
     for i in range(o.count):
-        rng = RngState(o.seed, i)  # one stream per label, like trial streams
-        if o.family is WeylFamily.A:
-            label = sample_partition(o.n, rng)
-        elif o.family.sector_sign is None:
-            label = sample_signed(o.n, rng)
-        else:
-            label = sample_signed_conditioned(o.n, o.family.sector_sign, rng)
+        # one stream per label, like trial streams
+        label = _sample(RngState(o.seed, i), o.n, o.family.signed_labels, o.family.sector_sign)
         print(_format_label(label))
     return 0
 
@@ -340,18 +320,18 @@ def cmd_bounds(o) -> int:
     or JSON.  The bounds library refuses a number it could not print, so
     no report prints in part."""
     if o.solve_k:
-        tag = _classical_tag(o.family, None)
+        tag = _tag_of(o.family, None)
         for flag, given in (("--q", o.q is not None), ("--sharp-a", o.sharp_a)):
             if given:
                 raise ValidationError(f"{flag} does not apply with --solve-k")
         k4 = solve_K4(tag, o.b_j4)
-        b = Fraction(o.b_j4)
+        b = _as_fraction(o.b_j4)
         record = {"family": o.family, "tag": tag.value, "b_j4": float(b), "b_j4_exact": str(b), "K4": k4}
         lines = [f"K4({o.family}) = {k4}"]
     else:
         if o.q is None:
             raise ValidationError("bounds needs --q or --solve-k")
-        tag = _classical_tag(o.family, o.q)
+        tag = _tag_of(o.family, o.q)
         report = i4_lower_bound(ClassicalFamily(tag=tag, q=o.q), o.b_j4, sharp_a=o.sharp_a)
         record = report.to_dict()
         lines = [f"family {record['family']} (q={record['q']}), weyl family {record['weyl_family']}"]
@@ -411,6 +391,10 @@ def main(argv=None) -> int:
     func, _, defaults = _COMMANDS[args.command]
     try:
         return func(_options(args, defaults))
-    except (ValidationError, CapacityError, NoSolutionError, OSError) as exc:
+    except OSError as exc:  # the OS's reason and the file it names, which may be any length
+        named = "" if exc.filename is None else f": {_echo(exc.filename, str)}"
+        print(f"error: {exc.strerror or exc}{named}", file=sys.stderr)
+        return 1
+    except (ValidationError, CapacityError, NoSolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (NoSolutionError, OSError)) else 2
+        return 1 if isinstance(exc, NoSolutionError) else 2

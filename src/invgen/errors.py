@@ -20,16 +20,17 @@ class NoSolutionError(InvgenError):
     """Threshold solver could not find a finite answer."""
 
 
-def _echo(value, show=repr) -> str:
+def _echo(value, show=repr, room: int = 100) -> str:
     """show(value) for an error message, the one rule for every caller
-    value the package echoes: cut after 60 characters once it is longer
-    than 100, and only its type where it holds an int past the
-    interpreter's digit limit, which str() and repr() refuse."""
+    value the package echoes: cut after room - 40 characters (60 of the
+    default 100) once it is longer than `room`, so it never takes more than
+    `room`, and only its type where it holds an int past the interpreter's
+    digit limit, which str() and repr() refuse."""
     try:
         text = show(value)
     except ValueError:
         return f"an unprintable {type(value).__name__} (past the int digit limit)"
-    return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
+    return text if len(text) <= room else f"{text[:room - 40]}... ({len(text)} characters)"
 
 
 def check_positive_int(name: str, value) -> None:

@@ -15,17 +15,21 @@ import pytest
 import invgen
 import invgen.montecarlo as montecarlo
 from invgen import (
+    ClassicalFamily,
+    ClassicalTag,
     ExperimentSpec,
     ValidationError,
     WeylFamily,
     exact_prob_J,
     exact_prob_J_and_not_N,
     exact_prob_predicate,
+    i4_lower_bound,
     make_partition,
     make_signed,
     run,
     sweep_seed,
 )
+from invgen.bounds import _as_fraction
 from invgen.cli import _build_parser, _parse_cycles, _split_list, main
 
 CSV_HEADER = "n,l,family,event,trials,successes,p_hat,ci_low,ci_high,seed"
@@ -462,8 +466,17 @@ class TestBounds:
         assert code == 2 and "error:" in err
 
     def test_bad_b(self, capsys):
-        code, _, _ = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "junk")
-        assert code == 2
+        # --b-j4 is read by the bounds library's own reader, so it fails with its message
+        with pytest.raises(ValidationError) as info:
+            _as_fraction("junk", "b-j4")
+        code, out, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "junk")
+        assert (code, out, err) == (2, "", f"error: {info.value}\n")
+
+    def test_zero_b_is_refused_by_the_cli(self, capsys):
+        # i4_lower_bound accepts b = 0 (a bound of -(1 - s^4)); the CLI's --b-j4 is in (0, 1]
+        assert i4_lower_bound(ClassicalFamily(ClassicalTag.SL, 13), "0").i4_lower < 0
+        code, out, err = cli(capsys, "bounds", "--family", "SL", "--q", "13", "--b-j4", "0")
+        assert (code, out, err) == (2, "", "error: b-j4 must be in (0,1], got '0'\n")
 
     def test_b_out_of_range_echoes_the_text(self, capsys):
         # the message used to print the expanded Fraction, 401 digits here
@@ -640,17 +653,34 @@ class TestLongValuesAreCut:
             ("estimate", "run.cfg", LONG + "=1"),
             ("sweep", "run.cfg", LONG + "=1"),
             ("estimate", f"{'d' * 150}/{'d' * 150}/run.cfg", "trails=5"),
+            ("estimate", f"{'d' * 90}/run.cfg", LONG + "=1"),
+            ("bounds", f"{'d' * 90}/run.cfg", LONG),
         ],
-        ids=["bool", "no-equals", "key", "estimate-key", "sweep-key", "path"],
+        ids=["bool", "no-equals", "key", "estimate-key", "sweep-key", "path", "path-and-key", "path-and-line"],
     )
     def test_config(self, capsys, tmp_path, monkeypatch, command, path, line):
-        # the line names the file: a short path, then one of 309 characters
+        # the line names the file: a short path, one of 309 characters, or
+        # one of 98 that shares the line with a long key or line
         monkeypatch.chdir(tmp_path)
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(line + "\n")
         argv = [token for dest, value in BASE_OPTIONS[command].items() for token in (flag(dest), value)]
         code, out, err = cli(capsys, command, *argv, "--config", path)
         assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate", "--family", "A", "--n", "3", "--config", "y" * 3000],
+         ["estimate", "--family", "A", "--n", "3", "--trials", "5", "--out", f"absent/{'z' * 300}/o.csv"]],
+        ids=["config", "out"],
+    )
+    def test_os_error(self, capsys, tmp_path, monkeypatch, argv):
+        # a file the OS refuses exits 1 with its reason and the name cut,
+        # where it printed the raw OSError, the whole name in it
+        monkeypatch.chdir(tmp_path)
+        code, out, err = cli(capsys, *argv)
+        assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201, err
 
 

@@ -25,6 +25,13 @@ class TestEcho:
     def test_long_text_is_cut(self):
         assert _echo("x" * 300) == "'" + "x" * 59 + "... (302 characters)"
 
+    @pytest.mark.parametrize("room", [60, 61, 100, 120])
+    def test_room(self, room):
+        # a value is whole within its room, and cut to at most the room past it
+        assert _echo("x" * (room - 2), str, room) == "x" * (room - 2)
+        for length in (room + 1, 10**6):
+            assert len(_echo("x" * length, str, room)) <= room
+
     @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
     def test_unprintable_int(self):
         assert _echo(HUGE) == _echo(-HUGE, str) == "an unprintable int (past the int digit limit)"

@@ -6,7 +6,9 @@ import multiprocessing
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -35,7 +37,7 @@ from invgen import (
     wilson_interval,
     wilson_interval_z,
 )
-from invgen.sampling import PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT
+from invgen.sampling import PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT, _class_table
 
 A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
 DP, DM = WeylFamily.D_PLUS, WeylFamily.D_MINUS
@@ -200,6 +202,39 @@ class TestEngineMatchesDefinition:
                 s = spec(n, l, family, event=event, trials=300, seed=n * 37 + l)
                 want = sum(self.definition(s, t) for t in range(7, 307))
                 assert montecarlo._count_range(s, 7, 307) == want, (n, l)
+
+
+class TestRowLawIsTheOracle:
+    """At the table n a trial's outcome is the AND of its l packed
+    `_class_masks` rows, so the engine's success probability is a finite
+    sum: weight each row by its class count in `sampling._class_table`, run
+    the AND over l draws as a law over states, starting from -1, and
+    P(AND = 0), or 1 minus it for the events that do not intersect, must
+    equal `exact_prob` as a Fraction.  The samplers' class walk, the
+    engine's packed rows and the oracle's DP with its inclusion-exclusion
+    are written apart, and the running AND is not the oracle's sum, so the
+    three meet here with no sampling noise, at every table n."""
+
+    CELLS = [(family, event, n) for family, event in TestEngineMatchesDefinition.PAIRS
+             for n in range(1, TABLE_CAPS[family] + 1)]
+
+    @pytest.mark.parametrize("family, event, n", CELLS)
+    def test_every_table_n(self, family, event, n):
+        table = _class_table(n, family.signed_labels, family.sector_sign)
+        law = Counter()
+        for mask, (_, _, _, count) in zip(montecarlo._class_masks(n, family, event), table.classes):
+            law[mask] += count
+        states, settled = {-1: 1}, 0  # open ANDs by weight; the weight of those that reached 0
+        for l in (1, 2, 3):
+            step = Counter()
+            for state, weight in states.items():
+                for mask, count in law.items():
+                    step[state & mask] += weight * count
+            settled = settled * table.order + step.pop(0, 0)
+            states = step
+            p = Fraction(settled, table.order**l)
+            engine = p if montecarlo._EVENTS[event].intersects else 1 - p
+            assert engine == exact_prob(n, l, family, event), l
 
 
 class TestReachCap:
