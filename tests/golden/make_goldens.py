@@ -5,7 +5,8 @@ tests/test_golden.py pins.
 
 Each fixture is a text file of blocks.  A block starts with a `$ ` line
 naming what produced it (a CLI call, or a run of `next64` draws) and
-holds that call's exact stdout.  The cases cover every sampler, both
+holds that call's exact stdout; `sample.txt` ends with a block of library
+sampler draws, one label a line.  The cases cover every sampler, both
 Monte Carlo regimes (small n, where sampling dominates, and large n, where
 the profile DP does), every event each family accepts, CSV and JSON-lines
 rendering, the exact oracles at small n, and the classical bound reports
@@ -38,8 +39,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from invgen import EVENTS, InvgenError, RngState, ValidationError, WeylFamily, exact_prob  # noqa: E402
-from invgen.cli import main as cli_main  # noqa: E402
+from invgen import (EVENTS, InvgenError, RngState, ValidationError, WeylFamily, exact_prob,  # noqa: E402
+                    sample_partition, sample_signed, sample_signed_conditioned)
+from invgen.cli import _format_label, main as cli_main  # noqa: E402
 from invgen.montecarlo import ExperimentSpec, _count_range, check_event  # noqa: E402
 
 # exact_cells.txt: every (family, event) pair, errors included, at these n and l
@@ -57,6 +59,16 @@ MC_CELLS = (
 MC_LS = (1, 2, 4, 16)
 # the MC_CELLS whose elements are table draws (A n <= 20, signed n <= 11)
 MC_TABLE_CELLS = MC_CELLS[:3]
+# sample.txt's library block: (name, sampler, the n of each successive
+# draw), table sizes (A n <= 20, signed n <= 11) alternating with larger ones
+_PARTITION_NS = (20, 21, 8, 1000, 1, 2, 5, 300)
+_SIGNED_NS = (11, 12, 8, 1000, 1, 2, 5, 300)
+LIBRARY_SAMPLES = (
+    ("sample_partition", sample_partition, _PARTITION_NS),
+    ("sample_signed", sample_signed, _SIGNED_NS),
+    ("sample_signed_conditioned want_sign=1", lambda n, rng: sample_signed_conditioned(n, 1, rng), _SIGNED_NS),
+    ("sample_signed_conditioned want_sign=-1", lambda n, rng: sample_signed_conditioned(n, -1, rng), _SIGNED_NS),
+)
 NEXT64_STREAMS = ((0, 0), (5, 3), ((1 << 64) - 1, 7))
 NEXT64_DRAWS = 20
 
@@ -82,6 +94,24 @@ CLASSICAL_TOKENS = ("SL", "SU", "Sp", "SO", "SO+", "SO-")
 def _sample_calls():
     for family in ("A", "B", "C", "D+", "D-"):
         yield ["sample", "--n", "8", "--family", family, "--count", "12", "--seed", "20240601"]
+    # above the table caps: stick-breaking
+    for family in ("A", "B", "C", "D+", "D-"):
+        yield ["sample", "--n", "1000", "--family", family, "--count", "6", "--seed", "20240601"]
+    yield ["sample", "--n", "21", "--family", "A", "--count", "12", "--seed", "20240601"]
+    for family in ("B", "C", "D+", "D-"):
+        yield ["sample", "--n", "12", "--family", family, "--count", "12", "--seed", "20240601"]
+
+
+def _sample_library_text() -> str:
+    """Successive draws from one stream per public sampler, alternating a
+    table n and a stick-breaking n: each element starts where the one
+    before it ended."""
+    out = []
+    for name, sample, ns in LIBRARY_SAMPLES:
+        rng = RngState(20240601, 9)
+        out.append(f"$ {name} seed=20240601 stream=9 ns={','.join(map(str, ns))}\n")
+        out.extend(f"{_format_label(sample(n, rng))}\n" for n in ns)
+    return "".join(out)
 
 
 def _fixedsets_calls():
@@ -227,7 +257,7 @@ def _next64_text() -> str:
 
 FIXTURES = {
     "next64.txt": _next64_text,
-    "sample.txt": lambda: "".join(map(_run_cli, _sample_calls())),
+    "sample.txt": lambda: "".join(map(_run_cli, _sample_calls())) + _sample_library_text(),
     "fixedsets.txt": lambda: "".join(map(_run_cli, _fixedsets_calls())),
     "estimate.txt": lambda: "".join(map(_run_cli, _estimate_calls())),
     "estimate_large_n.txt": lambda: "".join(map(_run_cli, _estimate_large_calls())),
