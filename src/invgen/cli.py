@@ -40,7 +40,7 @@ from .cycletypes import (
 from .errors import CapacityError, NoSolutionError, ValidationError, _echo
 from .exact import exact_prob
 from .montecarlo import EVENTS, ExperimentSpec, run, sweep
-from .sampling import RngState, _check_range, _sample
+from .sampling import RngState, _sample
 
 _COLUMNS = ("n", "l", "family", "event", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
 
@@ -123,6 +123,14 @@ def _as_format(text: str) -> str:
     return text
 
 
+def _as_path(text: str) -> str:
+    """A file name open() can take: one with a NUL character fails there
+    with a bare ValueError, not an OSError."""
+    if "\0" in text:
+        raise ValidationError(f"bad path {_echo(text)}: it holds a NUL character")
+    return text
+
+
 def _parse_ns(text: str) -> list[int]:
     return [_as_int(t) for t in _split_list(text, "n")]
 
@@ -155,7 +163,7 @@ _OPTIONS = {
     "threads": (_as_int, "worker processes, at most one per CPU; the output does not depend on it"),
     "confidence": (_as_float, "Wilson interval confidence"),
     "format": (_as_format, "csv or jsonl"),
-    "out": (str, "output path (default stdout)"),
+    "out": (_as_path, "output path (default stdout)"),
     "gap_compat": (_as_bool, "l=4, trials=100 defaults; print the bare proportion"),
     "cycles": (str, "cycle type, like 3,1 or 3+,1-"),
     "signed": (_as_bool, "the cycles carry signs"),
@@ -184,7 +192,7 @@ def _load_config(path, command: str, allowed) -> dict[str, str]:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(_as_path(path), encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{_echo(path, str)}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
@@ -265,7 +273,6 @@ def _meta(command: str, o) -> dict:
 def cmd_sample(o) -> int:
     if o.count < 1:
         raise ValidationError(f"count must be >= 1, got {_echo(o.count, str)}")
-    _check_range("n", o.n)
     for i in range(o.count):
         # one stream per label, like trial streams
         label = _sample(RngState(o.seed, i), o.n, o.family.signed_labels, o.family.sector_sign)

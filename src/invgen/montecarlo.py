@@ -234,7 +234,7 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
         i = 0
         while i < l:
             if i == len(elements):
-                element, _ = _sample_cycles(draws, n, signed, want)
+                element = _sample_cycles(draws, n, signed, want)
                 elements.append(element)
                 alive &= bits(*element)
             lengths, signs, total = elements[i]

@@ -26,9 +26,13 @@ Above the caps, cycle lengths come from stick-breaking: draw L uniform on
 {1..remaining}, emit, repeat.  That realizes exactly the cycle-type law of
 a uniform permutation of S_n.  Signs are independent fair coins per cycle,
 read 64 at a time from one draw.  Stick-breaking reads its stream k draws
-at a time (`_batch`, one mix64 over k lanes of an int): 32 draws cost
-about nine scalar mix64 calls.  They are the scalar draws, so no output
-depends on k.
+at a time (`_draws`: one mix64 over k lanes of an int, by the kernel
+`_kernel(k)` builds the first time k is asked for): 32 draws cost about
+nine scalar mix64 calls.  They are the scalar draws, so no output depends
+on k.
+
+`_sample` is the samplers' one entry, read by the three public samplers
+and by `invgen sample`, and the one place their arguments are checked.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import math
 import struct
 from bisect import bisect_right
 from functools import cache
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import mod
 from typing import NamedTuple
 
@@ -118,12 +122,13 @@ def _lanes(n: int, signed: bool, elements: int = 1) -> int:
     return min(LANES, math.ceil(elements * (1 + signed + math.log(n))))
 
 
+@cache
 def _kernel(k: int):
-    """The k-lane kernels, each one mix64 over k lanes of an int (SWAR):
-    `_batch(s)` is draws 1..k of the stream whose state is s, `_streams(
-    states, j)` is draw j of each of k streams.  A lane is the low half of
-    a 128-bit slot, so its 64x64-bit products fit; each step masks back to
-    64 bits."""
+    """The k-lane kernels, built on the first call for k and then reused,
+    each one mix64 over k lanes of an int (SWAR): `_batch(s)` is draws
+    1..k of the stream whose state is s, `_streams(states, j)` is draw j
+    of each of k streams.  A lane is the low half of a 128-bit slot, so its
+    64x64-bit products fit; each step masks back to 64 bits."""
     ones = sum(1 << 128 * j for j in range(k))
     steps = sum((j + 1) * GOLDEN << 128 * j for j in range(k))
     mask = M64 * ones
@@ -143,14 +148,9 @@ def _kernel(k: int):
     return _batch, _streams
 
 
-_KERNELS = [_kernel(k) for k in range(1, LANES + 1)]
-_BATCH = [None] + [batch for batch, _ in _KERNELS]
-_STREAMS = [None] + [streams for _, streams in _KERNELS]
-
-
 def _draws(s: int, k: int):
     """The stream whose state is `s`, computed k draws at a time."""
-    return chain.from_iterable(map(_BATCH[k], count(s, k * GOLDEN)))
+    return chain.from_iterable(map(_kernel(k)[0], count(s, k * GOLDEN)))
 
 
 class _Table(NamedTuple):
@@ -226,7 +226,7 @@ def _picks(bases: list[int], j: int, table: _Table) -> list[int]:
     draws = []
     for i in range(0, len(bases), LANES):
         lanes = bases[i:i + LANES]
-        draws += _STREAMS[len(lanes)](lanes, j)
+        draws += _kernel(len(lanes))[1](lanes, j)
     picks = list(map(bisect_right, repeat(cumulative), map(mod, draws, repeat(order))))
     if max(draws, default=0) >= limit:
         step = j * GOLDEN
@@ -237,12 +237,11 @@ def _picks(bases: list[int], j: int, table: _Table) -> list[int]:
     return picks
 
 
-def _sample_cycles(
-    draws, n: int, signed: bool, want_sign: int | None = None
-) -> tuple[tuple[list[int], list[int], int], int]:
-    """An element (stick-breaking cycle lengths in emission order, one fair
-    sign per cycle when `signed` (else no signs), the total sign) and the
-    number of draws it read from the iterator `draws`.
+def _sample_cycles(draws, n: int, signed: bool, want_sign: int | None = None) -> tuple[list[int], list[int], int]:
+    """An element read from the iterator `draws`: its stick-breaking cycle
+    lengths in emission order, one fair sign per cycle when `signed` (else
+    no signs), and the total sign.  It reads no draw past the element's
+    last, so the caller's next draw is the one after it.
 
     With `want_sign`, the last-emitted cycle's sign is flipped when the
     total comes out wrong: the sector rule of sample_signed_conditioned.
@@ -252,10 +251,7 @@ def _sample_cycles(
     (1 for -).  A length draw u is kept if u < (2^64 // rem) * rem, which
     holds whenever u <= 2^64 - rem, so the common case needs no division.
     """
-    lengths = []
-    signs = []
-    rem = n
-    rejected = words = bit = 0
+    lengths, signs, rem, bit = [], [], n, 0
     for u in draws:
         if u <= TWO64 - rem or u < TWO64 // rem * rem:
             length = 1 + u % rem
@@ -263,37 +259,37 @@ def _sample_cycles(
             if signed:
                 if not bit:
                     word, bit = next(draws), 64
-                    words += 1
                 bit -= 1
                 signs.append(-1 if word >> bit & 1 else 1)
             rem -= length
             if not rem:
                 break
-        else:
-            rejected += 1
     total = -1 if signs.count(-1) & 1 else 1
     if want_sign is not None and total != want_sign:
         signs[-1] = -signs[-1]
         total = want_sign
-    return (lengths, signs, total), len(lengths) + words + rejected
-
-
-def _check_rng(rng) -> None:
-    if not isinstance(rng, RngState):
-        raise ValidationError(f"rng must be an RngState, got {_echo(rng)}")
+    return lengths, signs, total
 
 
 def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
     """The label of one element drawn from rng's stream: a table draw at
-    small n, stick-breaking above; rng.state ends after the draws it read."""
-    _check_rng(rng)
+    small n, stick-breaking above.  It checks n, then want_sign (None, or a
+    D sector's int 1 or -1), then rng, before any draw.  rng.state ends
+    after the draws it read, which `read` counts as `_sample_cycles` takes
+    them."""
+    _check_range("n", n)
+    if want_sign is not None and (type(want_sign) is not int or want_sign not in (1, -1)):  # rejects True and -1.0 too
+        raise ValidationError(f"want_sign must be the int 1 or -1, got {_echo(want_sign)}")
+    if not isinstance(rng, RngState):
+        raise ValidationError(f"rng must be an RngState, got {_echo(rng)}")
     table = _table(n, signed, want_sign)
     if table is not None:
         index, rng.state = _pick(rng.state, table)
         lengths, signs, _, _ = table.classes[index]  # already in label order
     else:
-        (lengths, signs, _), used = _sample_cycles(_draws(rng.state, _lanes(n, signed)), n, signed, want_sign)
-        rng.state = (rng.state + used * GOLDEN) & M64
+        draws = compress(_draws(rng.state, _lanes(n, signed)), read := count(1))
+        lengths, signs, _ = _sample_cycles(draws, n, signed, want_sign)
+        rng.state = (rng.state + (next(read) - 1) * GOLDEN) & M64
     if signed:
         return _signed_label(n, zip(lengths, signs))
     return Partition(n=n, parts=tuple(sorted(lengths, reverse=True)))
@@ -301,13 +297,11 @@ def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
 
 def sample_partition(n: int, rng: RngState) -> Partition:
     """Cycle type of a uniform random element of S_n."""
-    _check_range("n", n)
     return _sample(rng, n, signed=False)
 
 
 def sample_signed(n: int, rng: RngState) -> SignedCycleType:
     """Class label of a uniform random element of C2 wr S_n."""
-    _check_range("n", n)
     return _sample(rng, n, signed=True)
 
 
@@ -319,7 +313,4 @@ def sample_signed_conditioned(n: int, want_sign: int, rng: RngState) -> SignedCy
     bijection between the two sign sectors, so conditioning is exact at
     O(1) extra cost.  Below them the draw reads the sector's own table.
     """
-    _check_range("n", n)
-    if type(want_sign) is not int or want_sign not in (1, -1):  # rejects True and -1.0 too
-        raise ValidationError(f"want_sign must be the int 1 or -1, got {_echo(want_sign)}")
     return _sample(rng, n, signed=True, want_sign=want_sign)

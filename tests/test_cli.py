@@ -10,7 +10,9 @@ import sys
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import invgen
 import invgen.montecarlo as montecarlo
@@ -30,7 +32,7 @@ from invgen import (
     sweep_seed,
 )
 from invgen.bounds import _as_fraction
-from invgen.cli import _build_parser, _parse_cycles, _split_list, main
+from invgen.cli import _COMMANDS, _OPTIONS, _as_bool, _build_parser, _option, _parse_cycles, _split_list, main
 
 CSV_HEADER = "n,l,family,event,trials,successes,p_hat,ci_low,ci_high,seed"
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
@@ -755,6 +757,106 @@ class TestOptionTable:
         cfg.write_text(f"{dest}=maybe\n")
         code, out, err = cli(capsys, *base_argv(command, skip=dest), "--config", str(cfg))
         assert (code, out, err) == (2, "", "error: bad boolean 'maybe'\n")
+
+
+JUNK = st.sampled_from(["", " ", "x", "-", "٣", "1e3", "0x", "nan", "\t7 ", "a\x00b", "\udcff", LONG, BIG, "-" + BIG])
+SMALL = st.integers(-2, 12).map(str)
+HUGE = st.sampled_from([str(2**28 + 1), str(2**64), str(2**64 + 1), "-" + BIG])
+NOT_HUGE = JUNK.filter(lambda text: text != BIG)  # l, trials or count that big could run for ages
+# dest (or (command, dest)) -> generated option texts: valid ones, values out
+# of range and malformed ones, each small enough to be quick to run
+TEXTS = {
+    "n": st.one_of(SMALL, st.integers(13, 40).map(str), HUGE, JUNK),
+    "ns": st.lists(st.one_of(SMALL, HUGE, JUNK), min_size=1, max_size=4).map(",".join),
+    "l": st.one_of(st.integers(-2, 6).map(str), NOT_HUGE),
+    "family": st.one_of(st.sampled_from(["A", "B", "C", "D+", "D-", "d+"]), JUNK),
+    ("bounds", "family"): st.one_of(st.sampled_from(["SL", "SU", "Sp", "SO", "SO+", "SO-", "A"]), JUNK),
+    "event": st.one_of(st.sampled_from(montecarlo.EVENTS), JUNK),
+    "trials": st.one_of(st.integers(-2, 20).map(str), NOT_HUGE),
+    "count": st.one_of(st.integers(-2, 4).map(str), NOT_HUGE),
+    "seed": st.one_of(st.integers(-2, 2**64 + 2).map(str), st.sampled_from(["0x5eed", "0xg"]), JUNK),
+    "threads": st.one_of(st.sampled_from(["1", "0", "-1"]), NOT_HUGE),  # one worker: no pool starts
+    "confidence": st.one_of(st.sampled_from(["0.9", "1", "0", "inf", "1e-300"]), JUNK),
+    "format": st.one_of(st.sampled_from(["csv", "jsonl", "xml"]), JUNK),
+    "out": st.sampled_from(["-", "o.csv", "", ".", "absent/o.csv", "z" * 300, f"absent/{'z' * 300}/o", "a\x00b"]),
+    "cycles": st.one_of(st.lists(st.sampled_from(["0", "1", "3", "9", "3+", "1-", "-1", ""]), min_size=1, max_size=5)
+                        .map(",".join), HUGE, JUNK),
+    "q": st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["4096", str(2**64)]), JUNK),
+    "b_j4": st.one_of(st.sampled_from(["1/3", "0.5", "0", "2", "1/0", "-1/3", "1e-5"]), JUNK),
+}
+BOOL_WORDS = st.sampled_from(["yes", "no", "1", "off", "maybe", ""])
+# --config: a file written with the generated lines ("bin.cfg" with a byte
+# that is not UTF-8), or a path with no file, too long, a directory or a NUL
+CONFIG_PATHS = ("run.cfg", f"{'d' * 90}/run.cfg", "bin.cfg", "missing.cfg", "y" * 3000, ".", "", "c\x00d")
+
+
+def texts(command, dest):
+    return TEXTS[(command, dest)] if (command, dest) in TEXTS else TEXTS[dest]
+
+
+@st.composite
+def generated_calls(draw):
+    """An argv drawn from `_COMMANDS` and `_OPTIONS`, usually a valid base
+    call with some options replaced; at times with a --config file of
+    key=value lines (keys of any command, some malformed lines) and with a
+    stray argument.  Returns the argv and the file's lines, if any."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = dict(BASE_OPTIONS[command]) if draw(st.integers(0, 3)) else {}
+    for dest in draw(st.lists(st.sampled_from(sorted(_COMMANDS[command][2])), unique=True)):
+        options[dest] = None if _option(command, dest)[0] is _as_bool else draw(texts(command, dest))
+    argv = [command]
+    for dest, text in options.items():
+        argv += [flag(dest)] + ([] if text is None else [text])
+    lines = None
+    if draw(st.booleans()):
+        dests = sorted({key if isinstance(key, str) else key[1] for key in _OPTIONS})
+        lines = [f"{dest}={draw(BOOL_WORDS if dest in BOOL_DESTS else texts(command, dest))}"
+                 for dest in draw(st.lists(st.sampled_from(dests), unique=True, max_size=4))]
+        lines += draw(st.lists(st.sampled_from(["# note", "", "junk", LONG, LONG + "=1", "=1"]), max_size=2))
+        argv += ["--config", draw(st.sampled_from(CONFIG_PATHS))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "stray", "--n"])))
+    return argv, lines
+
+
+class TestGeneratedCalls:
+    """Every call exits 0, 1 or 2, and a failing one prints argparse's
+    usage or one `error:` line of at most 200 characters."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(call=generated_calls())
+    def test_battery(self, capsys, tmp_path, monkeypatch, call):
+        argv, lines = call
+        monkeypatch.chdir(tmp_path)
+        if lines is not None:
+            path = Path(argv[-1])
+            if path.name == "bin.cfg":
+                path.write_bytes(b"n=3\n\xff=1\n")
+            elif argv[-1] in CONFIG_PATHS[:2]:
+                path.parent.mkdir(exist_ok=True)
+                path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
+        try:
+            code, _, err = cli(capsys, *argv)
+        except SystemExit as exc:  # argparse
+            code, err = exc.code, capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, err)
+        if code:
+            one_line = err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201
+            assert one_line or err.startswith("usage: "), (argv, err)
+
+    @pytest.mark.parametrize("where", ["out-flag", "out-config", "config"])
+    def test_nul_in_a_path(self, capsys, tmp_path, monkeypatch, where):
+        # open() refuses a NUL with a ValueError, which main let out as a
+        # traceback; a config file's out= line can carry one from a shell
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("out=o\x00.csv\n")
+        argv = ["estimate", "--n", "3", "--family", "A", "--trials", "5"]
+        argv += {"out-flag": ["--out", "o\x00.csv"], "out-config": ["--config", "run.cfg"],
+                 "config": ["--config", "run\x00.cfg"]}[where]
+        code, out, err = cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad path ") and err.endswith(": it holds a NUL character\n"), err
 
 
 class TestTopLevel:

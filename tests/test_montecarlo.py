@@ -256,7 +256,7 @@ class TestReachCap:
             cycles = next(queue)
             lengths = [c[0] for c in cycles] if signed else list(cycles)
             signs = [c[1] for c in cycles] if signed else []
-            return (lengths, signs, -1 if signs.count(-1) & 1 else 1), len(cycles)
+            return lengths, signs, -1 if signs.count(-1) & 1 else 1
 
         monkeypatch.setattr(montecarlo, "_sample_cycles", handmade)
         keeps = []

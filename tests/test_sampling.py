@@ -21,8 +21,8 @@ from invgen import (
 )
 from invgen.cycletypes import _signed_label
 import invgen.sampling as sampling
-from invgen.sampling import (_BATCH, _MIX1, _MIX2, _STREAMS, GOLDEN, LANES, M64, PARTITION_TABLE_LIMIT,
-                             SIGNED_TABLE_LIMIT, TWO64, _draws, _lanes, _pick, _picks, _sample_cycles, _table, mix64)
+from invgen.sampling import (_MIX1, _MIX2, GOLDEN, LANES, M64, PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT, TWO64,
+                             _draws, _kernel, _lanes, _pick, _picks, _sample_cycles, _table, mix64)
 
 SIGNIFICANCE = 1e-3
 
@@ -34,6 +34,15 @@ def sample_signed_rejecting(n, want_sign, rng):
         label = sample_signed(n, rng)
         if label.total_sign == want_sign:
             return label
+
+
+# the public sampler of each family that has one; C reads B's
+TABLE_SAMPLERS = {
+    WeylFamily.A: sample_partition,
+    WeylFamily.B: sample_signed,
+    WeylFamily.D_PLUS: lambda n, rng: sample_signed_conditioned(n, 1, rng),
+    WeylFamily.D_MINUS: lambda n, rng: sample_signed_conditioned(n, -1, rng),
+}
 
 
 def chi_square_ok(counts, table, draws):
@@ -116,21 +125,50 @@ def test_samplers_reject_n_above_two_to_64(sampler):
         sampler(2**64 + 1, None)
 
 
-class TestPartitionDistribution:
-    def test_exact_at_top_size(self):
-        n, draws = 6, 1_000_000
-        table = enumerate_classes(n, WeylFamily.A)
-        rng = RngState(2024, 0)
-        counts = Counter(sample_partition(n, rng) for _ in range(draws))
-        assert chi_square_ok(counts, table, draws)
+@pytest.mark.parametrize("family", TABLE_SAMPLERS, ids=lambda f: f.value)
+def test_samplers_reject_a_non_rng(family):
+    with pytest.raises(ValidationError, match="rng must be an RngState, got 5$"):
+        TABLE_SAMPLERS[family](3, 5)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_exact_small(self, n):
-        draws = 200_000
-        table = enumerate_classes(n, WeylFamily.A)
-        rng = RngState(77 + n, 0)
-        counts = Counter(sample_partition(n, rng) for _ in range(draws))
-        assert chi_square_ok(counts, table, draws)
+
+@pytest.mark.parametrize("n, want, named", [(0, 0, "n"), (3, 0, "want_sign"), (3, True, "want_sign"), (3, 1, "rng")])
+def test_checks_run_n_then_want_sign_then_rng(n, want, named):
+    with pytest.raises(ValidationError, match=f"^{named} must be"):
+        sample_signed_conditioned(n, want, None)
+
+
+# (family, sampler, n, draws, seed) of each chi-square case; the D+ sector
+# at n = 2 is (2,+) 1/2, (1+,1+) 1/4, (1-,1-) 1/4
+LAW_CASES = {
+    "partition_top": (WeylFamily.A, sample_partition, 6, 1_000_000, 2024),
+    **{f"partition_{n}": (WeylFamily.A, sample_partition, n, 200_000, 77 + n) for n in (2, 3, 4, 5)},
+    "signed_top": (WeylFamily.B, sample_signed, 4, 1_000_000, 99),
+    **{f"signed_{n}": (WeylFamily.B, sample_signed, n, 200_000, 55 + n) for n in (1, 2, 3)},
+    "n2_positive_sector": (WeylFamily.D_PLUS, TABLE_SAMPLERS[WeylFamily.D_PLUS], 2, 200_000, 11),
+    **{f"sector_table_{name}": (family, TABLE_SAMPLERS[family], 4, 200_000, 13)
+       for name, family in (("plus", WeylFamily.D_PLUS), ("minus", WeylFamily.D_MINUS))},
+    **{f"reject_{name}": (family, lambda n, rng, want=want: sample_signed_rejecting(n, want, rng), 4, 100_000, 17)
+       for name, family, want in (("plus", WeylFamily.D_PLUS, 1), ("minus", WeylFamily.D_MINUS, -1))},
+}
+
+
+@pytest.fixture(params=["table", "stick_breaking"])
+def draw_path(request):
+    """Runs a test at the table draws, then with the table caps at 0."""
+    if request.param == "stick_breaking":
+        request.getfixturevalue("stick_breaking")
+
+
+class TestLaws:
+    """Each sampler's class law.  The chi-square cases run once per draw
+    path, so `_sample_cycles` stays checked against `sampling._class_table`,
+    which the table draws read, at the same sizes and seeds."""
+
+    @pytest.mark.parametrize("family, sampler, n, draws, seed", LAW_CASES.values(), ids=LAW_CASES)
+    def test_chi_square(self, draw_path, family, sampler, n, draws, seed):
+        rng = RngState(seed, 0)
+        counts = Counter(sampler(n, rng) for _ in range(draws))
+        assert chi_square_ok(counts, enumerate_classes(n, family), draws)
 
     def test_mean_cycle_count_harmonic(self):
         # E[#cycles] = H_n for uniform permutations
@@ -154,59 +192,6 @@ class TestPartitionDistribution:
         hits = sum(sample(n, rng).parts[0] > n // 2 for _ in range(draws))
         assert abs(hits / draws - p) < 3 * math.sqrt(p * (1 - p) / draws)
 
-    def test_rejects_zero_n(self):
-        with pytest.raises(ValidationError):
-            sample_partition(0, RngState(0, 0))
-
-
-class TestSignedDistribution:
-    def test_exact_at_top_size(self):
-        n, draws = 4, 1_000_000
-        table = enumerate_classes(n, WeylFamily.B)
-        rng = RngState(99, 0)
-        counts = Counter(sample_signed(n, rng) for _ in range(draws))
-        assert chi_square_ok(counts, table, draws)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_exact_small(self, n):
-        draws = 200_000
-        table = enumerate_classes(n, WeylFamily.B)
-        rng = RngState(55 + n, 0)
-        counts = Counter(sample_signed(n, rng) for _ in range(draws))
-        assert chi_square_ok(counts, table, draws)
-
-    def test_rejects_zero_n(self):
-        with pytest.raises(ValidationError):
-            sample_signed(0, RngState(0, 0))
-
-
-class TestConditionedSampler:
-    def test_n2_positive_sector(self):
-        # sector probabilities: (2,+) 1/2, (1+,1+) 1/4, (1-,1-) 1/4
-        draws = 200_000
-        rng = RngState(11, 0)
-        counts = Counter(sample_signed_conditioned(2, 1, rng) for _ in range(draws))
-        table = enumerate_classes(2, WeylFamily.D_PLUS)
-        assert chi_square_ok(counts, table, draws)
-
-    @pytest.mark.parametrize("want", [1, -1])
-    def test_matches_sector_table(self, want):
-        n, draws = 4, 200_000
-        family = WeylFamily.D_PLUS if want == 1 else WeylFamily.D_MINUS
-        table = enumerate_classes(n, family)
-        rng = RngState(13, 0)
-        counts = Counter(sample_signed_conditioned(n, want, rng) for _ in range(draws))
-        assert chi_square_ok(counts, table, draws)
-
-    @pytest.mark.parametrize("want", [1, -1])
-    def test_reject_method_matches_sector_table(self, want):
-        n, draws = 4, 100_000
-        family = WeylFamily.D_PLUS if want == 1 else WeylFamily.D_MINUS
-        table = enumerate_classes(n, family)
-        rng = RngState(17, 0)
-        counts = Counter(sample_signed_rejecting(n, want, rng) for _ in range(draws))
-        assert chi_square_ok(counts, table, draws)
-
     def test_postcondition_sign(self):
         rng = RngState(23, 0)
         for trial in range(2_000):
@@ -218,41 +203,10 @@ class TestConditionedSampler:
         with pytest.raises(ValidationError):
             sample_signed_conditioned(3, 0, RngState(0, 0))
 
-    def test_rejects_zero_n(self):
+    @pytest.mark.parametrize("family", [WeylFamily.A, WeylFamily.B, WeylFamily.D_PLUS], ids=lambda f: f.value)
+    def test_rejects_zero_n(self, family):
         with pytest.raises(ValidationError):
-            sample_signed_conditioned(0, 1, RngState(0, 0))
-
-
-class TestStickBreakingDistribution:
-    """The chi-square tests above, run again with the table caps at 0: the
-    public samplers then break sticks, so `_sample_cycles` stays checked
-    against `sampling._class_table`, which the table draws read.  Same
-    sizes and seeds."""
-
-    @pytest.mark.parametrize("n, draws, seed", [(6, 1_000_000, 2024)] + [(n, 200_000, 77 + n) for n in (2, 3, 4, 5)])
-    def test_partition(self, stick_breaking, n, draws, seed):
-        rng = RngState(seed, 0)
-        counts = Counter(sample_partition(n, rng) for _ in range(draws))
-        assert chi_square_ok(counts, enumerate_classes(n, WeylFamily.A), draws)
-
-    @pytest.mark.parametrize("n, draws, seed", [(4, 1_000_000, 99)] + [(n, 200_000, 55 + n) for n in (1, 2, 3)])
-    def test_signed(self, stick_breaking, n, draws, seed):
-        rng = RngState(seed, 0)
-        counts = Counter(sample_signed(n, rng) for _ in range(draws))
-        assert chi_square_ok(counts, enumerate_classes(n, WeylFamily.B), draws)
-
-    @pytest.mark.parametrize(
-        "n, want, draws, seed, sampler",
-        [(2, 1, 200_000, 11, sample_signed_conditioned)]
-        + [(4, want, 200_000, 13, sample_signed_conditioned) for want in (1, -1)]
-        + [(4, want, 100_000, 17, sample_signed_rejecting) for want in (1, -1)],
-        ids=["n2_positive_sector", "sector_table_plus", "sector_table_minus", "reject_plus", "reject_minus"],
-    )
-    def test_conditioned(self, stick_breaking, n, want, draws, seed, sampler):
-        rng = RngState(seed, 0)
-        counts = Counter(sampler(n, want, rng) for _ in range(draws))
-        table = enumerate_classes(n, WeylFamily.D_PLUS if want == 1 else WeylFamily.D_MINUS)
-        assert chi_square_ok(counts, table, draws)
+            TABLE_SAMPLERS[family](0, RngState(0, 0))
 
 
 class TestRandbelowUniformity:
@@ -335,26 +289,18 @@ def unmix64(y):
     return unshift(y, 30)
 
 
-TABLE_SAMPLERS = {
-    WeylFamily.A: sample_partition,
-    WeylFamily.B: sample_signed,
-    WeylFamily.D_PLUS: lambda n, rng: sample_signed_conditioned(n, 1, rng),
-    WeylFamily.D_MINUS: lambda n, rng: sample_signed_conditioned(n, -1, rng),
-}
-
-
 class TestBatchedStream:
     # 2^64 - GOLDEN: the first lane's state wraps to 0
     STATES = [0, M64, TWO64 - GOLDEN]
 
-    @pytest.mark.parametrize("k", range(1, len(_BATCH)))
+    @pytest.mark.parametrize("k", range(1, LANES + 1))
     def test_batches_are_the_scalar_draws(self, k):
         for s in self.STATES:
-            assert list(_BATCH[k](s)) == scalar_walk(s, k)
+            assert list(_kernel(k)[0](s)) == scalar_walk(s, k)
             # draws k and k + 1 straddle the first batch boundary
             assert list(islice(_draws(s, k), 2 * k + 1)) == scalar_walk(s, 2 * k + 1)
 
-    @pytest.mark.parametrize("k", range(1, len(_STREAMS)))
+    @pytest.mark.parametrize("k", range(1, LANES + 1))
     def test_many_streams_are_the_scalar_draws(self, k):
         # draw j of k streams at once; near 2^64 the sum state + j*GOLDEN
         # carries past bit 63, which the lane must drop
@@ -363,24 +309,24 @@ class TestBatchedStream:
         near = [TWO64 - GOLDEN if i % 2 else M64 - rng.randrange(256) for i in range(k)]
         for lanes in (states, near):
             for j in (1, 2, 3, 33):
-                assert list(_STREAMS[k](lanes, j)) == [scalar_walk(s, j)[-1] for s in lanes]
+                assert list(_kernel(k)[1](lanes, j)) == [scalar_walk(s, j)[-1] for s in lanes]
             j = (1 << 64) + 5  # j*GOLDEN past 2^64: the step is taken mod 2^64
-            assert list(_STREAMS[k](lanes, j)) == [mix64(s + j * GOLDEN) for s in lanes]
+            assert list(_kernel(k)[1](lanes, j)) == [mix64(s + j * GOLDEN) for s in lanes]
 
     def test_every_lane_count_has_a_kernel(self):
         # _lanes grows with n, so n = 1 and n = 2^64 bound what it can pick
         picks = {_lanes(n, signed) for n in (1, 2**64) for signed in (False, True)}
-        assert min(picks) >= 1 and max(picks) == LANES == len(_BATCH) - 1
+        assert min(picks) >= 1 and max(picks) == LANES
 
     def test_rejection_is_counted(self):
         # 2^64 mod 3 = 1: at rem = 3 the limit is 2^64 - 1, so M64 is
         # rejected and 2^64 - 2 (a length of 3) is the largest draw kept
         draws = iter([M64, TWO64 - 2, 5])
-        assert _sample_cycles(draws, 3, signed=False) == (([3], [], 1), 2)
+        assert _sample_cycles(draws, 3, signed=False) == ([3], [], 1)
         assert next(draws) == 5
         # one sign word, 2^63, after the first length: signs -, +
         draws = iter([M64, 0, 2**63, M64, 5])
-        assert _sample_cycles(draws, 3, signed=True) == (([1, 2], [-1, 1], -1), 4)
+        assert _sample_cycles(draws, 3, signed=True) == ([1, 2], [-1, 1], -1)
         assert next(draws) == 5
 
     def test_sign_words(self):
@@ -392,12 +338,13 @@ class TestBatchedStream:
             draws.append(0)
             if i % 64 == 0:
                 draws.append(words[i // 64])
-        (lengths, signs, total), used = _sample_cycles(iter(draws + [7]), 130, signed=True)
+        rest = iter(draws + [7])
+        lengths, signs, total = _sample_cycles(rest, 130, signed=True)
         minus = [0, 1, 2, 3, 127, 128, 129]
-        assert lengths == [1] * 130 and used == 133
+        assert lengths == [1] * 130 and next(rest) == 7  # it read the 133 draws
         assert [i for i, sign in enumerate(signs) if sign < 0] == minus and total == -1
-        assert _sample_cycles(iter(draws), 130, True, want_sign=1)[0][1][-1] == 1
-        assert scalar_sample(iter(draws), 130, True) == ((lengths, signs, total), used)
+        assert _sample_cycles(iter(draws), 130, True, want_sign=1)[1][-1] == 1
+        assert scalar_sample(iter(draws), 130, True) == ((lengths, signs, total), 133)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64])
     @pytest.mark.parametrize("signed", [False, True])
@@ -406,8 +353,10 @@ class TestBatchedStream:
         lim = TWO64 // n * n
         rest = scalar_walk(n, 600)
         for u in {0, TWO64 - n, TWO64 - n + 1, lim - 1, lim, M64} - {TWO64}:
-            got = _sample_cycles(chain([u], rest), n, signed)
-            assert got == scalar_sample(chain([u], rest), n, signed), u
+            draws = chain([u], rest)
+            element, used = scalar_sample(chain([u], rest), n, signed)
+            assert _sample_cycles(draws, n, signed) == element, u
+            assert next(draws) == rest[used - 1], u
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**63 + 1])
     @pytest.mark.parametrize("want", [None, 0, 1, -1], ids=["partition", "signed", "plus", "minus"])
@@ -420,12 +369,9 @@ class TestBatchedStream:
             rng, ref = RngState(seed, 3), RngState(seed, 3)
             (lengths, signs, _), used = scalar_sample(iter(ref.next64, None), n, signed, want or None)
             rejected += used - len(lengths) - (signed and -(-len(lengths) // 64))
-            if not signed:
-                assert sample_partition(n, rng) == Partition(n, tuple(sorted(lengths, reverse=True)))
-            elif want == 0:
-                assert sample_signed(n, rng) == _signed_label(n, zip(lengths, signs))
-            else:
-                assert sample_signed_conditioned(n, want, rng) == _signed_label(n, zip(lengths, signs))
+            family = {None: WeylFamily.A, 0: WeylFamily.B, 1: WeylFamily.D_PLUS, -1: WeylFamily.D_MINUS}[want]
+            label = _signed_label(n, zip(lengths, signs)) if signed else Partition(n, tuple(sorted(lengths)[::-1]))
+            assert TABLE_SAMPLERS[family](n, rng) == label
             assert rng.state == ref.state
         assert rejected > 0 if n == 2**63 + 1 else rejected == 0
 
