@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     try:
         return func(_options(args, defaults))
     except OSError as exc:  # the OS's reason and the file it names, which may be any length
-        named = "" if exc.filename is None else f": {_echo(exc.filename, str)}"
+        named = "" if exc.filename is None else ": " + (_echo(exc.filename, str) or "''")
         print(f"error: {exc.strerror or exc}{named}", file=sys.stderr)
         return 1
     except (ValidationError, CapacityError, NoSolutionError) as exc:

@@ -8,8 +8,9 @@ that is safe for the same reason — no other trial reads this stream.
 What settles a trial of each event is that event's row of `exact._EVENTS`.
 
 Each of min(threads, CPUs, largest trial count) workers takes one
-contiguous share of every spec's trials, all in one process pool that is
-shut down before the call returns; with one worker no pool opens.
+contiguous share of every spec's trials.  The caller counts share 0 itself;
+each other worker is one child process, given all its shares at once and
+joined before the call returns.  With one worker no child starts.
 
 Profiles are complement-symmetric: a subset of size k leaves one of size
 n-k, with sign sigma*e for a subset of sign e when the element's total
@@ -60,7 +61,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import compress, islice, repeat
-from operator import and_
+from operator import add, and_
 from numbers import Real
 from statistics import NormalDist
 
@@ -275,24 +276,51 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     return successes
 
 
+def _child(jobs, pipe) -> None:
+    """A child's body: the counts of its (spec, start, stop) jobs, or the
+    exception one raised, sent back through `pipe`."""
+    try:
+        pipe.send([_count_range(*job) for job in jobs])
+    except Exception as exc:
+        pipe.send(exc)
+
+
+def _start(jobs):
+    """A started child counting `jobs`, and the pipe it answers on."""
+    import multiprocessing  # here, so that a one-worker run never loads it
+
+    receive, send = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.Process(target=_child, args=(jobs, send))
+    child.start()
+    send.close()
+    return child, receive
+
+
 def _estimate(specs: list[ExperimentSpec], threads: int, confidence: float) -> list[Estimate]:
-    """Estimates of validated specs, in order.  One worker runs every spec
-    here; more cut each spec into one contiguous share per worker, send all
-    shares of all specs to one pool, and sum each spec's own shares.  Trials
-    are i.i.d., so equal shares carry equal expected work."""
+    """Estimates of validated specs, in order.  Share w of every spec
+    goes to child w, and share 0 runs here.  A child's exception is raised
+    here, any error stops the children, and each is joined before this
+    returns.  Trials are i.i.d., so equal shares carry equal work."""
     z = _z(confidence)
     workers = min(threads, os.cpu_count() or 1, max(spec.trials for spec in specs))
-    if workers == 1:
-        counts = [_count_range(spec, 0, spec.trials) for spec in specs]
-    else:
-        # imported here so that `import invgen` does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(spec, w * spec.trials // workers, (w + 1) * spec.trials // workers)
-                for spec in specs for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_count_range, *zip(*jobs))
-            counts = [sum(islice(done, workers)) for _ in specs]
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_start([(spec, w * spec.trials // workers, (w + 1) * spec.trials // workers)
+                                    for spec in specs]))
+        counts = [_count_range(spec, 0, spec.trials // workers) for spec in specs]
+        for _, pipe in children:
+            got = pipe.recv()
+            if isinstance(got, Exception):
+                raise got
+            counts = list(map(add, counts, got))
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, _ in children:
+            child.join()
     out = []
     for spec, successes in zip(specs, counts):
         ci_low, ci_high = wilson_interval_z(successes, spec.trials, z)
@@ -329,8 +357,9 @@ def sweep(specs, threads: int = 1, confidence: float = 0.99) -> list[Estimate]:
 
     Each returned Estimate carries the spec with its effective seed filled
     in, so any row can be reproduced on its own with `run`.  Every row is
-    validated before any trial runs; with threads > 1 all rows share one
-    pool, which is shut down before this returns or raises.
+    validated before any trial runs; with threads > 1 every row's shares go
+    to the same child processes, which are joined before this returns or
+    raises.
     """
     specs = as_list("specs", specs)
     if not specs:

@@ -1,35 +1,35 @@
 """Fixtures shared by the test modules."""
 
-import concurrent.futures
+from types import SimpleNamespace
 
 import pytest
 
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Replace the process pool montecarlo opens with one that runs `map`
-    in this process; returns the `max_workers` of every pool opened, in
-    order.  Lets a test ask for any worker count without forking a single
-    process.  montecarlo opens a pool only for more than one worker, and
-    caps workers by `os.cpu_count()`, so a test that counts pools pins
+    """Replace montecarlo's child start with one that counts the child's
+    jobs in this process; returns how many children each `_estimate` call
+    started, in order, 0 for a call with one worker.  Lets a test ask for
+    any worker count without forking a single process.  montecarlo caps
+    workers by `os.cpu_count()`, so a test that counts children pins
     `montecarlo.os.cpu_count`."""
-    sizes = []
+    import invgen.montecarlo as montecarlo
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    started = []
+    estimate = montecarlo._estimate
 
-        def __enter__(self):
-            return self
+    def start(jobs):
+        started[-1] += 1
+        counts = [montecarlo._count_range(*job) for job in jobs]
+        return SimpleNamespace(terminate=lambda: None, join=lambda: None), SimpleNamespace(recv=lambda: counts)
 
-        def __exit__(self, *exc):
-            return False
+    def counting_estimate(*args):
+        started.append(0)
+        return estimate(*args)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return sizes
+    monkeypatch.setattr(montecarlo, "_start", start)
+    monkeypatch.setattr(montecarlo, "_estimate", counting_estimate)
+    return started
 
 
 @pytest.fixture

@@ -225,17 +225,18 @@ class TestEstimate:
         assert one == two
 
     def test_threads_beyond_cpus(self, capsys, in_process_pool, monkeypatch):
-        # at most one worker per CPU and per trial: 10 trials, 10 workers
+        # at most one worker per CPU and per trial: 10 trials, 10 workers,
+        # so 9 children beside this process
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
         argv = ("estimate", "--n", "50", "--family", "B", "--trials", "10")
         assert cli(capsys, *argv, "--threads", "100000") == cli(capsys, *argv, "--threads", "1")
-        assert in_process_pool == [10]
+        assert in_process_pool == [9, 0]
 
-    def test_one_trial_opens_no_pool(self, capsys, in_process_pool, monkeypatch):
+    def test_one_trial_starts_no_child(self, capsys, in_process_pool, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
         argv = ("estimate", "--n", "50", "--family", "B", "--trials", "1")
         assert cli(capsys, *argv, "--threads", "2") == cli(capsys, *argv, "--threads", "1")
-        assert in_process_pool == []
+        assert in_process_pool == [0, 0]
 
     def test_bad_confidence_fails_before_any_row(self, capsys, monkeypatch):
         def never(*args):
@@ -685,6 +686,13 @@ class TestLongValuesAreCut:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201, err
 
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_empty_file_name(self, capsys, tmp_path, monkeypatch, flag):
+        # an empty name is shown as '', where the line ended in a bare colon
+        monkeypatch.chdir(tmp_path)
+        code, out, err = cli(capsys, "estimate", "--n", "3", "--family", "A", "--trials", "5", flag, "")
+        assert (code, out, err) == (1, "", "error: No such file or directory: ''\n")
+
 
 # each subcommand's option dests; each is a --flag (dashes for
 # underscores) and a config key of the same name
@@ -775,7 +783,7 @@ TEXTS = {
     "trials": st.one_of(st.integers(-2, 20).map(str), NOT_HUGE),
     "count": st.one_of(st.integers(-2, 4).map(str), NOT_HUGE),
     "seed": st.one_of(st.integers(-2, 2**64 + 2).map(str), st.sampled_from(["0x5eed", "0xg"]), JUNK),
-    "threads": st.one_of(st.sampled_from(["1", "0", "-1"]), NOT_HUGE),  # one worker: no pool starts
+    "threads": st.one_of(st.sampled_from(["1", "0", "-1"]), NOT_HUGE),  # one worker: no child starts
     "confidence": st.one_of(st.sampled_from(["0.9", "1", "0", "inf", "1e-300"]), JUNK),
     "format": st.one_of(st.sampled_from(["csv", "jsonl", "xml"]), JUNK),
     "out": st.sampled_from(["-", "o.csv", "", ".", "absent/o.csv", "z" * 300, f"absent/{'z' * 300}/o", "a\x00b"]),

@@ -1,10 +1,11 @@
 """Monte Carlo estimates checked against the exact oracle and for determinism."""
 
-import concurrent.futures
 import math
 import multiprocessing
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -482,10 +483,10 @@ class TestValidation:
     @pytest.mark.parametrize("confidence", [0, 1, "0.99", None])
     def test_bad_confidence_rejected_before_any_trial(self, monkeypatch, confidence, threads):
         def never(*args, **kwargs):
-            raise AssertionError("a trial or a pool started")
+            raise AssertionError("a trial or a child started")
 
         monkeypatch.setattr(montecarlo, "_count_range", never)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(montecarlo, "_start", never)
         s = spec(4, 2, A, trials=10)
         for call in (lambda: run(s, threads, confidence), lambda: sweep([s, s], threads, confidence)):
             with pytest.raises(ValidationError, match=r"^confidence must be in \(0,1\)"):
@@ -559,46 +560,85 @@ class TestSweep:
 
 class TestPoolLifetime:
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """Every process pool montecarlo builds, in order."""
-        built = []
+    def children(self, monkeypatch):
+        """Every child process montecarlo starts, in order.  They fork, so
+        that a `_count_range` patched here runs in them too, whatever the
+        default start method."""
+        started = []
+        start = montecarlo._start
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
+        def counting_start(jobs):
+            child, pipe = start(jobs)
+            started.append(child)
+            return child, pipe
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        return built
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+        monkeypatch.setattr(montecarlo, "_start", counting_start)
+        return started
 
-    def test_sweep_shares_one_pool(self, pools, monkeypatch):
+    def test_sweep_starts_one_child(self, children, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         specs = [spec(n, 2, B, trials=300, seed=5) for n in (3, 5, 8, 13, 21)]
         pooled = sweep(specs, threads=2)
-        assert len(pools) == 1
+        assert len(children) == 1
         assert sweep(specs, threads=1) == pooled
-        assert len(pools) == 1
+        assert len(children) == 1
+        assert children[0].exitcode == 0
+        assert multiprocessing.active_children() == []
 
-    def test_failed_row_shuts_pool_down(self, pools):
-        # every row is validated before a pool exists
+    def test_failed_row_starts_no_child(self, children):
+        # every row is validated before a child starts
         specs = [spec(6, 2, A, trials=200)] * 3 + [spec(0, 2, A, trials=200), spec(6, 2, A, trials=200)]
         with pytest.raises(ValidationError, match="spec 3:"):
             sweep(specs, threads=2)
-        assert pools == []
+        assert children == []
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", [0, True])
-    def test_bad_threads_rejected_before_pool(self, pools, threads):
+    def test_bad_threads_rejected_before_a_child(self, children, threads):
         with pytest.raises(ValidationError, match="threads"):
             sweep([spec(4, 2, A, trials=100)], threads=threads)
-        assert pools == []
+        assert children == []
+
+    def test_child_error_is_raised_here(self, children, monkeypatch):
+        # the child's shares start past 0, so only the child raises
+        count_range = montecarlo._count_range
+
+        def child_fails(s, start, stop):
+            if start:
+                raise ArithmeticError("a child's share")
+            return count_range(s, start, stop)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_count_range", child_fails)
+        with pytest.raises(ArithmeticError, match="a child's share"):
+            sweep([spec(8, 2, A, trials=100)] * 3, threads=2)
+        assert len(children) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_error_here_stops_the_child(self, children, monkeypatch):
+        # the child's share would take a minute; the error in share 0 ends it
+        def share_zero_fails(s, start, stop):
+            if not start:
+                raise ArithmeticError("share 0")
+            time.sleep(60)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_count_range", share_zero_fails)
+        began = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="share 0"):
+            run(spec(8, 2, A, trials=100), threads=2)
+        assert time.perf_counter() - began < 30
+        assert len(children) == 1 and children[0].exitcode == -signal.SIGTERM
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "cpus, threads, workers",
-        [(64, 100_000, [10, 10]), (3, 100_000, [3, 3]), (None, 8, []), (64, 2, [2, 2])],
+        [(64, 100_000, [9, 0, 9, 0]), (3, 100_000, [2, 0, 2, 0]), (None, 8, [0, 0, 0, 0]),
+         (64, 2, [1, 0, 1, 0])],
     )
     def test_workers_capped_by_cpus_and_trials(self, in_process_pool, monkeypatch, cpus, threads, workers):
-        # one worker runs in this process and opens no pool
+        # share 0 runs in this process, so w workers start w - 1 children
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         s = spec(40, 4, B, trials=10)
         assert run(s, threads=threads) == run(s)
@@ -612,10 +652,29 @@ class TestPoolLifetime:
         specs = [spec(9, 4, B, trials=1, seed=3), spec(40, 4, B, trials=10, seed=3),
                  spec(12, 3, DP, event="N", trials=1, seed=3)]
         assert sweep(specs, threads=4) == sweep(specs)
-        assert in_process_pool == [4]
+        assert in_process_pool == [3, 0]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_methods(self, method):
+        # a child that does not fork gets its jobs pickled and imports
+        # invgen afresh; it counts the same as share 0 run here
+        code = f"""
+import multiprocessing, os
+import invgen.montecarlo as montecarlo
+from invgen import ExperimentSpec, WeylFamily, sweep
+multiprocessing.set_start_method({method!r})
+os.cpu_count = lambda: 2
+started = []
+start = montecarlo._start
+montecarlo._start = lambda jobs: started.append(jobs) or start(jobs)
+specs = [ExperimentSpec(n, 3, family, "J", 40, 5) for n in (8, 30) for family in WeylFamily]
+print(sweep(specs, threads=2) == sweep(specs), len(started), multiprocessing.active_children())
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True 1 []"
 
     def test_import_leaves_multiprocessing_out(self):
-        # the pool module is imported only when a run has more than one worker
+        # multiprocessing is imported only when a run starts a child
         code = "import sys, invgen.cli; print('multiprocessing' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
