@@ -17,6 +17,7 @@ from .bounds import (
     weyl_family_of,
 )
 from .cycletypes import (
+    EVENTS,
     Partition,
     SignedCycleType,
     SignedSizeProfile,
@@ -48,7 +49,6 @@ from .exact import (
     exact_prob_predicate,
 )
 from .montecarlo import (
-    EVENTS,
     Estimate,
     ExperimentSpec,
     run,

@@ -82,6 +82,9 @@ class ClassicalFamily:
     q: int
 
 
+_FRACTIONS = ("s", "b_J4", "i4_lower")  # the report's Fraction fields, in the order reports show them
+
+
 @dataclass(frozen=True)
 class BoundReport:
     family: ClassicalFamily
@@ -92,20 +95,15 @@ class BoundReport:
     weyl_family: WeylFamily
 
     def to_dict(self) -> dict:
-        """The report's fields, each Fraction as a float and as its exact
-        text; ValidationError if str() could not print one."""
-        return {
-            "family": self.family.tag.value,
-            "q": self.family.q,
-            "weyl_family": self.weyl_family.value,
-            "s": float(self.s),
-            "s_exact": _exact(self.s),
-            "b_j4": float(self.b_J4),
-            "b_j4_exact": _exact(self.b_J4),
-            "l": self.l,
-            "i4_lower": float(self.i4_lower),
-            "i4_lower_exact": _exact(self.i4_lower),
-        }
+        """The report's fields, keyed in lower case, each Fraction as a
+        float and as its exact text under key + "_exact"; ValidationError
+        if str() could not print one."""
+        record = {"family": self.family.tag.value, "q": self.family.q, "weyl_family": self.weyl_family.value,
+                  "l": self.l}
+        for name in _FRACTIONS:
+            value = getattr(self, name)
+            record[name.lower()], record[name.lower() + "_exact"] = float(value), _exact(value)
+        return record
 
 
 def _check_q(q) -> None:

@@ -28,8 +28,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
-from .bounds import _TOKENS, ClassicalFamily, _as_fraction, _tag_of, i4_lower_bound, solve_K4
+from .bounds import _FRACTIONS, _TOKENS, ClassicalFamily, _as_fraction, _tag_of, i4_lower_bound, solve_K4
 from .cycletypes import (
+    _FAMILY_TOKENS,
     Partition,
     WeylFamily,
     fixed_sizes,
@@ -40,7 +41,7 @@ from .cycletypes import (
 from .errors import CapacityError, NoSolutionError, ValidationError, _echo
 from .exact import exact_prob
 from .montecarlo import EVENTS, ExperimentSpec, run, sweep
-from .sampling import RngState, _sample
+from .sampling import RngState, _check_seed, _sample
 
 _COLUMNS = ("n", "l", "family", "event", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
 
@@ -53,8 +54,7 @@ def _parse_seed(text: str) -> int:
         value = int(text, 16) if text.lower().startswith("0x") else int(text)
     except ValueError:
         raise ValidationError(f"bad seed {_echo(text)}; expected decimal or 0x-hex") from None
-    if not 0 <= value < 1 << 64:
-        raise ValidationError(f"seed must fit in 64 bits, got {_echo(text, str)}")
+    _check_seed("seed", value)
     return value
 
 
@@ -154,7 +154,7 @@ _OPTIONS = {
     "n": (_as_int, "n of S_n, B_n, C_n or D_n"),
     "ns": (_parse_ns, "comma-separated n values"),
     "l": (_as_int, "number of elements l"),
-    "family": (WeylFamily.parse, "Weyl family: A, B, C, D+, D-"),
+    "family": (WeylFamily.parse, f"Weyl family: {', '.join(_FAMILY_TOKENS)}"),
     ("bounds", "family"): (str, f"classical family: {', '.join(_TOKENS)}"),
     "event": (str, f"event: {', '.join(EVENTS)}"),
     "trials": (_as_int, "Monte Carlo trials"),
@@ -294,14 +294,14 @@ def cmd_estimate(o) -> int:
     if o.gap_compat and o.format is not None:
         raise ValidationError("--format does not apply with --gap-compat, which prints a bare proportion")
     if o.trials is None:
-        o.trials = 100 if o.gap_compat else 10000
+        o.trials = 100 if o.gap_compat else _MC["trials"]
     spec = ExperimentSpec(n=o.n, l=o.l, family=o.family, event=o.event, trials=o.trials,
                           master_seed=o.seed)
     est = run(spec, threads=o.threads, confidence=o.confidence)
     if o.gap_compat:
         _emit(f"{est.p_hat:.2f}\n", o.out)
         return 0
-    o.format = o.format or "csv"
+    o.format = o.format or _MC["format"]
     _emit(_render([est], _meta("estimate", o), o.format), o.out)
     return 0
 
@@ -342,9 +342,7 @@ def cmd_bounds(o) -> int:
         report = i4_lower_bound(ClassicalFamily(tag=tag, q=o.q), o.b_j4, sharp_a=o.sharp_a)
         record = report.to_dict()
         lines = [f"family {record['family']} (q={record['q']}), weyl family {record['weyl_family']}"]
-        # the record's keys are the field names in lower case
-        lines += [f"{name:8} = {record[name.lower()]!r} ({record[name.lower() + '_exact']})"
-                  for name in ("s", "b_J4", "i4_lower")]
+        lines += [f"{name:8} = {float(getattr(report, name))!r} ({getattr(report, name)})" for name in _FRACTIONS]
         if report.i4_lower <= 0:
             lines.append("no conclusion at this q (bound not positive)")
     print(json.dumps(record, sort_keys=True) if o.json else "\n".join(lines))

@@ -1,5 +1,6 @@
 """Cycle types of plain and signed permutations, their achievable fixed-set
-sizes, and the events evaluated per sampled tuple.
+sizes, and the events evaluated per sampled tuple, one row each in
+`_EVENTS`, read by the exact oracle and by Monte Carlo.
 
 A conjugacy class of S_n is a partition of n; a class of the signed group
 C2 wr S_n is a list of (length, sign) pairs.  An element fixes a k-subset
@@ -11,8 +12,10 @@ tuple of elements is a single AND.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError, _echo, as_list, check_positive_int
 
@@ -37,7 +40,7 @@ class WeylFamily(Enum):
             return _FAMILY_TOKENS[token]
         except (KeyError, TypeError):  # TypeError: an unhashable token
             raise ValidationError(
-                f"unknown family {_echo(token)}; expected one of A, B, C, D+, D-"
+                f"unknown family {_echo(token)}; expected one of {', '.join(_FAMILY_TOKENS)}"
             ) from None
 
 
@@ -49,9 +52,31 @@ def _check_family(family) -> None:
         raise ValidationError(f"family must be a WeylFamily, got {_echo(family)}")
 
 
+def _check_sign(name: str, sign) -> None:
+    if type(sign) is not int or sign not in (1, -1):  # rejects True and -1.0 too
+        raise ValidationError(f"{name} must be the int 1 or -1, got {_echo(sign)}")
+
+
+def _check_cycles(cycles: list, signed: bool) -> int:
+    """The total length of a label's cycles, once each is a positive int,
+    or for a signed label a (length, sign) pair whose sign is the int 1 or -1."""
+    if signed and not all(isinstance(c, tuple) and len(c) == 2 for c in cycles):
+        raise ValidationError(f"each cycle must be a (length, sign) pair, got {_echo(cycles)}")
+    for length, sign in cycles if signed else ((c, 1) for c in cycles):
+        check_positive_int("each cycle length" if signed else "each part", length)
+        _check_sign("cycle signs", sign)
+    return sum(length for length, _ in cycles) if signed else sum(cycles)
+
+
 def _check_label(label, kind: type) -> None:
+    """A label of `kind` that names an element: n a positive int and cycles
+    as make_partition or make_signed take them, summing to n."""
     if not isinstance(label, kind):
         raise ValidationError(f"expected a {kind.__name__}, got {_echo(label)}")
+    check_positive_int("n", label.n)
+    signed = kind is SignedCycleType
+    if _check_cycles(as_list("cycles", label.cycles if signed else label.parts), signed) != label.n:
+        raise ValidationError(f"the cycle lengths of {_echo(label)} do not sum to its n")
 
 
 def _check_profile_n(n: int) -> None:
@@ -133,8 +158,7 @@ class SignedSizeProfile:
 
     def __post_init__(self) -> None:
         _check_profile_fields(self.n, self.plus, self.minus)
-        if type(self.total_sign) is not int or self.total_sign not in (1, -1):
-            raise ValidationError(f"total_sign must be the int 1 or -1, got {_echo(self.total_sign)}")
+        _check_sign("total_sign", self.total_sign)
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(k, 1) for k in _set_bits(self.plus)] + [(k, -1) for k in _set_bits(self.minus)]
@@ -145,10 +169,9 @@ def make_partition(parts) -> Partition:
     parts = as_list("parts", parts)
     if not parts:
         raise ValidationError("partition needs at least one part")
-    for p in parts:
-        check_positive_int("each part", p)
+    n = _check_cycles(parts, False)
     parts.sort(reverse=True)
-    return Partition(n=sum(parts), parts=tuple(parts))
+    return Partition(n=n, parts=tuple(parts))
 
 
 def make_signed(cycles) -> SignedCycleType:
@@ -156,13 +179,7 @@ def make_signed(cycles) -> SignedCycleType:
     cycles = as_list("cycles", cycles)
     if not cycles:
         raise ValidationError("signed cycle type needs at least one cycle")
-    if not all(isinstance(c, tuple) and len(c) == 2 for c in cycles):
-        raise ValidationError(f"each cycle must be a (length, sign) pair, got {_echo(cycles)}")
-    for length, sign in cycles:
-        check_positive_int("each cycle length", length)
-        if type(sign) is not int or sign not in (1, -1):  # rejects True and -1.0 too
-            raise ValidationError(f"cycle signs must be the int 1 or -1, got {_echo(sign)}")
-    return _signed_label(sum(l for l, _ in cycles), cycles)
+    return _signed_label(_check_cycles(cycles, True), cycles)
 
 
 def _signed_label(n: int, cycles) -> SignedCycleType:
@@ -274,8 +291,47 @@ def event_N(types) -> bool:
     types = as_list("types", types)
     if not types or not all(isinstance(t, SignedCycleType) for t in types):
         raise ValidationError("event_N needs one or more SignedCycleTypes")
+    for t in types:
+        _check_label(t, SignedCycleType)
     n = types[0].n
     if any(t.n != n for t in types):
         raise ValidationError("elements must share the same n")
     first = types[0].total_sign
     return all(t.total_sign == first for t in types)
+
+
+def _sign_bit(lengths, signs, total: int) -> int:
+    """Bit 0 for total sign +1, bit 1 for -1: it survives an AND only while all agree."""
+    return 1 if total > 0 else 2
+
+
+class _Event(NamedTuple):
+    """What one event means: the AND, over its l elements, of a per-element
+    mask, the profile (for intersecting events) plus the element's bits."""
+
+    signed: bool  # reads cycle signs, so family A cannot take it
+    intersects: bool  # holds when the AND ends empty; otherwise when it does not
+    bits: Callable[[Sequence[int], Sequence[int], int], int]  # on (lengths, signs, total)
+
+
+# One row per event, in the order the CLI lists them.
+_EVENTS = {
+    "J": _Event(False, True, lambda lengths, signs, total: 0),
+    "J_and_not_N": _Event(True, True, _sign_bit),
+    "N": _Event(True, False, _sign_bit),
+    "all_even": _Event(False, False, lambda lengths, signs, total: 0 if any(k & 1 for k in lengths) else 1),
+    "all_positive": _Event(True, False, lambda lengths, signs, total: 0 if -1 in signs else 1),
+}
+EVENTS = tuple(_EVENTS)
+
+
+def check_event(event: str, family: WeylFamily) -> None:
+    """Reject a family that is not a WeylFamily, an unknown event, or one
+    that reads signs on family A."""
+    _check_family(family)
+    if event not in EVENTS:
+        raise ValidationError(f"unknown event {_echo(event)}; expected one of {EVENTS}")
+    if _EVENTS[event].signed and not family.signed_labels:
+        signed = ", ".join(token for token, f in _FAMILY_TOKENS.items() if f.signed_labels)
+        unsigned = tuple(name for name, row in _EVENTS.items() if not row.signed)
+        raise ValidationError(f"event {event} needs a signed family ({signed}); family A supports {unsigned}")

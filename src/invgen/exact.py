@@ -10,12 +10,12 @@ elements, of one per-element mask: the profile (achievable sizes, or
 (size, sign) pairs) for events that intersect, plus the event's own bits,
 such as the total sign.  J and J_and_not_N hold when that AND ends empty.
 N and the per-element rules hold when it does not, and they have closed
-forms (`_per_element`), so the oracle reads no class table.  `_EVENTS`
-holds one row per event, read by validation, Monte Carlo and `_law`,
-which decides from it the group, the mask layout and the sectors of an
-event's law.  A fixed set's complement turns (k, e) into (n - k, s e), s
-the total sign, so `_law` keeps sizes 1..n//2 and `_prob_no_common` works
-on that half lattice, in integers: no floating point enters this module.
+forms (`_per_element`), so the oracle reads no class table.  Each
+event's row, `cycletypes._EVENTS`, which Monte Carlo reads too, tells
+`_law` the group, the mask layout and the sectors of an event's law.  A
+fixed set's complement turns (k, e) into (n - k, s e), s the total sign,
+so `_law` keeps sizes 1..n//2 and `_prob_no_common` works on that half
+lattice, in integers: no floating point enters this module.
 
 Capacity follows the group a route reads, checked by `_check_cap`: n <= 28
 for S_n (J in A and C, all_even in every family), n <= 11 wherever the
@@ -26,16 +26,14 @@ Event N has no cap on n.  Every route takes l <= 16.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, groupby, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
-from typing import NamedTuple
 
-from .cycletypes import (Partition, SignedCycleType, WeylFamily, _check_family, event_J, fixed_sizes, project,
-                         signed_fixed_sets)
+from .cycletypes import (_EVENTS, EVENTS, Partition, SignedCycleType, WeylFamily,  # noqa: F401 (public here too)
+                         _check_family, check_event, event_J, fixed_sizes, project, signed_fixed_sets)
 from .errors import CapacityError, ValidationError, _echo, check_positive_int
 from .sampling import _class_table
 
@@ -180,42 +178,6 @@ def _prob_no_common(l: int, order: int, laws: list, half: int) -> Fraction:
     for _ in range(width):
         signs += [-sign for sign in signs]
     return Fraction(sum(weight * sum(map(mul, signs, values)) for weight, values in terms), order**l)
-
-
-def _sign_bit(lengths, signs, total: int) -> int:
-    """Bit 0 for total sign +1, bit 1 for -1: it survives an AND only while all agree."""
-    return 1 if total > 0 else 2
-
-
-class _Event(NamedTuple):
-    """What one event means: the AND, over its l elements, of a per-element
-    mask, the profile (for intersecting events) plus the element's bits."""
-
-    signed: bool  # reads cycle signs, so family A cannot take it
-    intersects: bool  # holds when the AND ends empty; otherwise when it does not
-    bits: Callable[[Sequence[int], Sequence[int], int], int]  # on (lengths, signs, total)
-
-
-# One row per event, in the order the CLI lists them.
-_EVENTS = {
-    "J": _Event(False, True, lambda lengths, signs, total: 0),
-    "J_and_not_N": _Event(True, True, _sign_bit),
-    "N": _Event(True, False, _sign_bit),
-    "all_even": _Event(False, False, lambda lengths, signs, total: 0 if any(k & 1 for k in lengths) else 1),
-    "all_positive": _Event(True, False, lambda lengths, signs, total: 0 if -1 in signs else 1),
-}
-EVENTS = tuple(_EVENTS)
-
-
-def check_event(event: str, family: WeylFamily) -> None:
-    """Reject a family that is not a WeylFamily, an unknown event, or one
-    that reads signs on family A."""
-    _check_family(family)
-    if event not in EVENTS:
-        raise ValidationError(f"unknown event {_echo(event)}; expected one of {EVENTS}")
-    if _EVENTS[event].signed and not family.signed_labels:
-        unsigned = tuple(name for name, row in _EVENTS.items() if not row.signed)
-        raise ValidationError(f"event {event} needs a signed family (B, C, D+, D-); family A supports {unsigned}")
 
 
 def _check_l(l: int) -> None:

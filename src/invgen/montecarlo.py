@@ -5,7 +5,8 @@ is a pure function of the ExperimentSpec: thread count, shares and
 execution order cannot change it.  Trials may stop sampling as soon as the
 event outcome is determined (say, the running intersection went empty);
 that is safe for the same reason — no other trial reads this stream.
-What settles a trial of each event is that event's row of `exact._EVENTS`.
+What settles a trial of each event is that event's row of
+`cycletypes._EVENTS`.
 
 Each of min(threads, CPUs, largest trial count) workers takes one
 contiguous share of every spec's trials.  The caller counts share 0 itself;
@@ -65,11 +66,11 @@ from operator import add, and_
 from numbers import Real
 from statistics import NormalDist
 
-from .cycletypes import WeylFamily, _check_profile_n, signed_subset_masks, subset_sum_mask
+from .cycletypes import (_EVENTS, EVENTS, WeylFamily, _check_profile_n, _sign_bit,  # noqa: F401 (public here too)
+                         check_event, signed_subset_masks, subset_sum_mask)
 from .errors import CapacityError, ValidationError, _echo, as_list, check_positive_int
-from .exact import _EVENTS, EVENTS, _sign_bit, check_event  # noqa: F401 (public names here too)
-from .sampling import (GOLDEN, LANES, M64, _check_range, _class_table, _draws, _lanes, _picks, _sample_cycles, _table,
-                       mix64)
+from .sampling import (GOLDEN, LANES, M64, _check_range, _check_seed, _class_table, _draws, _lanes, _picks,
+                       _sample_cycles, _table, mix64)
 
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
 # rest; below 2^16 the window pass measured no faster than one pass
@@ -92,9 +93,7 @@ class ExperimentSpec:
         _check_range("n", self.n)
         check_positive_int("l", self.l)
         check_positive_int("trials", self.trials)
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= M64:
-            raise ValidationError(f"master_seed must be a 64-bit integer, got {_echo(seed)}")
+        _check_seed("master_seed", self.master_seed)
         check_event(self.event, self.family)
         if _EVENTS[self.event].intersects:
             _check_profile_n(self.n)

@@ -45,7 +45,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import mod
 from typing import NamedTuple
 
-from .cycletypes import Partition, SignedCycleType, _signed_label
+from .cycletypes import Partition, SignedCycleType, _check_sign, _signed_label
 from .errors import ValidationError, _echo, check_positive_int
 
 M64 = (1 << 64) - 1
@@ -111,6 +111,12 @@ def _check_range(name: str, value) -> None:
     check_positive_int(name, value)
     if value > TWO64:
         raise ValidationError(f"{name} must be at most 2^64, got {_echo(value)}")
+
+
+def _check_seed(name: str, seed) -> None:
+    """A master seed is an int in 0..2^64 - 1, the states one stream can start from."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= M64:
+        raise ValidationError(f"{name} must be a 64-bit integer, got {_echo(seed)}")
 
 
 def _lanes(n: int, signed: bool, elements: int = 1) -> int:
@@ -278,8 +284,8 @@ def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
     after the draws it read, which `read` counts as `_sample_cycles` takes
     them."""
     _check_range("n", n)
-    if want_sign is not None and (type(want_sign) is not int or want_sign not in (1, -1)):  # rejects True and -1.0 too
-        raise ValidationError(f"want_sign must be the int 1 or -1, got {_echo(want_sign)}")
+    if want_sign is not None:
+        _check_sign("want_sign", want_sign)
     if not isinstance(rng, RngState):
         raise ValidationError(f"rng must be an RngState, got {_echo(rng)}")
     table = _table(n, signed, want_sign)

@@ -779,7 +779,7 @@ TEXTS = {
     "l": st.one_of(st.integers(-2, 6).map(str), NOT_HUGE),
     "family": st.one_of(st.sampled_from(["A", "B", "C", "D+", "D-", "d+"]), JUNK),
     ("bounds", "family"): st.one_of(st.sampled_from(["SL", "SU", "Sp", "SO", "SO+", "SO-", "A"]), JUNK),
-    "event": st.one_of(st.sampled_from(montecarlo.EVENTS), JUNK),
+    "event": st.one_of(st.sampled_from(invgen.EVENTS), JUNK),
     "trials": st.one_of(st.integers(-2, 20).map(str), NOT_HUGE),
     "count": st.one_of(st.integers(-2, 4).map(str), NOT_HUGE),
     "seed": st.one_of(st.integers(-2, 2**64 + 2).map(str), st.sampled_from(["0x5eed", "0xg"]), JUNK),

@@ -6,6 +6,7 @@ from invgen import (
     CapacityError,
     Partition,
     RngState,
+    SignedCycleType,
     SignedSizeProfile,
     SizeProfile,
     ValidationError,
@@ -358,6 +359,50 @@ def test_public_calls_reject_malformed_input(call):
     # TypeError (not iterable) or ValueError (unpacking "x")
     with pytest.raises(ValidationError):
         call()
+
+
+
+class TestLabelsAreChecked:
+    """A label built directly, not by make_partition or make_signed, is
+    checked where it is read: n a positive int, lengths positive ints
+    summing to n, signs the int 1 or -1.  Each used to be read as if it
+    named an element."""
+
+    def test_parts_short_of_n(self):
+        # used to give sizes [1]
+        with pytest.raises(ValidationError, match="do not sum to its n"):
+            fixed_sizes(Partition(n=3, parts=(1,)))
+
+    def test_parts_past_n(self):
+        # used to give no sizes
+        with pytest.raises(ValidationError, match="do not sum to its n"):
+            fixed_sizes(Partition(n=4, parts=(9, 9)))
+
+    def test_sign_not_one_or_minus_one(self):
+        # sign 5 used to be read as +
+        with pytest.raises(ValidationError, match="cycle signs must be the int 1 or -1, got 5"):
+            signed_fixed_sets(SignedCycleType(3, ((2, 5), (1, 1))))
+
+    def test_event_N_sign_zero(self):
+        # used to be taken, its total sign +
+        with pytest.raises(ValidationError, match="cycle signs must be the int 1 or -1, got 0"):
+            event_N([SignedCycleType(2, ((2, 0),)), make_signed([(2, 1)])])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: all_cycles_even(Partition(n=True, parts=(1,))), id="n-bool"),
+            pytest.param(lambda: project(SignedCycleType(0, ())), id="n-zero"),
+            pytest.param(lambda: all_cycles_even(Partition(n=2, parts=(2.0,))), id="float-part"),
+            pytest.param(lambda: all_cycles_even(Partition(n=2, parts=None)), id="parts-not-iterable"),
+            pytest.param(lambda: all_cycles_positive(SignedCycleType(2, ((2, True),))), id="bool-sign"),
+            pytest.param(lambda: all_cycles_positive(SignedCycleType(2, (2,))), id="cycle-not-a-pair"),
+            pytest.param(lambda: signed_fixed_sets(SignedCycleType(3, ((-1, 1), (4, 1)))), id="negative-length"),
+        ],
+    )
+    def test_other_malformed_labels(self, call):
+        with pytest.raises(ValidationError):
+            call()
 
 
 class TestWeylFamily:

@@ -13,6 +13,7 @@ from hypothesis import given
 
 from invgen import exact
 from invgen.montecarlo import check_event
+import test_events
 from invgen import (
     CapacityError,
     ValidationError,
@@ -27,10 +28,8 @@ from invgen import (
     fixed_sizes,
     make_partition,
     make_signed,
-    project,
-    signed_fixed_sets,
 )
-from invgen.cycletypes import signed_subset_masks, subset_sum_mask
+from invgen.cycletypes import _sign_bit, signed_subset_masks, subset_sum_mask
 from invgen.sampling import _class_table
 
 A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
@@ -157,26 +156,6 @@ def table_event(n, l, family, event):
     for lengths, signs, total, count in classes:
         law[bits(lengths, signs, total)] += count
     return 1 - exact._prob_no_common(l, order, [law], 0)
-
-
-def ordered_tuples(n, l, family):
-    """Reference for `exact_prob_J_bruteforce`, the route it replaced: group
-    the labels of `enumerate_classes` by profile, then sum the product of
-    the groups' masses over every ordered l-tuple that `event_J` accepts."""
-    grouped = {}
-    for label, p in enumerate_classes(n, family).entries:
-        if family.signed_profiles:
-            prof = signed_fixed_sets(label)
-            key = prof.plus, prof.minus
-        else:
-            prof = fixed_sizes(project(label) if family is C else label)
-            key = prof.achievable
-        grouped.setdefault(key, [prof, 0])[1] += p
-    total = Fraction(0)
-    for combo in itertools.product(grouped.values(), repeat=l):
-        if event_J([prof for prof, _ in combo], family):
-            total += prod(p for _, p in combo)
-    return total
 
 
 def cover(vec, half):
@@ -340,7 +319,7 @@ class TestExactJ:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_multisets_match_ordered_tuples(self, n, family):
         for l in (1, 2, 3):
-            assert exact_prob_J_bruteforce(n, l, family) == ordered_tuples(n, l, family), l
+            assert exact_prob_J_bruteforce(n, l, family) == test_events.brute(n, l, family, "J"), l
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -424,7 +403,7 @@ class TestSparseMatchesDense:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sign_tagged_laws(self, family, n):
         # J_and_not_N's input: each profile with its total sign's bit above bit 2n
-        law, masses = full_law(n, family, exact._sign_bit)
+        law, masses = full_law(n, family, _sign_bit)
         assert sum(masses.values()) == 1
         for l in (1, 2, 3, 4):
             value = running_and(law, l)

@@ -56,3 +56,10 @@ def test_imports_follow_the_layers():
             if name in LAYERS and LAYERS.index(name) >= rank:
                 later.append((module, name))
     assert later == [], f"imports of a module at or above the importer's layer: {later}"
+
+
+def test_engine_and_oracle_import_neither_each_other():
+    # Monte Carlo and the exact oracle are two of the routes that check each
+    # other, so they share only what the element layer below them defines
+    for module, other in (("montecarlo", "exact"), ("exact", "montecarlo")):
+        assert other not in set(relative_imports(PACKAGE / f"{module}.py")), f"{module} imports {other}"
