@@ -15,7 +15,6 @@ callers format reports.
 from __future__ import annotations
 
 import sys
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -177,37 +176,37 @@ def _as_fraction(x, name: str = "b_J4") -> Fraction:
 
 
 def _proportion(row: _Row, q: int, conservative: bool, odd_q: bool) -> Fraction:
+    """The row's separable proportion at q, clamped at 0, the only clamp:
+    for the orthogonal rows at odd q their shared explicit lower bound,
+    else 1 - first/q + rescue/q^2, without the rescue term when
+    conservative.  SO, SO+ and SO- at q = 3 are negative and give 0."""
     if odd_q and row.weyl in (WeylFamily.B, WeylFamily.D_PLUS, WeylFamily.D_MINUS):
-        return 1 - Fraction(2, q - 1) - Fraction(1, (q - 1) ** 2)
-    return 1 - Fraction(row.first, q) + (0 if conservative else Fraction(row.rescue, q * q))
+        s = 1 - Fraction(2, q - 1) - Fraction(1, (q - 1) ** 2)
+    else:
+        s = 1 - Fraction(row.first, q) + (0 if conservative else Fraction(row.rescue, q * q))
+    return max(s, Fraction(0))
 
 
 def separable_proportion(f: ClassicalFamily, conservative: bool = False) -> Fraction:
-    """Limiting lower bound on the proportion of separable elements.
+    """Limiting lower bound on the proportion of separable elements,
+    clamped at 0 (a negative value, as for SO at q = 3, is returned as 0).
 
     With conservative=True the positive 1/q^2 rescue terms are dropped
     (sign-safe truncation).  The SO odd-q row is already an explicit lower
     bound and is never truncated.
     """
-    s = _proportion(_validate(f, conservative=conservative), f.q, conservative, odd_q=f.q % 2 == 1)
-    if s < 0:
-        warnings.warn(
-            f"separable proportion for {f.tag.value} at q={f.q} is negative; clamped to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        s = Fraction(0)
-    return s
+    return _proportion(_validate(f, conservative=conservative), f.q, conservative, f.q % 2 == 1)
 
 
 def solver_proportion(tag: ClassicalTag, q: int) -> Fraction:
     """Conservative proportion used when solving for the threshold, clamped
-    at 0.  The solver scans every integer q, so SO tags use the odd-q bound
-    (the weaker of the two parities, matching the single table row they
-    share) at every q, and Sp tags skip their parity check."""
+    at 0 like every proportion.  The solver scans every integer q, so SO
+    tags use the odd-q bound (the weaker of the two parities, matching the
+    single table row they share) at every q, and Sp tags skip their parity
+    check."""
     row = _row(tag)
     _check_q(q)
-    return max(_proportion(row, q, conservative=True, odd_q=True), Fraction(0))
+    return _proportion(row, q, conservative=True, odd_q=True)
 
 
 def i4_lower_bound(
@@ -225,7 +224,7 @@ def i4_lower_bound(
             f"the sharp variant is unavailable for {f.tag.value}; "
             "it needs the same-sign correction"
         )
-    s = separable_proportion(f, conservative=conservative)
+    s = _proportion(row, f.q, conservative, f.q % 2 == 1)
     factor = Fraction(1) if sharp_a else Fraction(7, 8)
     i4 = factor * b - (1 - s**4)
     return BoundReport(family=f, s=s, b_J4=b, l=4, i4_lower=i4, weyl_family=row.weyl)
@@ -233,12 +232,11 @@ def i4_lower_bound(
 
 def i3_upper_bound(f: ClassicalFamily, j3) -> Fraction:
     """Upper bound on generation by three elements: j3 + (1 - s^3)."""
-    _validate(f)
+    row = _validate(f)
     j = _as_fraction(j3, "j3")
     if not 0 <= j <= 1:
         raise ValidationError(f"j3 must be in [0,1], got {_echo(j3)}")
-    s = separable_proportion(f)
-    return j + (1 - s**3)
+    return j + (1 - _proportion(row, f.q, False, f.q % 2 == 1) ** 3)
 
 
 def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:

@@ -19,9 +19,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -243,13 +241,10 @@ def _render(estimates, meta: dict, fmt: str) -> str:
     if fmt == "jsonl":
         lines = [{"meta": meta}] + [dict(zip(_COLUMNS, row)) for row in rows]
         return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
-    buf = io.StringIO()
-    buf.write(f"# invgen {__version__}\n")
-    buf.write("# config " + json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    writer.writerows(rows)
-    return buf.getvalue()
+    # no field needs CSV quoting: ints, float reprs, and family and event tokens
+    lines = [f"# invgen {__version__}", "# config " + json.dumps(meta, sort_keys=True, separators=(",", ":"))]
+    lines += [",".join(map(str, row)) for row in [_COLUMNS, *rows]]
+    return "".join(line + "\n" for line in lines)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -1,6 +1,7 @@
 """Tests for separable proportions, the i4/i3 bound chain, and the K solver."""
 
 import itertools
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -113,8 +114,10 @@ class TestSeparableProportion:
         # already a lower bound; both modes agree
         assert separable_proportion(fam(T.SO_ODD_DIM, 27), conservative=True) == F(623, 676)
 
-    def test_negative_clamped_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="clamped"):
+    def test_negative_clamped(self):
+        # 1 - 2/2 - 1/4 < 0: returned as 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert separable_proportion(fam(T.SO_ODD_DIM, 3)) == 0
 
     def test_parity_enforced(self):
@@ -278,6 +281,14 @@ class TestI4:
         assert i4_lower_bound(fam(T.SL, 13), "1/3").i4_lower == F(12127, 685464)
         approx = i4_lower_bound(fam(T.SL, 13), 1 / 3).i4_lower
         assert abs(approx - F(12127, 685464)) < F(1, 10**9)
+
+    @pytest.mark.parametrize("tag", [T.SO_ODD_DIM, T.SO_EVEN_DIM_PLUS, T.SO_EVEN_DIM_MINUS])
+    def test_negative_proportion_at_q3(self, tag):
+        # s clamps to 0, so i4 = 7/8 * 1/3 - 1 and i3 = j3 + 1
+        rep = i4_lower_bound(fam(tag, 3), F(1, 3))
+        assert (rep.s, rep.i4_lower) == (0, F(-17, 24))
+        assert i4_lower_bound(fam(tag, 3), F(1, 3), conservative=True).i4_lower == F(-17, 24)
+        assert i3_upper_bound(fam(tag, 3), F(1, 4)) == F(5, 4)
 
     def test_threshold_identity(self):
         # i4 > 0 at b=1/3 is exactly s^4 > 17/24

@@ -309,6 +309,12 @@ class TestEstimate:
         assert err == f"error: fixed-set profiles are limited to n <= 2^28 (got {n})\n"
 
 
+def test_csv_tokens_need_no_quoting():
+    # CSV rows are plain comma joins; the only fields that are not numbers are these tokens
+    tokens = [f.value for f in WeylFamily] + list(invgen.EVENTS)
+    assert not [t for t in tokens if set(t) & set(',"\r\n')]
+
+
 class TestSweep:
     def test_rows_and_seeds(self, capsys):
         code, out, _ = cli(
@@ -890,6 +896,19 @@ class TestTopLevel:
             target(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"invgen {invgen.__version__}\n"
+
+    @pytest.mark.parametrize("family", ["SO", "SO+", "SO-"])
+    def test_bounds_at_a_negative_proportion_is_quiet(self, family):
+        # s < 0 at q = 3 is clamped to 0 in silence; a RuntimeWarning once printed two stderr lines
+        proc = subprocess.run(
+            [sys.executable, "-m", "invgen", "bounds", "--family", family, "--q", "3"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1:] == [
+            "s        = 0.0 (0)", "b_J4     = 0.3333333333333333 (1/3)",
+            "i4_lower = -0.7083333333333334 (-17/24)", "no conclusion at this q (bound not positive)",
+        ]
 
     def test_module_entrypoint(self):
         proc = subprocess.run(

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from invgen import (
     CapacityError,
@@ -164,6 +164,9 @@ class TestProfileLists:
         assert SignedSizeProfile(n, 0, 1 << n - 1, -1).pairs() == [(n - 1, -1)]
 
     @given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), *[st.integers(0, (1 << n) - 1)] * 2)))
+    @example((200, 0, 0))  # empty
+    @example((200, (1 << 200) - 1, (1 << 200) - 1))  # dense
+    @example((2_000, sum(1 << k for k in range(1, 2_000, 200)), 1 << 1_999))  # sparse
     def test_match_a_scan_of_every_size(self, fields):
         n, plus, minus = fields
         plus, minus = plus & ~1, minus & ~1
