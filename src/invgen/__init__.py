@@ -3,7 +3,7 @@ seeded Monte Carlo at large n, exact rational oracles at small n, and the
 arithmetic propagating Weyl-level probabilities to classical-group bounds.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bounds import (
     BoundReport,
@@ -23,10 +23,7 @@ from .cycletypes import (
     SignedSizeProfile,
     SizeProfile,
     WeylFamily,
-    all_cycles_even,
-    all_cycles_positive,
     event_J,
-    event_N,
     fixed_sizes,
     make_partition,
     make_signed,

@@ -256,9 +256,7 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
         s = solver_proportion(tag, q)
         return Fraction(7, 8) * b - (1 - s**4) > 0
 
-    if positive(2):
-        return 1  # already positive at the smallest field size
-    hi = 4
+    hi = 4  # positive(2) is never true: every row's s at q = 2 is at most 1/2, so 1 - s^4 > 7/8
     while not positive(hi):
         hi *= 2
         if hi > 1 << 60:

@@ -276,30 +276,6 @@ def event_J(profiles, family: WeylFamily) -> bool:
     return not (plus or minus)
 
 
-def all_cycles_even(p: Partition) -> bool:
-    _check_label(p, Partition)
-    return all(part % 2 == 0 for part in p.parts)
-
-
-def all_cycles_positive(s: SignedCycleType) -> bool:
-    _check_label(s, SignedCycleType)
-    return all(sign > 0 for _, sign in s.cycles)
-
-
-def event_N(types) -> bool:
-    """True iff all signed elements share the same total sign."""
-    types = as_list("types", types)
-    if not types or not all(isinstance(t, SignedCycleType) for t in types):
-        raise ValidationError("event_N needs one or more SignedCycleTypes")
-    for t in types:
-        _check_label(t, SignedCycleType)
-    n = types[0].n
-    if any(t.n != n for t in types):
-        raise ValidationError("elements must share the same n")
-    first = types[0].total_sign
-    return all(t.total_sign == first for t in types)
-
-
 def _sign_bit(lengths, signs, total: int) -> int:
     """Bit 0 for total sign +1, bit 1 for -1: it survives an AND only while all agree."""
     return 1 if total > 0 else 2

@@ -93,16 +93,6 @@ class RngState:
         self.state = s = (self.state + GOLDEN) & M64
         return mix64(s)
 
-    def randbelow(self, m: int) -> int:
-        """Uniform on {0..m-1} for 1 <= m <= 2^64; rejection keeps it
-        exactly uniform."""
-        _check_range("m", m)
-        lim = (TWO64 // m) * m
-        while True:
-            u = self.next64()
-            if u < lim:
-                return u % m
-
 
 def _check_range(name: str, value) -> None:
     """A positive int at most 2^64, the most values one draw can cover:

@@ -365,6 +365,13 @@ class TestSolveK4:
         grid = [F(k, 97) for k in range(1, 98)] + [F(1, 3), F(1, 10**6), F(1), F(0), "junk", 2]
         assert [outcome(solve_K4, b) for b in grid] == [outcome(bisection_K4, b) for b in grid]
 
+    @pytest.mark.parametrize("tag", list(T))
+    def test_never_positive_at_q_two(self, tag):
+        # solve_K4's search starts at q = 3: with s <= 1/2, 1 - s^4 >= 15/16 > 7/8 >= 7b/8 for every b <= 1
+        assert solver_proportion(tag, 2) <= F(1, 2), (
+            "a row now has s > 1/2 at q = 2: restore solve_K4's `if positive(2): return 1` branch"
+        )
+
     def test_solver_proportion_clamps(self):
         assert solver_proportion(T.SO_ODD_DIM, 2) == 0
         assert solver_proportion(T.SO_ODD_DIM, 3) == 0

@@ -772,6 +772,17 @@ class TestOptionTable:
         code, out, err = cli(capsys, *base_argv(command, skip=dest), "--config", str(cfg))
         assert (code, out, err) == (2, "", "error: bad boolean 'maybe'\n")
 
+    @pytest.mark.parametrize(
+        "command,dest,word",
+        [("fixedsets", "signed", "false"), ("bounds", "json", "off"), ("bounds", "solve_k", "no"),
+         ("bounds", "sharp_a", "0"), ("estimate", "gap_compat", " False ")],
+    )
+    def test_false_config_is_the_flag_left_out(self, capsys, tmp_path, command, dest, word):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}={word}\n")
+        argv = base_argv(command, skip=dest)
+        assert cli(capsys, *argv, "--config", str(cfg)) == cli(capsys, *argv)
+
 
 JUNK = st.sampled_from(["", " ", "x", "-", "٣", "1e3", "0x", "nan", "\t7 ", "a\x00b", "\udcff", LONG, BIG, "-" + BIG])
 SMALL = st.integers(-2, 12).map(str)

@@ -11,10 +11,7 @@ from invgen import (
     SizeProfile,
     ValidationError,
     WeylFamily,
-    all_cycles_even,
-    all_cycles_positive,
     event_J,
-    event_N,
     fixed_sizes,
     make_partition,
     make_signed,
@@ -302,36 +299,6 @@ class TestEventJOnePass:
             event_J([right, other], family)
 
 
-class TestPredicates:
-    def test_all_cycles_even(self):
-        assert all_cycles_even(make_partition([2, 2])) is True
-        assert all_cycles_even(make_partition([3, 1])) is False
-        assert all_cycles_even(make_partition([4])) is True
-
-    def test_all_cycles_positive(self):
-        assert all_cycles_positive(make_signed([(2, 1), (1, 1)])) is True
-        assert all_cycles_positive(make_signed([(3, -1)])) is False
-        assert all_cycles_positive(make_signed([(1, 1)])) is True
-
-    def test_event_N(self):
-        assert event_N([make_signed([(2, 1)]), make_signed([(2, -1)])]) is False
-        assert event_N([make_signed([(2, 1), (1, -1)]), make_signed([(3, -1)])]) is True
-        assert event_N([make_signed([(2, 1)])]) is True
-
-    def test_event_N_empty(self):
-        with pytest.raises(ValidationError):
-            event_N([])
-
-    def test_event_N_non_label_items(self):
-        # used to read `.n` of an int: AttributeError
-        with pytest.raises(ValidationError, match="SignedCycleTypes"):
-            event_N([1])
-
-    def test_event_N_mismatched_n(self):
-        with pytest.raises(ValidationError):
-            event_N([make_signed([(2, 1)]), make_signed([(3, 1)])])
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -342,10 +309,7 @@ class TestPredicates:
         pytest.param(lambda: make_partition(None), id="make_partition.non_iterable"),
         pytest.param(lambda: signed_fixed_sets("x"), id="signed_fixed_sets"),
         pytest.param(lambda: signed_fixed_sets(make_partition([2, 1])), id="signed_fixed_sets.partition"),
-        pytest.param(lambda: all_cycles_even("x"), id="all_cycles_even"),
-        pytest.param(lambda: all_cycles_positive(None), id="all_cycles_positive"),
         pytest.param(lambda: event_J(5, A), id="event_J.non_iterable"),
-        pytest.param(lambda: event_N(5), id="event_N.non_iterable"),
         pytest.param(lambda: sample_partition(5, "x"), id="sample_partition.rng"),
         pytest.param(lambda: sample_signed(5, None), id="sample_signed.rng"),
         pytest.param(lambda: sample_signed_conditioned(5, 1, 3), id="sample_signed_conditioned.rng"),
@@ -386,20 +350,20 @@ class TestLabelsAreChecked:
         with pytest.raises(ValidationError, match="cycle signs must be the int 1 or -1, got 5"):
             signed_fixed_sets(SignedCycleType(3, ((2, 5), (1, 1))))
 
-    def test_event_N_sign_zero(self):
+    def test_sign_zero(self):
         # used to be taken, its total sign +
         with pytest.raises(ValidationError, match="cycle signs must be the int 1 or -1, got 0"):
-            event_N([SignedCycleType(2, ((2, 0),)), make_signed([(2, 1)])])
+            signed_fixed_sets(SignedCycleType(2, ((2, 0),)))
 
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda: all_cycles_even(Partition(n=True, parts=(1,))), id="n-bool"),
+            pytest.param(lambda: fixed_sizes(Partition(n=True, parts=(1,))), id="n-bool"),
             pytest.param(lambda: project(SignedCycleType(0, ())), id="n-zero"),
-            pytest.param(lambda: all_cycles_even(Partition(n=2, parts=(2.0,))), id="float-part"),
-            pytest.param(lambda: all_cycles_even(Partition(n=2, parts=None)), id="parts-not-iterable"),
-            pytest.param(lambda: all_cycles_positive(SignedCycleType(2, ((2, True),))), id="bool-sign"),
-            pytest.param(lambda: all_cycles_positive(SignedCycleType(2, (2,))), id="cycle-not-a-pair"),
+            pytest.param(lambda: fixed_sizes(Partition(n=2, parts=(2.0,))), id="float-part"),
+            pytest.param(lambda: fixed_sizes(Partition(n=2, parts=None)), id="parts-not-iterable"),
+            pytest.param(lambda: signed_fixed_sets(SignedCycleType(2, ((2, True),))), id="bool-sign"),
+            pytest.param(lambda: signed_fixed_sets(SignedCycleType(2, (2,))), id="cycle-not-a-pair"),
             pytest.param(lambda: signed_fixed_sets(SignedCycleType(3, ((-1, 1), (4, 1)))), id="negative-length"),
         ],
     )

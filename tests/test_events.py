@@ -1,10 +1,10 @@
 """Every event the CLI offers, on every family that accepts it: the exact
 value equals a brute force over l-tuples of class labels.
 
-The definitions below are written from the public per-tuple evaluators
-(`event_J`, `event_N`, `all_cycles_even`, `all_cycles_positive`), not from
-the engine or the oracle, and `TestEngineMatchesDefinition` in
-test_montecarlo replays Monte Carlo trials against the same ones.  An
+The definitions below are written from the public per-tuple evaluator
+`event_J` and from label fields (total signs, cycle lengths and cycle
+signs), not from the engine or the oracle, and `TestEngineMatchesDefinition`
+in test_montecarlo replays Monte Carlo trials against the same ones.  An
 event added to `EVENTS` without a definition here fails `test_covers_events`.
 """
 
@@ -19,11 +19,8 @@ from invgen import (
     Partition,
     ValidationError,
     WeylFamily,
-    all_cycles_even,
-    all_cycles_positive,
     enumerate_classes,
     event_J,
-    event_N,
     exact_prob,
     fixed_sizes,
     project,
@@ -46,6 +43,18 @@ def holds_J(labels, family):
     return event_J([profile(x, family) for x in labels], family)
 
 
+def same_sign(labels):
+    return len({x.total_sign for x in labels}) == 1
+
+
+def all_even(x):
+    return all(k % 2 == 0 for k in partition(x).parts)
+
+
+def all_positive(x):
+    return all(s > 0 for _, s in x.cycles)
+
+
 # event -> (what the event reads of one label, whether an l-tuple of labels
 # holds it).  Labels that read the same are grouped by the brute force, so
 # the first function must fix everything the second one looks at.
@@ -53,17 +62,11 @@ DEFINITIONS = {
     "J": (profile, holds_J),
     "J_and_not_N": (
         lambda x, family: (profile(x, family), x.total_sign),
-        lambda labels, family: holds_J(labels, family) and not event_N(labels),
+        lambda labels, family: holds_J(labels, family) and not same_sign(labels),
     ),
-    "N": (lambda x, family: x.total_sign, lambda labels, family: event_N(labels)),
-    "all_even": (
-        lambda x, family: all_cycles_even(partition(x)),
-        lambda labels, family: all(all_cycles_even(partition(x)) for x in labels),
-    ),
-    "all_positive": (
-        lambda x, family: all_cycles_positive(x),
-        lambda labels, family: all(all_cycles_positive(x) for x in labels),
-    ),
+    "N": (lambda x, family: x.total_sign, lambda labels, family: same_sign(labels)),
+    "all_even": (lambda x, family: all_even(x), lambda labels, family: all(map(all_even, labels))),
+    "all_positive": (lambda x, family: all_positive(x), lambda labels, family: all(map(all_positive, labels))),
 }
 
 

@@ -391,6 +391,13 @@ class TestWilson:
             with pytest.raises(ValidationError, match=r"^confidence must be in \(0,1\)"):
                 wilson_interval(3, 10, confidence=confidence)
 
+    @pytest.mark.parametrize("confidence", [1e-17, 2**-53, 1 - 2**-53])
+    def test_confidence_within_rounding_of_an_end(self, confidence):
+        # (1 + confidence) / 2 rounds to 1/2 or to 1: z would be 0 or infinite
+        with pytest.raises(ValidationError, match=r"^confidence must be more than 2\^-53 from 0 and from 1"):
+            wilson_interval(5, 10, confidence=confidence)
+        assert wilson_interval(5, 10, confidence=2**-52)[0] < 0.5
+
     def test_coverage(self):
         # 200 independent 99% intervals; expect ~2 misses, allow 6
         p = float(exact_prob_J(4, 2, A))
@@ -480,7 +487,8 @@ class TestValidation:
             call(value)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("confidence", [0, 1, "0.99", None])
+    # 1e-17 and 1e-300 used to run every trial and then fail on z = 0; 1 - 2^-53 raised StatisticsError
+    @pytest.mark.parametrize("confidence", [0, 1, "0.99", None, 1e-17, 1e-300, 1 - 2**-53])
     def test_bad_confidence_rejected_before_any_trial(self, monkeypatch, confidence, threads):
         def never(*args, **kwargs):
             raise AssertionError("a trial or a child started")
@@ -488,8 +496,10 @@ class TestValidation:
         monkeypatch.setattr(montecarlo, "_count_range", never)
         monkeypatch.setattr(montecarlo, "_start", never)
         s = spec(4, 2, A, trials=10)
+        match = (r"^confidence must be more than 2\^-53" if isinstance(confidence, float)
+                 else r"^confidence must be in \(0,1\)")
         for call in (lambda: run(s, threads, confidence), lambda: sweep([s, s], threads, confidence)):
-            with pytest.raises(ValidationError, match=r"^confidence must be in \(0,1\)"):
+            with pytest.raises(ValidationError, match=match):
                 call()
 
 

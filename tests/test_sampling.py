@@ -89,29 +89,6 @@ class TestDeterminism:
         out2 = [sample_partition(9, RngState(42, t)) for t in range(50)]
         assert out1 == out2
 
-    def test_randbelow_range(self):
-        rng = RngState(1, 0)
-        draws = [rng.randbelow(7) for _ in range(1000)]
-        assert set(draws) <= set(range(7))
-        assert len(set(draws)) == 7
-
-    @pytest.mark.parametrize("m", [-3, 0, 1.5, True, "7"])
-    def test_randbelow_rejects_non_positive_ints(self, m):
-        # -3 used to return -1, 1.5 returned 1.0, 0 raised ZeroDivisionError
-        with pytest.raises(ValidationError, match="m must be a positive integer"):
-            RngState(1, 0).randbelow(m)
-
-    def test_randbelow_rejects_above_two_to_64(self):
-        # the rejection limit was 0 here, so the draw loop never ended
-        with pytest.raises(ValidationError, match="at most 2\\^64"):
-            RngState(1, 0).randbelow(2**65)
-
-    def test_randbelow_edges(self):
-        rng, raw = RngState(1, 0), RngState(1, 0)
-        # m = 2^64 accepts every draw, so it returns the raw output
-        assert rng.randbelow(2**64) == raw.next64()
-        assert rng.randbelow(1) == 0
-
 
 @pytest.mark.parametrize(
     "sampler",
@@ -207,18 +184,6 @@ class TestLaws:
     def test_rejects_zero_n(self, family):
         with pytest.raises(ValidationError):
             TABLE_SAMPLERS[family](0, RngState(0, 0))
-
-
-class TestRandbelowUniformity:
-    @pytest.mark.parametrize("m", [7, 10, 1000])
-    def test_uniform(self, m):
-        # rejection sampling keeps non-power-of-two moduli unbiased
-        draws = 100_000
-        rng = RngState(7, m)
-        counts = Counter(rng.randbelow(m) for _ in range(draws))
-        observed = [counts.get(k, 0) for k in range(m)]
-        _, pvalue = stats.chisquare(observed, [draws / m] * m)
-        assert pvalue > SIGNIFICANCE
 
 
 def scalar_walk(state, count):
