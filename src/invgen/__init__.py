@@ -3,7 +3,7 @@ seeded Monte Carlo at large n, exact rational oracles at small n, and the
 arithmetic propagating Weyl-level probabilities to classical-group bounds.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bounds import (
     BoundReport,
@@ -14,7 +14,6 @@ from .bounds import (
     separable_proportion,
     solve_K4,
     solver_proportion,
-    weyl_family_of,
 )
 from .cycletypes import (
     EVENTS,

@@ -116,22 +116,14 @@ def _row(tag) -> _Row:
     return _ROWS[tag]
 
 
-def _validate(f: ClassicalFamily, **flags) -> _Row:
+def _validate(f: ClassicalFamily) -> _Row:
     if not isinstance(f, ClassicalFamily):
         raise ValidationError(f"expected a ClassicalFamily, got {_echo(f)}")
     row = _row(f.tag)
     _check_q(f.q)
     if row.parity is not None and f.q % 2 != row.parity:
         raise ValidationError(f"{f.tag.value} needs {('even', 'odd')[row.parity]} q, got {_echo(f.q, str)}")
-    for name, value in flags.items():
-        if not isinstance(value, bool):
-            raise ValidationError(f"{name} must be True or False, got {_echo(value)}")
     return row
-
-
-def weyl_family_of(f) -> WeylFamily:
-    """The Weyl family whose class statistics govern a classical family."""
-    return _row(f.tag if isinstance(f, ClassicalFamily) else f).weyl
 
 
 def _digit_limit() -> int:
@@ -175,56 +167,63 @@ def _as_fraction(x, name: str = "b_J4") -> Fraction:
     return value
 
 
-def _proportion(row: _Row, q: int, conservative: bool, odd_q: bool) -> Fraction:
-    """The row's separable proportion at q, clamped at 0, the only clamp:
-    for the orthogonal rows at odd q their shared explicit lower bound,
-    else 1 - first/q + rescue/q^2, without the rescue term when
-    conservative.  SO, SO+ and SO- at q = 3 are negative and give 0."""
-    if odd_q and row.weyl in (WeylFamily.B, WeylFamily.D_PLUS, WeylFamily.D_MINUS):
+def _probability(x, name: str, positive: bool = False) -> Fraction:
+    """x read by `_as_fraction` as a probability: in [0, 1], or in (0, 1]
+    when positive.  The one range check of every probability argument, the
+    CLI's --b-j4 included; its error gives the argument's name and echoes
+    x as given."""
+    value = _as_fraction(x, name)
+    if not (0 < value if positive else 0 <= value) or value > 1:
+        raise ValidationError(f"{name} must be in {'(' if positive else '['}0,1], got {_echo(x)}")
+    return value
+
+
+def _proportion(row: _Row, q: int, solver: bool) -> Fraction:
+    """The row's separable proportion at q, clamped at 0, the only clamp.
+    The orthogonal rows take their shared explicit lower bound at odd q,
+    and the solver's rule takes it at every q.  Every other case is
+    1 - first/q + rescue/q^2, without the rescue term under the solver's
+    rule.  SO, SO+ and SO- at q = 3 are negative and give 0."""
+    if row.weyl in (WeylFamily.B, WeylFamily.D_PLUS, WeylFamily.D_MINUS) and (solver or q % 2):
         s = 1 - Fraction(2, q - 1) - Fraction(1, (q - 1) ** 2)
     else:
-        s = 1 - Fraction(row.first, q) + (0 if conservative else Fraction(row.rescue, q * q))
+        s = 1 - Fraction(row.first, q) + (0 if solver else Fraction(row.rescue, q * q))
     return max(s, Fraction(0))
 
 
-def separable_proportion(f: ClassicalFamily, conservative: bool = False) -> Fraction:
+def separable_proportion(f: ClassicalFamily) -> Fraction:
     """Limiting lower bound on the proportion of separable elements,
     clamped at 0 (a negative value, as for SO at q = 3, is returned as 0).
-
-    With conservative=True the positive 1/q^2 rescue terms are dropped
-    (sign-safe truncation).  The SO odd-q row is already an explicit lower
-    bound and is never truncated.
-    """
-    return _proportion(_validate(f, conservative=conservative), f.q, conservative, f.q % 2 == 1)
+    This is the proportion reports print; `solver_proportion` gives the
+    threshold solver's."""
+    return _proportion(_validate(f), f.q, False)
 
 
 def solver_proportion(tag: ClassicalTag, q: int) -> Fraction:
-    """Conservative proportion used when solving for the threshold, clamped
-    at 0 like every proportion.  The solver scans every integer q, so SO
-    tags use the odd-q bound (the weaker of the two parities, matching the
-    single table row they share) at every q, and Sp tags skip their parity
-    check."""
+    """Sign-safe proportion used when solving for the threshold, clamped
+    at 0 like every proportion: the 1/q^2 rescue terms are dropped.  The
+    solver scans every integer q, so SO tags use the odd-q bound (the
+    weaker of the two parities, matching the single table row they share)
+    at every q, and Sp tags skip their parity check."""
     row = _row(tag)
     _check_q(q)
-    return _proportion(row, q, conservative=True, odd_q=True)
+    return _proportion(row, q, True)
 
 
-def i4_lower_bound(
-    f: ClassicalFamily, b_J4, sharp_a: bool = False, conservative: bool = False
-) -> BoundReport:
+def i4_lower_bound(f: ClassicalFamily, b_J4, sharp_a: bool = False) -> BoundReport:
     """Lower bound on the probability that four random elements invariably
     generate: factor * b - (1 - s^4), factor 7/8 by default.  Not clamped;
     a non-positive value means no conclusion at this q."""
-    row = _validate(f, sharp_a=sharp_a, conservative=conservative)
-    b = _as_fraction(b_J4)
-    if not 0 <= b <= 1:
-        raise ValidationError(f"b_J4 must be in [0,1], got {_echo(b_J4)}")
+    row = _validate(f)
+    if not isinstance(sharp_a, bool):
+        raise ValidationError(f"sharp_a must be True or False, got {_echo(sharp_a)}")
+    b = _probability(b_J4, "b_J4")
     if sharp_a and not row.sharp:
         raise ValidationError(
             f"the sharp variant is unavailable for {f.tag.value}; "
             "it needs the same-sign correction"
         )
-    s = _proportion(row, f.q, conservative, f.q % 2 == 1)
+    s = _proportion(row, f.q, False)
     factor = Fraction(1) if sharp_a else Fraction(7, 8)
     i4 = factor * b - (1 - s**4)
     return BoundReport(family=f, s=s, b_J4=b, l=4, i4_lower=i4, weyl_family=row.weyl)
@@ -233,14 +232,11 @@ def i4_lower_bound(
 def i3_upper_bound(f: ClassicalFamily, j3) -> Fraction:
     """Upper bound on generation by three elements: j3 + (1 - s^3)."""
     row = _validate(f)
-    j = _as_fraction(j3, "j3")
-    if not 0 <= j <= 1:
-        raise ValidationError(f"j3 must be in [0,1], got {_echo(j3)}")
-    return j + (1 - _proportion(row, f.q, False, f.q % 2 == 1) ** 3)
+    return _probability(j3, "j3") + (1 - _proportion(row, f.q, False) ** 3)
 
 
 def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
-    """Largest integer q >= 2 with i4 <= 0 under the conservative
+    """Largest integer q >= 2 with i4 <= 0 under the solver's
     proportion; positivity is then guaranteed for every q above it.
 
     The formulas are treated as functions over all integers q (the
@@ -248,9 +244,7 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
     Exact arithmetic throughout: doubling finds a positive q, then
     `bisect_left` the first one, positivity being monotone in q.
     """
-    b = _as_fraction(b_J4)
-    if not 0 < b <= 1:
-        raise ValidationError(f"b_J4 must be in (0,1], got {_echo(b_J4)}")
+    b = _probability(b_J4, "b_J4", positive=True)
 
     def positive(q: int) -> bool:
         s = solver_proportion(tag, q)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
-from .bounds import _FRACTIONS, _TOKENS, ClassicalFamily, _as_fraction, _tag_of, i4_lower_bound, solve_K4
+from .bounds import _FRACTIONS, _TOKENS, ClassicalFamily, _as_fraction, _probability, _tag_of, i4_lower_bound, solve_K4
 from .cycletypes import (
     _FAMILY_TOKENS,
     Partition,
@@ -57,11 +57,10 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_bj4(text: str) -> str:
-    """The --b-j4 text, stripped, once bounds reads it as a fraction in
+    """The --b-j4 text, stripped, once bounds reads it as a probability in
     (0, 1]: the bounds functions echo it in their errors.  Only the CLI
     refuses 0, which `i4_lower_bound` accepts."""
-    if not 0 < _as_fraction(text, "b-j4") <= 1:
-        raise ValidationError(f"b-j4 must be in (0,1], got {_echo(text)}")
+    _probability(text, "b-j4", positive=True)
     return text.strip()
 
 
@@ -186,7 +185,8 @@ def _echo_after(path, value) -> tuple[str, str]:
 
 def _load_config(path, command: str, allowed) -> dict[str, str]:
     """key=value lines, # comments; keys mirror the subcommand's long flag
-    names, and any other key is an error rather than silently ignored."""
+    names, and any other key, or a key given twice (in any spelling), is
+    an error rather than silently ignored or overwritten."""
     if path is None:
         return {}
     try:
@@ -204,11 +204,13 @@ def _load_config(path, command: str, allowed) -> dict[str, str]:
             raise ValidationError(f"{where}:{lineno}: expected key=value, got {shown}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
+        where, shown = _echo_after(path, key)
         if key not in allowed:
-            where, shown = _echo_after(path, key)
             raise ValidationError(f"{where}:{lineno}: unknown key {shown} for {command}; see `invgen {command} --help`")
-        out[key] = value.strip()
-    return out
+        if key in out:
+            raise ValidationError(f"{where}:{lineno}: key {shown} given again (first on line {out[key][0]})")
+        out[key] = lineno, value.strip()
+    return {key: value for key, (_, value) in out.items()}
 
 
 def _options(args, defaults: dict) -> SimpleNamespace:

@@ -20,7 +20,6 @@ from invgen import (
     separable_proportion,
     solve_K4,
     solver_proportion,
-    weyl_family_of,
 )
 
 F = Fraction
@@ -62,6 +61,8 @@ def bisection_K4(tag, b_J4):
 
 
 class TestWeylFamilyOf:
+    """The Weyl family of each classical tag, as a report shows it."""
+
     @pytest.mark.parametrize(
         "tag,expected",
         [
@@ -75,13 +76,13 @@ class TestWeylFamilyOf:
         ],
     )
     def test_map(self, tag, expected):
-        assert weyl_family_of(tag) is expected
-        assert weyl_family_of(fam(tag, 9 if tag is not T.SP_EVEN_Q else 8)) is expected
+        q = 9 if tag is not T.SP_EVEN_Q else 8
+        assert i4_lower_bound(fam(tag, q), F(1, 3)).weyl_family is expected
 
     @pytest.mark.parametrize("tag", ["SL", ["SL"], None])
     def test_unknown(self, tag):
         with pytest.raises(ValidationError, match="unknown classical family"):
-            weyl_family_of(tag)
+            solver_proportion(tag, 3)
 
 
 class TestSeparableProportion:
@@ -103,16 +104,16 @@ class TestSeparableProportion:
     def test_so_even_q(self):
         assert separable_proportion(fam(T.SO_EVEN_DIM_PLUS, 4)) == F(5, 8)
 
-    def test_conservative_truncates(self):
-        assert separable_proportion(fam(T.SP_ODD_Q, 37), conservative=True) == F(34, 37)
-        assert separable_proportion(fam(T.SP_EVEN_Q, 8), conservative=True) == F(3, 4)
-        assert separable_proportion(fam(T.SO_EVEN_DIM_PLUS, 4), conservative=True) == F(1, 2)
+    def test_solver_truncates(self):
+        # the solver's proportion drops the rescue terms
+        assert solver_proportion(T.SP_ODD_Q, 37) == F(34, 37)
+        assert solver_proportion(T.SP_EVEN_Q, 8) == F(3, 4)
         # the solver takes the odd-q row for SO at every q, even q included
         assert solver_proportion(T.SO_EVEN_DIM_PLUS, 4) == F(2, 9)
 
     def test_so_odd_q_never_truncated(self):
-        # already a lower bound; both modes agree
-        assert separable_proportion(fam(T.SO_ODD_DIM, 27), conservative=True) == F(623, 676)
+        # already a lower bound; the printed and the solver's proportion agree
+        assert solver_proportion(T.SO_ODD_DIM, 27) == separable_proportion(fam(T.SO_ODD_DIM, 27)) == F(623, 676)
 
     def test_negative_clamped(self):
         # 1 - 2/2 - 1/4 < 0: returned as 0, with no warning
@@ -287,7 +288,7 @@ class TestI4:
         # s clamps to 0, so i4 = 7/8 * 1/3 - 1 and i3 = j3 + 1
         rep = i4_lower_bound(fam(tag, 3), F(1, 3))
         assert (rep.s, rep.i4_lower) == (0, F(-17, 24))
-        assert i4_lower_bound(fam(tag, 3), F(1, 3), conservative=True).i4_lower == F(-17, 24)
+        assert solver_proportion(tag, 3) == 0
         assert i3_upper_bound(fam(tag, 3), F(1, 4)) == F(5, 4)
 
     def test_threshold_identity(self):
@@ -296,8 +297,8 @@ class TestI4:
             start = 5 if tag is T.SP_ODD_Q else 4
             step = 1 if tag in (T.SL, T.SU) else 2
             for q in range(start, start + 20 * step, step):
-                s = separable_proportion(fam(tag, q), conservative=True)
-                rep = i4_lower_bound(fam(tag, q), F(1, 3), conservative=True)
+                s = separable_proportion(fam(tag, q))
+                rep = i4_lower_bound(fam(tag, q), F(1, 3))
                 assert (rep.i4_lower > 0) == (s**4 > F(17, 24))
 
 

@@ -20,6 +20,7 @@ from invgen import (
     solver_proportion,
 )
 from invgen.bounds import ClassicalFamily, ClassicalTag as T
+from invgen.cli import _parse_bj4
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
 needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
@@ -82,12 +83,8 @@ SL_13 = ClassicalFamily(T.SL, 13)
 
 @pytest.mark.parametrize(
     "call",
-    [
-        lambda flag: i4_lower_bound(SL_13, 0.3, sharp_a=flag),
-        lambda flag: i4_lower_bound(SL_13, 0.3, conservative=flag),
-        lambda flag: separable_proportion(SL_13, conservative=flag),
-    ],
-    ids=["i4_lower_bound-sharp_a", "i4_lower_bound-conservative", "separable_proportion-conservative"],
+    [lambda flag: i4_lower_bound(SL_13, 0.3, sharp_a=flag)],
+    ids=["i4_lower_bound-sharp_a"],
 )
 @pytest.mark.parametrize("flag", ["false", "True", 0, 1, None, 1.0])
 def test_bounds_reject_non_bool_flag(call, flag):
@@ -110,6 +107,31 @@ def test_out_of_range_echoes_the_argument(call):
     with pytest.raises(ValidationError, match="must be in") as info:
         call("1e400")
     assert "'1e400'" in str(info.value) and len(str(info.value)) < 40
+
+
+# each reader of a probability: the call, and the rule its range error states
+PROBABILITY_READERS = {
+    "i4_lower_bound": (lambda b: i4_lower_bound(SL_13, b), "b_J4 must be in [0,1]"),
+    "i3_upper_bound": (lambda b: i3_upper_bound(SL_13, b), "j3 must be in [0,1]"),
+    "solve_K4": (lambda b: solve_K4(T.SL, b), "b_J4 must be in (0,1]"),
+    "cli-b-j4": (lambda b: _parse_bj4(str(b)), "b-j4 must be in (0,1]"),  # --b-j4 and the config key
+}
+
+
+@pytest.mark.parametrize("reader", list(PROBABILITY_READERS))
+@pytest.mark.parametrize("b", [0, 1, -Fraction(1, 10**9), 1 + Fraction(1, 10**9)],
+                         ids=["0", "1", "below-0", "above-1"])
+def test_probability_edges(reader, b):
+    # 1 is accepted everywhere and 0 where the range is closed; a value
+    # 10^-9 outside the range is refused with the reader's message
+    call, rule = PROBABILITY_READERS[reader]
+    if 0 <= b <= 1 and not (b == 0 and "(0,1]" in rule):
+        call(b)
+        return
+    with pytest.raises(ValidationError) as info:
+        call(b)
+    shown = str(b) if reader == "cli-b-j4" else b  # the CLI reads text
+    assert str(info.value) == f"{rule}, got {shown!r}"
 
 
 # each public bound function that reads a number b: the call, and the name its errors give b

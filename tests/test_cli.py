@@ -600,6 +600,21 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert f"{cfg}:2" in err and repr(bad_key) in err
 
+    @pytest.mark.parametrize(
+        "argv,lines,key",
+        [
+            (["exact"], ["n = 5", "family=A", "n=6"], "n"),
+            (["bounds", "--family", "SL", "--solve-k"], ["b-j4 = 1/2", "# the same key", "b_j4 = 1/3"], "b_j4"),
+        ],
+        ids=["n", "b-j4-then-b_j4"],
+    )
+    def test_repeated_key_rejected(self, capsys, tmp_path, argv, lines, key):
+        # the last one used to win silently: exact ran at n = 6, and K4(SL) was 1/3's
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code, out, err = cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {cfg}:3: key {key!r} given again (first on line 1)\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = cli(capsys, "estimate", "--config", str(tmp_path / "absent.cfg"))
         assert code == 1 and "error:" in err
