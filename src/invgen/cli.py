@@ -6,6 +6,9 @@ its options with their defaults in `_COMMANDS`.  Every flag is also a
 key of the `--config` file; a flag wins over the file, which wins over
 the default, and both texts go through the same converter, so a bad
 value fails the same way (exit 2, one `error:` line) from either place.
+A flag given twice, like a config key given twice, exits 2.  No option
+states what the input already decides: `fixedsets` reads signs from the
+`--cycles` tokens, and `bounds` without `--q` solves for K4.
 
 Output artifacts (CSV or JSON lines) embed the tool version and the
 resolved run configuration including the master seed, enough to re-run
@@ -75,11 +78,14 @@ def _split_list(text: str, what: str) -> list[str]:
     return tokens
 
 
-def _parse_cycles(text: str, signed: bool):
+def _parse_cycles(text: str):
     """Cycle lengths, each an isdecimal token (what int() reads: isdigit()
-    also passes '²'), with one trailing + or - when `signed`."""
+    also passes '²').  The label is signed when the first token ends in +
+    or -, and then every token carries one trailing sign."""
+    tokens = _split_list(text, "cycle")
+    signed = tokens[0][-1] in "+-"
     cycles = []
-    for tok in _split_list(text, "cycle"):
+    for tok in tokens:
         length, sign = (tok[:-1], tok[-1]) if signed else (tok, "+")
         try:
             if not length.isdecimal() or sign not in ("+", "-"):
@@ -163,10 +169,8 @@ _OPTIONS = {
     "out": (_as_path, "output path (default stdout)"),
     "gap_compat": (_as_bool, "l=4, trials=100 defaults; print the bare proportion"),
     "cycles": (str, "cycle type, like 3,1 or 3+,1-"),
-    "signed": (_as_bool, "the cycles carry signs"),
-    "q": (_as_int, "field size q"),
+    "q": (_as_int, "field size q (without it, solve for the threshold K4)"),
     "b_j4": (_parse_bj4, "Weyl-level bound b, fraction or decimal (default 1/3)"),
-    "solve_k": (_as_bool, "solve for the threshold K4 instead of reporting at --q"),
     "sharp_a": (_as_bool, "factor 1 instead of 7/8 where the family allows it"),
     "json": (_as_bool, "print JSON"),
 }
@@ -216,11 +220,15 @@ def _load_config(path, command: str, allowed) -> dict[str, str]:
 def _options(args, defaults: dict) -> SimpleNamespace:
     """Resolve each option in `defaults` order: the flag if given, else the
     config key, else the default.  Either text goes through the option's
-    converter, so the first bad value is reported the same way."""
-    config = _load_config(args.config, args.command, defaults)
+    converter, so the first bad value is reported the same way.  A flag
+    given twice is refused before any is read, as a config key is."""
+    flags = {dest: getattr(args, dest) or [None] for dest in (*defaults, "config")}
+    if repeated := [dest for dest, texts in flags.items() if len(texts) > 1]:
+        raise ValidationError(f"flag --{repeated[0].replace('_', '-')} given more than once")
+    config = _load_config(flags["config"][0], args.command, defaults)
     resolved = {}
     for dest, default in defaults.items():
-        text = getattr(args, dest)
+        text = flags[dest][0]
         if text is None:
             text = config.get(dest)
         if text is not None:
@@ -278,11 +286,11 @@ def cmd_sample(o) -> int:
 
 
 def cmd_fixedsets(o) -> int:
-    label = _parse_cycles(o.cycles, o.signed)
-    if o.signed:
-        pieces = [f"({k},{'+' if sign > 0 else '-'})" for k, sign in signed_fixed_sets(label).pairs()]
-    else:
+    label = _parse_cycles(o.cycles)
+    if isinstance(label, Partition):
         pieces = fixed_sizes(label).sizes()
+    else:
+        pieces = [f"({k},{'+' if sign > 0 else '-'})" for k, sign in signed_fixed_sets(label).pairs()]
     print(" ".join(map(str, pieces)))
     return 0
 
@@ -320,22 +328,18 @@ def cmd_exact(o) -> int:
 
 
 def cmd_bounds(o) -> int:
-    """The threshold K4 under --solve-k, else the i4 report at --q, as text
-    or JSON.  The bounds library refuses a number it could not print, so
-    no report prints in part."""
-    if o.solve_k:
-        tag = _tag_of(o.family, None)
-        for flag, given in (("--q", o.q is not None), ("--sharp-a", o.sharp_a)):
-            if given:
-                raise ValidationError(f"{flag} does not apply with --solve-k")
+    """The threshold K4 without --q, else the i4 report at --q, as text or
+    JSON.  The bounds library refuses a number it could not print, so no
+    report prints in part."""
+    tag = _tag_of(o.family, o.q)
+    if o.q is None:
+        if o.sharp_a:
+            raise ValidationError("--sharp-a needs --q")
         k4 = solve_K4(tag, o.b_j4)
         b = _as_fraction(o.b_j4)
         record = {"family": o.family, "tag": tag.value, "b_j4": float(b), "b_j4_exact": str(b), "K4": k4}
         lines = [f"K4({o.family}) = {k4}"]
     else:
-        if o.q is None:
-            raise ValidationError("bounds needs --q or --solve-k")
-        tag = _tag_of(o.family, o.q)
         report = i4_lower_bound(ClassicalFamily(tag=tag, q=o.q), o.b_j4, sharp_a=o.sharp_a)
         record = report.to_dict()
         lines = [f"family {record['family']} (q={record['q']}), weyl family {record['weyl_family']}"]
@@ -357,15 +361,14 @@ _COMMANDS = {
     "sample": (cmd_sample, "draw cycle-type class labels",
                {"n": REQUIRED, "family": REQUIRED, "count": 1, "seed": 0}),
     "fixedsets": (cmd_fixedsets, "achievable proper fixed-set sizes of one cycle type",
-                  {"signed": False, "cycles": REQUIRED}),
+                  {"cycles": REQUIRED}),
     "estimate": (cmd_estimate, "Monte Carlo estimate of one experiment",
                  {"gap_compat": False, **_MC, "trials": None, "format": None, "n": REQUIRED}),
     "sweep": (cmd_sweep, "Monte Carlo estimates over a list of n", {**_MC, "ns": REQUIRED}),
     "exact": (cmd_exact, "exact small-n probability of an event (default J)",
               {"n": REQUIRED, "l": 4, "family": REQUIRED, "event": "J"}),
     "bounds": (cmd_bounds, "classical-group bound report / threshold solver",
-               {"family": REQUIRED, "b_j4": Fraction(1, 3), "solve_k": False, "sharp_a": False,
-                "json": False, "q": None}),
+               {"family": REQUIRED, "b_j4": Fraction(1, 3), "sharp_a": False, "json": False, "q": None}),
 }
 
 
@@ -382,9 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for dest in defaults:
             convert, help_text = _option(name, dest)
-            bare = {"action": "store_const", "const": "true"} if convert is _as_bool else {}
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text, **bare)
-        p.add_argument("--config", help="key=value file whose keys mirror the flags; flags win")
+            # every flag appends, so that _options can refuse one given twice; _as_bool flags are bare
+            how = {"action": "append_const", "const": "true"} if convert is _as_bool else {"action": "append"}
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text, **how)
+        p.add_argument("--config", action="append", help="key=value file whose keys mirror the flags; flags win")
     return parser
 
 

@@ -118,8 +118,8 @@ def _fixedsets_calls():
     yield ["fixedsets", "--cycles", "3,1"]
     yield ["fixedsets", "--cycles", "5"]
     yield ["fixedsets", "--cycles", "6,4,4,2,1,1"]
-    yield ["fixedsets", "--cycles", "2+,1-", "--signed"]
-    yield ["fixedsets", "--cycles", "4-,3+,2-,2+,1-", "--signed"]
+    yield ["fixedsets", "--cycles", "2+,1-"]
+    yield ["fixedsets", "--cycles", "4-,3+,2-,2+,1-"]
 
 
 def _estimate_calls():
@@ -183,12 +183,12 @@ def _bounds_calls():
         for q in ("13", "16"):
             yield ["bounds", "--family", token, "--q", q]
             yield ["bounds", "--family", token, "--q", q, "--json"]
-        yield ["bounds", "--family", token, "--solve-k"]
-        yield ["bounds", "--family", token, "--solve-k", "--json"]
+        yield ["bounds", "--family", token]
+        yield ["bounds", "--family", token, "--json"]
     yield ["bounds", "--family", "SL", "--q", "13", "--sharp-a", "--b-j4", "1/2"]
     yield ["bounds", "--family", "Sp", "--q", "9", "--json", "--b-j4", "0.4"]
-    yield ["bounds", "--family", "SO", "--solve-k", "--b-j4", "1/2"]
-    yield ["bounds", "--family", "Sp", "--solve-k", "--json", "--b-j4", "2/3"]
+    yield ["bounds", "--family", "SO", "--b-j4", "1/2"]
+    yield ["bounds", "--family", "Sp", "--json", "--b-j4", "2/3"]
     for token in ("SU", "Sp", "SO+", "SO-"):
         yield ["bounds", "--family", token, "--q", "13", "--sharp-a"]
 

@@ -117,7 +117,7 @@ def test_criterion_02_conjecture_support(criterion1):
 
 def test_criterion_03_k_table(capsys):
     for token, expected in [("SL", 12), ("SU", 12), ("Sp", 36), ("SO", 25)]:
-        cli_ok(["bounds", "--family", token, "--solve-k", "--b-j4", "1/3"])
+        cli_ok(["bounds", "--family", token, "--b-j4", "1/3"])
         out = capsys.readouterr().out.strip()
         assert out == f"K4({token}) = {expected}"
     assert solve_K4(ClassicalTag.SP_ODD_Q, Fraction(1, 3)) == 36

@@ -81,14 +81,17 @@ class TestFixedsets:
         assert cli(capsys, "fixedsets", "--cycles", "3,1") == (0, "1 3\n", "")
 
     def test_signed(self, capsys):
-        assert cli(capsys, "fixedsets", "--cycles", "2+,1-", "--signed") == (0, "(2,+) (1,-)\n", "")
+        # the signs on the tokens make the label signed; no flag says so
+        assert cli(capsys, "fixedsets", "--cycles", "2+,1-") == (0, "(2,+) (1,-)\n", "")
 
     def test_single_cycle_has_none(self, capsys):
         assert cli(capsys, "fixedsets", "--cycles", "5") == (0, "\n", "")
 
-    def test_signs_need_signed_flag(self, capsys):
-        code, _, err = cli(capsys, "fixedsets", "--cycles", "2+,1-")
-        assert code == 2 and "error:" in err
+    @pytest.mark.parametrize("cycles,err", [("3+,1", "bad signed cycle token '1'; expected like 3+ or 1-"),
+                                            ("3,1-", "bad cycle length '1-'")])
+    def test_mixed_signs_refused(self, capsys, cycles, err):
+        # the first token decides: a sign on it needs one on every token, none on it allows none
+        assert cli(capsys, "fixedsets", "--cycles", cycles) == (2, "", f"error: {err}\n")
 
     def test_garbage(self, capsys):
         code, _, _ = cli(capsys, "fixedsets", "--cycles", "0")
@@ -103,8 +106,7 @@ class TestFixedsets:
     @pytest.mark.parametrize("cycles", ["18446744073709551616", "18446744073709551616+"])
     def test_huge_cycle(self, capsys, cycles):
         # the profile's n-bit mask used to raise a raw MemoryError
-        argv = ["--cycles", cycles] + ["--signed"] * cycles.endswith("+")
-        code, out, err = cli(capsys, "fixedsets", *argv)
+        code, out, err = cli(capsys, "fixedsets", "--cycles", cycles)
         assert (code, out) == (2, "")
         assert err == "error: fixed-set profiles are limited to n <= 2^28 (got 18446744073709551616)\n"
 
@@ -113,7 +115,7 @@ class TestFixedsets:
     def test_token_past_the_int_digit_limit(self, capsys, signed):
         # int() refuses more than sys.get_int_max_str_digits() digits: a raw ValueError, exit 1
         token = "9" * 5000 + "+" * signed
-        code, out, err = cli(capsys, "fixedsets", "--cycles", token, *["--signed"] * signed)
+        code, out, err = cli(capsys, "fixedsets", "--cycles", token)
         assert (code, out) == (2, "")
         (line,) = err.splitlines()
         assert line.startswith("error: bad signed cycle token '9999" if signed else "error: bad cycle length '9999")
@@ -125,11 +127,12 @@ class TestFixedsets:
         assert "empty item" in err and repr(cycles) in err
 
 
-def regex_cycles(text, signed):
+def regex_cycles(text):
     """Reference for `_parse_cycles`: signed tokens read by the regex it
-    used before one isdecimal rule covered both flavours."""
+    used before one isdecimal rule covered both flavours.  A sign on the
+    first token makes the label signed."""
     tokens = _split_list(text, "cycle")
-    if signed:
+    if re.search(r"[+-]$", tokens[0]):
         pairs = []
         for tok in tokens:
             m = re.match(r"^(\d+)([+-])$", tok)
@@ -149,11 +152,10 @@ class TestCycleTokens:
     BODIES = ["3", "12", "0", "007", "\u0663", "\uff13", "\u00b2", "", "1 2", "+3", "-3", "3+1", "3-1"]
     ENDS = ["", "+", "-", "++", "+-", "--", " +", "- ", "+ "]
 
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_matches_regex_parser(self, signed):
+    def test_matches_regex_parser(self):
         def outcome(parse, text):
             try:
-                return parse(text, signed)
+                return parse(text)
             except ValidationError as e:
                 return f"error: {e}"
 
@@ -162,8 +164,8 @@ class TestCycleTokens:
         assert [outcome(_parse_cycles, t) for t in texts] == [outcome(regex_cycles, t) for t in texts]
 
     def test_unicode_digits_read_as_int_does(self):
-        assert _parse_cycles("\u0663+,\uff13-", True) == make_signed([(3, 1), (3, -1)])
-        assert _parse_cycles("\u0663,\uff13", False) == make_partition([3, 3])
+        assert _parse_cycles("\u0663+,\uff13-") == make_signed([(3, 1), (3, -1)])
+        assert _parse_cycles("\u0663,\uff13") == make_partition([3, 3])
 
 
 class TestEstimate:
@@ -439,12 +441,12 @@ class TestExact:
 class TestBounds:
     @pytest.mark.parametrize("family,expected", [("SL", "12"), ("SU", "12"), ("Sp", "36"), ("SO", "25"), ("SO+", "25"), ("SO-", "25")])
     def test_solve_k(self, capsys, family, expected):
-        code, out, _ = cli(capsys, "bounds", "--family", family, "--solve-k")
+        code, out, _ = cli(capsys, "bounds", "--family", family)
         assert code == 0
         assert expected in out.split()
 
     def test_solve_k_decimal_b(self, capsys):
-        code, out, _ = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "0.33333333")
+        code, out, _ = cli(capsys, "bounds", "--family", "SL", "--b-j4", "0.33333333")
         assert code == 0 and "12" in out.split()
 
     def test_report_human(self, capsys):
@@ -470,15 +472,17 @@ class TestBounds:
         code, _, err = cli(capsys, "bounds", "--family", "Sp", "--q", "8", "--sharp-a")
         assert code == 2 and "error:" in err
 
-    def test_needs_q_or_solve(self, capsys):
-        code, _, err = cli(capsys, "bounds", "--family", "SL")
-        assert code == 2 and "error:" in err
+    def test_no_q_prints_k4(self, capsys):
+        # with no field size to report at, bounds solves for the threshold
+        assert cli(capsys, "bounds", "--family", "SL") == (0, "K4(SL) = 12\n", "")
+        code, out, err = cli(capsys, "bounds", "--family", "SL", "--json")
+        assert (code, err, json.loads(out)["K4"]) == (0, "", 12)
 
     def test_bad_b(self, capsys):
         # --b-j4 is read by the bounds library's own reader, so it fails with its message
         with pytest.raises(ValidationError) as info:
             _as_fraction("junk", "b-j4")
-        code, out, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "junk")
+        code, out, err = cli(capsys, "bounds", "--family", "SL", "--b-j4", "junk")
         assert (code, out, err) == (2, "", f"error: {info.value}\n")
 
     def test_zero_b_is_refused_by_the_cli(self, capsys):
@@ -493,22 +497,21 @@ class TestBounds:
         assert code == 2
         assert "'1e400'" in err and len(err) < 80
 
-    @pytest.mark.parametrize(
-        "extra,flag",
-        [(["--q", "13"], "--q"), (["--sharp-a"], "--sharp-a"), (["--sharp-a", "--q", "13"], "--q")],
-    )
-    def test_solve_k_rejects_report_flags(self, capsys, extra, flag):
-        code, out, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", *extra)
-        assert (code, out) == (2, "")
-        assert f"error: {flag} does not apply with --solve-k" in err
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_sharp_a_needs_q(self, capsys, tmp_path, via_config):
+        # the threshold solver has no q, so no factor to sharpen
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sharp-a = yes\n")
+        extra = ["--config", str(cfg)] if via_config else ["--sharp-a"]
+        assert cli(capsys, "bounds", "--family", "SL", *extra) == (2, "", "error: --sharp-a needs --q\n")
 
     def test_no_solution_exit_1(self, capsys):
-        code, _, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "1e-30")
+        code, _, err = cli(capsys, "bounds", "--family", "SL", "--b-j4", "1e-30")
         assert code == 1 and "error:" in err
 
     def test_no_solution_echoes_the_text(self, capsys):
         # the message used to print the expanded Fraction: 482 bytes here
-        code, _, err = cli(capsys, "bounds", "--family", "SL", "--solve-k", "--b-j4", "1e-400")
+        code, _, err = cli(capsys, "bounds", "--family", "SL", "--b-j4", "1e-400")
         (line,) = err.splitlines()
         assert code == 1 and line.startswith("error:")
         assert "1e-400" in line and len(line) <= 200
@@ -517,7 +520,7 @@ class TestBounds:
     @pytest.mark.parametrize(
         "extra",
         [["--q", "7" * 1502], ["--q", "7" * 1502, "--json"], ["--q", "13", "--b-j4", f"1e-{DIGIT_LIMIT}"],
-         ["--solve-k", "--json", "--b-j4", "1" + "0" * (DIGIT_LIMIT - 17) + f"1e-{DIGIT_LIMIT}"]],
+         ["--json", "--b-j4", "1" + "0" * (DIGIT_LIMIT - 17) + f"1e-{DIGIT_LIMIT}"]],
         ids=["q", "q-json", "b-j4", "k4-json"],
     )
     def test_report_past_the_print_limit(self, capsys, extra):
@@ -588,12 +591,15 @@ class TestConfigFile:
             (["estimate", "--n", "4", "--family", "A"], "trails"),
             (["sweep", "--ns", "2,3", "--family", "A"], "gap_compat"),
             (["exact", "--n", "2", "--family", "A"], "trails"),
-            (["bounds", "--family", "SL", "--solve-k"], "trails"),
+            (["bounds", "--family", "SL"], "trails"),
+            (["fixedsets", "--cycles", "3+,1-"], "signed"),
+            (["bounds", "--family", "SL"], "solve_k"),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else v,
     )
     def test_unknown_key_rejected(self, capsys, tmp_path, argv, bad_key):
-        # a key the subcommand has no flag for is a typo, not a silent default
+        # a key the subcommand has no flag for is a typo, not a silent default;
+        # signed and solve_k are no keys, since the input decides them
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# comment\n{bad_key.replace('_', '-')}=5\n")
         code, out, err = cli(capsys, *argv, "--config", str(cfg))
@@ -604,7 +610,7 @@ class TestConfigFile:
         "argv,lines,key",
         [
             (["exact"], ["n = 5", "family=A", "n=6"], "n"),
-            (["bounds", "--family", "SL", "--solve-k"], ["b-j4 = 1/2", "# the same key", "b_j4 = 1/3"], "b_j4"),
+            (["bounds", "--family", "SL"], ["b-j4 = 1/2", "# the same key", "b_j4 = 1/3"], "b_j4"),
         ],
         ids=["n", "b-j4-then-b_j4"],
     )
@@ -654,10 +660,10 @@ class TestLongValuesAreCut:
             ["exact", "--family", "A", "--n", BIG],
             ["exact", "--family", "A", "--n", "8", "--l", BIG],
             ["fixedsets", "--cycles", LONG],
-            ["fixedsets", "--signed", "--cycles", "3" * 300],
+            ["fixedsets", "--cycles", "3+," + "3" * 300],
             ["bounds", "--family", LONG, "--q", "13"],
-            ["bounds", "--family", "SL", "--solve-k", "--b-j4", LONG],
-            ["bounds", "--family", "SL", "--solve-k", "--b-j4", BIG],
+            ["bounds", "--family", "SL", "--b-j4", LONG],
+            ["bounds", "--family", "SL", "--b-j4", BIG],
         ],
         ids=["n-range", "n-digits", "event", "seed-range", "seed-text", "trials", "confidence", "format",
              "family", "ns-empty-item", "count", "exact-n", "exact-l", "cycles", "signed-cycles",
@@ -719,15 +725,15 @@ class TestLongValuesAreCut:
 # underscores) and a config key of the same name
 DESTS = {
     "sample": {"n", "family", "count", "seed"},
-    "fixedsets": {"cycles", "signed"},
+    "fixedsets": {"cycles"},
     "estimate": {"n", "l", "family", "event", "trials", "seed", "threads", "confidence",
                  "format", "out", "gap_compat"},
     "sweep": {"ns", "l", "family", "event", "trials", "seed", "threads", "confidence",
               "format", "out"},
     "exact": {"n", "l", "family", "event"},
-    "bounds": {"family", "q", "b_j4", "solve_k", "sharp_a", "json"},
+    "bounds": {"family", "q", "b_j4", "sharp_a", "json"},
 }
-BOOL_DESTS = {"signed", "gap_compat", "solve_k", "sharp_a", "json"}
+BOOL_DESTS = {"gap_compat", "sharp_a", "json"}
 # a valid, quick call of each subcommand
 BASE_OPTIONS = {
     "sample": {"n": "3", "family": "A"},
@@ -789,14 +795,21 @@ class TestOptionTable:
 
     @pytest.mark.parametrize(
         "command,dest,word",
-        [("fixedsets", "signed", "false"), ("bounds", "json", "off"), ("bounds", "solve_k", "no"),
-         ("bounds", "sharp_a", "0"), ("estimate", "gap_compat", " False ")],
+        [("bounds", "json", "off"), ("bounds", "sharp_a", "0"), ("estimate", "gap_compat", " False ")],
     )
     def test_false_config_is_the_flag_left_out(self, capsys, tmp_path, command, dest, word):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{dest}={word}\n")
         argv = base_argv(command, skip=dest)
         assert cli(capsys, *argv, "--config", str(cfg)) == cli(capsys, *argv)
+
+    @pytest.mark.parametrize("command,dest", [(c, d) for c in sorted(_COMMANDS) for d in [*_COMMANDS[c][2], "config"]])
+    def test_repeated_flag_rejected(self, capsys, command, dest):
+        # the last one used to win silently: `exact --n 5 --family A --n 6` ran at n = 6;
+        # the refusal comes before any value is read, so "x" is never parsed
+        given = [flag(dest)] + ["x"] * (dest not in BOOL_DESTS)
+        code, out, err = cli(capsys, *base_argv(command, skip=dest), *given, *given)
+        assert (code, out, err) == (2, "", f"error: flag {flag(dest)} given more than once\n")
 
 
 JUNK = st.sampled_from(["", " ", "x", "-", "٣", "1e3", "0x", "nan", "\t7 ", "a\x00b", "\udcff", LONG, BIG, "-" + BIG])
@@ -819,7 +832,7 @@ TEXTS = {
     "confidence": st.one_of(st.sampled_from(["0.9", "1", "0", "inf", "1e-300"]), JUNK),
     "format": st.one_of(st.sampled_from(["csv", "jsonl", "xml"]), JUNK),
     "out": st.sampled_from(["-", "o.csv", "", ".", "absent/o.csv", "z" * 300, f"absent/{'z' * 300}/o", "a\x00b"]),
-    "cycles": st.one_of(st.lists(st.sampled_from(["0", "1", "3", "9", "3+", "1-", "-1", ""]), min_size=1, max_size=5)
+    "cycles": st.one_of(st.lists(st.sampled_from(["0", "1", "3", "9", "3+", "1-", "-1", "", "+", "2+-"]), min_size=1, max_size=5)
                         .map(",".join), HUGE, JUNK),
     "q": st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["4096", str(2**64)]), JUNK),
     "b_j4": st.one_of(st.sampled_from(["1/3", "0.5", "0", "2", "1/0", "-1/3", "1e-5"]), JUNK),
@@ -837,15 +850,19 @@ def texts(command, dest):
 @st.composite
 def generated_calls(draw):
     """An argv drawn from `_COMMANDS` and `_OPTIONS`, usually a valid base
-    call with some options replaced; at times with a --config file of
-    key=value lines (keys of any command, some malformed lines) and with a
-    stray argument.  Returns the argv and the file's lines, if any."""
+    call with some options replaced; at times with one flag given twice,
+    with a --config file of key=value lines (keys of any command, some
+    malformed lines) and with a stray argument.  Returns the argv and the
+    file's lines, if any."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     options = dict(BASE_OPTIONS[command]) if draw(st.integers(0, 3)) else {}
     for dest in draw(st.lists(st.sampled_from(sorted(_COMMANDS[command][2])), unique=True)):
         options[dest] = None if _option(command, dest)[0] is _as_bool else draw(texts(command, dest))
+    given = list(options.items())
+    if given and draw(st.integers(0, 4)) == 0:
+        given.append(draw(st.sampled_from(given)))
     argv = [command]
-    for dest, text in options.items():
+    for dest, text in given:
         argv += [flag(dest)] + ([] if text is None else [text])
     lines = None
     if draw(st.booleans()):

@@ -238,6 +238,83 @@ class TestRowLawIsTheOracle:
             assert engine == exact_prob(n, l, family, event), l
 
 
+class TestPathLawIsTheOracle:
+    """Above the table caps a trial's outcome is a function of its draws,
+    and at tiny n the draws take few values that matter: a kept length
+    draw at rem points left is read mod rem, so u = 0..rem-1 stand for
+    every kept draw (`test_sampling`'s rejection boundary tests say so),
+    each with weight 1/rem; an element's sign word is read on its top n
+    bits, so their 2^n patterns stand for every word, each with weight
+    2^-n.  With the table caps at 0, a walk over every such path of
+    `_count_range(spec, 0, 1)` gives the engine's success probability as
+    a Fraction, which must equal `exact_prob`.  So `_sample_cycles` (its
+    lengths, sign words and D-sector flip) and the element loop (its
+    window pass, restart and reach) meet the oracle with no sampling
+    noise."""
+
+    @staticmethod
+    def engine_prob(monkeypatch, n, l, family, event):
+        path = []  # the (choice, options) of each draw of this trial, in order
+        tried = []  # the choices of the next path, up to the draw it changes
+
+        def take(options):
+            choice = tried[len(path)] if len(path) < len(tried) else 0
+            path.append((choice, options))
+            return choice
+
+        def draws():
+            while True:  # one element a pass, each read to its end
+                rem = n
+                while rem:
+                    u = take(rem)
+                    yield u
+                    if family.signed_labels and rem == n:  # n <= 64: one sign word, after the first length
+                        yield take(1 << n) << 64 - n
+                    rem -= 1 + u
+
+        streams = []  # what the engine's two `_draws` calls read: the trial's start, then its draws
+        monkeypatch.setattr(montecarlo, "_draws", lambda state, k: streams.pop())
+        s = spec(n, l, family, event=event, trials=1)
+        total = Fraction(0)
+        while True:
+            path.clear()
+            streams[:] = [draws(), iter([0])]
+            if montecarlo._count_range(s, 0, 1):
+                total += Fraction(1, math.prod(options for _, options in path))
+            while path and path[-1][0] + 1 == path[-1][1]:  # odometer: the last draw with a choice left
+                path.pop()
+            if not path:
+                return total
+            tried[:] = [choice for choice, _ in path]
+            tried[-1] += 1
+
+    # (n, l) of each family's cells: A n = 1..6 at l <= 2 and n <= 4 at
+    # l = 3; the signed families n = 1..3 at l <= 2 and n = 4 at l = 1, and
+    # B n = 4 at l = 2
+    SIGNED_SIZES = [(n, l) for n in range(1, 4) for l in (1, 2)] + [(4, 1)]
+    SIZES = {A: [(n, l) for n in range(1, 7) for l in (1, 2)] + [(n, 3) for n in range(1, 5)],
+             B: SIGNED_SIZES + [(4, 2)], **dict.fromkeys((C, DP, DM), SIGNED_SIZES)}
+
+    @pytest.mark.parametrize("family, event", TestEngineMatchesDefinition.PAIRS)
+    def test_every_path(self, monkeypatch, stick_breaking, family, event):
+        for n, l in self.SIZES[family]:
+            assert self.engine_prob(monkeypatch, n, l, family, event) == exact_prob(n, l, family, event), (n, l)
+
+    WINDOW_CELLS = [(A, "J", 1, [(4, 2), (5, 2), (6, 2), (4, 3)]), (A, "J", 2, [(6, 2)])] + [
+        (family, event, 1, [(4, 2)])
+        for family, event in [(B, "J"), (C, "J"), (DP, "J"), (DM, "J"), (B, "J_and_not_N"), (C, "J_and_not_N")]]
+
+    @pytest.mark.parametrize("family, event, window, cells", WINDOW_CELLS,
+                             ids=[f"{f.value}-{e}-window{w}" for f, e, w, _ in WINDOW_CELLS])
+    def test_every_path_through_the_window(self, monkeypatch, stick_breaking, family, event, window, cells):
+        # a cut-off of 1 sends every n through the window pass; at n >= 2
+        # * (window + 1) sizes lie above it, so the pass restarts at the reach
+        monkeypatch.setattr(montecarlo, "_WINDOW_CUTOFF", 1)
+        monkeypatch.setattr(montecarlo, "_WINDOW", window)
+        for n, l in cells:
+            assert self.engine_prob(monkeypatch, n, l, family, event) == exact_prob(n, l, family, event), (n, l)
+
+
 class TestReachCap:
     """Hand-made tuples at n = 2^16 against the cap of the full-width pass
     at the tuple's reach, min(n - longest cycle): a subset holding a cycle
