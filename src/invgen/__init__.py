@@ -3,7 +3,7 @@ seeded Monte Carlo at large n, exact rational oracles at small n, and the
 arithmetic propagating Weyl-level probabilities to classical-group bounds.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .bounds import (
     BoundReport,

@@ -2,7 +2,8 @@
 estimation, exact oracles, and classical bound reports.
 
 Each option is declared once, in `_OPTIONS`, and each subcommand lists
-its options with their defaults in `_COMMANDS`.  Every flag is also a
+its options with their defaults in `_COMMANDS`, the one place a default
+is set (`estimate` and `sweep` share `_MC`'s).  Every flag is also a
 key of the `--config` file; a flag wins over the file, which wins over
 the default, and both texts go through the same converter, so a bad
 value fails the same way (exit 2, one `error:` line) from either place.
@@ -10,7 +11,8 @@ A flag given twice, like a config key given twice, exits 2.  No option
 states what the input already decides: `fixedsets` reads signs from the
 `--cycles` tokens, and `bounds` without `--q` solves for K4.
 
-Output artifacts (CSV or JSON lines) embed the tool version and the
+`estimate` and `sweep` write one CSV or JSON-lines file, one row per
+experiment.  Output artifacts embed the tool version and the
 resolved run configuration including the master seed, enough to re-run
 bit-identically.  Execution-only knobs (--threads, --out) are not part of
 the configuration, so files are byte-identical across thread counts.
@@ -167,7 +169,6 @@ _OPTIONS = {
     "confidence": (_as_float, "Wilson interval confidence"),
     "format": (_as_format, "csv or jsonl"),
     "out": (_as_path, "output path (default stdout)"),
-    "gap_compat": (_as_bool, "l=4, trials=100 defaults; print the bare proportion"),
     "cycles": (str, "cycle type, like 3,1 or 3+,1-"),
     "q": (_as_int, "field size q (without it, solve for the threshold K4)"),
     "b_j4": (_parse_bj4, "Weyl-level bound b, fraction or decimal (default 1/3)"),
@@ -195,7 +196,7 @@ def _load_config(path, command: str, allowed) -> dict[str, str]:
         return {}
     try:
         with open(_as_path(path), encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            lines = fh.read().removeprefix("\ufeff").split("\n")  # a byte-order mark is no part of a key
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{_echo(path, str)}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     out = {}
@@ -268,7 +269,7 @@ def _emit(text: str, out: str | None) -> None:
 def _meta(command: str, o) -> dict:
     """The run configuration: every resolved option but the execution-only
     knobs, so files are byte-identical across --threads and --out."""
-    meta = {k: v for k, v in vars(o).items() if k not in ("threads", "out", "gap_compat")}
+    meta = {k: v for k, v in vars(o).items() if k not in ("threads", "out")}
     meta.update(command=command, version=__version__, family=o.family.value)
     return meta
 
@@ -296,17 +297,9 @@ def cmd_fixedsets(o) -> int:
 
 
 def cmd_estimate(o) -> int:
-    if o.gap_compat and o.format is not None:
-        raise ValidationError("--format does not apply with --gap-compat, which prints a bare proportion")
-    if o.trials is None:
-        o.trials = 100 if o.gap_compat else _MC["trials"]
     spec = ExperimentSpec(n=o.n, l=o.l, family=o.family, event=o.event, trials=o.trials,
                           master_seed=o.seed)
     est = run(spec, threads=o.threads, confidence=o.confidence)
-    if o.gap_compat:
-        _emit(f"{est.p_hat:.2f}\n", o.out)
-        return 0
-    o.format = o.format or _MC["format"]
     _emit(_render([est], _meta("estimate", o), o.format), o.out)
     return 0
 
@@ -362,8 +355,7 @@ _COMMANDS = {
                {"n": REQUIRED, "family": REQUIRED, "count": 1, "seed": 0}),
     "fixedsets": (cmd_fixedsets, "achievable proper fixed-set sizes of one cycle type",
                   {"cycles": REQUIRED}),
-    "estimate": (cmd_estimate, "Monte Carlo estimate of one experiment",
-                 {"gap_compat": False, **_MC, "trials": None, "format": None, "n": REQUIRED}),
+    "estimate": (cmd_estimate, "Monte Carlo estimate of one experiment", {**_MC, "n": REQUIRED}),
     "sweep": (cmd_sweep, "Monte Carlo estimates over a list of n", {**_MC, "ns": REQUIRED}),
     "exact": (cmd_exact, "exact small-n probability of an event (default J)",
               {"n": REQUIRED, "l": 4, "family": REQUIRED, "event": "J"}),

@@ -152,7 +152,6 @@ def _sweep_calls():
            "--event", "J_and_not_N", "--trials", "300", "--seed", "7"]
     yield ["sweep", "--ns", "3,8,40", "--family", "D-", "--trials", "300",
            "--seed", "11", "--format", "jsonl"]
-    yield ["estimate", "--n", "100", "--family", "C", "--gap-compat", "--seed", "3"]
     # all trials succeed / none do, at trial counts where the raw Wilson
     # bound rounds to the wrong side of p_hat
     yield ["estimate", "--n", "20", "--l", "3", "--family", "D+", "--event", "N", "--trials", "1000"]

@@ -10,17 +10,22 @@ import pytest
 from invgen import bounds
 from invgen import (
     BoundReport,
+    CapacityError,
     ClassicalFamily,
     ClassicalTag,
+    ExperimentSpec,
     NoSolutionError,
     ValidationError,
     WeylFamily,
+    exact_prob,
     i3_upper_bound,
     i4_lower_bound,
+    run,
     separable_proportion,
     solve_K4,
     solver_proportion,
 )
+from invgen.exact import SIGNED_LIMIT, UNSIGNED_LIMIT
 
 F = Fraction
 T = ClassicalTag
@@ -376,3 +381,46 @@ class TestSolveK4:
     def test_solver_proportion_clamps(self):
         assert solver_proportion(T.SO_ODD_DIM, 2) == 0
         assert solver_proportion(T.SO_ODD_DIM, 3) == 0
+
+
+class TestChainInput:
+    """The chain's Weyl-level input, b = 1/3 (the K4 table's), checked on
+    every route: b <= Prob(J^4) in each row's Weyl family (every family is
+    one, see TestWeylFamilyOf), by the oracle at every n up to its cap and
+    by Monte Carlo at large n.  Without --sharp-a the chain uses 7/8 b, the
+    same-sign correction 7/8 = Prob(not N^4)."""
+
+    B_CHAIN = F(1, 3)
+
+    @pytest.mark.parametrize("family", list(WeylFamily))
+    def test_oracle_up_to_the_cap(self, family):
+        # J reads S_n in A and C, the signed group in B and D
+        cap = UNSIGNED_LIMIT if family in (WeylFamily.A, WeylFamily.C) else SIGNED_LIMIT
+        with pytest.raises(CapacityError):
+            exact_prob(cap + 1, 4, family, "J")
+        # the minimum, at the cap, is 0.6535 in A and C, 0.8460 in B, 0.8948 in D+ and D-
+        assert min(exact_prob(n, 4, family, "J") for n in range(1, cap + 1)) >= self.B_CHAIN
+
+    def test_same_sign_correction_exact_in_C(self):
+        # J reads only the projection, and the signs are fair coins independent of it
+        for n in range(1, SIGNED_LIMIT + 1):
+            for l in range(2, 9):
+                expected = (1 - F(1, 2 ** (l - 1))) * exact_prob(n, l, WeylFamily.C, "J")
+                assert exact_prob(n, l, WeylFamily.C, "J_and_not_N") == expected, (n, l)
+
+    def test_same_sign_correction_in_B(self):
+        # not exact in B: Prob(J^4 and not N^4) / Prob(J^4) is 7/8 at n = 1
+        # and falls to 0.8678 at n = 11, yet 7/8 b stays below it
+        for n in range(1, SIGNED_LIMIT + 1):
+            both = exact_prob(n, 4, WeylFamily.B, "J_and_not_N")
+            assert both >= F(7, 8) * self.B_CHAIN, n
+            ratio = both / exact_prob(n, 4, WeylFamily.B, "J")
+            assert ratio == F(7, 8) if n == 1 else ratio < F(7, 8), (n, float(ratio))
+
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    @pytest.mark.parametrize("family", list(WeylFamily))
+    def test_monte_carlo_lower_bound(self, family, n):
+        # the 99% lower bounds read 0.518 (C) to 0.750 (D+) at 10^3 and 0.401
+        # (A) to 0.676 (D-) at 10^6; should one fall to 1/3, add trials
+        est = run(ExperimentSpec(n, 4, family, "J", 1000, 3), confidence=0.99)
+        assert est.ci_low > self.B_CHAIN, (est.p_hat, est.ci_low)

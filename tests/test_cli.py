@@ -264,33 +264,20 @@ class TestEstimate:
         )
         assert code == 2 and "error:" in err
 
-    def test_gap_compat(self, capsys):
-        code, out, _ = cli(capsys, "estimate", "--n", "100", "--family", "B", "--gap-compat", "--seed", "3")
+    def test_gap_compat_is_gone(self, capsys):
+        # invgen 0.6.0 removed the flag, which printed the bare proportion
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--n", "100", "--family", "C", "--gap-compat", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --gap-compat" in captured.err
+
+    def test_trials_100_gives_the_old_bare_proportion(self, capsys):
+        # `estimate --n 100 --family C --gap-compat --seed 3` printed 0.63
+        code, out, _ = cli(capsys, "estimate", "--n", "100", "--family", "C", "--trials", "100", "--seed", "3")
         assert code == 0
-        # bare proportion, two decimals, defaults trials=100 l=4 event=J
-        expected = run(ExperimentSpec(100, 4, WeylFamily.B, "J", 100, 3))
-        assert out == f"{expected.p_hat:.2f}\n"
-
-    def test_gap_compat_out(self, capsys, tmp_path):
-        path = tmp_path / "gap.txt"
-        code, out, _ = cli(
-            capsys, "estimate", "--n", "100", "--family", "B", "--gap-compat", "--seed", "3",
-            "--out", str(path),
-        )
-        assert (code, out) == (0, "")
-        expected = run(ExperimentSpec(100, 4, WeylFamily.B, "J", 100, 3))
-        assert path.read_text() == f"{expected.p_hat:.2f}\n"
-
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_gap_compat_rejects_format(self, capsys, tmp_path, fmt):
-        path = tmp_path / "gap.txt"
-        code, out, err = cli(
-            capsys, "estimate", "--n", "100", "--family", "B", "--gap-compat",
-            "--out", str(path), "--format", fmt,
-        )
-        assert (code, out) == (2, "")
-        assert "--format does not apply with --gap-compat" in err
-        assert not path.exists()
+        row = dict(zip(CSV_HEADER.split(","), out.splitlines()[3].split(",")))
+        assert (row["trials"], row["successes"], row["p_hat"]) == ("100", "63", "0.63")
 
     def test_bad_trials(self, capsys):
         code, _, _ = cli(capsys, "estimate", "--n", "4", "--family", "A", "--trials", "-5")
@@ -590,6 +577,7 @@ class TestConfigFile:
             (["fixedsets", "--cycles", "3,1"], "trails"),
             (["estimate", "--n", "4", "--family", "A"], "trails"),
             (["sweep", "--ns", "2,3", "--family", "A"], "gap_compat"),
+            (["estimate", "--n", "4", "--family", "A"], "gap_compat"),
             (["exact", "--n", "2", "--family", "A"], "trails"),
             (["bounds", "--family", "SL"], "trails"),
             (["fixedsets", "--cycles", "3+,1-"], "signed"),
@@ -599,7 +587,8 @@ class TestConfigFile:
     )
     def test_unknown_key_rejected(self, capsys, tmp_path, argv, bad_key):
         # a key the subcommand has no flag for is a typo, not a silent default;
-        # signed and solve_k are no keys, since the input decides them
+        # signed and solve_k are no keys, since the input decides them, and
+        # gap_compat is none since invgen 0.6.0
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# comment\n{bad_key.replace('_', '-')}=5\n")
         code, out, err = cli(capsys, *argv, "--config", str(cfg))
@@ -632,6 +621,20 @@ class TestConfigFile:
         code, out, err = cli(capsys, "estimate", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert f"{cfg}: not UTF-8 text" in err
+
+    def test_byte_order_mark_skipped(self, capsys, tmp_path):
+        # an editor's UTF-8 byte-order mark was read as part of the first
+        # key: `unknown key '\\ufeffn' for exact`, exit 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn=5\nfamily=A\n")
+        assert cli(capsys, "exact", "--config", str(cfg)) == cli(capsys, "exact", "--n", "5", "--family", "A")
+
+    def test_not_utf8_after_a_byte_order_mark(self, capsys, tmp_path):
+        # the bad byte is counted from the start of the file, mark included
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn=5\n\xff=1\n")
+        code, out, err = cli(capsys, "exact", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {cfg}: not UTF-8 text (invalid start byte at byte 7)\n")
 
 
 LONG = "x" * 300
@@ -727,13 +730,13 @@ DESTS = {
     "sample": {"n", "family", "count", "seed"},
     "fixedsets": {"cycles"},
     "estimate": {"n", "l", "family", "event", "trials", "seed", "threads", "confidence",
-                 "format", "out", "gap_compat"},
+                 "format", "out"},
     "sweep": {"ns", "l", "family", "event", "trials", "seed", "threads", "confidence",
               "format", "out"},
     "exact": {"n", "l", "family", "event"},
     "bounds": {"family", "q", "b_j4", "sharp_a", "json"},
 }
-BOOL_DESTS = {"gap_compat", "sharp_a", "json"}
+BOOL_DESTS = {"sharp_a", "json"}
 # a valid, quick call of each subcommand
 BASE_OPTIONS = {
     "sample": {"n": "3", "family": "A"},
@@ -795,7 +798,7 @@ class TestOptionTable:
 
     @pytest.mark.parametrize(
         "command,dest,word",
-        [("bounds", "json", "off"), ("bounds", "sharp_a", "0"), ("estimate", "gap_compat", " False ")],
+        [("bounds", "json", "off"), ("bounds", "sharp_a", "0"), ("bounds", "json", " False ")],
     )
     def test_false_config_is_the_flag_left_out(self, capsys, tmp_path, command, dest, word):
         cfg = tmp_path / "run.cfg"
