@@ -52,7 +52,7 @@ CELL_LS = (1, 2, 3, 4, 5, 6, 8, 16)
 _SIGNED = ("B", "C", "D+", "D-")
 MC_CELLS = (
     (("A",), 8, 1000), (("A",), 20, 1000), (_SIGNED, 11, 1000),
-    (("A",), 21, 500), (_SIGNED, 12, 500),
+    (("A",), 21, 500), (_SIGNED, 12, 500), (_SIGNED, 17, 500),
     (("A", *_SIGNED), 1000, 200),
     (("A", *_SIGNED), 1 << 16, 16), (("A", *_SIGNED), (1 << 16) + 1, 16), (("A", *_SIGNED), 10**6, 16),
 )
@@ -100,6 +100,8 @@ def _sample_calls():
     yield ["sample", "--n", "21", "--family", "A", "--count", "12", "--seed", "20240601"]
     for family in ("B", "C", "D+", "D-"):
         yield ["sample", "--n", "12", "--family", family, "--count", "12", "--seed", "20240601"]
+    for family in ("B", "C", "D+", "D-"):
+        yield ["sample", "--n", "17", "--family", family, "--count", "12", "--seed", "20240601"]
 
 
 def _sample_library_text() -> str:
