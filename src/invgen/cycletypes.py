@@ -295,7 +295,7 @@ _EVENTS = {
     "J": _Event(False, True, lambda lengths, signs, total: 0),
     "J_and_not_N": _Event(True, True, _sign_bit),
     "N": _Event(True, False, _sign_bit),
-    "all_even": _Event(False, False, lambda lengths, signs, total: 0 if any(k & 1 for k in lengths) else 1),
+    "all_even": _Event(False, False, lambda lengths, signs, total: 0 if any(map((1).__and__, lengths)) else 1),
     "all_positive": _Event(True, False, lambda lengths, signs, total: 0 if -1 in signs else 1),
 }
 EVENTS = tuple(_EVENTS)

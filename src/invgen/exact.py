@@ -32,10 +32,10 @@ from itertools import chain, combinations_with_replacement, groupby, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 
-from .cycletypes import (_EVENTS, EVENTS, Partition, SignedCycleType, WeylFamily,  # noqa: F401 (public here too)
+from .cycletypes import (_EVENTS, EVENTS, WeylFamily,  # noqa: F401 (public here too)
                          _check_family, check_event, event_J, fixed_sizes, project, signed_fixed_sets)
 from .errors import CapacityError, ValidationError, _echo, check_positive_int
-from .sampling import _class_table
+from .sampling import _class_table, _label
 
 # The half lattice has 2^(n//2) points, 4^(n//2) for sign pairs, and its
 # sums cost most: at the caps (A n = 28, B n = 11) a call takes up to about
@@ -74,9 +74,9 @@ def enumerate_classes(n: int, family: WeylFamily) -> ClassTable:
     signed = family.signed_labels
     _check_cap(n, family, signed)
     table = _class_table(n, signed, family.sector_sign)
-    # labels hold exact-size tuples: tuple() of an iterator over-allocates
-    entries = tuple((SignedCycleType(n, (*zip(lengths, signs),)) if signed else Partition(n, lengths),
-                     Fraction(count, table.order)) for lengths, signs, _, count in table.classes)
+    sizes = map(sub, table.cumulative, chain((0,), table.cumulative))
+    entries = tuple((_label(table, index, n, signed), Fraction(size, table.order))
+                    for index, size in enumerate(sizes))
     return ClassTable(n=n, family=family, entries=entries)
 
 

@@ -24,9 +24,10 @@ computes only the bits still alive in those intersections, runs only
 while one is, and skips every cycle longer than the top one.
 
 At the samplers' table n (see `sampling`) an element is one table draw,
-and its masks are its class's row of `_class_masks`, packed into one int
-and built once per (n, family, event): no stick-breaking, sort, DP or
-label per element.  The trials run a block at a time, one round per
+and its masks are its class's row of `_class_masks`, every event's packed
+into one int and built once per (n, family) from the table's bytes; an
+event reads the row through its `_event_mask`.  No stick-breaking, sort,
+DP or label per element.  The trials run a block at a time, one round per
 element: `sampling._picks` draws element j of every open trial, 32
 streams per mix64, and one AND per trial settles it or keeps it open.
 At n = 8, l = 4 a trial takes 1.0-3.1 us, against 2.3-7.2 us drawing
@@ -68,7 +69,7 @@ from statistics import NormalDist
 from .cycletypes import (_EVENTS, EVENTS, WeylFamily, _check_profile_n, _sign_bit,  # noqa: F401 (public here too)
                          check_event, signed_subset_masks, subset_sum_mask)
 from .errors import CapacityError, ValidationError, _echo, as_list, check_positive_int
-from .sampling import (GOLDEN, LANES, M64, _check_range, _check_seed, _class_table, _draws, _lanes, _picks,
+from .sampling import (GOLDEN, LANES, M64, _check_range, _check_seed, _class_table, _draws, _elements, _lanes, _picks,
                        _sample_cycles, _table, mix64)
 
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
@@ -144,32 +145,47 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
     return wilson_interval_z(successes, trials, _z(confidence))
 
 
+# a `_class_masks` row holds event i's bits at bits 2i and 2i + 1, then the tracks
+_TRACKS = 2 * len(EVENTS)
+
+
 @cache
-def _class_masks(n: int, family: WeylFamily, event: str) -> list[int]:
+def _class_masks(n: int, family: WeylFamily) -> list[int]:
     """Per class of the table that family's sampler reads at n, in its
-    order: its masks for event packed into one int.  Bits 0-1 hold the
-    row's bits; above them fields of n//2 + 1 bits hold the profile on
-    sizes 1..n//2 as a trial intersects it: (plus, minus) of the (size,
-    sign) tracks in B and D, else the projection's sizes and 0, and in B
-    the pair again, swapped for a - element.  Every field is 0 for an
-    event that does not intersect.  So the AND of a trial's rows is 0
-    exactly when every track and the alive bits are empty."""
-    _, intersects, bits = _EVENTS[event]
+    order: its masks for every event packed into one int, read straight
+    from the table's bytes.  Bits 2i and 2i + 1 hold the row's bits of
+    event i of EVENTS; from bit _TRACKS on, fields of n//2 + 1 bits hold
+    the profile on sizes 1..n//2 as a trial intersects it: (plus, minus)
+    of the (size, sign) tracks in B and D, else the projection's sizes and
+    0, and in B the pair again, swapped for a - element.  An event reads
+    its rows through `_event_mask`, so the AND of a trial's rows and that
+    mask is 0 exactly when the event's bits and, for an event that
+    intersects, every track are empty.  Equal rows are one int."""
     width = n // 2 + 1
     low = (1 << width) - 2
-    out = []
-    for lengths, signs, total, _ in _class_table(n, family.signed_labels, family.sector_sign).classes:
-        if not intersects:
-            plus = minus = 0
-        elif family.signed_profiles:
+    table = _class_table(n, family.signed_labels, family.sector_sign)
+    events = [(bits, 2 * i) for i, (_, _, bits) in enumerate(_EVENTS.values())]
+    rows, shared = [], {}
+    for lengths, signs in _elements(table):  # in label order: the DPs take them reversed, lengths ascending
+        total = -1 if signs.count(-1) & 1 else 1
+        if family.signed_profiles:
             plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), low)
         else:
             plus, minus = subset_sum_mask(reversed(lengths), low), 0
         tracks = plus | minus << width
         if family is WeylFamily.B:
             tracks |= (minus | plus << width if total < 0 else tracks) << 2 * width
-        out.append(bits(lengths, signs, total) | tracks << 2)
-    return out
+        row = tracks << _TRACKS
+        for bits, at in events:
+            row |= bits(lengths, signs, total) << at
+        rows.append(shared.setdefault(row, row))
+    return rows
+
+
+def _event_mask(event: str) -> int:
+    """The bits of a `_class_masks` row that `event` reads: its own two,
+    and every track if it intersects."""
+    return 3 << 2 * EVENTS.index(event) | (-1 << _TRACKS if _EVENTS[event].intersects else 0)
 
 
 def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
@@ -210,11 +226,11 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     starts = _draws(seed + start * GOLDEN, LANES)
     table = _table(n, signed, want)
     if table is not None:
-        rows = _class_masks(n, family, spec.event)
+        rows, mask = _class_masks(n, family), _event_mask(spec.event)
         unsettled = 0
         for first in range(start, stop, _BLOCK):
             bases = list(islice(starts, min(_BLOCK, stop - first)))
-            ands = repeat(-1)  # the AND of each open trial's rows
+            ands = repeat(mask)  # the AND of each open trial's rows, through the event's mask
             for j in range(1, l + 1):
                 ands = list(map(and_, ands, map(rows.__getitem__, _picks(bases, j, table))))
                 bases = list(compress(bases, ands))

@@ -7,14 +7,19 @@ Monte Carlo trial owns an independent stream and results cannot depend on
 scheduling.
 
 Small n read a class table: n <= PARTITION_TABLE_LIMIT (20) for S_n, n <=
-SIGNED_TABLE_LIMIT (11) for the signed group and for a D sector.  This
+SIGNED_TABLE_LIMIT (16) for the signed group and for a D sector.  This
 module owns the tables: `_class_table` walks the classes (longest
 remaining length first, its multiplicity descending, then the number of +
 cycles descending) with integer class sizes summing to the order (n!,
-2^n n!, or 2^(n-1) n! in a sector), which fits one draw.  An element is
-one table draw (`_pick`): a draw u is kept if u < (2^64 // order) *
-order, else the next one is read, and r = u mod order picks the class at
-bisect_right(cumulative sizes, r).  sample_partition reads S_n's table,
+2^n n!, or 2^(n-1) n! in a sector), which fits one draw.  A table is
+compact: its classes' cycles are one byte string, a byte per cycle, with
+an array of where each class starts, and a label is read from them only
+when a sampler returns it (`_label`).  At signed n = 16 the three tables
+(5,822 classes in B) hold about 0.7 MB, most of it the running class
+sizes, a list because bisect reads a list fastest.  An element is one
+table draw (`_pick`): a draw u is kept if u < (2^64 // order) * order,
+else the next one is read, and r = u mod order picks the first class
+whose running size exceeds r.  sample_partition reads S_n's table,
 sample_signed the signed one, and sample_signed_conditioned its sector's;
 the Monte Carlo engine reads the table its family's sampler does, draw j
 of many trials' streams at once (`_picks`: one mix64 over LANES streams,
@@ -39,9 +44,10 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from bisect import bisect_right
 from functools import cache
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import mod
 from typing import NamedTuple
 
@@ -54,11 +60,11 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 LANES = 32  # the most draws one batch computes
-# the largest n whose elements are table draws, the samplers' own caps: A
-# stops where n! outgrows one draw (20! < 2^64 < 21!); the signed tables,
-# which fit one draw up to n = 16, stop at 752 classes (B n = 11)
+# the largest n whose elements are table draws, the samplers' own caps:
+# where the order outgrows one draw, 20! < 2^64 < 21! for A and
+# 2^16 16! < 2^64 < 2^17 17! for the signed tables (5,822 classes in B)
 PARTITION_TABLE_LIMIT = 20
-SIGNED_TABLE_LIMIT = 11
+SIGNED_TABLE_LIMIT = 16
 
 
 def mix64(x: int) -> int:
@@ -150,45 +156,83 @@ def _draws(s: int, k: int):
 
 
 class _Table(NamedTuple):
-    """A class table as the samplers read it."""
+    """A class table as the samplers read it.  Class i's cycles are
+    cycles[bounds[i]:bounds[i + 1]], in label order, one byte each:
+    length << 1, plus 1 for a - cycle."""
 
     order: int
     limit: int  # (2^64 // order) * order: a draw at or above it is rejected
-    cumulative: list[int]  # running sums of the class sizes
-    classes: list  # (lengths, signs, total, count) rows, in walk order
+    cumulative: list[int]  # running sums of the class sizes: a list, which bisect reads fastest
+    cycles: bytes  # every class's cycles, in walk order
+    # where each class's cycles start, then where the last ends: C unsigned
+    # ints in a byte string, as the array module's library takes 0.13 MB
+    bounds: memoryview
+
+
+# a table byte's length (a bytes.translate table), sign, and (length, sign), which labels share
+_LENGTHS = bytes(b >> 1 for b in range(256))
+_SIGNS = tuple(-1 if b & 1 else 1 for b in range(256))
+_CYCLES = tuple(zip(_LENGTHS, _SIGNS))
 
 
 @cache
 def _class_table(n: int, signed: bool, want: int | None) -> _Table:
     """S_n's class table, or the signed one (want None) or a D sector's
-    (want its total sign), with no cap: its classes as (lengths, signs,
-    total, count), count the integer class size.  One walk picks the
-    longest remaining length j, its multiplicity m, then (signed) how many
-    of the m cycles are positive, each descending, and carries the class
-    size's divisor down: j^m m! in S_n, (2j)^m m+! m-! signed.  The order,
-    n!, 2^n n!, or 2^(n-1) n! in a D sector, is asserted to sum the counts."""
+    (want its total sign), with no cap: its classes' cycles and their
+    integer class sizes' running sums.  One walk picks the longest
+    remaining length j, its multiplicity m, then (signed) how many of the m
+    cycles are positive, each descending, and carries the class size's
+    divisor down: j^m m! in S_n, (2j)^m m+! m-! signed.  The order, n!,
+    2^n n!, or 2^(n-1) n! in a D sector, is asserted to sum the sizes.  A
+    length takes a byte, so n is at most 127."""
     group = math.factorial(n) << n if signed else math.factorial(n)
-    # m cycles of one length, + first: (their signs, the signs' product, m+! m-!)
-    splits = [[((1,) * (m - k) + (-1,) * k, (-1) ** k, math.factorial(m - k) * math.factorial(k)) for k in range(m + 1)]
-              if signed else [((), 1, math.factorial(m))] for m in range(n + 1)]
-    classes = []
+    # m cycles of length j, + first: (their bytes, their signs' product, (2j or j)^m m+! m-!), by j and m
+    blocks = [[[(bytes((j << 1,)) * (m - k) + bytes((j << 1 | 1,)) * k, (-1) ** k,
+                 (2 * j if signed else j) ** m * math.factorial(m - k) * math.factorial(k))
+                for k in range(m + 1 if signed else 1)] for m in range(n // j + 1)] if j else []
+              for j in range(n + 1)]
+    order = group >> (want is not None)
+    # the running sums grow from a first one dropped at the end: summing a
+    # list of the sizes afterwards left 0.13 MB more resident at signed n = 16
+    cycles, bounds, cumulative = bytearray(), bytearray(4), [0]
 
-    def walk(rest, top, lengths, signs, total, div):
+    def walk(rest, top, run, total, div):
         for j in range(min(rest, top), 0, -1):
             for m in range(rest // j, 0, -1):
-                left, run, power = rest - j * m, lengths + (j,) * m, div * (2 * j if signed else j) ** m
-                for chunk, sign, split in splits[m]:
+                left = rest - j * m
+                for chunk, sign, split in blocks[j][m]:
                     if left:
-                        walk(left, j - 1, run, signs + chunk, total * sign, power * split)
+                        walk(left, j - 1, run + chunk, total * sign, div * split)
                     elif want in (None, total * sign):
-                        classes.append((run, signs + chunk, total * sign, group // (power * split)))
+                        cycles.extend(run + chunk)
+                        bounds.extend(len(cycles).to_bytes(4, sys.byteorder))
+                        cumulative.append(cumulative[-1] + group // (div * split))
 
-    walk(n, n, (), (), 1, 1)
+    walk(n, n, b"", 1, 1)
     del walk  # it holds itself and the table through its closure: free both now, not at the next gc
-    order = group >> (want is not None)
-    cumulative = list(accumulate(row[3] for row in classes))
+    del cumulative[0]
     assert cumulative[-1] == order, f"class sizes do not sum to {order}"
-    return _Table(order, TWO64 // order * order, cumulative, classes)
+    return _Table(order, TWO64 // order * order, cumulative, bytes(cycles), memoryview(bounds).cast("I"))
+
+
+def _label(table: _Table, index: int, n: int, signed: bool):
+    """The label of class `index`, a SignedCycleType of shared (length,
+    sign) pairs or a Partition, its cycles already in label order.  The
+    tuple is built at its exact size: tuple() of an iterator allocates a
+    guess and resizes it, which strands tuples on CPython's free lists."""
+    cycles = table.cycles[table.bounds[index]:table.bounds[index + 1]]
+    if signed:
+        return SignedCycleType(n, (*map(_CYCLES.__getitem__, cycles),))
+    return Partition(n, (*cycles.translate(_LENGTHS),))
+
+
+def _elements(table: _Table):
+    """Each class's lengths (a bytes) and signs (a list), in table order,
+    read straight from the table's bytes; both in label order."""
+    cycles, bounds = table.cycles, table.bounds
+    for start, stop in zip(bounds, islice(bounds, 1, None)):
+        element = cycles[start:stop]
+        yield element.translate(_LENGTHS), [*map(_SIGNS.__getitem__, element)]
 
 
 def _table(n: int, signed: bool, want: int | None = None) -> _Table | None:
@@ -204,7 +248,7 @@ def _pick(state: int, table: _Table) -> tuple[int, int]:
     the class it picks and the state after it.  Draw u is rejected at or
     above the table's limit, else r = u mod order picks the first class
     whose cumulative size exceeds r."""
-    order, limit, cumulative, _ = table
+    order, limit, cumulative = table.order, table.limit, table.cumulative
     while True:
         state = (state + GOLDEN) & M64
         u = mix64(state)
@@ -218,7 +262,7 @@ def _picks(bases: list[int], j: int, table: _Table) -> list[int]:
     per LANES streams.  A draw at or above the table's limit is read again
     by `_pick` from that draw's state, and its base moves to the state
     `_pick` ends on, less j steps: draw j + 1 of it is the draw after."""
-    order, limit, cumulative, _ = table
+    order, limit, cumulative = table.order, table.limit, table.cumulative
     draws = []
     for i in range(0, len(bases), LANES):
         lanes = bases[i:i + LANES]
@@ -281,11 +325,10 @@ def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
     table = _table(n, signed, want_sign)
     if table is not None:
         index, rng.state = _pick(rng.state, table)
-        lengths, signs, _, _ = table.classes[index]  # already in label order
-    else:
-        draws = compress(_draws(rng.state, _lanes(n, signed)), read := count(1))
-        lengths, signs, _ = _sample_cycles(draws, n, signed, want_sign)
-        rng.state = (rng.state + (next(read) - 1) * GOLDEN) & M64
+        return _label(table, index, n, signed)
+    draws = compress(_draws(rng.state, _lanes(n, signed)), read := count(1))
+    lengths, signs, _ = _sample_cycles(draws, n, signed, want_sign)
+    rng.state = (rng.state + (next(read) - 1) * GOLDEN) & M64
     if signed:
         return _signed_label(n, zip(lengths, signs))
     return Partition(n=n, parts=tuple(sorted(lengths, reverse=True)))

@@ -48,7 +48,8 @@ from invgen.montecarlo import ExperimentSpec, _count_range, check_event  # noqa:
 CELL_NS = (*range(1, 13), 20, 28, 29)
 CELL_LS = (1, 2, 3, 4, 5, 6, 8, 16)
 # mc_outcomes.txt: (families, n, trials); the table draws reach A n = 20 and
-# signed n = 11, and the window pass starts at n = 2^16
+# signed n = 16, and the window pass starts at n = 2^16; signed n = 12 was
+# the first stick-breaking n up to invgen 0.6.0, and n = 17 is now
 _SIGNED = ("B", "C", "D+", "D-")
 MC_CELLS = (
     (("A",), 8, 1000), (("A",), 20, 1000), (_SIGNED, 11, 1000),
@@ -57,10 +58,10 @@ MC_CELLS = (
     (("A", *_SIGNED), 1 << 16, 16), (("A", *_SIGNED), (1 << 16) + 1, 16), (("A", *_SIGNED), 10**6, 16),
 )
 MC_LS = (1, 2, 4, 16)
-# the MC_CELLS whose elements are table draws (A n <= 20, signed n <= 11)
+# the MC_CELLS that have been table draws since invgen 0.2.0 (A n <= 20, signed n <= 11)
 MC_TABLE_CELLS = MC_CELLS[:3]
 # sample.txt's library block: (name, sampler, the n of each successive
-# draw), table sizes (A n <= 20, signed n <= 11) alternating with larger ones
+# draw), table sizes (A n <= 20, signed n <= 16) alternating with others
 _PARTITION_NS = (20, 21, 8, 1000, 1, 2, 5, 300)
 _SIGNED_NS = (11, 12, 8, 1000, 1, 2, 5, 300)
 LIBRARY_SAMPLES = (
@@ -94,7 +95,7 @@ CLASSICAL_TOKENS = ("SL", "SU", "Sp", "SO", "SO+", "SO-")
 def _sample_calls():
     for family in ("A", "B", "C", "D+", "D-"):
         yield ["sample", "--n", "8", "--family", family, "--count", "12", "--seed", "20240601"]
-    # above the table caps: stick-breaking
+    # above the table caps: stick-breaking; signed n = 12 is a table draw since invgen 0.7.0
     for family in ("A", "B", "C", "D+", "D-"):
         yield ["sample", "--n", "1000", "--family", family, "--count", "6", "--seed", "20240601"]
     yield ["sample", "--n", "21", "--family", "A", "--count", "12", "--seed", "20240601"]

@@ -99,6 +99,22 @@ def running_and(law, l):
     return Fraction(empty, den**l)
 
 
+def table_classes(n, signed, want):
+    """The order of `_class_table(n, signed, want)` and its classes as
+    (lengths, signs, total, count), read back from the table's bytes (a
+    byte per cycle, length << 1, plus 1 for a - cycle) and its running
+    class sizes; signs are () in S_n's table."""
+    table = _class_table(n, signed, want)
+    classes, before = [], 0
+    for start, stop, running in zip(table.bounds, table.bounds[1:], table.cumulative):
+        element = table.cycles[start:stop]
+        lengths = tuple(b >> 1 for b in element)
+        signs = tuple(-1 if b & 1 else 1 for b in element) if signed else ()
+        classes.append((lengths, signs, -1 if signs.count(-1) & 1 else 1, running - before))
+        before = running
+    return table.order, classes
+
+
 def full_law(n, family, bits):
     """Class sizes of the family's own table (`_class_table`, under the
     oracle's cap) summed by full element mask: the profile on every proper
@@ -107,7 +123,7 @@ def full_law(n, family, bits):
     integers and as probabilities."""
     keep = (1 << n) - 2
     exact._check_cap(n, family, family.signed_labels)
-    order, _, _, classes = _class_table(n, family.signed_labels, family.sector_sign)
+    order, classes = table_classes(n, family.signed_labels, family.sector_sign)
     law = Counter()
     for lengths, signs, total, count in classes:
         mask = bits(lengths, signs, total) << 2 * n
@@ -129,7 +145,7 @@ def table_law(n, family, event):
     signed, _, bits = exact._EVENTS[event]
     pairs = family.signed_profiles
     exact._check_cap(n, family, signed or pairs)
-    order, _, _, classes = _class_table(n, signed or pairs, family.sector_sign)
+    order, classes = table_classes(n, signed or pairs, family.sector_sign)
     half, keep = n // 2, (1 << n // 2 + 1) - 2
     laws = [{}, {}]
     for lengths, signs, total, count in classes:
@@ -151,7 +167,7 @@ def table_event(n, l, family, event):
     same at every n, so N reads the table at min(n, SIGNED_LIMIT)."""
     signed, _, bits = exact._EVENTS[event]
     size = min(n, exact.SIGNED_LIMIT) if event == "N" else n
-    order, _, _, classes = _class_table(size, signed, family.sector_sign if signed else None)
+    order, classes = table_classes(size, signed, family.sector_sign if signed else None)
     law = Counter()
     for lengths, signs, total, count in classes:
         law[bits(lengths, signs, total)] += count

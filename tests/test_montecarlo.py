@@ -10,9 +10,11 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
+import invgen.exact as exact
 import invgen.montecarlo as montecarlo
 import test_events
 from invgen import (
@@ -119,17 +121,17 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("family", [A, B, C, DP, DM])
     def test_table_elements_run_no_dp(self, monkeypatch, family):
-        # at table n each class's masks are built once per (n, family,
-        # event), with no DP for the events that do not intersect
+        # at table n each class's row holds every event's masks: it is
+        # built once per (n, family), one profile DP per class whichever
+        # event asks first, and no element of any event runs a DP
         keeps = []
         self.recording_dp(monkeypatch, keeps)
         montecarlo._class_masks.cache_clear()
         for event in ("all_even",) if family is A else ("N", "all_even", "all_positive"):
             run(spec(8, 4, family, event=event, trials=200))
-        assert keeps == []
-        run(spec(8, 4, family, trials=200))
-        assert len(keeps) == len(montecarlo._class_masks(8, family, "J"))
+        assert len(keeps) == len(montecarlo._class_masks(8, family))
         keeps.clear()
+        run(spec(8, 4, family, trials=200))
         run(spec(8, 4, family, trials=200, seed=1))
         assert keeps == []
 
@@ -142,7 +144,7 @@ class TestEngineMatchesDefinition:
     signs across a tuple.  The grid runs three ways: the one-pass loop every
     n here takes by default; the window pass forced on by a cut-off of 1,
     where only n = 1000 has sizes above the window; and a window of sizes
-    1..2, where every n >= 5 does.  n up to 11 (A: 20) reads the class
+    1..2, where every n >= 5 does.  n up to 16 (A: 20) reads the class
     tables, whose elements take the one pass at any cut-off."""
 
     PAIRS = [(family, event) for event, family in test_events.PAIRS]
@@ -182,7 +184,7 @@ class TestEngineMatchesDefinition:
     @pytest.mark.parametrize("cutoff, window", CUTOFFS)
     @pytest.mark.parametrize("family, event", PAIRS)
     def test_above_the_table_cap(self, monkeypatch, cutoff, window, family, event):
-        # the smallest stick-breaking n (21 for A, 12 for the signed
+        # the smallest stick-breaking n (21 for A, 17 for the signed
         # families), where the narrow window restarts in every pair
         self.test_trial_for_trial(monkeypatch, cutoff, window, family, event, TABLE_CAPS[family] + 1)
 
@@ -206,31 +208,39 @@ class TestEngineMatchesDefinition:
 
 
 class TestRowLawIsTheOracle:
-    """At the table n a trial's outcome is the AND of its l packed
-    `_class_masks` rows, so the engine's success probability is a finite
-    sum: weight each row by its class count in `sampling._class_table`, run
-    the AND over l draws as a law over states, starting from -1, and
+    """At the table n a trial's outcome is the AND of its event's
+    `_event_mask` and its l packed `_class_masks` rows, so the engine's
+    success probability is a finite sum: read each row through the mask,
+    weight it by its class size in `sampling._class_table`, run the AND
+    over l draws as a law over states, starting from the mask, and
     P(AND = 0), or 1 minus it for the events that do not intersect, must
     equal `exact_prob` as a Fraction.  The samplers' class walk, the
     engine's packed rows and the oracle's DP with its inclusion-exclusion
     are written apart, and the running AND is not the oracle's sum, so the
-    three meet here with no sampling noise, at every table n."""
+    three meet here with no sampling noise, at every table n.  Above the
+    oracle's signed cap the check raises it to the samplers' and takes
+    l = 1, 2 only (at n = 13..16): a running AND over B's 1,167 J masks
+    at l = 3 takes minutes."""
 
     CELLS = [(family, event, n) for family, event in TestEngineMatchesDefinition.PAIRS
              for n in range(1, TABLE_CAPS[family] + 1)]
 
     @pytest.mark.parametrize("family, event, n", CELLS)
-    def test_every_table_n(self, family, event, n):
+    def test_every_table_n(self, monkeypatch, family, event, n):
+        if family.signed_labels and n > exact.SIGNED_LIMIT:
+            monkeypatch.setattr(exact, "SIGNED_LIMIT", SIGNED_TABLE_LIMIT)
         table = _class_table(n, family.signed_labels, family.sector_sign)
+        mask = montecarlo._event_mask(event)
+        sizes = map(sub, table.cumulative, [0, *table.cumulative])
         law = Counter()
-        for mask, (_, _, _, count) in zip(montecarlo._class_masks(n, family, event), table.classes):
-            law[mask] += count
-        states, settled = {-1: 1}, 0  # open ANDs by weight; the weight of those that reached 0
-        for l in (1, 2, 3):
+        for row, size in zip(montecarlo._class_masks(n, family), sizes):
+            law[row & mask] += size
+        states, settled = {mask: 1}, 0  # open ANDs by weight; the weight of those that reached 0
+        for l in (1, 2, 3) if n <= 12 else (1, 2):
             step = Counter()
             for state, weight in states.items():
-                for mask, count in law.items():
-                    step[state & mask] += weight * count
+                for row, size in law.items():
+                    step[state & row] += weight * size
             settled = settled * table.order + step.pop(0, 0)
             states = step
             p = Fraction(settled, table.order**l)
@@ -781,6 +791,28 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak - before < 2 << 20, peak - before
+
+    def test_signed_tables_and_rows_at_the_cap_are_compact(self):
+        # the signed class tables at the cap, n = 16 (B, D+ and D-), and the
+        # rows of B, C, D+ and D- hold under 1 MB, traced in a fresh
+        # interpreter with no gc.collect(), so that objects a build leaves
+        # on CPython's free lists count too: tables of label tuples with
+        # rows per event held 4.8 MB
+        code = """
+import tracemalloc
+from invgen import WeylFamily
+from invgen.montecarlo import _class_masks
+from invgen.sampling import SIGNED_TABLE_LIMIT as n, _class_table
+tracemalloc.start()
+for want in (None, 1, -1):
+    _class_table(n, True, want)
+for family in (WeylFamily.B, WeylFamily.C, WeylFamily.D_PLUS, WeylFamily.D_MINUS):
+    _class_masks(n, family)
+print(n, tracemalloc.get_traced_memory()[0])
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        n, traced = map(int, out.stdout.split())
+        assert n == 16 and traced < 1 << 20, traced
 
 
 class TestLargeN:

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from functools import cache
 from itertools import chain, islice
 
 import pytest
@@ -20,6 +21,7 @@ from invgen import (
     sample_signed_conditioned,
 )
 from invgen.cycletypes import _signed_label
+import invgen.exact as exact
 import invgen.sampling as sampling
 from invgen.sampling import (_MIX1, _MIX2, GOLDEN, LANES, M64, PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT, TWO64,
                              _draws, _kernel, _lanes, _pick, _picks, _sample_cycles, _table, mix64)
@@ -219,6 +221,12 @@ def scalar_sample(draws, n, signed, want_sign=None):
     return (lengths, signs, total), used
 
 
+@cache
+def class_entries(n, family):
+    """`enumerate_classes(n, family).entries`, built once per (n, family)."""
+    return enumerate_classes(n, family).entries
+
+
 def scalar_table_walk(rng, n, family):
     """The class that one table draw reads, as the reference: next64 draws
     until one is below (2^64 // order) * order, r = that draw mod order,
@@ -226,7 +234,7 @@ def scalar_table_walk(rng, n, family):
     Sizes are `enumerate_classes`'s probabilities times the order: n!,
     2^n n!, or 2^(n-1) n! in a D sector.  Returns the label and the number
     of draws rejected."""
-    entries = enumerate_classes(n, family).entries
+    entries = class_entries(n, family)
     order = math.factorial(n)
     if family.signed_labels:
         order <<= n - (family.sector_sign is not None)
@@ -342,13 +350,16 @@ class TestBatchedStream:
 
     @pytest.mark.parametrize(
         "family, n",
-        [(family, n) for family in TABLE_SAMPLERS for n in (1, 2, 7, 11, 19, 20)
+        [(family, n) for family in TABLE_SAMPLERS for n in (1, 2, 7, 11, 12, 16, 19, 20)
          if n <= (SIGNED_TABLE_LIMIT if family.signed_labels else PARTITION_TABLE_LIMIT)],
         ids=str,
     )
-    def test_table_draws_are_the_scalar_walk(self, family, n):
+    def test_table_draws_are_the_scalar_walk(self, monkeypatch, family, n):
         # below the caps a public sampler reads its family's class table;
-        # 20! leaves 7.7% of the draws rejected, so A at n = 20 rejects some
+        # 20! leaves 7.7% of the draws rejected, so A at n = 20 rejects
+        # some.  The reference reads enumerate_classes, so the oracle's
+        # signed cap is raised to the samplers' for n = 12..16
+        monkeypatch.setattr(exact, "SIGNED_LIMIT", max(exact.SIGNED_LIMIT, SIGNED_TABLE_LIMIT))
         rejected = 0
         for seed in range(60):
             rng, ref = RngState(seed, 5), RngState(seed, 5)
@@ -376,12 +387,14 @@ class TestBatchedStream:
         assert enumerate_classes(n, family).entries[index][0] == label and after == ref.state
 
     @pytest.mark.parametrize("family, n", [(WeylFamily.A, 8), (WeylFamily.A, 20), (WeylFamily.B, 11),
-                                           (WeylFamily.D_PLUS, 11), (WeylFamily.D_MINUS, 7)], ids=str)
+                                           (WeylFamily.D_PLUS, 11), (WeylFamily.D_MINUS, 7),
+                                           (WeylFamily.B, 16), (WeylFamily.D_MINUS, 16)], ids=str)
     def test_picks_are_the_scalar_table_draws(self, monkeypatch, family, n):
         # 3 * LANES - 7 streams, a count no lane width divides, read a round
         # at a time: each round's picks and each stream's next state are
         # those of one `_pick` per stream.  Stream 5's first draw is M64,
-        # rejected at n = 7; at A n = 20, 7.7% of the draws are
+        # rejected at n = 7; at A n = 20, 7.7% of the draws are, and at
+        # signed n = 16 3.4%
         table = _table(n, family.signed_labels, family.sector_sign)
         bases = [mix64(t) for t in range(3 * LANES - 7)]
         bases[5] = (unmix64(M64) - GOLDEN) & M64
@@ -398,11 +411,14 @@ class TestBatchedStream:
             for t, state in enumerate(states):
                 index, states[t] = _pick(state, table)
                 assert picks[t] == index and (bases[t] + j * GOLDEN) & M64 == states[t], (j, t)
-        if n in (7, 20):
+        if n in (7, 16, 20):
             assert fallbacks
 
     def test_table_caps(self):
-        # n! fits one draw up to n = 20; the caps pick the table, not the oracle's limits
+        # n! fits one draw up to n = 20, and 2^n n! up to n = 16; the caps
+        # pick the table, not the oracle's limits
         assert math.factorial(PARTITION_TABLE_LIMIT) < TWO64 < math.factorial(PARTITION_TABLE_LIMIT + 1)
+        cap = SIGNED_TABLE_LIMIT
+        assert math.factorial(cap) << cap < TWO64 < math.factorial(cap + 1) << cap + 1
         for signed, cap in ((False, PARTITION_TABLE_LIMIT), (True, SIGNED_TABLE_LIMIT)):
             assert _table(cap, signed) is not None and _table(cap + 1, signed) is None
