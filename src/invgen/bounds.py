@@ -210,6 +210,12 @@ def solver_proportion(tag: ClassicalTag, q: int) -> Fraction:
     return _proportion(row, q, True)
 
 
+def _i4(b: Fraction, s: Fraction, sharp_a: bool = False) -> Fraction:
+    """The i4 rule, factor * b - (1 - s^4): factor 1 under sharp_a, else
+    7/8.  Read by `i4_lower_bound` and by `solve_K4`."""
+    return (1 if sharp_a else Fraction(7, 8)) * b - (1 - s**4)
+
+
 def i4_lower_bound(f: ClassicalFamily, b_J4, sharp_a: bool = False) -> BoundReport:
     """Lower bound on the probability that four random elements invariably
     generate: factor * b - (1 - s^4), factor 7/8 by default.  Not clamped;
@@ -224,9 +230,7 @@ def i4_lower_bound(f: ClassicalFamily, b_J4, sharp_a: bool = False) -> BoundRepo
             "it needs the same-sign correction"
         )
     s = _proportion(row, f.q, False)
-    factor = Fraction(1) if sharp_a else Fraction(7, 8)
-    i4 = factor * b - (1 - s**4)
-    return BoundReport(family=f, s=s, b_J4=b, l=4, i4_lower=i4, weyl_family=row.weyl)
+    return BoundReport(family=f, s=s, b_J4=b, l=4, i4_lower=_i4(b, s, sharp_a), weyl_family=row.weyl)
 
 
 def i3_upper_bound(f: ClassicalFamily, j3) -> Fraction:
@@ -247,8 +251,7 @@ def solve_K4(tag: ClassicalTag, b_J4=Fraction(1, 3)) -> int:
     b = _probability(b_J4, "b_J4", positive=True)
 
     def positive(q: int) -> bool:
-        s = solver_proportion(tag, q)
-        return Fraction(7, 8) * b - (1 - s**4) > 0
+        return _i4(b, solver_proportion(tag, q)) > 0
 
     hi = 4  # positive(2) is never true: every row's s at q = 2 is at most 1/2, so 1 - s^4 > 7/8
     while not positive(hi):

@@ -5,13 +5,6 @@ is a pure function of the ExperimentSpec: thread count, shares and
 execution order cannot change it.  Trials may stop sampling as soon as the
 event outcome is determined (say, the running intersection went empty);
 that is safe for the same reason — no other trial reads this stream.
-What settles a trial of each event is that event's row of
-`cycletypes._EVENTS`.
-
-Each of min(threads, CPUs, largest trial count) workers takes one
-contiguous share of every spec's trials.  The caller counts share 0 itself;
-each other worker is one child process, given all its shares at once and
-joined before the call returns.  With one worker no child starts.
 
 Profiles are complement-symmetric: a subset of size k leaves one of size
 n-k, with sign sigma*e for a subset of sign e when the element's total
@@ -23,19 +16,22 @@ it (D-) or lie inside it (C), so only B keeps it.  Each profile DP
 computes only the bits still alive in those intersections, runs only
 while one is, and skips every cycle longer than the top one.
 
-At the samplers' table n (see `sampling`) an element is one table draw,
-and its masks are its class's row of `_class_masks`, every event's packed
-into one int and built once per (n, family) from the table's bytes; an
-event reads the row through its `_event_mask`.  No stick-breaking, sort,
-DP or label per element.  The trials run a block at a time, one round per
-element: `sampling._picks` draws element j of every open trial, 32
-streams per mix64, and one AND per trial settles it or keeps it open.
-At n = 8, l = 4 a trial takes 1.0-3.1 us, against 2.3-7.2 us drawing
-one trial at a time (A n = 16: 1.6-3.5 against 2.9-7.2 us), and 12-20 us
-by stick-breaking (one core of a shared 2-vCPU VM, Python 3.11, in
-process, medians of 7).
+The table route, `_open_table`: at the samplers' table n (see
+`sampling`) an element is one table draw, and its masks are its class's
+row of `_class_masks`, every event's packed into one int and built once
+per (n, family) from the table's bytes; an event reads the row through
+its `_event_mask`.  No stick-breaking, sort, DP or label per element.
+The trials run a block at a time, one round per element:
+`sampling._picks` draws element j of every open trial, 32 streams per
+mix64, and one AND per trial settles it or keeps it open.  At n = 8,
+l = 4 a trial takes 1.0-3.1 us, against 2.3-7.2 us drawing one trial at
+a time (A n = 16: 1.6-3.5 against 2.9-7.2 us), and 12-20 us by
+stick-breaking (one core of a shared 2-vCPU VM, Python 3.11, in process,
+medians of 7).
 
-At n >= _WINDOW_CUTOFF (2^16) a trial that intersects runs a window pass
+The stick-breaking route, `_open_sticks`: above the table caps each
+element is drawn by stick-breaking and read through its profile DP.  At
+n >= _WINDOW_CUTOFF (2^16) a trial that intersects runs a window pass
 first: each element is drawn when needed and intersected on sizes 1..64
 only, a DP over a few short cycles.  Most trials where J fails share such
 a size, and they end there without a full-width DP.  Once the window
@@ -52,6 +48,17 @@ At n = 10^6 a J trial costs about 8/13, 22/56, 48/122, 59/104 and 91/136
 us for A/B at l = 1, 2, 4, 8 and 16 (one core of a shared 2-vCPU VM,
 Python 3.11.7; medians of interleaved runs, 15 of 800 trials at l <= 2
 and 9 of 150 above, three repeats within 3 us of each other).
+
+The settle rule, in `_count_range` alone: what settles a trial of each
+event is that event's row of `cycletypes._EVENTS`.  Each route returns
+how many of its trials stayed open, and `_count_range` turns that count
+into successes by whether the event intersects.  It also settles every
+trial of a sign event in a D sector before either route draws an element.
+
+Each of min(threads, CPUs, largest trial count) workers takes one
+contiguous share of every spec's trials.  The caller counts share 0 itself;
+each other worker is one child process, given all its shares at once and
+joined before the call returns.  With one worker no child starts.
 """
 
 from __future__ import annotations
@@ -188,64 +195,54 @@ def _event_mask(event: str) -> int:
     return 3 << 2 * EVENTS.index(event) | (-1 << _TRACKS if _EVENTS[event].intersects else 0)
 
 
-def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
-    """Successes over trials start..stop-1; one settle rule serves every
-    event.
+def _open_table(spec: ExperimentSpec, starts, table) -> int:
+    """How many trials, one per start state, stay open at the sampler's
+    table n.
 
-    A trial keeps the running intersections of the half-lattice profiles
-    (empty from the start for events that do not intersect) and `alive`,
-    the AND of the row's bits of every element drawn.  It settles once
-    both are empty: a success for the events that intersect, a failure for
-    the others.  A trial that reads all l elements unsettled has the
-    opposite outcome.
-
-    At the sampler's table n the trials run a block of up to _BLOCK at a
-    time, one round per element: round j draws element j of every trial
-    still open (`_picks`), ANDs its `_class_masks` row into the trial's,
-    and drops the trials whose AND is 0.  Element j is draw j of the
-    trial's stream, rejected draws skipped, and the AND does not depend on
-    order, so each trial has its one-at-a-time outcome.
-
-    Above the table caps `elements[i]` is an element's stick-breaking
-    cycles, drawn when the index first reaches it; its profile DP runs when
-    it is read.  At n >= _WINDOW_CUTOFF the tracks start on sizes
-    1.._WINDOW; once they empty, the tuple's other elements are drawn, the
-    list is sorted fewest cycles first, the index goes back to 0 and the
-    tracks restart on the sizes above, up to the tuple's reach.  The AND
-    does not depend on order, so the outcome is the one-pass one.  In A
-    and C the one track is `keep` itself.
+    The trials run a block of up to _BLOCK at a time, one round per
+    element: round j draws element j of every trial still open
+    (`_picks`), ANDs its `_class_masks` row into the trial's, and drops
+    the trials whose AND is 0.  Element j is draw j of the trial's stream,
+    rejected draws skipped, and the AND does not depend on order, so each
+    trial has its one-at-a-time outcome.
     """
-    n, l, seed, family = spec.n, spec.l, spec.master_seed, spec.family
+    rows, mask = _class_masks(spec.n, spec.family), _event_mask(spec.event)
+    unsettled = 0
+    while bases := list(islice(starts, _BLOCK)):
+        ands = repeat(mask)  # the AND of each open trial's rows, through the event's mask
+        for j in range(1, spec.l + 1):
+            ands = list(map(and_, ands, map(rows.__getitem__, _picks(bases, j, table))))
+            bases = list(compress(bases, ands))
+            ands = list(compress(ands, ands))
+            if not ands:
+                break
+        unsettled += len(ands)
+    return unsettled
+
+
+def _open_sticks(spec: ExperimentSpec, starts) -> int:
+    """How many trials, one per start state, stay open above the table
+    caps.
+
+    `elements[i]` is an element's stick-breaking cycles, drawn when the
+    index first reaches it; its profile DP runs when it is read.  At n >=
+    _WINDOW_CUTOFF the tracks start on sizes 1.._WINDOW; once they empty,
+    the tuple's other elements are drawn, the list is sorted fewest cycles
+    first, the index goes back to 0 and the tracks restart on the sizes
+    above, up to the tuple's reach.  The AND does not depend on order, so
+    the outcome is the one-pass one.  In A and C the one track is `keep`
+    itself.
+    """
+    n, l, family = spec.n, spec.l, spec.family
     _, intersects, bits = _EVENTS[spec.event]
     signed, want = family.signed_labels, family.sector_sign
-    # Within a D sector every total sign is equal, so the sign bits never
-    # empty: J_and_not_N never holds, N always does.
-    if want is not None and bits is _sign_bit:
-        return 0 if intersects else stop - start
-    # trial t's start state mix64(seed + (t+1)*GOLDEN) is draw t+1 of seed's stream
-    starts = _draws(seed + start * GOLDEN, LANES)
-    table = _table(n, signed, want)
-    if table is not None:
-        rows, mask = _class_masks(n, family), _event_mask(spec.event)
-        unsettled = 0
-        for first in range(start, stop, _BLOCK):
-            bases = list(islice(starts, min(_BLOCK, stop - first)))
-            ands = repeat(mask)  # the AND of each open trial's rows, through the event's mask
-            for j in range(1, l + 1):
-                ands = list(map(and_, ands, map(rows.__getitem__, _picks(bases, j, table))))
-                bases = list(compress(bases, ands))
-                ands = list(compress(ands, ands))
-                if not ands:
-                    break
-            unsettled += len(ands)
-        return stop - start - unsettled if intersects else unsettled
     signed_profiles, swaps = family.signed_profiles, family is WeylFamily.B
     low = (1 << (n // 2 + 1)) - 2 if intersects else 0
     window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF else low
     above = low & ~window
     k = _lanes(n, signed, min(l, 2))  # more lanes are wasted on trials that stop early
-    successes = 0
-    for state in islice(starts, stop - start):
+    unsettled = 0
+    for state in starts:
         draws = _draws(state, k)
         inter_p = inter_m = swap_p = swap_m = keep = window
         rest = above
@@ -288,11 +285,34 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
                 i = 0
                 continue
             if not alive:
-                successes += intersects
                 break
         else:
-            successes += not intersects
-    return successes
+            unsettled += 1
+    return unsettled
+
+
+def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
+    """Successes over trials start..stop-1; one settle rule serves every
+    event and both routes.
+
+    A trial keeps the running intersections of the half-lattice profiles
+    (empty from the start for events that do not intersect) and `alive`,
+    the AND of the row's bits of every element drawn.  It settles once
+    both are empty: a success for the events that intersect, a failure for
+    the others.  A trial that reads all l elements unsettled stays open
+    and has the opposite outcome.  Each route returns how many of its
+    trials stayed open, and this turns that count into successes.
+    """
+    _, intersects, bits = _EVENTS[spec.event]
+    # Within a D sector every total sign is equal, so the sign bits never
+    # empty: J_and_not_N never holds, N always does.
+    if spec.family.sector_sign is not None and bits is _sign_bit:
+        return 0 if intersects else stop - start
+    # trial t's start state mix64(seed + (t+1)*GOLDEN) is draw t+1 of seed's stream
+    starts = islice(_draws(spec.master_seed + start * GOLDEN, LANES), stop - start)
+    table = _table(spec.n, spec.family.signed_labels, spec.family.sector_sign)
+    unsettled = _open_sticks(spec, starts) if table is None else _open_table(spec, starts, table)
+    return stop - start - unsettled if intersects else unsettled
 
 
 def _child(jobs, pipe) -> None:

@@ -87,7 +87,7 @@ class TestAgainstOracle:
 
         monkeypatch.setattr(montecarlo, "_sample_cycles", no_sampling)
         monkeypatch.setattr(montecarlo, "_picks", no_sampling)
-        for n in (8, 1000):  # a table draw and stick-breaking
+        for n in (8, 1000, 1 << 16):  # a table draw, the one pass and the window
             est = run(spec(n, 4, family, event=event, trials=500))
             assert est.successes == (500 if all_succeed else 0)
 
@@ -205,6 +205,20 @@ class TestEngineMatchesDefinition:
                 s = spec(n, l, family, event=event, trials=300, seed=n * 37 + l)
                 want = sum(self.definition(s, t) for t in range(7, 307))
                 assert montecarlo._count_range(s, 7, 307) == want, (n, l)
+
+    @pytest.mark.parametrize("cutoff, window", CUTOFFS)
+    @pytest.mark.parametrize("family, event", PAIRS)
+    def test_stick_breaking_ranges(self, monkeypatch, cutoff, window, family, event):
+        # above the caps a range of trials keeps no state from one trial to
+        # the next: its count is the definitions' over the range, whether
+        # its trials take the one pass, the window or the narrow window
+        monkeypatch.setattr(montecarlo, "_WINDOW_CUTOFF", cutoff)
+        monkeypatch.setattr(montecarlo, "_WINDOW", window)
+        n = TABLE_CAPS[family] + 1
+        for l in (1, 2, 4, 8):
+            s = spec(n, l, family, event=event, trials=300, seed=n * 37 + l)
+            want = sum(self.definition(s, t) for t in range(7, 307))
+            assert montecarlo._count_range(s, 7, 307) == want, l
 
 
 class TestRowLawIsTheOracle:
