@@ -24,6 +24,13 @@ successes of whole ranges of the table specs, `_count_range(spec, a, b)`
 for each (a, b) of `_mc_ranges`, where the engine runs many trials at
 once.
 
+Where the CLI prints invgen's version (the CSV `# invgen X` line, the
+config's `"version":"X"` and the JSON-lines meta's `"version": "X"`), a
+fixture holds VERSION_TOKEN instead, and a fixture that holds it starts
+with one header line naming the version (`versioned`).  So a version bump
+rewrites one line per such fixture, and every other byte still pins the
+output.
+
 Regenerate only when a change is meant to alter output bytes; such a
 change also bumps the version and says so in CHANGES.md.
 """
@@ -39,7 +46,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from invgen import (EVENTS, InvgenError, RngState, ValidationError, WeylFamily, exact_prob,  # noqa: E402
+from invgen import (EVENTS, InvgenError, RngState, ValidationError, WeylFamily, __version__, exact_prob,  # noqa: E402
                     sample_partition, sample_signed, sample_signed_conditioned)
 from invgen.cli import _format_label, main as cli_main  # noqa: E402
 from invgen.montecarlo import ExperimentSpec, _count_range, check_event  # noqa: E402
@@ -195,6 +202,20 @@ def _bounds_calls():
         yield ["bounds", "--family", token, "--q", "13", "--sharp-a"]
 
 
+VERSION_TOKEN = "<version>"
+
+
+def versioned(text: str) -> str:
+    """A fixture's bytes from its calls' output: VERSION_TOKEN wherever the
+    CLI prints `__version__`, under a header line naming the version if it
+    prints it at all.  Only the current version is replaced, so output
+    that names another one still differs from its fixture."""
+    body = text
+    for printed in (f"\n# invgen {__version__}\n", f'"version":"{__version__}"', f'"version": "{__version__}"'):
+        body = body.replace(printed, printed.replace(__version__, VERSION_TOKEN))
+    return body if body == text else f"# invgen {__version__}, written {VERSION_TOKEN} below\n" + body
+
+
 def _run_cli(argv) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -274,7 +295,7 @@ FIXTURES = {
 
 def main() -> int:
     for name, render in FIXTURES.items():
-        (HERE / name).write_text(render())
+        (HERE / name).write_text(versioned(render()))
     return 0
 
 

@@ -308,8 +308,28 @@ class TestI4:
 
 
 class TestI3:
-    def test_example(self):
-        assert i3_upper_bound(fam(T.SL, 100), F(1, 20)) == F(79701, 10**6)
+    @pytest.mark.parametrize(
+        "tag,q,expected",
+        [
+            # j3 + (1 - s^3) at j3 = 1/20; s is 1 - first/q + rescue/q^2, and
+            # the SO rows take 1 - 2/(q-1) - 1/(q-1)^2 at odd q
+            (T.SL, 100, F(79701, 10**6)),  # s = 99/100
+            (T.SL, 10, F(321, 1000)),  # s = 9/10
+            (T.SL, 11, F(7951, 26620)),  # s = 10/11
+            (T.SU, 10, F(321, 1000)),
+            (T.SU, 11, F(7951, 26620)),
+            (T.SP_ODD_Q, 5, F(417, 500)),  # s = 1 - 3/5 + 5/25 = 3/5
+            (T.SP_EVEN_Q, 10, F(62329, 125000)),  # s = 1 - 2/10 + 2/100 = 41/50
+            (T.SO_ODD_DIM, 10, F(62329, 125000)),
+            (T.SO_ODD_DIM, 11, F(556961, 10**6)),  # s = 1 - 2/10 - 1/100 = 79/100
+            (T.SO_EVEN_DIM_PLUS, 10, F(62329, 125000)),
+            (T.SO_EVEN_DIM_PLUS, 11, F(556961, 10**6)),
+            (T.SO_EVEN_DIM_MINUS, 10, F(62329, 125000)),
+            (T.SO_EVEN_DIM_MINUS, 11, F(556961, 10**6)),
+        ],
+    )
+    def test_value(self, tag, q, expected):
+        assert i3_upper_bound(fam(tag, q), F(1, 20)) == expected
 
     def test_j3_validated(self):
         with pytest.raises(ValidationError):

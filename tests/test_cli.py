@@ -930,6 +930,22 @@ class TestTopLevel:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("invgen ")
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("command", [["estimate", "--n", "4"], ["sweep", "--ns", "4,5"]], ids=["estimate", "sweep"])
+    def test_output_names_the_version(self, capsys, command, fmt):
+        # exactly where the goldens hold their version token (make_goldens.versioned):
+        # the CSV `# invgen X` line and config, or the JSON-lines meta
+        code, out, _ = cli(capsys, *command, "--family", "B", "--trials", "10", "--format", fmt)
+        assert code == 0
+        version, lines = invgen.__version__, out.splitlines()
+        if fmt == "csv":
+            assert lines[0] == f"# invgen {version}" and lines[1].startswith("# config ")
+            assert json.loads(lines[1].removeprefix("# config "))["version"] == version
+            assert out.count(version) == 2
+        else:
+            assert json.loads(lines[0])["meta"]["version"] == version
+            assert out.count(version) == 1
+
     def test_console_script(self, capsys):
         # the `invgen` command that pip installs; no tomllib before 3.11
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -1,14 +1,18 @@
 """Byte-for-byte golden checks of the seed -> output contract.
 
 The fixtures in tests/golden hold the exact stdout of fixed CLI calls and
-raw `next64` draws.  Any difference fails with the first differing line.
+raw `next64` draws, with the version token where the CLI prints its
+version (`make_goldens.versioned`).  Each fixture that holds the token
+starts with a header naming the version, so a version bump changes that
+one line and every other byte is compared as printed.  Any difference
+fails with the first differing line.
 """
 
 from pathlib import Path
 
 import pytest
 
-from golden.make_goldens import FIXTURES
+from golden.make_goldens import FIXTURES, versioned
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -16,7 +20,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_golden_bytes(name):
     expected = (GOLDEN_DIR / name).read_text()
-    got = FIXTURES[name]()
+    got = versioned(FIXTURES[name]())
     if got == expected:
         return
     want_lines, got_lines = expected.splitlines(), got.splitlines()
@@ -31,6 +35,7 @@ def test_golden_bytes(name):
         f"  golden: {want}\n"
         f"  now:    {have}\n"
         "If the byte change is deliberate, bump the version, regenerate with "
-        "`python3 tests/golden/make_goldens.py` and record it in CHANGES.md.",
+        "`python3 tests/golden/make_goldens.py` and record it in CHANGES.md; "
+        "a version bump alone rewrites only the header line of each fixture that names it.",
         pytrace=False,
     )

@@ -422,3 +422,18 @@ class TestBatchedStream:
         assert math.factorial(cap) << cap < TWO64 < math.factorial(cap + 1) << cap + 1
         for signed, cap in ((False, PARTITION_TABLE_LIMIT), (True, SIGNED_TABLE_LIMIT)):
             assert _table(cap, signed) is not None and _table(cap + 1, signed) is None
+
+    @pytest.mark.parametrize("want", [1, -1])
+    @pytest.mark.parametrize("n", range(1, SIGNED_TABLE_LIMIT + 1))
+    def test_sector_table_is_a_filter_of_the_signed_table(self, n, want):
+        # a D sector's classes are the signed table's classes of its total
+        # sign (a count of - cycles, odd bytes, of want's parity), in the
+        # same order and with the same sizes, in a group of half the order
+        def classes(table):
+            sizes = [b - a for a, b in zip([0, *table.cumulative], table.cumulative)]
+            return [(table.cycles[a:b], size) for a, b, size in zip(table.bounds, table.bounds[1:], sizes)]
+
+        full, sector = _table(n, True), _table(n, True, want)
+        assert 2 * sector.order == full.order
+        assert classes(sector) == [(cycles, size) for cycles, size in classes(full)
+                                   if (-1) ** sum(b & 1 for b in cycles) == want]
