@@ -30,19 +30,24 @@ stick-breaking (one core of a shared 2-vCPU VM, Python 3.11, in process,
 medians of 7).
 
 The stick-breaking route, `_open_sticks`: above the table caps each
-element is drawn by stick-breaking and read through its profile DP.  At
-n >= _WINDOW_CUTOFF (2^16) a trial that intersects runs a window pass
-first: each element is drawn when needed and intersected on sizes 1..64
-only, a DP over a few short cycles.  Most trials where J fails share such
-a size, and they end there without a full-width DP.  Once the window
-empties, the rest of the tuple is drawn, the elements are sorted fewest
-cycles first (a sparse profile empties the intersection soonest) and read
-again on the sizes above the window up to the tuple's reach, min(n -
+element is drawn by stick-breaking when a trial first reads it, and
+`_meet` intersects the elements' profiles, each DP on the sizes still
+alive.  A trial that intersects calls `_meet` once or twice.  The first
+call reads the elements in draw order on the window: sizes 1..64 at n >=
+_WINDOW_CUTOFF (2^16), a DP over a few short cycles, and below the
+cut-off the whole half-lattice, which is the one pass.  Most trials where
+J fails share a size in the window, and they end there without a
+full-width DP.  If the window empties with sizes above it, the rest of
+the tuple is drawn, the elements are sorted fewest cycles first (a sparse
+profile empties the intersection soonest), and the second call reads
+them on the sizes above the window up to the tuple's reach, min(n -
 longest cycle): a subset holding a cycle longer than n/2 is larger than
 n/2, and one without it sums to at most n minus that cycle.  So each
 full-width DP skips every cycle above the reach, and a reach inside the
-window settles the trial with none.  Below the cut-off the window is the
-whole half-lattice, which is the one-pass loop.
+window settles the trial with none.  Once the tracks are empty, the AND
+of the elements' bits settles the trial, and more elements are drawn
+only while that AND is not 0; an event that does not intersect starts
+there.
 
 At n = 10^6 a J trial costs about 8/13, 22/56, 48/122, 59/104 and 91/136
 us for A/B at l = 1, 2, 4, 8 and 16 (one core of a shared 2-vCPU VM,
@@ -220,73 +225,83 @@ def _open_table(spec: ExperimentSpec, starts, table) -> int:
     return unsettled
 
 
+def _meet(elements, keep: int, signed_profiles: bool, swaps: bool, read: list | None = None) -> int:
+    """Intersect the profiles of `elements`, (lengths, signs, total) as
+    `_sample_cycles` returns them, in order on the sizes in `keep`, and
+    return the union of the tracks, 0 once they are empty.  It stops at
+    the first element that empties them, reads none if `keep` is 0, and
+    appends each element it reads to `read`.  The one home of the tracks:
+    in A and C one, `keep` itself, on the projection; in B and D the
+    (plus, minus) pair, and in B that pair again, swapped for a -
+    element."""
+    inter_p = inter_m = swap_p = swap_m = keep
+    for element in elements if keep else ():
+        if read is not None:
+            read.append(element)
+        lengths, signs, total = element
+        if not signed_profiles:
+            # one track (A, C): the DP's mask lies within keep, so it is the intersection
+            lengths.sort()
+            keep = subset_sum_mask(lengths, keep)
+        else:
+            plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
+            inter_p &= plus
+            inter_m &= minus
+            if swaps:  # a - element's tracks swap
+                if total < 0:
+                    plus, minus = minus, plus
+                swap_p &= plus
+                swap_m &= minus
+                keep = inter_p | swap_p | (inter_m | swap_m)
+            else:
+                keep = inter_p | inter_m
+        if not keep:
+            break
+    return keep
+
+
 def _open_sticks(spec: ExperimentSpec, starts) -> int:
     """How many trials, one per start state, stay open above the table
     caps.
 
-    `elements[i]` is an element's stick-breaking cycles, drawn when the
-    index first reaches it; its profile DP runs when it is read.  At n >=
-    _WINDOW_CUTOFF the tracks start on sizes 1.._WINDOW; once they empty,
-    the tuple's other elements are drawn, the list is sorted fewest cycles
-    first, the index goes back to 0 and the tracks restart on the sizes
-    above, up to the tuple's reach.  The AND does not depend on order, so
-    the outcome is the one-pass one.  In A and C the one track is `keep`
-    itself.
+    A trial's elements are its stream's stick-breaking draws, each drawn
+    when first read; its profile DP runs in `_meet`.  The first `_meet`
+    reads them on the window, sizes 1.._WINDOW at n >= _WINDOW_CUTOFF and
+    the whole half-lattice below.  If the window empties with sizes above
+    it, the tuple's other elements are drawn, sorted fewest cycles first,
+    and a second `_meet` reads them on the sizes above, up to the tuple's
+    reach.  The AND does not depend on order, so the outcome is the
+    one-pass one.  Once the tracks are empty the elements' bits are
+    ANDed, and further elements are drawn only while that AND is not 0.
     """
     n, l, family = spec.n, spec.l, spec.family
     _, intersects, bits = _EVENTS[spec.event]
-    signed, want = family.signed_labels, family.sector_sign
     signed_profiles, swaps = family.signed_profiles, family is WeylFamily.B
     low = (1 << (n // 2 + 1)) - 2 if intersects else 0
     window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF else low
     above = low & ~window
-    k = _lanes(n, signed, min(l, 2))  # more lanes are wasted on trials that stop early
+    k = _lanes(n, family.signed_labels, min(l, 2))  # more lanes are wasted on trials that stop early
+    ns, signeds, wants = repeat(n), repeat(family.signed_labels), repeat(family.sector_sign)
     unsettled = 0
     for state in starts:
-        draws = _draws(state, k)
-        inter_p = inter_m = swap_p = swap_m = keep = window
-        rest = above
+        elements = []  # those read so far
+        stream = map(_sample_cycles, (_draws(state, k),) * l, ns, signeds, wants)  # l elements, each drawn when read
+        # an event that does not intersect skips the call, a few % of its trial at n = 1000
+        keep = window and _meet(stream, window, signed_profiles, swaps, elements)
+        if above and not keep:  # the window emptied: draw the tuple's rest, then intersect up to its reach
+            elements += stream
+            reach = n - max(max(lengths) for lengths, _, _ in elements)
+            elements.sort(key=lambda element: len(element[0]))
+            keep = _meet(elements, above & ((2 << reach) - 1), signed_profiles, swaps)
         alive = -1
-        elements = []
-        i = 0
-        while i < l:
-            if i == len(elements):
-                element = _sample_cycles(draws, n, signed, want)
-                elements.append(element)
-                alive &= bits(*element)
-            lengths, signs, total = elements[i]
-            i += 1
-            if keep:
-                if not signed_profiles:
-                    # one track (A, C): the DP's mask lies within keep, so it is the intersection
-                    lengths.sort()
-                    keep = subset_sum_mask(lengths, keep)
-                else:
-                    plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
-                    inter_p &= plus
-                    inter_m &= minus
-                    if swaps:  # a - element's tracks swap
-                        if total < 0:
-                            plus, minus = minus, plus
-                        swap_p &= plus
-                        swap_m &= minus
-                        keep = inter_p | swap_p | (inter_m | swap_m)
-                    else:
-                        keep = inter_p | inter_m
-                if keep:
-                    continue
-            if rest:  # the window emptied: draw the tuple's rest, then intersect up to its reach
-                if i < l:
-                    continue
-                reach = n - max(max(element[0]) for element in elements)
-                inter_p = inter_m = swap_p = swap_m = keep = rest & ((2 << reach) - 1)
-                rest = 0
-                elements.sort(key=lambda e: len(e[0]))
-                i = 0
-                continue
-            if not alive:
-                break
-        else:
+        if not keep:  # the tracks are empty: the AND of the elements' bits settles the trial
+            for lengths, signs, total in elements:
+                alive &= bits(lengths, signs, total)
+            for lengths, signs, total in stream if alive else ():  # drawing more only while it is not 0
+                alive &= bits(lengths, signs, total)
+                if not alive:
+                    break
+        if alive:
             unsettled += 1
     return unsettled
 

@@ -30,6 +30,7 @@ from invgen import (
     fixed_sizes,
     make_partition,
     make_signed,
+    project,
     run,
     sample_partition,
     sample_signed,
@@ -185,7 +186,7 @@ class TestEngineMatchesDefinition:
     @pytest.mark.parametrize("family, event", PAIRS)
     def test_above_the_table_cap(self, monkeypatch, cutoff, window, family, event):
         # the smallest stick-breaking n (21 for A, 17 for the signed
-        # families), where the narrow window restarts in every pair
+        # families), where the narrow window leaves sizes above it in every pair
         self.test_trial_for_trial(monkeypatch, cutoff, window, family, event, TABLE_CAPS[family] + 1)
 
     @pytest.mark.parametrize("family, event", PAIRS)
@@ -272,9 +273,9 @@ class TestPathLawIsTheOracle:
     2^-n.  With the table caps at 0, a walk over every such path of
     `_count_range(spec, 0, 1)` gives the engine's success probability as
     a Fraction, which must equal `exact_prob`.  So `_sample_cycles` (its
-    lengths, sign words and D-sector flip) and the element loop (its
-    window pass, restart and reach) meet the oracle with no sampling
-    noise."""
+    lengths, sign words and D-sector flip) and the trial's passes (the
+    window, the second pass and its reach) meet the oracle with no
+    sampling noise."""
 
     @staticmethod
     def engine_prob(monkeypatch, n, l, family, event):
@@ -332,7 +333,7 @@ class TestPathLawIsTheOracle:
                              ids=[f"{f.value}-{e}-window{w}" for f, e, w, _ in WINDOW_CELLS])
     def test_every_path_through_the_window(self, monkeypatch, stick_breaking, family, event, window, cells):
         # a cut-off of 1 sends every n through the window pass; at n >= 2
-        # * (window + 1) sizes lie above it, so the pass restarts at the reach
+        # * (window + 1) sizes lie above it, so a second pass runs up to the reach
         monkeypatch.setattr(montecarlo, "_WINDOW_CUTOFF", 1)
         monkeypatch.setattr(montecarlo, "_WINDOW", window)
         for n, l in cells:
@@ -348,41 +349,56 @@ class TestReachCap:
     N = 1 << 16
 
     @staticmethod
-    def trial(monkeypatch, family, labels):
-        """The trial's outcome, checked against event_J, and the keep mask
-        of every profile DP it runs, when stick-breaking draws `labels` in
-        order: cycle lengths for A, (length, sign) pairs for B."""
-        queue = iter(labels)
+    def draw_labels(monkeypatch, labels):
+        """Make stick-breaking draw `labels` in order: cycle lengths for A,
+        (length, sign) pairs for the signed families.  Returns the list of
+        the labels drawn so far."""
+        queue, drawn = iter(labels), []
 
         def handmade(draws, n, signed, want):
             cycles = next(queue)
+            drawn.append(cycles)
             lengths = [c[0] for c in cycles] if signed else list(cycles)
             signs = [c[1] for c in cycles] if signed else []
             return lengths, signs, -1 if signs.count(-1) & 1 else 1
 
         monkeypatch.setattr(montecarlo, "_sample_cycles", handmade)
+        return drawn
+
+    @staticmethod
+    def trial(monkeypatch, family, labels):
+        """The trial's outcome, checked against event_J, and the keep mask
+        of every profile DP it runs, when stick-breaking draws `labels`."""
+        TestReachCap.draw_labels(monkeypatch, labels)
         keeps = []
         TestAgainstOracle.recording_dp(monkeypatch, keeps)
         got = montecarlo._count_range(spec(TestReachCap.N, len(labels), family), 0, 1)
         if family is A:
             profiles = [fixed_sizes(make_partition(lengths)) for lengths in labels]
-        else:
+        elif family.signed_profiles:
             profiles = [signed_fixed_sets(make_signed(cycles)) for cycles in labels]
+        else:
+            profiles = [fixed_sizes(project(make_signed(cycles))) for cycles in labels]
         assert got == event_J(profiles, family)
         return got, keeps
+
+    SIGNED_AT_THE_REACH = [[(N - 1000, 1), (1000, 1)], [(N - 3000, -1), (1000, 1), (2000, -1)],
+                           [(40000, 1), (1000, 1), (N - 41000, 1)]]  # every total +, so D+ draws them too
 
     @pytest.mark.parametrize(
         "family, labels",
         [
             (A, [[N - 1000, 1000], [N - 3000, 1000, 2000], [40000, 1000, N - 41000]]),
-            (B, [[(N - 1000, 1), (1000, 1)], [(N - 3000, -1), (1000, 1), (2000, -1)],
-                 [(40000, 1), (1000, 1), (N - 41000, 1)]]),
+            (B, SIGNED_AT_THE_REACH),
+            (C, SIGNED_AT_THE_REACH),
+            (DP, SIGNED_AT_THE_REACH),
         ],
-        ids=["A", "B"],
+        ids=["A", "B", "C", "D+"],
     )
     def test_common_size_at_the_reach(self, monkeypatch, family, labels):
-        # reaches 1000, 3000 and 25536; the only common size (B: pair
-        # (1000, +)) is the smallest, which a cap one bit short would drop
+        # reaches 1000, 3000 and 25536; the only common size (B and D+:
+        # pair (1000, +)) is the smallest, which a cap one bit short would
+        # drop, on the one track (A, C), the pair (D+) or the swapped pairs (B)
         got, keeps = self.trial(monkeypatch, family, labels)
         assert got == 0
         assert max(keep.bit_length() for keep in keeps) == 1001
@@ -411,6 +427,33 @@ class TestReachCap:
         got, keeps = self.trial(monkeypatch, B, labels)
         assert got == 0
         assert max(keep.bit_length() for keep in keeps) == 1001
+
+
+class TestDrawCount:
+    """Above the caps a trial draws an element only when its outcome
+    needs it: the tracks read elements until they empty, the window's
+    second pass reads the whole tuple, and then the elements' bits are
+    ANDed until that AND empties."""
+
+    N = 1 << 16
+    CASES = [
+        (A, "J", 1000, [[999, 1], [998, 2], [997, 3], [996, 4]], 2),  # sizes 1, then 2: empty at element 2
+        (A, "J", 1000, [[500, 499, 1], [500, 500], [500, 300, 200], [500, 400, 100]], 4),  # 500 common
+        (A, "all_even", 1000, [[999, 1], [500, 500], [500, 500], [500, 500]], 1),
+        (B, "N", 1000, [[(1000, 1)], [(1000, -1)], [(1000, 1)], [(1000, 1)]], 2),  # totals +, then -
+        # tracks empty at element 2, then totals +, +, -
+        (B, "J_and_not_N", 1000,
+         [[(999, 1), (1, 1)], [(998, 1), (2, 1)], [(997, -1), (3, 1)], [(996, 1), (4, 1)]], 3),
+        # the window (sizes 1..64) empties at element 2, so the second pass draws the rest
+        (A, "J", N, [[N - 11, 10, 1], [N - 20, 20], [N - 30, 30], [N - 40, 40]], 4),
+    ]
+
+    @pytest.mark.parametrize("family, event, n, labels, want", CASES,
+                             ids=[f"{f.value}-{e}-{n}-{w}" for f, e, n, _, w in CASES])
+    def test_draws_only_what_settles_the_trial(self, monkeypatch, family, event, n, labels, want):
+        drawn = TestReachCap.draw_labels(monkeypatch, labels)
+        montecarlo._count_range(spec(n, 4, family, event=event), 0, 1)
+        assert len(drawn) == want
 
 
 class TestReplayContract:
