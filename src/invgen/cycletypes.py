@@ -199,15 +199,16 @@ def subset_sum_mask(lengths, keep: int) -> int:
     `keep` is (1 << n) - 2 for every proper size (bits 1..n-1), or any
     narrower mask of the bits the caller still needs.  A length at or above
     keep's top bit cannot reach a kept bit, so it is skipped; the result
-    is the full DP's mask restricted to `keep`, whatever the input order.
+    is the full DP's mask restricted to `keep`.
 
-    Shift-or DP.  Pass lengths ascending: short intermediate masks matter
-    at n around 10^6, and so does building `keep` once per caller rather
-    than once per profile.
+    Shift-or DP over the lengths in ascending order, which it sorts itself,
+    so callers pass them in any order: short intermediate masks matter at
+    n around 10^6, and so does building `keep` once per caller rather than
+    once per profile.
     """
     top = keep.bit_length()
     mask = 1
-    for length in lengths:
+    for length in sorted(lengths):
         if length < top:
             mask |= mask << length
     return mask & keep
@@ -215,8 +216,9 @@ def subset_sum_mask(lengths, keep: int) -> int:
 
 def signed_subset_masks(cycles, keep: int) -> tuple[int, int]:
     """(plus, minus) bitmasks of the subset sums of (length, sign) pairs
-    that lie in `keep`, split by subset sign; `keep` and the skipping of
-    long cycles as for subset_sum_mask, lengths ascending.
+    that lie in `keep`, split by subset sign; `keep`, the skipping of long
+    cycles and the ascending order, which it sorts the pairs into itself,
+    as for subset_sum_mask.
 
     Two-track DP: a positive cycle extends both tracks in place, a negative
     cycle swaps the contributions between tracks.  A skipped cycle only
@@ -224,7 +226,7 @@ def signed_subset_masks(cycles, keep: int) -> tuple[int, int]:
     """
     top = keep.bit_length()
     plus, minus = 1, 0
-    for length, sign in cycles:
+    for length, sign in sorted(cycles):
         if length >= top:
             continue
         if sign > 0:
@@ -239,14 +241,14 @@ def fixed_sizes(p: Partition) -> SizeProfile:
     """Achievable proper fixed-subset sizes of one element of class p."""
     _check_label(p, Partition)
     _check_profile_n(p.n)
-    return SizeProfile(n=p.n, achievable=subset_sum_mask(reversed(p.parts), (1 << p.n) - 2))
+    return SizeProfile(n=p.n, achievable=subset_sum_mask(p.parts, (1 << p.n) - 2))
 
 
 def signed_fixed_sets(s: SignedCycleType) -> SignedSizeProfile:
     """Achievable proper (size, sign) pairs of one signed element."""
     _check_label(s, SignedCycleType)
     _check_profile_n(s.n)
-    plus, minus = signed_subset_masks(reversed(s.cycles), (1 << s.n) - 2)
+    plus, minus = signed_subset_masks(s.cycles, (1 << s.n) - 2)
     return SignedSizeProfile(n=s.n, plus=plus, minus=minus, total_sign=s.total_sign)
 
 

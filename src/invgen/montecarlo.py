@@ -16,6 +16,12 @@ it (D-) or lie inside it (C), so only B keeps it.  Each profile DP
 computes only the bits still alive in those intersections, runs only
 while one is, and skips every cycle longer than the top one.
 
+Both routes read an element in one shape, the (lengths, signs, total)
+triple: `sampling._elements` yields it for each class of a table and
+`sampling._sample_cycles` returns it for each stick-breaking draw.  The
+profile DPs put its cycles in their own order, and an event's bits read
+the triple as it is.
+
 The table route, `_open_table`: at the samplers' table n (see
 `sampling`) an element is one table draw, and its masks are its class's
 row of `_class_masks`, every event's packed into one int and built once
@@ -73,7 +79,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, and_
 from numbers import Real
 from statistics import NormalDist
@@ -164,8 +170,9 @@ _TRACKS = 2 * len(EVENTS)
 @cache
 def _class_masks(n: int, family: WeylFamily) -> list[int]:
     """Per class of the table that family's sampler reads at n, in its
-    order: its masks for every event packed into one int, read straight
-    from the table's bytes.  Bits 2i and 2i + 1 hold the row's bits of
+    order: its masks for every event packed into one int, built from the
+    (lengths, signs, total) triple `sampling._elements` reads from the
+    table's bytes.  Bits 2i and 2i + 1 hold the row's bits of
     event i of EVENTS; from bit _TRACKS on, fields of n//2 + 1 bits hold
     the profile on sizes 1..n//2 as a trial intersects it: (plus, minus)
     of the (size, sign) tracks in B and D, else the projection's sizes and
@@ -178,12 +185,11 @@ def _class_masks(n: int, family: WeylFamily) -> list[int]:
     table = _class_table(n, family.signed_labels, family.sector_sign)
     events = [(bits, 2 * i) for i, (_, _, bits) in enumerate(_EVENTS.values())]
     rows, shared = [], {}
-    for lengths, signs in _elements(table):  # in label order: the DPs take them reversed, lengths ascending
-        total = -1 if signs.count(-1) & 1 else 1
+    for lengths, signs, total in _elements(table):
         if family.signed_profiles:
-            plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), low)
+            plus, minus = signed_subset_masks(zip(lengths, signs), low)
         else:
-            plus, minus = subset_sum_mask(reversed(lengths), low), 0
+            plus, minus = subset_sum_mask(lengths, low), 0
         tracks = plus | minus << width
         if family is WeylFamily.B:
             tracks |= (minus | plus << width if total < 0 else tracks) << 2 * width
@@ -241,10 +247,9 @@ def _meet(elements, keep: int, signed_profiles: bool, swaps: bool, read: list | 
         lengths, signs, total = element
         if not signed_profiles:
             # one track (A, C): the DP's mask lies within keep, so it is the intersection
-            lengths.sort()
             keep = subset_sum_mask(lengths, keep)
         else:
-            plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
+            plus, minus = signed_subset_masks(zip(lengths, signs), keep)
             inter_p &= plus
             inter_m &= minus
             if swaps:  # a - element's tracks swap
@@ -271,8 +276,9 @@ def _open_sticks(spec: ExperimentSpec, starts) -> int:
     it, the tuple's other elements are drawn, sorted fewest cycles first,
     and a second `_meet` reads them on the sizes above, up to the tuple's
     reach.  The AND does not depend on order, so the outcome is the
-    one-pass one.  Once the tracks are empty the elements' bits are
-    ANDed, and further elements are drawn only while that AND is not 0.
+    one-pass one.  Once the tracks are empty one loop ANDs the bits of the
+    elements read so far and then of the stream's, drawing further
+    elements only while that AND is not 0.
     """
     n, l, family = spec.n, spec.l, spec.family
     _, intersects, bits = _EVENTS[spec.event]
@@ -294,10 +300,8 @@ def _open_sticks(spec: ExperimentSpec, starts) -> int:
             elements.sort(key=lambda element: len(element[0]))
             keep = _meet(elements, above & ((2 << reach) - 1), signed_profiles, swaps)
         alive = -1
-        if not keep:  # the tracks are empty: the AND of the elements' bits settles the trial
-            for lengths, signs, total in elements:
-                alive &= bits(lengths, signs, total)
-            for lengths, signs, total in stream if alive else ():  # drawing more only while it is not 0
+        if not keep:  # the tracks are empty: the AND of the elements' bits settles the trial,
+            for lengths, signs, total in chain(elements, stream):  # drawing more only while it is not 0
                 alive &= bits(lengths, signs, total)
                 if not alive:
                     break

@@ -227,12 +227,15 @@ def _label(table: _Table, index: int, n: int, signed: bool):
 
 
 def _elements(table: _Table):
-    """Each class's lengths (a bytes) and signs (a list), in table order,
-    read straight from the table's bytes; both in label order."""
+    """Each class as (lengths, signs, total), the shape `_sample_cycles`
+    returns, in table order, read straight from the table's bytes: its
+    lengths (a bytes) and signs (a list) in label order, and its total
+    sign."""
     cycles, bounds = table.cycles, table.bounds
     for start, stop in zip(bounds, islice(bounds, 1, None)):
         element = cycles[start:stop]
-        yield element.translate(_LENGTHS), [*map(_SIGNS.__getitem__, element)]
+        signs = [*map(_SIGNS.__getitem__, element)]
+        yield element.translate(_LENGTHS), signs, -1 if signs.count(-1) & 1 else 1
 
 
 def _table(n: int, signed: bool, want: int | None = None) -> _Table | None:

@@ -128,10 +128,10 @@ def full_law(n, family, bits):
     for lengths, signs, total, count in classes:
         mask = bits(lengths, signs, total) << 2 * n
         if family.signed_profiles:
-            plus, minus = signed_subset_masks(sorted(zip(lengths, signs)), keep)
+            plus, minus = signed_subset_masks(zip(lengths, signs), keep)
             mask |= plus | minus << n
         else:
-            mask |= subset_sum_mask(sorted(lengths), keep)
+            mask |= subset_sum_mask(lengths, keep)
         law[mask] += count
     return dict(law), {mask: Fraction(count, order) for mask, count in law.items()}
 
@@ -150,10 +150,10 @@ def table_law(n, family, event):
     laws = [{}, {}]
     for lengths, signs, total, count in classes:
         if pairs:  # (k, +) at bit 2k - 2, (k, -) at bit 2k - 1
-            plus, minus = signed_subset_masks(zip(reversed(lengths), reversed(signs)), keep)
+            plus, minus = signed_subset_masks(zip(lengths, signs), keep)
             mask = int(f"{plus >> 1:b}", 4) | int(f"{minus >> 1:b}", 4) << 1 | bits(lengths, signs, total) << 2 * half
         else:
-            mask = subset_sum_mask(reversed(lengths), keep) >> 1 | bits(lengths, signs, total) << half
+            mask = subset_sum_mask(lengths, keep) >> 1 | bits(lengths, signs, total) << half
         law = laws[pairs and total < 0]
         law[mask] = law.get(mask, 0) + count
     return order, [law for law in laws if law], half

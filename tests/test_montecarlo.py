@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from operator import sub
 
 import pytest
@@ -446,6 +447,8 @@ class TestDrawCount:
          [[(999, 1), (1, 1)], [(998, 1), (2, 1)], [(997, -1), (3, 1)], [(996, 1), (4, 1)]], 3),
         # the window (sizes 1..64) empties at element 2, so the second pass draws the rest
         (A, "J", N, [[N - 11, 10, 1], [N - 20, 20], [N - 30, 30], [N - 40, 40]], 4),
+        # no window pass: the bits loop reads the stream alone, totals +, then -
+        (B, "N", N, [[(N, 1)], [(N, -1)], [(N, 1)], [(N, 1)]], 2),
     ]
 
     @pytest.mark.parametrize("family, event, n, labels, want", CASES,
@@ -454,6 +457,76 @@ class TestDrawCount:
         drawn = TestReachCap.draw_labels(monkeypatch, labels)
         montecarlo._count_range(spec(n, 4, family, event=event), 0, 1)
         assert len(drawn) == want
+
+
+class TestWindowLaw:
+    """At n = 10^6 the window pass of family A's J trials against its
+    limit law.  Whether the window (sizes 1..w) stays alive depends only on
+    each element's cycles of length <= w, and their counts C_1..C_w tend to
+    independent Poisson(1/j) as n grows, with a total-variation error
+    negligible at n = 10^6, w <= 64 (Arratia-Tavare 1992).  A wrapper
+    around `_meet` counts the trials whose window call, the one given
+    `read`, returns non-zero; that count must match the law at 3 sigma."""
+
+    @staticmethod
+    @cache
+    def window_masks(w):
+        """The limit law of one element's subset-sum mask on sizes 1..w, as
+        {mask of bits 0..w-1 for sizes 1..w: probability}: a DP over
+        j = 1..w with C_j capped at w // j, where the last count takes the
+        tail, since more j-cycles reach no further size <= w."""
+        full = (2 << w) - 1
+        law = {1: 1.0}
+        for j in range(1, w + 1):
+            pmf = [math.exp(-1 / j) / j**c / math.factorial(c) for c in range(w // j)]
+            pmf.append(1 - math.fsum(pmf))
+            step = Counter()
+            for mask, p in law.items():
+                for c, q in enumerate(pmf):
+                    if c:
+                        mask = (mask | mask << j) & full
+                    step[mask] += p * q
+            law = step
+        return {mask >> 1: p for mask, p in law.items()}
+
+    @classmethod
+    def p_alive(cls, w, l):
+        """P(the AND of l independent window masks is not 0) =
+        1 - sum over T of (-1)^|T| g(T)^l, with g(T) the chance that a mask
+        holds every size in T: the mask law's superset sum over 2^w sets."""
+        g = [0.0] * (1 << w)
+        for mask, p in cls.window_masks(w).items():
+            g[mask] += p
+        for bit in (1 << b for b in range(w)):
+            for t in range(1 << w):
+                if not t & bit:
+                    g[t] += g[t | bit]
+        return 1 - math.fsum(-x**l if t.bit_count() & 1 else x**l for t, x in enumerate(g))
+
+    def test_law_at_w_16(self):
+        # the law's sizes and the values first computed from it
+        assert len(self.window_masks(8)) == 131 and len(self.window_masks(16)) == 4817
+        assert round(self.p_alive(16, 2), 5) == 0.78930 and round(self.p_alive(16, 4), 5) == 0.35532
+
+    @pytest.mark.parametrize("l", [2, 4])
+    @pytest.mark.parametrize("w", [8, 16])
+    def test_window_alive(self, monkeypatch, w, l):
+        meet, alive = montecarlo._meet, []
+
+        def counting(elements, keep, signed_profiles, swaps, read=None):
+            got = meet(elements, keep, signed_profiles, swaps, read)
+            if read is not None:
+                alive.append(bool(got))
+            return got
+
+        monkeypatch.setattr(montecarlo, "_meet", counting)
+        monkeypatch.setattr(montecarlo, "_WINDOW", w)
+        trials = 10_000
+        montecarlo._count_range(spec(10**6, l, A, trials=trials, seed=100 * w + l), 0, trials)
+        assert len(alive) == trials
+        low, high = wilson_interval_z(sum(alive), trials, 3.0)
+        limit = self.p_alive(w, l)
+        assert low <= limit <= high, (sum(alive) / trials, limit)
 
 
 class TestReplayContract:

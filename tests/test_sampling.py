@@ -437,3 +437,18 @@ class TestBatchedStream:
         assert 2 * sector.order == full.order
         assert classes(sector) == [(cycles, size) for cycles, size in classes(full)
                                    if (-1) ** sum(b & 1 for b in cycles) == want]
+
+    @pytest.mark.parametrize("want", [None, 1, -1], ids=["signed", "plus", "minus"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_elements_are_the_stick_breaking_shape(self, n, want):
+        # the engine reads a table class as it reads a stick-breaking
+        # draw: (lengths, signs, total), in label order, with the total
+        # sign of the class's label
+        table = sampling._class_table(n, True, want)
+        elements = list(sampling._elements(table))
+        assert len(elements) == len(table.bounds) - 1
+        for i, element in enumerate(elements):
+            label = sampling._label(table, i, n, True)
+            assert len(element) == 3, element
+            lengths, signs, total = element
+            assert [*zip(lengths, signs)] == list(label.cycles) and total == label.total_sign
