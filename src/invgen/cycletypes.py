@@ -198,37 +198,38 @@ def subset_sum_mask(lengths, keep: int) -> int:
 
     `keep` is (1 << n) - 2 for every proper size (bits 1..n-1), or any
     narrower mask of the bits the caller still needs.  A length at or above
-    keep's top bit cannot reach a kept bit, so it is skipped; the result
-    is the full DP's mask restricted to `keep`.
+    keep's top bit cannot reach a kept bit; the result is the full DP's
+    mask restricted to `keep`.
 
     Shift-or DP over the lengths in ascending order, which it sorts itself,
-    so callers pass them in any order: short intermediate masks matter at
-    n around 10^6, and so does building `keep` once per caller rather than
-    once per profile.
+    so callers pass them in any order and the first length at or above
+    the top ends it: short intermediate masks matter at n around 10^6, and
+    so does building `keep` once per caller rather than once per profile.
     """
     top = keep.bit_length()
     mask = 1
     for length in sorted(lengths):
-        if length < top:
-            mask |= mask << length
+        if length >= top:
+            break
+        mask |= mask << length
     return mask & keep
 
 
 def signed_subset_masks(cycles, keep: int) -> tuple[int, int]:
     """(plus, minus) bitmasks of the subset sums of (length, sign) pairs
-    that lie in `keep`, split by subset sign; `keep`, the skipping of long
-    cycles and the ascending order, which it sorts the pairs into itself,
-    as for subset_sum_mask.
+    that lie in `keep`, split by subset sign; `keep`, the ascending order,
+    which it sorts the pairs into itself, and the stop at the first cycle
+    at or above keep's top bit, as for subset_sum_mask.
 
     Two-track DP: a positive cycle extends both tracks in place, a negative
-    cycle swaps the contributions between tracks.  A skipped cycle only
-    ever contributes above keep's top bit, whatever its sign.
+    cycle swaps the contributions between tracks.  A cycle at or above the
+    top only ever contributes above keep's top bit, whatever its sign.
     """
     top = keep.bit_length()
     plus, minus = 1, 0
     for length, sign in sorted(cycles):
         if length >= top:
-            continue
+            break
         if sign > 0:
             plus |= plus << length
             minus |= minus << length

@@ -38,27 +38,37 @@ medians of 7).
 The stick-breaking route, `_open_sticks`: above the table caps each
 element is drawn by stick-breaking when a trial first reads it, and
 `_meet` intersects the elements' profiles, each DP on the sizes still
-alive.  A trial that intersects calls `_meet` once or twice.  The first
-call reads the elements in draw order on the window: sizes 1..64 at n >=
-_WINDOW_CUTOFF (2^16), a DP over a few short cycles, and below the
+alive.  A trial that intersects reads its elements in one or two passes.
+The window pass reads them in draw order on the window: sizes 1..64 at
+n >= _WINDOW_CUTOFF (2^16), a DP over a few short cycles, and below the
 cut-off the whole half-lattice, which is the one pass.  Most trials where
 J fails share a size in the window, and they end there without a
 full-width DP.  If the window empties with sizes above it, the rest of
 the tuple is drawn, the elements are sorted fewest cycles first (a sparse
-profile empties the intersection soonest), and the second call reads
+profile empties the intersection soonest), and the full-width pass reads
 them on the sizes above the window up to the tuple's reach, min(n -
 longest cycle): a subset holding a cycle longer than n/2 is larger than
 n/2, and one without it sums to at most n minus that cycle.  So each
 full-width DP skips every cycle above the reach, and a reach inside the
-window settles the trial with none.  Once the tracks are empty, the AND
+window settles the trial with none.  The full-width pass is one `_meet`
+call in A and C.  In B and D it is sizes before pairs: a first call
+reads each element's projection on one track, C's layout, and only if
+some size is in every projection does a second call read the (size,
+sign) pairs on those sizes alone.  Every bit of a pair track lies in
+every element's projection, so the tracks end as one pairs call on the
+whole range would leave them.  A common pair needs a common size, and at
+B n = 10^6, l = 4, about 80% of full-width passes end on sizes alone, at
+about a third of a pairs DP's cost.  Once the tracks are empty, the AND
 of the elements' bits settles the trial, and more elements are drawn
 only while that AND is not 0; an event that does not intersect starts
 there.
 
-At n = 10^6 a J trial costs about 8/13, 22/56, 48/122, 59/104 and 91/136
+At n = 10^6 a J trial costs about 9/16, 27/70, 58/107, 71/96 and 102/142
 us for A/B at l = 1, 2, 4, 8 and 16 (one core of a shared 2-vCPU VM,
-Python 3.11.7; medians of interleaved runs, 15 of 800 trials at l <= 2
-and 9 of 150 above, three repeats within 3 us of each other).
+Python 3.11.7; medians of 30 runs, each a fresh process, of 800 trials
+at l <= 2 and 150 above).  Sizes before pairs pays off from l = 3: at
+l = 2 the sizes step leaves a common size in about 9 of 10 full-width
+passes, so B pays both DPs there, against 2 in 10 at l = 4.
 
 The settle rule, in `_count_range` alone: what settles a trial of each
 event is that event's row of `cycletypes._EVENTS`.  Each route returns
@@ -87,8 +97,8 @@ from statistics import NormalDist
 from .cycletypes import (_EVENTS, EVENTS, WeylFamily, _check_profile_n, _sign_bit,  # noqa: F401 (public here too)
                          check_event, signed_subset_masks, subset_sum_mask)
 from .errors import CapacityError, ValidationError, _echo, as_list, check_positive_int
-from .sampling import (GOLDEN, LANES, M64, _check_range, _check_seed, _class_table, _draws, _elements, _lanes, _picks,
-                       _sample_cycles, _table, mix64)
+from .sampling import (GOLDEN, LANES, M64, _check_range, _check_seed, _class_table, _draws, _elements, _kernel, _lanes,
+                       _picks, _sample_cycles, _table, mix64)
 
 # J trials at n >= _WINDOW_CUTOFF intersect sizes 1.._WINDOW before the
 # rest; below 2^16 the window pass measured no faster than one pass
@@ -237,9 +247,9 @@ def _meet(elements, keep: int, signed_profiles: bool, swaps: bool, read: list | 
     return the union of the tracks, 0 once they are empty.  It stops at
     the first element that empties them, reads none if `keep` is 0, and
     appends each element it reads to `read`.  The one home of the tracks:
-    in A and C one, `keep` itself, on the projection; in B and D the
-    (plus, minus) pair, and in B that pair again, swapped for a -
-    element."""
+    without `signed_profiles` one, `keep` itself, on the projection (A and
+    C, and the sizes step of B and D); with it the (plus, minus) pair, and
+    with `swaps` (B) that pair again, swapped for a - element."""
     inter_p = inter_m = swap_p = swap_m = keep
     for element in elements if keep else ():
         if read is not None:
@@ -274,11 +284,14 @@ def _open_sticks(spec: ExperimentSpec, starts) -> int:
     reads them on the window, sizes 1.._WINDOW at n >= _WINDOW_CUTOFF and
     the whole half-lattice below.  If the window empties with sizes above
     it, the tuple's other elements are drawn, sorted fewest cycles first,
-    and a second `_meet` reads them on the sizes above, up to the tuple's
-    reach.  The AND does not depend on order, so the outcome is the
-    one-pass one.  Once the tracks are empty one loop ANDs the bits of the
-    elements read so far and then of the stream's, drawing further
-    elements only while that AND is not 0.
+    and a second `_meet` reads their projections on the sizes above, up
+    to the tuple's reach.  With signed profiles a third `_meet` then reads
+    the pairs, on the sizes every projection holds alone, and only if
+    there are any.  The AND does not depend on order, and a common pair
+    needs a common size, so the outcome is the one-pass one.  Once the
+    tracks are empty one loop ANDs the bits of the elements read so far
+    and then of the stream's, drawing further elements only while that
+    AND is not 0.
     """
     n, l, family = spec.n, spec.l, spec.family
     _, intersects, bits = _EVENTS[spec.event]
@@ -286,19 +299,21 @@ def _open_sticks(spec: ExperimentSpec, starts) -> int:
     low = (1 << (n // 2 + 1)) - 2 if intersects else 0
     window = low & ((2 << _WINDOW) - 2) if n >= _WINDOW_CUTOFF else low
     above = low & ~window
-    k = _lanes(n, family.signed_labels, min(l, 2))  # more lanes are wasted on trials that stop early
+    kernel = _kernel(_lanes(n, family.signed_labels, min(l, 2)))  # more lanes are wasted on trials that stop early
     ns, signeds, wants = repeat(n), repeat(family.signed_labels), repeat(family.sector_sign)
     unsettled = 0
     for state in starts:
         elements = []  # those read so far
-        stream = map(_sample_cycles, (_draws(state, k),) * l, ns, signeds, wants)  # l elements, each drawn when read
+        stream = map(_sample_cycles, (_draws(state, kernel),) * l, ns, signeds, wants)  # l elements, drawn when read
         # an event that does not intersect skips the call, a few % of its trial at n = 1000
         keep = window and _meet(stream, window, signed_profiles, swaps, elements)
         if above and not keep:  # the window emptied: draw the tuple's rest, then intersect up to its reach
             elements += stream
             reach = n - max(max(lengths) for lengths, _, _ in elements)
             elements.sort(key=lambda element: len(element[0]))
-            keep = _meet(elements, above & ((2 << reach) - 1), signed_profiles, swaps)
+            keep = _meet(elements, above & ((2 << reach) - 1), False, False)  # the sizes every projection holds
+            if signed_profiles and keep:  # a common pair needs a common size: pairs only on those
+                keep = _meet(elements, keep, True, swaps)
         alive = -1
         if not keep:  # the tracks are empty: the AND of the elements' bits settles the trial,
             for lengths, signs, total in chain(elements, stream):  # drawing more only while it is not 0
@@ -328,7 +343,7 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     if spec.family.sector_sign is not None and bits is _sign_bit:
         return 0 if intersects else stop - start
     # trial t's start state mix64(seed + (t+1)*GOLDEN) is draw t+1 of seed's stream
-    starts = islice(_draws(spec.master_seed + start * GOLDEN, LANES), stop - start)
+    starts = islice(_draws(spec.master_seed + start * GOLDEN, _kernel(LANES)), stop - start)
     table = _table(spec.n, spec.family.signed_labels, spec.family.sector_sign)
     unsettled = _open_sticks(spec, starts) if table is None else _open_table(spec, starts, table)
     return stop - start - unsettled if intersects else unsettled

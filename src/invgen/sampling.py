@@ -129,8 +129,9 @@ def _kernel(k: int):
     """The k-lane kernels, built on the first call for k and then reused,
     each one mix64 over k lanes of an int (SWAR): `_batch(s)` is draws
     1..k of the stream whose state is s, `_streams(states, j)` is draw j
-    of each of k streams.  A lane is the low half of a 128-bit slot, so its
-    64x64-bit products fit; each step masks back to 64 bits."""
+    of each of k streams; then k * GOLDEN, the state one batch moves on.  A
+    lane is the low half of a 128-bit slot, so its 64x64-bit products fit;
+    each step masks back to 64 bits."""
     ones = sum(1 << 128 * j for j in range(k))
     steps = sum((j + 1) * GOLDEN << 128 * j for j in range(k))
     mask = M64 * ones
@@ -147,12 +148,14 @@ def _kernel(k: int):
     def _streams(states, j: int) -> tuple[int, ...]:
         return _mix((int.from_bytes(lanes.pack(*states), "little") + (j * GOLDEN & M64) * ones) & mask)
 
-    return _batch, _streams
+    return _batch, _streams, k * GOLDEN
 
 
-def _draws(s: int, k: int):
-    """The stream whose state is `s`, computed k draws at a time."""
-    return chain.from_iterable(map(_kernel(k)[0], count(s, k * GOLDEN)))
+def _draws(s: int, kernel):
+    """The stream whose state is `s`, computed a batch at a time by
+    `kernel`, one `_kernel(k)`, which a caller drawing many streams looks
+    up once."""
+    return chain.from_iterable(map(kernel[0], count(s, kernel[2])))
 
 
 class _Table(NamedTuple):
@@ -329,7 +332,7 @@ def _sample(rng: RngState, n: int, signed: bool, want_sign: int | None = None):
     if table is not None:
         index, rng.state = _pick(rng.state, table)
         return _label(table, index, n, signed)
-    draws = compress(_draws(rng.state, _lanes(n, signed)), read := count(1))
+    draws = compress(_draws(rng.state, _kernel(_lanes(n, signed))), read := count(1))
     lengths, signs, _ = _sample_cycles(draws, n, signed, want_sign)
     rng.state = (rng.state + (next(read) - 1) * GOLDEN) & M64
     if signed:

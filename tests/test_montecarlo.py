@@ -94,8 +94,9 @@ class TestAgainstOracle:
             assert est.successes == (500 if all_succeed else 0)
 
     @staticmethod
-    def recording_dp(monkeypatch, keeps):
-        """Record the keep mask of every profile DP montecarlo runs."""
+    def recording_dp(monkeypatch, keeps, names=("subset_sum_mask", "signed_subset_masks")):
+        """Record the keep mask of every profile DP montecarlo runs, or
+        only of the DPs in `names`."""
         def recording(dp):
             def wrapped(cycles, keep):
                 keeps.append(keep)
@@ -103,7 +104,7 @@ class TestAgainstOracle:
 
             return wrapped
 
-        for name in ("subset_sum_mask", "signed_subset_masks"):
+        for name in names:
             monkeypatch.setattr(montecarlo, name, recording(getattr(montecarlo, name)))
 
     @pytest.mark.parametrize("n", [8, 1000])
@@ -428,6 +429,30 @@ class TestReachCap:
         got, keeps = self.trial(monkeypatch, B, labels)
         assert got == 0
         assert max(keep.bit_length() for keep in keeps) == 1001
+
+    def pairs_trial(self, monkeypatch, family, labels):
+        """`trial`'s outcome, and the keep mask of every pairs DP it runs."""
+        pairs = []
+        TestAgainstOracle.recording_dp(monkeypatch, pairs, ("signed_subset_masks",))
+        got, _ = self.trial(monkeypatch, family, labels)
+        return got, pairs
+
+    def test_sizes_disjoint_above_the_window(self, monkeypatch):
+        # the reach is 1000 and the elements share no size up to it, so
+        # the sizes step settles the trial: no pairs DP reads past the window
+        got, pairs = self.pairs_trial(monkeypatch, B, [[(self.N - 1000, 1), (1000, 1)],
+                                                       [(self.N - 3000, 1), (3000, 1)]])
+        assert got == 1
+        assert pairs and max(keep.bit_length() for keep in pairs) <= montecarlo._WINDOW + 1
+
+    def test_one_size_shared_but_not_its_pairs(self, monkeypatch):
+        # both hold size 1000, as (1000, +) and as (1000, -): the pairs DPs
+        # of the full-width pass read that one size and J holds
+        got, pairs = self.pairs_trial(monkeypatch, DP, [[(self.N - 1000, 1), (1000, 1)],
+                                                        [(self.N - 1000, -1), (1000, -1)]])
+        assert got == 1
+        wide = [keep for keep in pairs if keep.bit_length() > montecarlo._WINDOW + 1]
+        assert wide and set(wide) == {1 << 1000}
 
 
 class TestDrawCount:

@@ -271,7 +271,7 @@ class TestBatchedStream:
         for s in self.STATES:
             assert list(_kernel(k)[0](s)) == scalar_walk(s, k)
             # draws k and k + 1 straddle the first batch boundary
-            assert list(islice(_draws(s, k), 2 * k + 1)) == scalar_walk(s, 2 * k + 1)
+            assert list(islice(_draws(s, _kernel(k)), 2 * k + 1)) == scalar_walk(s, 2 * k + 1)
 
     @pytest.mark.parametrize("k", range(1, LANES + 1))
     def test_many_streams_are_the_scalar_draws(self, k):
