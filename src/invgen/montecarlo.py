@@ -6,15 +6,17 @@ execution order cannot change it.  Trials may stop sampling as soon as the
 event outcome is determined (say, the running intersection went empty);
 that is safe for the same reason — no other trial reads this stream.
 
-Profiles are complement-symmetric: a subset of size k leaves one of size
-n-k, with sign sigma*e for a subset of sign e when the element's total
-sign is sigma.  So a trial keeps only sizes 1..n//2 of its running
-intersection, plus, in B, a second (plus, minus) pair whose tracks are
-swapped for every element with sigma = -1; J holds iff every intersection
-is empty.  Outside B that pair would equal the plain pair (A, D+), mirror
-it (D-) or lie inside it (C), so only B keeps it.  Each profile DP
-computes only the bits still alive in those intersections, runs only
-while one is, and skips every cycle longer than the top one.
+Stick-breaking profiles, up to 2^28 bits above the table caps, are read
+as complement-symmetric: a subset of size k leaves one of size n-k, with
+sign sigma*e for a subset of sign e when the element's total sign is
+sigma.  So a stick-breaking trial keeps only sizes 1..n//2 of its
+running intersection, plus, in B, a second (plus, minus) pair whose
+tracks are swapped for every element with sigma = -1; J holds iff every
+intersection is empty.  Outside B that pair would equal the plain pair
+(A, D+), mirror it (D-) or lie inside it (C), so only B keeps it.
+`_meet` is the one place this rule is written.  Each profile DP computes
+only the bits still alive in those intersections, runs only while one
+is, and skips every cycle longer than the top one.
 
 Both routes read an element in one shape, the (lengths, signs, total)
 triple: `sampling._elements` yields it for each class of a table and
@@ -24,9 +26,13 @@ the triple as it is.
 
 The table route, `_open_table`: at the samplers' table n (see
 `sampling`) an element is one table draw, and its masks are its class's
-row of `_class_masks`, every event's packed into one int and built once
-per (n, family) from the table's bytes; an event reads the row through
-its `_event_mask`.  No stick-breaking, sort, DP or label per element.
+row of `_class_masks`: every event's bits and the class's full proper
+profile on sizes 1..n-1, as `fixed_sizes` and `signed_fixed_sets` return
+it, packed into one int and built once per (n, family) from the table's
+bytes.  A row is at most 42 bits (B and D at n = 16), so it keeps no
+half lattice and needs no complement rule.  An event reads the row
+through its `_event_mask`.  No stick-breaking, sort, DP or label per
+element.
 The trials run a block at a time, one round per element:
 `sampling._picks` draws element j of every open trial, 32 streams per
 mix64, and one AND per trial settles it or keeps it open.  At n = 8,
@@ -182,28 +188,27 @@ def _class_masks(n: int, family: WeylFamily) -> list[int]:
     """Per class of the table that family's sampler reads at n, in its
     order: its masks for every event packed into one int, built from the
     (lengths, signs, total) triple `sampling._elements` reads from the
-    table's bytes.  Bits 2i and 2i + 1 hold the row's bits of
-    event i of EVENTS; from bit _TRACKS on, fields of n//2 + 1 bits hold
-    the profile on sizes 1..n//2 as a trial intersects it: (plus, minus)
-    of the (size, sign) tracks in B and D, else the projection's sizes and
-    0, and in B the pair again, swapped for a - element.  An event reads
-    its rows through `_event_mask`, so the AND of a trial's rows and that
-    mask is 0 exactly when the event's bits and, for an event that
-    intersects, every track are empty.  Equal rows are one int."""
-    width = n // 2 + 1
-    low = (1 << width) - 2
+    table's bytes.  Event bits come first: bits 2i and 2i + 1 hold the
+    row's bits of event i of EVENTS.  From bit _TRACKS on, the row holds
+    plus | minus << n, the class's proper profile on sizes 1..n-1 as the
+    public profile functions return it: the (size, sign) pairs of
+    `signed_fixed_sets` in B and D, else the sizes of `fixed_sizes` (of
+    the projection in C) and 0.  On full profiles the AND of a tuple's
+    tracks is empty exactly when J holds, so no complement rule is
+    needed.  An event reads its rows through `_event_mask`, so the AND of
+    a trial's rows and that mask is 0 exactly when the event's bits and,
+    for an event that intersects, every track are empty.  Equal rows are
+    one int."""
+    full = (1 << n) - 2
     table = _class_table(n, family.signed_labels, family.sector_sign)
     events = [(bits, 2 * i) for i, (_, _, bits) in enumerate(_EVENTS.values())]
     rows, shared = [], {}
     for lengths, signs, total in _elements(table):
         if family.signed_profiles:
-            plus, minus = signed_subset_masks(zip(lengths, signs), low)
+            plus, minus = signed_subset_masks(zip(lengths, signs), full)
         else:
-            plus, minus = subset_sum_mask(lengths, low), 0
-        tracks = plus | minus << width
-        if family is WeylFamily.B:
-            tracks |= (minus | plus << width if total < 0 else tracks) << 2 * width
-        row = tracks << _TRACKS
+            plus, minus = subset_sum_mask(lengths, full), 0
+        row = (plus | minus << n) << _TRACKS
         for bits, at in events:
             row |= bits(lengths, signs, total) << at
         rows.append(shared.setdefault(row, row))
@@ -329,11 +334,11 @@ def _count_range(spec: ExperimentSpec, start: int, stop: int) -> int:
     """Successes over trials start..stop-1; one settle rule serves every
     event and both routes.
 
-    A trial keeps the running intersections of the half-lattice profiles
-    (empty from the start for events that do not intersect) and `alive`,
-    the AND of the row's bits of every element drawn.  It settles once
-    both are empty: a success for the events that intersect, a failure for
-    the others.  A trial that reads all l elements unsettled stays open
+    A trial keeps the running intersections of its elements' profiles,
+    full at the table n and half-lattice above (empty from the start for
+    events that do not intersect), and `alive`, the AND of the row's bits
+    of every element drawn.  It settles once both are empty: a success
+    for the events that intersect, a failure for the others.  A trial that reads all l elements unsettled stays open
     and has the opposite outcome.  Each route returns how many of its
     trials stayed open, and this turns that count into successes.
     """

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from operator import sub
+from operator import mul, sub
 
 import pytest
 
@@ -42,7 +42,7 @@ from invgen import (
     wilson_interval,
     wilson_interval_z,
 )
-from invgen.sampling import PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT, _class_table
+from invgen.sampling import PARTITION_TABLE_LIMIT, SIGNED_TABLE_LIMIT, _class_table, _label
 
 A, B, C = WeylFamily.A, WeylFamily.B, WeylFamily.C
 DP, DM = WeylFamily.D_PLUS, WeylFamily.D_MINUS
@@ -265,6 +265,28 @@ class TestRowLawIsTheOracle:
             assert engine == exact_prob(n, l, family, event), l
 
 
+class TestRowIsTheProfile:
+    """A `_class_masks` row holds, from bit `_TRACKS` on, its class's
+    proper profile on sizes 1..n-1 exactly as the public profile
+    functions return it for the class's label: plus | minus << n of
+    `signed_fixed_sets` in B and D, the sizes of `fixed_sizes` in A and
+    of the projection's in C.  So the table route has no complement rule
+    of its own, and a track the row drops or swaps shows here."""
+
+    @pytest.mark.parametrize("family", [A, B, C, DP, DM])
+    def test_every_row_at_every_table_n(self, family):
+        for n in range(1, TABLE_CAPS[family] + 1):
+            table = _class_table(n, family.signed_labels, family.sector_sign)
+            for index, row in enumerate(montecarlo._class_masks(n, family)):
+                label = _label(table, index, n, family.signed_labels)
+                if family.signed_profiles:
+                    profile = signed_fixed_sets(label)
+                    want = profile.plus | profile.minus << n
+                else:
+                    want = fixed_sizes(project(label) if family.signed_labels else label).achievable
+                assert row >> montecarlo._TRACKS == want, (n, label)
+
+
 class TestPathLawIsTheOracle:
     """Above the table caps a trial's outcome is a function of its draws,
     and at tiny n the draws take few values that matter: a kept length
@@ -485,26 +507,32 @@ class TestDrawCount:
 
 
 class TestWindowLaw:
-    """At n = 10^6 the window pass of family A's J trials against its
-    limit law.  Whether the window (sizes 1..w) stays alive depends only on
-    each element's cycles of length <= w, and their counts C_1..C_w tend to
-    independent Poisson(1/j) as n grows, with a total-variation error
-    negligible at n = 10^6, w <= 64 (Arratia-Tavare 1992).  A wrapper
-    around `_meet` counts the trials whose window call, the one given
-    `read`, returns non-zero; that count must match the law at 3 sigma."""
+    """At n = 10^6 the window pass of J trials against its limit law, in A
+    and in B.  Whether the window (sizes 1..w) stays alive depends only on
+    each element's cycles of length <= w, and their counts C_1..C_w tend
+    to independent Poisson(1/j) as n grows, with a total-variation error
+    negligible at n = 10^6, w <= 64 (Arratia-Tavare 1992); in B each
+    cycle's sign is a fair coin.  A wrapper around `_meet` counts the
+    trials whose window call, the one given `read`, returns non-zero;
+    that count must match the law at 3 sigma."""
+
+    @staticmethod
+    def pmf(j, w, mean):
+        """Poisson(mean) probabilities of 0..w // j cycles of length j, the
+        last taking the tail, since more j-cycles reach no further size <= w."""
+        pmf = [math.exp(-mean) * mean**c / math.factorial(c) for c in range(w // j)]
+        return pmf + [1 - math.fsum(pmf)]
 
     @staticmethod
     @cache
     def window_masks(w):
         """The limit law of one element's subset-sum mask on sizes 1..w, as
         {mask of bits 0..w-1 for sizes 1..w: probability}: a DP over
-        j = 1..w with C_j capped at w // j, where the last count takes the
-        tail, since more j-cycles reach no further size <= w."""
+        j = 1..w with C_j capped at w // j."""
         full = (2 << w) - 1
         law = {1: 1.0}
         for j in range(1, w + 1):
-            pmf = [math.exp(-1 / j) / j**c / math.factorial(c) for c in range(w // j)]
-            pmf.append(1 - math.fsum(pmf))
+            pmf = TestWindowLaw.pmf(j, w, 1 / j)
             step = Counter()
             for mask, p in law.items():
                 for c, q in enumerate(pmf):
@@ -514,28 +542,86 @@ class TestWindowLaw:
             law = step
         return {mask >> 1: p for mask, p in law.items()}
 
+    @staticmethod
+    @cache
+    def pair_masks(w):
+        """The limit law of one signed element's (size, sign) pairs on sizes
+        1..w, as {mask: probability} in `exact._fold`'s layout: bits 2k - 2
+        and 2k - 1 hold (k, +) and (k, -).  A fair sign splits C_j into
+        independent + and - counts, each Poisson(1/2j), and each is capped
+        at w // j."""
+        full = (2 << w) - 1
+        law = {(1, 0): 1.0}
+        for j in range(1, w + 1):
+            pmf = TestWindowLaw.pmf(j, w, 1 / (2 * j))
+            step = Counter()
+            for (plus, minus), p in law.items():
+                for c, q in enumerate(pmf):  # c + cycles extend both tracks
+                    if c:
+                        plus, minus = (plus | plus << j) & full, (minus | minus << j) & full
+                    signed_p, signed_m = plus, minus
+                    for d, r in enumerate(pmf):  # d - cycles cross them
+                        if d:
+                            signed_p, signed_m = (signed_p | signed_m << j) & full, (signed_m | signed_p << j) & full
+                        step[signed_p, signed_m] += p * q * r
+            law = step
+        packed = Counter()
+        for (plus, minus), p in law.items():
+            packed[sum((plus >> k & 1 | (minus >> k & 1) << 1) << 2 * k - 2 for k in range(1, w + 1))] += p
+        return packed
+
+    @staticmethod
+    def superset_sums(law, bits):
+        """g(T), the chance that a mask of `law` holds every bit of T, over
+        the 2^bits sets T."""
+        g = [0.0] * (1 << bits)
+        for mask, p in law.items():
+            g[mask] += p
+        for bit in (1 << b for b in range(bits)):
+            for t in range(1 << bits):
+                if not t & bit:
+                    g[t] += g[t | bit]
+        return g
+
+    @staticmethod
+    def alternating(values):
+        """sum over T of (-1)^|T| values[T]."""
+        return math.fsum(-x if t.bit_count() & 1 else x for t, x in enumerate(values))
+
     @classmethod
     def p_alive(cls, w, l):
         """P(the AND of l independent window masks is not 0) =
-        1 - sum over T of (-1)^|T| g(T)^l, with g(T) the chance that a mask
-        holds every size in T: the mask law's superset sum over 2^w sets."""
-        g = [0.0] * (1 << w)
-        for mask, p in cls.window_masks(w).items():
-            g[mask] += p
-        for bit in (1 << b for b in range(w)):
-            for t in range(1 << w):
-                if not t & bit:
-                    g[t] += g[t | bit]
-        return 1 - math.fsum(-x**l if t.bit_count() & 1 else x**l for t, x in enumerate(g))
+        1 - sum over T of (-1)^|T| g(T)^l."""
+        return 1 - cls.alternating(x**l for x in cls.superset_sums(cls.window_masks(w), w))
+
+    @classmethod
+    def p_alive_signed(cls, w, l):
+        """B's window is empty only when the plain pairs' AND and the
+        swapped pairs' AND are both empty: a - element's pair tracks swap.
+        Its total sign is a fair coin independent of the short cycles, as
+        some long cycle carries a fair sign.  So, as `exact._prob_no_common`
+        splits B by its j elements of sign +, P(empty) = sum_j C(l, j) 2^-l
+        sum_U (-1)^|U| fold(g^j)(U) fold(g^(l-j))(U), with g the superset
+        sums of the pair law and every size digit folded."""
+        g = cls.superset_sums(cls.pair_masks(w), 2 * w)
+        folds = [exact._fold([x**j for x in g], w) for j in range(l + 1)]
+        empty = math.fsum(math.comb(l, j) * cls.alternating(map(mul, folds[j], folds[l - j])) for j in range(l + 1))
+        return 1 - empty / 2**l
 
     def test_law_at_w_16(self):
         # the law's sizes and the values first computed from it
         assert len(self.window_masks(8)) == 131 and len(self.window_masks(16)) == 4817
         assert round(self.p_alive(16, 2), 5) == 0.78930 and round(self.p_alive(16, 4), 5) == 0.35532
 
-    @pytest.mark.parametrize("l", [2, 4])
-    @pytest.mark.parametrize("w", [8, 16])
-    def test_window_alive(self, monkeypatch, w, l):
+    def test_signed_law_at_w_8(self):
+        # the values first computed from it; the probabilities sum to 1
+        assert math.isclose(math.fsum(self.pair_masks(8).values()), 1)
+        assert round(self.p_alive_signed(8, 2), 5) == 0.66701 and round(self.p_alive_signed(8, 4), 5) == 0.17518
+
+    @staticmethod
+    def alive(monkeypatch, family, w, l):
+        """The share of 10,000 J trials at n = 10^6 and seed 100w + l whose
+        window stays alive, and its Wilson 3-sigma interval."""
         meet, alive = montecarlo._meet, []
 
         def counting(elements, keep, signed_profiles, swaps, read=None):
@@ -547,11 +633,23 @@ class TestWindowLaw:
         monkeypatch.setattr(montecarlo, "_meet", counting)
         monkeypatch.setattr(montecarlo, "_WINDOW", w)
         trials = 10_000
-        montecarlo._count_range(spec(10**6, l, A, trials=trials, seed=100 * w + l), 0, trials)
+        montecarlo._count_range(spec(10**6, l, family, trials=trials, seed=100 * w + l), 0, trials)
         assert len(alive) == trials
-        low, high = wilson_interval_z(sum(alive), trials, 3.0)
+        return sum(alive) / trials, wilson_interval_z(sum(alive), trials, 3.0)
+
+    @pytest.mark.parametrize("l", [2, 4])
+    @pytest.mark.parametrize("w", [8, 16])
+    def test_window_alive(self, monkeypatch, w, l):
+        share, (low, high) = self.alive(monkeypatch, A, w, l)
         limit = self.p_alive(w, l)
-        assert low <= limit <= high, (sum(alive) / trials, limit)
+        assert low <= limit <= high, (share, limit)
+
+    @pytest.mark.parametrize("l", [2, 4])
+    def test_signed_window_alive(self, monkeypatch, l):
+        # B at w = 8: 2^16 points in the law's lattice
+        share, (low, high) = self.alive(monkeypatch, B, 8, l)
+        limit = self.p_alive_signed(8, l)
+        assert low <= limit <= high, (share, limit)
 
 
 class TestReplayContract:
